@@ -34,7 +34,7 @@ func TestScheduleContextPreCanceled(t *testing.T) {
 	// Both a CtxScheduler and a plain Algorithm refuse a dead context.
 	for _, a := range []algo.Algorithm{
 		listsched.HEFT{},
-		listsched.CPOP{}, // no ScheduleContext: checked by the dispatcher
+		listsched.DLS{}, // no ScheduleContext: checked by the dispatcher
 	} {
 		if _, err := algo.ScheduleContext(ctx, a, in); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", a.Name(), err)
@@ -126,6 +126,9 @@ func TestCheckpointStride(t *testing.T) {
 
 var _ algo.CtxScheduler = core.ILS{}
 var _ algo.CtxScheduler = listsched.HEFT{}
+var _ algo.CtxScheduler = listsched.CPOP{}
+var _ algo.CtxScheduler = listsched.HLFET{}
+var _ algo.CtxScheduler = listsched.ETF{}
 var _ algo.CtxScheduler = search.HillClimb{}
 var _ algo.CtxScheduler = search.Anneal{}
 var _ algo.CtxScheduler = search.Genetic{}

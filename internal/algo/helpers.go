@@ -1,39 +1,103 @@
 package algo
 
 import (
-	"sort"
-
 	"dagsched/internal/dag"
 	"dagsched/internal/sched"
 )
 
-// OrderDescPrecedence returns the tasks sorted by decreasing priority,
-// breaking ties by topological position so the order is always a valid
-// scheduling order even when priorities tie (e.g. zero-cost tasks).
+// OrderDescPrecedence returns the static list-scheduling order: it
+// repeatedly takes the highest-priority ready task (every predecessor
+// already taken), ties toward the earlier topological position. The
+// order is precedence-valid for any priority. For priorities that never
+// increase along an edge (upward rank, static level) it is exactly the
+// tasks sorted by decreasing priority with topological tie-breaks; for
+// others, like CPOP's rank_u + rank_d, that sort would break precedence.
 func OrderDescPrecedence(g *dag.Graph, prio []float64) []dag.TaskID {
-	topo := g.TopoOrder()
-	pos := make([]int, g.Len())
-	for i, v := range topo {
-		pos[v] = i
+	n := g.Len()
+	// The caller owns TopoOrder's copy: it yields the positions, then
+	// backs the output.
+	order := g.TopoOrder()
+	h := readyHeap{prio: prio, pos: make([]int32, n)}
+	for i, v := range order {
+		h.pos[v] = int32(i)
 	}
-	order := append([]dag.TaskID(nil), topo...)
-	sort.SliceStable(order, func(a, b int) bool {
-		ta, tb := order[a], order[b]
-		if prio[ta] != prio[tb] {
-			return prio[ta] > prio[tb]
+	pending := make([]int32, n)
+	for i := range pending {
+		pending[i] = int32(g.InDegree(dag.TaskID(i)))
+		if pending[i] == 0 {
+			h.push(dag.TaskID(i))
 		}
-		return pos[ta] < pos[tb]
-	})
+	}
+	order = order[:0]
+	for len(h.ts) > 0 {
+		t := h.pop()
+		order = append(order, t)
+		for _, a := range g.Succ(t) {
+			pending[a.To]--
+			if pending[a.To] == 0 {
+				h.push(a.To)
+			}
+		}
+	}
 	return order
 }
 
-// OrderAscPrecedence is OrderDescPrecedence with ascending priority.
-func OrderAscPrecedence(g *dag.Graph, prio []float64) []dag.TaskID {
-	neg := make([]float64, len(prio))
-	for i, v := range prio {
-		neg[i] = -v
+// readyHeap is a binary max-heap of ready tasks keyed by (priority,
+// earlier topological position). Positions are unique, so the order is
+// total and the pop sequence deterministic.
+type readyHeap struct {
+	ts   []dag.TaskID
+	prio []float64
+	pos  []int32
+}
+
+// before reports whether a pops before b.
+func (h *readyHeap) before(a, b dag.TaskID) bool {
+	if h.prio[a] != h.prio[b] {
+		return h.prio[a] > h.prio[b]
 	}
-	return OrderDescPrecedence(g, neg)
+	return h.pos[a] < h.pos[b]
+}
+
+func (h *readyHeap) push(t dag.TaskID) {
+	h.ts = append(h.ts, t)
+	i := len(h.ts) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !h.before(t, h.ts[up]) {
+			break
+		}
+		h.ts[i] = h.ts[up]
+		i = up
+	}
+	h.ts[i] = t
+}
+
+func (h *readyHeap) pop() dag.TaskID {
+	top := h.ts[0]
+	last := len(h.ts) - 1
+	t := h.ts[last]
+	h.ts = h.ts[:last]
+	if last == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if r := c + 1; r < last && h.before(h.ts[r], h.ts[c]) {
+			c = r
+		}
+		if !h.before(h.ts[c], t) {
+			break
+		}
+		h.ts[i] = h.ts[c]
+		i = c
+	}
+	h.ts[i] = t
+	return top
 }
 
 // ReadyList tracks which unscheduled tasks have all predecessors placed.

@@ -22,41 +22,57 @@ func diamondInstance(t *testing.T) *sched.Instance {
 	return sched.Consistent(b.MustBuild(), platform.Homogeneous(2, 0, 1))
 }
 
-func TestOrderDescPrecedence(t *testing.T) {
-	in := diamondInstance(t)
-	prio := []float64{5, 5, 5, 5} // all ties: must fall back to topo order
-	order := OrderDescPrecedence(in.G, prio)
+// requirePrecedence fails unless order is a permutation of g's tasks
+// that lists every edge's tail before its head.
+func requirePrecedence(t *testing.T, g *dag.Graph, order []dag.TaskID) {
+	t.Helper()
+	if len(order) != g.Len() {
+		t.Fatalf("order has %d tasks, graph %d: %v", len(order), g.Len(), order)
+	}
 	pos := map[dag.TaskID]int{}
 	for i, v := range order {
 		pos[v] = i
 	}
-	for _, e := range in.G.Edges() {
+	if len(pos) != g.Len() {
+		t.Fatalf("order repeats a task: %v", order)
+	}
+	for _, e := range g.Edges() {
 		if pos[e.From] >= pos[e.To] {
-			t.Fatalf("precedence violated on tie: %v", order)
+			t.Fatalf("precedence violated on %d->%d: %v", e.From, e.To, order)
 		}
 	}
+}
+
+func TestOrderDescPrecedence(t *testing.T) {
+	in := diamondInstance(t)
+	prio := []float64{5, 5, 5, 5} // all ties: must fall back to topo order
+	requirePrecedence(t, in.G, OrderDescPrecedence(in.G, prio))
 	// With a priority that is monotone along edges (like upward ranks,
 	// which strictly decrease towards exits), the order follows priority.
 	prio = []float64{9, 5, 5, 1} // tie between 1 and 2 broken by topo pos
-	order = OrderDescPrecedence(in.G, prio)
+	order := OrderDescPrecedence(in.G, prio)
 	want := []dag.TaskID{0, 1, 2, 3}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
-}
-
-func TestOrderAscPrecedence(t *testing.T) {
-	in := diamondInstance(t)
-	prio := []float64{0, 2, 1, 3}
-	order := OrderAscPrecedence(in.G, prio)
-	want := []dag.TaskID{0, 2, 1, 3}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	// CPOP's rank_u + rank_d is the longest path through a task, so it
+	// rises along an edge from an off-critical-path task into the
+	// critical path: a descending sort would list that edge's head first.
+	up, down := sched.RankUpward(in), sched.RankDownward(in)
+	prio = make([]float64, in.N())
+	for i := range prio {
+		prio[i] = up[i] + down[i]
 	}
+	rises := false
+	for _, e := range in.G.Edges() {
+		rises = rises || prio[e.From] < prio[e.To]
+	}
+	if !rises {
+		t.Fatalf("rank_u+rank_d %v never rises along an edge: the case tests nothing", prio)
+	}
+	requirePrecedence(t, in.G, OrderDescPrecedence(in.G, prio))
 }
 
 func TestReadyList(t *testing.T) {

@@ -16,11 +16,12 @@ import (
 // literature (arXiv:2403.07112): a list scheduler is a priority metric ×
 // a consumption order × a processor-selection rule × an insertion policy
 // × a duplication policy. Param composes one scheduler per point of that
-// grid; the four canonical baselines are exact grid points (HEFTParam,
-// CPOPParam, HLFETParam, ETFParam reproduce HEFT, CPOP, HLFET and ETF
-// bit-identically — proven against the goldens by param_test.go), so the
-// adversarial harness and the E23 ablation can attack components rather
-// than whole algorithms.
+// grid. It is the only list-scheduling placement loop: HEFT, CPOP, HLFET
+// and ETF are its grid points HEFTParam, CPOPParam, HLFETParam and
+// ETFParam (param_test.go pins them to the committed goldens and to the
+// dedicated loops kept in testfix), and the streaming engine re-plans
+// through Replan and PlaceOrder. The adversarial harness and the E23
+// ablation attack components rather than whole algorithms.
 
 // Priority selects the task-priority metric.
 type Priority int
@@ -218,34 +219,45 @@ func (pm Param) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 	return pm.ScheduleContext(context.Background(), in)
 }
 
-// ScheduleContext implements algo.CtxScheduler. Each grid point follows
-// exactly the code path of the baseline it generalizes, so grid points
-// coinciding with HEFT/CPOP/HLFET/ETF are bit-identical to them.
+// ScheduleContext implements algo.CtxScheduler: Replan with no frozen
+// prefix at clock zero. Each grid point follows exactly the code path of
+// the baseline it generalizes, so grid points coinciding with
+// HEFT/CPOP/HLFET/ETF are bit-identical to them.
 func (pm Param) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
-	prio := pm.priorities(in)
-	pl := sched.NewPlan(in)
-	check := algo.NewCheckpoint(ctx, 64)
-	var cp *cpState
-	if pm.Select == SelectCPPin {
-		cp = newCPState(in)
+	pl, err := pm.Replan(ctx, in, pm.priorities(in), nil, 0)
+	if err != nil {
+		return nil, err
 	}
-	var ds *dupState
-	if pm.Duplication {
-		ds = newDupState(pl)
+	return pl.Finalize(pm.Name()), nil
+}
+
+// Replan schedules every task of in that the frozen prefix does not
+// hold, under the grid point's components with prio as the priority
+// vector, and starts none of them before clock. The frozen assignments
+// are seeded first and never move; they must be ancestor-closed. A zero
+// clock leaves every start where the static scheduler puts it, so with
+// no prefix Replan is the static scheduler itself (DESIGN.md invariant
+// 13). Duplicating grid points re-plan only at clock zero: their trials
+// take no floor.
+func (pm Param) Replan(ctx context.Context, in *sched.Instance, prio []float64, frozen []sched.Assignment, clock float64) (*sched.Plan, error) {
+	pl := sched.SeedPlan(in, frozen)
+	cp, ds, err := pm.selection(pl, clock)
+	if err != nil {
+		return nil, err
+	}
+	if ds != nil {
 		defer ds.Close()
 	}
-
-	step := func(t dag.TaskID) {
-		pm.place(pl, ds, cp, t)
-	}
-
+	check := algo.NewCheckpoint(ctx, 64)
 	switch pm.Order {
 	case OrderStatic:
-		for _, t := range staticOrder(in.G, prio) {
+		for _, t := range algo.OrderDescPrecedence(in.G, prio) {
 			if err := check.Check(); err != nil {
 				return nil, fmt.Errorf("%s: %w", pm.Name(), err)
 			}
-			step(t)
+			if !pl.Scheduled(t) {
+				pm.place(pl, ds, cp, t, clock)
+			}
 		}
 	case OrderReady:
 		rl := algo.NewReadyList(in.G)
@@ -259,7 +271,9 @@ func (pm Param) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched
 					pick = r
 				}
 			}
-			step(pick)
+			if !pl.Scheduled(pick) {
+				pm.place(pl, ds, cp, pick, clock)
+			}
 			rl.Complete(pick)
 		}
 	case OrderPair:
@@ -268,12 +282,18 @@ func (pm Param) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched
 			if err := check.Check(); err != nil {
 				return nil, fmt.Errorf("%s: %w", pm.Name(), err)
 			}
+			// Retire a ready frozen task first: it is placed already and
+			// must not enter the pair competition.
+			if r := firstScheduled(pl, rl.Ready()); r != -1 {
+				rl.Complete(r)
+				continue
+			}
 			bestStart := math.Inf(1)
 			var bestTask dag.TaskID = -1
 			bestProc := 0
 			for _, t := range rl.Ready() {
 				for p := 0; p < in.P(); p++ {
-					start, _ := pl.EFTOn(t, p, pm.Insertion)
+					start, _ := sched.EFTFloored(pl, t, p, clock, pm.Insertion)
 					better := start < bestStart ||
 						(start == bestStart && bestTask != -1 && prio[t] > prio[bestTask])
 					if better {
@@ -291,72 +311,40 @@ func (pm Param) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched
 	default:
 		return nil, fmt.Errorf("listsched: unknown order %d", pm.Order)
 	}
-	return pl.Finalize(pm.Name()), nil
+	return pl, nil
 }
 
-// staticOrder fixes the full scheduling order up front: greedily emit
-// the highest-priority task whose predecessors were all emitted, ties
-// toward the earlier topological position. For priorities that are
-// monotone along edges (upward rank, static level) this is exactly
-// algo.OrderDescPrecedence — the HEFT order, bit for bit (the
-// equivalence tests pin it) — while staying precedence-valid for
-// non-monotone metrics like rank_u + rank_d, which a global sort is not.
-func staticOrder(g *dag.Graph, prio []float64) []dag.TaskID {
-	n := g.Len()
-	topo := g.TopoOrder()
-	pos := make([]int, n)
-	for i, v := range topo {
-		pos[v] = i
+// PlaceOrder places the tasks of order into pl one after another under
+// the grid point's selection rule, none starting before clock. The order
+// replaces the consumption-order component and must be precedence-safe:
+// every predecessor of a task is placed already or earlier in it. The
+// streaming engine passes the affected suffix of an incremental re-plan.
+func (pm Param) PlaceOrder(pl *sched.Plan, order []dag.TaskID, clock float64) error {
+	cp, ds, err := pm.selection(pl, clock)
+	if err != nil {
+		return err
 	}
-	pending := make([]int, n)
-	var ready []dag.TaskID
-	for i := 0; i < n; i++ {
-		pending[i] = g.InDegree(dag.TaskID(i))
-		if pending[i] == 0 {
-			ready = append(ready, dag.TaskID(i))
+	if ds != nil {
+		defer ds.Close()
+	}
+	for _, t := range order {
+		pm.place(pl, ds, cp, t, clock)
+	}
+	return nil
+}
+
+// firstScheduled returns the first of ts that pl has placed, or -1.
+func firstScheduled(pl *sched.Plan, ts []dag.TaskID) dag.TaskID {
+	for _, t := range ts {
+		if pl.Scheduled(t) {
+			return t
 		}
 	}
-	order := make([]dag.TaskID, 0, n)
-	for len(ready) > 0 {
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			a, b := ready[i], ready[best]
-			if prio[a] > prio[b] || (prio[a] == prio[b] && pos[a] < pos[b]) {
-				best = i
-			}
-		}
-		pick := ready[best]
-		ready[best] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		order = append(order, pick)
-		for _, a := range g.Succ(pick) {
-			pending[a.To]--
-			if pending[a.To] == 0 {
-				ready = append(ready, a.To)
-			}
-		}
-	}
-	return order
+	return -1
 }
 
-// StaticOrder exposes the static consumption order for callers that
-// replay Param's placement loop outside ScheduleContext — the streaming
-// engine's seal-time re-plan must consume tasks in exactly this order to
-// stay bit-identical to the static scheduler.
-func StaticOrder(g *dag.Graph, prio []float64) []dag.TaskID {
-	return staticOrder(g, prio)
-}
-
-// CPPin exposes the critical-path pinning state of the CPOP selection
-// rule — the on-path mask and the pinned processor — computed exactly as
-// ScheduleContext computes it, for the same external replay callers.
-func CPPin(in *sched.Instance) (onCP []bool, proc int) {
-	st := newCPState(in)
-	return st.onCP, st.proc
-}
-
-// PriorityVector exposes the configured priority metric for external
-// replay callers (see StaticOrder).
+// PriorityVector exposes the configured priority metric for Replan
+// callers that do not keep their own.
 func (pm Param) PriorityVector(in *sched.Instance) []float64 {
 	return pm.priorities(in)
 }
@@ -379,16 +367,35 @@ func (pm Param) priorities(in *sched.Instance) []float64 {
 	}
 }
 
-// place chooses a processor for t under the configured selection rule
-// and places it (with duplication trials when enabled).
-func (pm Param) place(pl *sched.Plan, ds *dupState, cp *cpState, t dag.TaskID) {
+// selection returns a placement pass's selection state: CPOP's pin and
+// the duplication trials, each only when the grid point uses it. The
+// caller closes the trials.
+func (pm Param) selection(pl *sched.Plan, clock float64) (*cpState, *dupState, error) {
+	if pm.Duplication && clock > 0 {
+		return nil, nil, fmt.Errorf("%s: duplicating grid point cannot place at clock %g", pm.Name(), clock)
+	}
+	var cp *cpState
+	if pm.Select == SelectCPPin {
+		cp = newCPState(pl.Instance())
+	}
+	var ds *dupState
+	if pm.Duplication {
+		ds = newDupState(pl)
+	}
+	return cp, ds, nil
+}
+
+// place chooses a processor for t under the configured selection rule,
+// with readiness floored at the clock, and places it (with duplication
+// trials when enabled). At clock zero the floor is a no-op.
+func (pm Param) place(pl *sched.Plan, ds *dupState, cp *cpState, t dag.TaskID, clock float64) {
 	if cp != nil && cp.onCP[t] {
 		// Critical-path task: pinned to the CP processor.
 		if ds != nil {
 			ds.placeOn(pl, t, cp.proc)
 			return
 		}
-		s, _ := pl.EFTOn(t, cp.proc, pm.Insertion)
+		s, _ := sched.EFTFloored(pl, t, cp.proc, clock, pm.Insertion)
 		pl.Place(t, cp.proc, s)
 		return
 	}
@@ -396,19 +403,30 @@ func (pm Param) place(pl *sched.Plan, ds *dupState, cp *cpState, t dag.TaskID) {
 		ds.placeBest(pl, t, pm.Select == SelectEST)
 		return
 	}
-	switch pm.Select {
-	case SelectEST:
+	switch {
+	case pm.Select == SelectEST:
 		bestP, bestS := -1, 0.0
 		for p := 0; p < pl.Instance().P(); p++ {
-			s, _ := pl.EFTOn(t, p, pm.Insertion)
+			s, _ := sched.EFTFloored(pl, t, p, clock, pm.Insertion)
 			if bestP == -1 || s < bestS {
 				bestP, bestS = p, s
 			}
 		}
 		pl.Place(t, bestP, bestS)
-	default: // SelectEFT, and SelectCPPin off the critical path
+	case clock == 0:
+		// SelectEFT, and SelectCPPin off the critical path: Plan.BestEFT
+		// with its pruned fast paths. Above zero, the floored scan below.
 		p, s, _ := pl.BestEFT(t, pm.Insertion)
 		pl.Place(t, p, s)
+	default:
+		bestP, bestS, bestF := -1, 0.0, 0.0
+		for p := 0; p < pl.Instance().P(); p++ {
+			s, f := sched.EFTFloored(pl, t, p, clock, pm.Insertion)
+			if bestP == -1 || f < bestF {
+				bestP, bestS, bestF = p, s, f
+			}
+		}
+		pl.Place(t, bestP, bestS)
 	}
 }
 

@@ -10,28 +10,30 @@ import (
 	"dagsched/internal/testfix"
 )
 
-// pairings maps each canonical baseline to the grid point that must
-// reproduce it bit for bit.
+// pairings maps each canonical baseline's dedicated loop, kept in
+// testfix, to the grid point that must reproduce it bit for bit.
 func pairings() []struct {
-	base  algo.Algorithm
+	name  string
+	ref   func(*sched.Instance) *sched.Schedule
 	param listsched.Param
 } {
 	return []struct {
-		base  algo.Algorithm
+		name  string
+		ref   func(*sched.Instance) *sched.Schedule
 		param listsched.Param
 	}{
-		{listsched.HEFT{}, listsched.HEFTParam()},
-		{listsched.CPOP{}, listsched.CPOPParam()},
-		{listsched.HLFET{}, listsched.HLFETParam()},
-		{listsched.ETF{}, listsched.ETFParam()},
+		{"HEFT", testfix.RefHEFT, listsched.HEFTParam()},
+		{"CPOP", testfix.RefCPOP, listsched.CPOPParam()},
+		{"HLFET", testfix.RefHLFET, listsched.HLFETParam()},
+		{"ETF", testfix.RefETF, listsched.ETFParam()},
 	}
 }
 
 // TestParamReproducesBaselinesOnGoldens proves the parameterized
 // scheduler is an exact factoring: at the HEFT/CPOP/HLFET/ETF component
 // settings it produces placement-digest-identical schedules to the
-// dedicated implementations on every golden instance — and therefore
-// matches the committed goldens themselves.
+// dedicated loops on every golden instance — and matches the committed
+// goldens themselves.
 func TestParamReproducesBaselinesOnGoldens(t *testing.T) {
 	golden, err := testfix.Golden()
 	if err != nil {
@@ -39,10 +41,7 @@ func TestParamReproducesBaselinesOnGoldens(t *testing.T) {
 	}
 	for _, ni := range testfix.GoldenInstances() {
 		for _, pair := range pairings() {
-			want, err := pair.base.Schedule(ni.In)
-			if err != nil {
-				t.Fatalf("%s on %s: %v", pair.base.Name(), ni.Name, err)
-			}
+			want := pair.ref(ni.In)
 			got, err := pair.param.Schedule(ni.In)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", pair.param.Name(), ni.Name, err)
@@ -50,20 +49,22 @@ func TestParamReproducesBaselinesOnGoldens(t *testing.T) {
 			wantD, gotD := testfix.ScheduleDigest(want), testfix.ScheduleDigest(got)
 			if wantD != gotD {
 				t.Errorf("%s on %s: param digest differs from %s (makespans %v vs %v)",
-					pair.param.Name(), ni.Name, pair.base.Name(), got.Makespan(), want.Makespan())
+					pair.param.Name(), ni.Name, pair.name, got.Makespan(), want.Makespan())
 			}
 			// And against the committed golden record directly, so the
 			// equivalence is anchored to the frozen fixtures, not just to
-			// the current baseline implementation.
-			if rec, ok := golden[ni.Name][pair.base.Name()]; ok {
+			// the reference loop.
+			if rec, ok := golden[ni.Name][pair.name]; ok {
 				if gotD != rec.Digest {
 					t.Errorf("%s on %s: param digest drifted from committed %s golden",
-						pair.param.Name(), ni.Name, pair.base.Name())
+						pair.param.Name(), ni.Name, pair.name)
 				}
 				if got.Makespan() != rec.Makespan {
 					t.Errorf("%s on %s: param makespan %v, golden %v",
 						pair.param.Name(), ni.Name, got.Makespan(), rec.Makespan)
 				}
+			} else {
+				t.Errorf("no committed %s golden on %s", pair.name, ni.Name)
 			}
 		}
 	}
@@ -71,20 +72,21 @@ func TestParamReproducesBaselinesOnGoldens(t *testing.T) {
 
 // TestParamReproducesBaselinesOnBattery is the differential property
 // test over a fresh random battery: same digests on instances the
-// goldens never saw.
+// goldens never saw, for the grid points and for the registry names
+// that run them.
 func TestParamReproducesBaselinesOnBattery(t *testing.T) {
 	testfix.Battery(testfix.BatteryConfig{Trials: 25, MaxTasks: 45, Seed: 22001}, func(trial int, in *sched.Instance) {
 		for _, pair := range pairings() {
-			want, err := pair.base.Schedule(in)
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, pair.base.Name(), err)
-			}
-			got, err := pair.param.Schedule(in)
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, pair.param.Name(), err)
-			}
-			if testfix.ScheduleDigest(want) != testfix.ScheduleDigest(got) {
-				t.Errorf("trial %d: %s digest differs from %s", trial, pair.param.Name(), pair.base.Name())
+			want := testfix.ScheduleDigest(pair.ref(in))
+			named, _ := listsched.Baseline(pair.name)
+			for _, pm := range []listsched.Param{pair.param, named} {
+				got, err := pm.Schedule(in)
+				if err != nil {
+					t.Fatalf("trial %d %s: %v", trial, pm.Name(), err)
+				}
+				if testfix.ScheduleDigest(got) != want {
+					t.Errorf("trial %d: %s digest differs from %s", trial, pm.Name(), pair.name)
+				}
 			}
 		}
 	})

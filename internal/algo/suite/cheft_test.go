@@ -1,4 +1,4 @@
-package contention
+package suite
 
 import (
 	"testing"
@@ -12,9 +12,47 @@ import (
 	"dagsched/internal/testfix"
 )
 
+// C-HEFT is HEFT run through the shared one-port reservation layer by
+// algo.CommAware (Sinnen and Sousa's one send port and one receive port
+// per processor, transfers serializing on both). These tests pin the
+// registered entry.
+
+// cheft returns the registered C-HEFT.
+func cheft(t *testing.T) algo.Algorithm {
+	t.Helper()
+	a, err := ByName("C-HEFT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// portSchedule returns the total reserved send-port time per processor
+// after scheduling in with a hand-written HEFT loop under the one-port
+// model.
+func portSchedule(in *sched.Instance) ([]float64, error) {
+	model, err := platform.ModelByKind(platform.KindOnePort, in.Sys)
+	if err != nil {
+		return nil, err
+	}
+	bound := in.WithComm(model)
+	order := algo.OrderDescPrecedence(bound.G, sched.RankUpward(bound))
+	pl := sched.NewPlan(bound)
+	for _, t := range order {
+		p, s, _ := pl.BestEFT(t, true)
+		pl.Place(t, p, s)
+	}
+	out := make([]float64, bound.P())
+	if st := pl.CommState(); st != nil {
+		// One-port resource layout: send ports are 0..P-1.
+		copy(out, st.Busy()[:bound.P()])
+	}
+	return out, nil
+}
+
 func TestCHEFTValidOnBattery(t *testing.T) {
 	testfix.Battery(testfix.BatteryConfig{Trials: 30, Seed: 7001}, func(trial int, in *sched.Instance) {
-		s, err := CHEFT{}.Schedule(in)
+		s, err := cheft(t).Schedule(in)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -29,7 +67,7 @@ func TestCHEFTValidOnBattery(t *testing.T) {
 
 func TestCHEFTValidOnAppGraphs(t *testing.T) {
 	for _, in := range testfix.AppGraphs(4, 7002) {
-		s, err := CHEFT{}.Schedule(in)
+		s, err := cheft(t).Schedule(in)
 		if err != nil {
 			t.Fatalf("%s: %v", in.G.Name(), err)
 		}
@@ -39,12 +77,12 @@ func TestCHEFTValidOnAppGraphs(t *testing.T) {
 	}
 }
 
-// CHEFT is, by construction, HEFT behind the generic CommAware wrapper;
+// C-HEFT is, by construction, HEFT behind the generic CommAware wrapper;
 // wrapping HEFT by hand must produce the identical schedule, and the
 // result must carry the wrapper's display name.
 func TestCHEFTIsWrappedHEFT(t *testing.T) {
 	testfix.Battery(testfix.BatteryConfig{Trials: 10, MaxCCR: 8, Seed: 7005}, func(trial int, in *sched.Instance) {
-		a, err := CHEFT{}.Schedule(in)
+		a, err := cheft(t).Schedule(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +117,7 @@ func TestCHEFTRobustToContention(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := CHEFT{}.Schedule(in)
+		c, err := cheft(t).Schedule(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +147,7 @@ func TestCHEFTContendedMakespanCompetitive(t *testing.T) {
 	var heftMS, cheftMS float64
 	testfix.Battery(testfix.BatteryConfig{Trials: 20, MaxCCR: 8, Seed: 7004}, func(trial int, in *sched.Instance) {
 		h, _ := listsched.HEFT{}.Schedule(in)
-		c, _ := CHEFT{}.Schedule(in)
+		c, _ := cheft(t).Schedule(in)
 		hr, err := sim.Run(h, sim.Config{Contention: true})
 		if err != nil {
 			t.Fatal(err)
@@ -137,7 +175,7 @@ func TestCHEFTOnLocalChainReservesNothing(t *testing.T) {
 		prev = id
 	}
 	in := sched.Consistent(b.MustBuild(), platform.Homogeneous(3, 0, 1))
-	send, err := PortSchedule(in)
+	send, err := portSchedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +184,7 @@ func TestCHEFTOnLocalChainReservesNothing(t *testing.T) {
 			t.Fatalf("send port %d busy %g on a chain kept local", p, v)
 		}
 	}
-	s, _ := CHEFT{}.Schedule(in)
+	s, _ := cheft(t).Schedule(in)
 	if s.Makespan() != 10 {
 		t.Fatalf("chain makespan = %g, want 10", s.Makespan())
 	}
@@ -154,8 +192,8 @@ func TestCHEFTOnLocalChainReservesNothing(t *testing.T) {
 
 func TestCHEFTDeterministic(t *testing.T) {
 	in := testfix.Topcuoglu()
-	s1, _ := CHEFT{}.Schedule(in)
-	s2, _ := CHEFT{}.Schedule(in)
+	s1, _ := cheft(t).Schedule(in)
+	s2, _ := cheft(t).Schedule(in)
 	if s1.Makespan() != s2.Makespan() {
 		t.Fatal("not deterministic")
 	}

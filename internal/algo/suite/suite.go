@@ -9,11 +9,11 @@ import (
 
 	"dagsched/internal/algo"
 	"dagsched/internal/algo/cluster"
-	"dagsched/internal/algo/contention"
 	"dagsched/internal/algo/dup"
 	"dagsched/internal/algo/listsched"
 	"dagsched/internal/algo/search"
 	"dagsched/internal/core"
+	"dagsched/internal/platform"
 )
 
 // All returns every heuristic (the exact BnB scheduler is excluded: it is
@@ -37,10 +37,11 @@ func All() []algo.Algorithm {
 		dup.DSH{},
 		dup.BTDH{},
 		cluster.DSC{},
-		contention.CHEFT{},
-		// ILS through the same shared contention layer as C-HEFT: the
-		// whole duplication/lookahead machinery runs against one-port
-		// reservations, journaled and rolled back per speculative trial.
+		// HEFT and ILS through the shared one-port reservation layer
+		// (Sinnen and Sousa's contention model): for ILS the whole
+		// duplication/lookahead machinery runs against the reservations,
+		// journaled and rolled back per speculative trial.
+		algo.CommAware{Inner: listsched.HEFT{}, Kind: platform.KindOnePort, DisplayName: "C-HEFT"},
 		algo.CommAware{Inner: core.New(), DisplayName: "C-ILS"},
 	}
 }

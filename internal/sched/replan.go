@@ -2,49 +2,14 @@ package sched
 
 import (
 	"fmt"
-	"math"
 
 	"dagsched/internal/dag"
 )
 
 // Suffix re-planning: the streaming engine freezes the prefix of a
 // schedule that has (virtually) started executing and re-places only the
-// suffix. Plan and Txn share the placement surface, so a caller can
-// re-plan speculatively inside a transaction and commit or roll back.
-
-// Placer is the placement surface shared by *Plan and *Txn. Suffix
-// re-planning is written against it so the same code runs directly on a
-// plan or speculatively inside a transaction.
-type Placer interface {
-	Instance() *Instance
-	Scheduled(i dag.TaskID) bool
-	DataReady(i dag.TaskID, p int) float64
-	FindSlot(p int, ready, dur float64, insertion bool) float64
-	EFTOn(i dag.TaskID, p int, insertion bool) (start, finish float64)
-	Place(i dag.TaskID, p int, start float64) Assignment
-}
-
-var (
-	_ Placer = (*Plan)(nil)
-	_ Placer = (*Txn)(nil)
-)
-
-// SplitHorizon partitions assignments at a virtual clock: frozen are
-// those that started strictly before it (already running — immovable),
-// movable the rest. A clock of zero freezes nothing. Frozen sets are
-// ancestor-closed under precedence-valid schedules with non-negative
-// communication: a predecessor finishes no later than its successor
-// starts, so it started strictly earlier too.
-func SplitHorizon(as []Assignment, clock float64) (frozen, movable []Assignment) {
-	for _, a := range as {
-		if a.Start < clock {
-			frozen = append(frozen, a)
-		} else {
-			movable = append(movable, a)
-		}
-	}
-	return frozen, movable
-}
+// suffix, seeding a plan with the prefix and flooring every re-placed
+// start at the clock.
 
 // SeedPlan returns a fresh plan with the given assignments re-placed at
 // their exact original processors and start times — the frozen prefix a
@@ -102,49 +67,12 @@ func (pl *Plan) Grow(in *Instance) error {
 // EFTFloored is EFTOn with the task's data-ready time floored at the
 // clock: a re-planned task cannot start in the frozen past. At clock
 // zero it is bit-identical to EFTOn.
-func EFTFloored(v Placer, t dag.TaskID, p int, clock float64, insertion bool) (start, finish float64) {
-	in := v.Instance()
-	ready := v.DataReady(t, p)
+func EFTFloored(pl *Plan, t dag.TaskID, p int, clock float64, insertion bool) (start, finish float64) {
+	ready := pl.DataReady(t, p)
 	if ready < clock {
 		ready = clock
 	}
-	dur := in.Cost(t, p)
-	start = v.FindSlot(p, ready, dur, insertion)
+	dur := pl.in.Cost(t, p)
+	start = pl.FindSlot(p, ready, dur, insertion)
 	return start, start + dur
-}
-
-// PlaceFloored places t on p at its clock-floored earliest start.
-func PlaceFloored(v Placer, t dag.TaskID, p int, clock float64, insertion bool) Assignment {
-	start, _ := EFTFloored(v, t, p, clock, insertion)
-	return v.Place(t, p, start)
-}
-
-// ReplanSuffix re-places tasks in the given order (which must be
-// precedence-safe: every predecessor either frozen, already placed, or
-// earlier in the order), choosing per task the processor with the
-// earliest finish — or earliest start when byStart is set (the EST
-// selection rule) — with readiness floored at the clock. It returns the
-// latest finish among the placed tasks.
-func ReplanSuffix(v Placer, order []dag.TaskID, clock float64, insertion, byStart bool) float64 {
-	in := v.Instance()
-	maxFinish := 0.0
-	for _, t := range order {
-		bestP := -1
-		bestS, bestF := math.Inf(1), math.Inf(1)
-		for p := 0; p < in.P(); p++ {
-			s, f := EFTFloored(v, t, p, clock, insertion)
-			better := f < bestF
-			if byStart {
-				better = s < bestS
-			}
-			if bestP == -1 || better {
-				bestP, bestS, bestF = p, s, f
-			}
-		}
-		a := v.Place(t, bestP, bestS)
-		if a.Finish > maxFinish {
-			maxFinish = a.Finish
-		}
-	}
-	return maxFinish
 }

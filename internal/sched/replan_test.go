@@ -67,130 +67,6 @@ func TestSeedPlanRoundTrip(t *testing.T) {
 	_ = s
 }
 
-func TestSplitHorizon(t *testing.T) {
-	in := replanInstance(t, 2, 30, 3)
-	pl := heftPlan(in)
-	var as []Assignment
-	for i := 0; i < in.N(); i++ {
-		as = append(as, pl.Copies(dag.TaskID(i))...)
-	}
-	clock := pl.Makespan() / 2
-	frozen, movable := SplitHorizon(as, clock)
-	if len(frozen)+len(movable) != len(as) {
-		t.Fatal("partition lost assignments")
-	}
-	for _, a := range frozen {
-		if a.Start >= clock {
-			t.Fatalf("frozen %+v at/after clock %g", a, clock)
-		}
-	}
-	for _, a := range movable {
-		if a.Start < clock {
-			t.Fatalf("movable %+v before clock %g", a, clock)
-		}
-	}
-	// Ancestor closure: every predecessor of a frozen task is frozen.
-	isFrozen := map[dag.TaskID]bool{}
-	for _, a := range frozen {
-		isFrozen[a.Task] = true
-	}
-	for _, a := range frozen {
-		for _, p := range in.G.Pred(a.Task) {
-			if !isFrozen[p.To] {
-				t.Fatalf("frozen task %d has movable predecessor %d", a.Task, p.To)
-			}
-		}
-	}
-	// Horizon zero freezes nothing.
-	if f, _ := SplitHorizon(as, 0); len(f) != 0 {
-		t.Fatalf("clock 0 froze %d assignments", len(f))
-	}
-}
-
-// movableOrder returns the movable task ids in a precedence-safe order
-// (canonical topo order filtered to the movable set).
-func movableOrder(in *Instance, movable []Assignment) []dag.TaskID {
-	keep := map[dag.TaskID]bool{}
-	for _, a := range movable {
-		keep[a.Task] = true
-	}
-	var order []dag.TaskID
-	for _, v := range in.G.TopoOrder() {
-		if keep[v] {
-			order = append(order, v)
-		}
-	}
-	return order
-}
-
-func TestReplanSuffixOnPlanAndTxn(t *testing.T) {
-	for _, byStart := range []bool{false, true} {
-		in := replanInstance(t, 3, 50, 4)
-		base := heftPlan(in)
-		var as []Assignment
-		for i := 0; i < in.N(); i++ {
-			as = append(as, base.Copies(dag.TaskID(i))...)
-		}
-		clock := base.Makespan() * 0.4
-		frozen, movable := SplitHorizon(as, clock)
-		order := movableOrder(in, movable)
-
-		// Directly on a plan.
-		pl := SeedPlan(in, frozen)
-		ReplanSuffix(pl, order, clock, true, byStart)
-		direct := pl.Finalize("replan")
-		if err := direct.Validate(); err != nil {
-			t.Fatalf("byStart=%v: direct replan invalid: %v", byStart, err)
-		}
-		for _, a := range direct.All() {
-			if a.Start < clock {
-				// Must be one of the frozen prefix placements.
-				found := false
-				for _, f := range frozen {
-					if f == a {
-						found = true
-					}
-				}
-				if !found {
-					t.Fatalf("byStart=%v: re-planned task %d started at %g before clock %g", byStart, a.Task, a.Start, clock)
-				}
-			}
-		}
-
-		// Speculatively inside a transaction, then committed: identical.
-		pl2 := SeedPlan(in, frozen)
-		tx := pl2.Begin()
-		ReplanSuffix(tx, order, clock, true, byStart)
-		tx.Commit()
-		committed := pl2.Finalize("replan")
-		if len(committed.All()) != len(direct.All()) {
-			t.Fatalf("byStart=%v: txn replan differs in size", byStart)
-		}
-		for i, a := range committed.All() {
-			if direct.All()[i] != a {
-				t.Fatalf("byStart=%v: txn replan differs at %d: %+v != %+v", byStart, i, a, direct.All()[i])
-			}
-		}
-
-		// Rolled back: the seeded prefix is untouched.
-		pl3 := SeedPlan(in, frozen)
-		tx3 := pl3.Begin()
-		ReplanSuffix(tx3, order, clock, true, byStart)
-		tx3.Rollback()
-		for _, f := range frozen {
-			cs := pl3.Copies(f.Task)
-			if len(cs) != 1 || cs[0] != f {
-				t.Fatalf("byStart=%v: rollback disturbed frozen task %d", byStart, f.Task)
-			}
-		}
-		for _, m := range movable {
-			if pl3.Scheduled(m.Task) {
-				t.Fatalf("byStart=%v: rollback left movable task %d placed", byStart, m.Task)
-			}
-		}
-	}
-}
-
 func TestEFTFlooredAtZeroMatchesEFTOn(t *testing.T) {
 	in := replanInstance(t, 4, 30, 3)
 	pl := NewPlan(in)

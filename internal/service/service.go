@@ -614,6 +614,12 @@ func (s *Server) parseRequest(body io.Reader) (*ScheduleRequest, algo.Algorithm,
 	return &req, a, in, nil
 }
 
+// maxProcessors caps the platform size a bare-graph request or a stream
+// config may ask for: the platform holds P×P link matrices, cost rows
+// and EFT scans are O(P) per task, and an attacker-sized processor count
+// must not allocate before validation.
+const maxProcessors = 512
+
 // resolveRequest validates one decoded request — shared by the single
 // and batch endpoints.
 func (s *Server) resolveRequest(req *ScheduleRequest) (algo.Algorithm, *sched.Instance, error) {
@@ -640,6 +646,9 @@ func (s *Server) resolveRequest(req *ScheduleRequest) (algo.Algorithm, *sched.In
 		g, err := dag.ReadJSON(bytes.NewReader(req.Graph))
 		if err != nil {
 			return nil, nil, err
+		}
+		if req.Processors > maxProcessors {
+			return nil, nil, fmt.Errorf("processors %d exceeds the limit of %d", req.Processors, maxProcessors)
 		}
 		procs := req.Processors
 		if procs <= 0 {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -396,6 +397,8 @@ func TestRequestValidation(t *testing.T) {
 	_, c := startServer(t, service.Options{Workers: 1})
 	inst := instanceJSON(t, testfix.Topcuoglu())
 
+	graph := json.RawMessage(`{"tasks":[{"id":0,"weight":2},{"id":1,"weight":3}],"edges":[{"from":0,"to":1,"data":1}]}`)
+
 	cases := []struct {
 		name string
 		req  service.ScheduleRequest
@@ -404,11 +407,20 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown algorithm", service.ScheduleRequest{Algorithm: "NOPE", Instance: inst}, "HTTP 400"},
 		{"no payload", service.ScheduleRequest{Algorithm: "HEFT"}, "HTTP 400"},
 		{"missing algorithm", service.ScheduleRequest{Instance: inst}, "HTTP 400"},
+		// Two P×P link matrices at 4096 processors take 256 MiB: a body
+		// of a few hundred bytes must not get that far.
+		{"processors over the cap", service.ScheduleRequest{Algorithm: "HEFT", Graph: graph, Processors: 4096}, "HTTP 400"},
 	}
 	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		_, err := c.Schedule(context.Background(), tc.req)
+		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: want %s, got: %v", tc.name, tc.want, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: the request allocated %d bytes, want < 1 MiB", tc.name, alloc)
 		}
 	}
 

@@ -17,11 +17,6 @@ import (
 	"dagsched/internal/stream"
 )
 
-// maxStreamProcessors caps the platform size a stream config may ask
-// for: cost rows and EFT scans are O(P) per task, and an attacker-sized
-// processor count must not allocate before validation.
-const maxStreamProcessors = 512
-
 // handleStream serves POST /v1/schedule/stream: an NDJSON event log in,
 // an NDJSON delta log out. The first line must be a config event naming
 // the algorithm and platform; every following line is an addTask,
@@ -175,8 +170,8 @@ func readConfigEvent(br *bufio.Reader) (stream.Event, error) {
 // homogeneous (unit speeds) under the config's link parameters, exactly
 // the bare-graph request path.
 func (s *Server) streamConfig(ev stream.Event) (stream.Config, bool, time.Duration, error) {
-	if ev.Processors < 0 || ev.Processors > maxStreamProcessors {
-		return stream.Config{}, false, 0, fmt.Errorf("processors %d out of [0,%d]", ev.Processors, maxStreamProcessors)
+	if ev.Processors < 0 || ev.Processors > maxProcessors {
+		return stream.Config{}, false, 0, fmt.Errorf("processors %d out of [0,%d]", ev.Processors, maxProcessors)
 	}
 	procs := ev.Processors
 	if procs == 0 {

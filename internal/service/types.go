@@ -19,7 +19,8 @@ type ScheduleRequest struct {
 	// Graph is a bare task graph (see Graph.WriteJSON).
 	Graph json.RawMessage `json:"graph,omitempty"`
 	// Processors, Latency and TimePerUnit describe the homogeneous
-	// system a bare Graph is scheduled onto. Processors defaults to 8.
+	// system a bare Graph is scheduled onto. Processors defaults to 8;
+	// above 512 the request is rejected.
 	Processors  int     `json:"processors,omitempty"`
 	Latency     float64 `json:"latency,omitempty"`
 	TimePerUnit float64 `json:"timePerUnit,omitempty"`

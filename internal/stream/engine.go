@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -85,35 +86,23 @@ type Engine struct {
 // point: the canonical baselines by name (empty means HEFT) or an
 // "LS/..." grid point. Duplicating points are rejected.
 func ParamFor(name string) (listsched.Param, error) {
-	switch name {
-	case "", "HEFT":
-		pm := listsched.HEFTParam()
-		pm.DisplayName = "HEFT"
-		return pm, nil
-	case "CPOP":
-		pm := listsched.CPOPParam()
-		pm.DisplayName = "CPOP"
-		return pm, nil
-	case "HLFET":
-		pm := listsched.HLFETParam()
-		pm.DisplayName = "HLFET"
-		return pm, nil
-	case "ETF":
-		pm := listsched.ETFParam()
-		pm.DisplayName = "ETF"
+	if name == "" {
+		name = "HEFT"
+	}
+	if pm, ok := listsched.Baseline(name); ok {
 		return pm, nil
 	}
-	if strings.HasPrefix(name, "LS/") {
-		pm, err := listsched.ParseParam(name)
-		if err != nil {
-			return listsched.Param{}, err
-		}
-		if pm.Duplication {
-			return listsched.Param{}, fmt.Errorf("stream: duplicating scheduler %q not supported (duplicates cannot be re-planned incrementally)", name)
-		}
-		return pm, nil
+	if !strings.HasPrefix(name, "LS/") {
+		return listsched.Param{}, fmt.Errorf("stream: unsupported algorithm %q (HEFT, CPOP, HLFET, ETF or an LS/ grid point)", name)
 	}
-	return listsched.Param{}, fmt.Errorf("stream: unsupported algorithm %q (HEFT, CPOP, HLFET, ETF or an LS/ grid point)", name)
+	pm, err := listsched.ParseParam(name)
+	if err != nil {
+		return listsched.Param{}, err
+	}
+	if pm.Duplication {
+		return listsched.Param{}, fmt.Errorf("stream: duplicating scheduler %q not supported (duplicates cannot be re-planned incrementally)", name)
+	}
+	return pm, nil
 }
 
 // NewEngine returns an engine for the config.
@@ -164,6 +153,9 @@ func (e *Engine) Schedule() *sched.Schedule {
 }
 
 // isFrozen reports whether task v's placement started before the clock.
+// The frozen set is ancestor-closed under precedence-valid schedules with
+// non-negative communication: a predecessor finishes no later than its
+// successor starts, so it started strictly earlier too.
 func (e *Engine) isFrozen(v dag.TaskID) bool {
 	return e.placed[v] && e.assign[v].Start < e.clock
 }
@@ -392,10 +384,17 @@ func (e *Engine) frozenAssignments() []sched.Assignment {
 }
 
 // fullReplan rebuilds the whole suffix with the exact scheduler
-// semantics over a plan seeded with the frozen prefix.
+// semantics over a plan seeded with the frozen prefix: Param.Replan, the
+// static scheduler's own loop. At a zero clock the prefix is empty and
+// the floor a no-op, so a sealed stream at horizon zero reproduces the
+// static scheduler bit for bit (DESIGN.md invariant 13).
 func (e *Engine) fullReplan(in2 *sched.Instance, prio []float64, d *Delta) error {
 	frozen := e.frozenAssignments()
-	e.pl = sealReplan(e.pm, in2, prio, frozen, e.clock)
+	pl, err := e.pm.Replan(context.Background(), in2, prio, frozen, e.clock)
+	if err != nil {
+		return err
+	}
+	e.pl = pl
 	d.Replanned = in2.N() - len(frozen)
 	d.FullReplan = true
 	return nil
@@ -460,14 +459,9 @@ func (e *Engine) incrementalReplan(in2 *sched.Instance, prio []float64, d *Delta
 		d.FullReplan = true
 	}
 
-	var cpOn []bool
-	cpProc := 0
-	if e.pm.Select == listsched.SelectCPPin {
-		cpOn, cpProc = listsched.CPPin(in2)
-	}
 	order := orderAffected(in2.G, prio, e.ap.Positions(), affected, count)
-	for _, t := range order {
-		placeMovable(e.pl, e.pm, cpOn, cpProc, t, e.clock)
+	if err := e.pm.PlaceOrder(e.pl, order, e.clock); err != nil {
+		return err
 	}
 	d.Replanned = count
 	return nil
@@ -477,7 +471,7 @@ func (e *Engine) incrementalReplan(in2 *sched.Instance, prio []float64, d *Delta
 // order: repeatedly the highest-priority task whose affected
 // predecessors were all emitted (predecessors outside the set are placed
 // already), ties toward the earlier topological position. The same
-// greedy rule as listsched's static order, restricted to the set.
+// greedy rule as algo.OrderDescPrecedence, restricted to the set.
 func orderAffected(g *dag.Graph, prio []float64, pos []int, affected []bool, count int) []dag.TaskID {
 	pending := make(map[dag.TaskID]int, count)
 	var ready []dag.TaskID

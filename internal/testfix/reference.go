@@ -1,15 +1,21 @@
-// reference.go preserves the original clone-per-trial implementations of
-// the duplication family (DSH, BTDH, and the ILS placement loop) exactly
-// as they shipped before the transactional trial layer replaced them.
-// They are deliberately slow — every trial deep-copies the plan — and
-// exist only as the semantic oracle for the differential suite: the
-// transactional implementations must reproduce their schedules bit for
-// bit on every instance.
+// reference.go preserves superseded implementations as semantic oracles.
+// The clone-per-trial duplication family (DSH, BTDH, and the ILS
+// placement loop) ships exactly as it did before the transactional trial
+// layer replaced it: deliberately slow — every trial deep-copies the
+// plan — and the transactional implementations must reproduce its
+// schedules bit for bit on every instance. The dedicated HEFT, CPOP,
+// HLFET and ETF loops ship exactly as they did before listsched.Param
+// became the one placement loop: Param's grid points must reproduce them
+// bit for bit. The static-order oracles (RefHEFT, RefILS) order tasks
+// with refOrderDescPrecedence, the global sort that
+// algo.OrderDescPrecedence's ready heap replaced, so they check the heap
+// too.
 package testfix
 
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
 	"dagsched/internal/algo"
@@ -176,7 +182,7 @@ func RefILS(in *sched.Instance, name string, opts RefILSOptions) *sched.Schedule
 	} else {
 		rank = sched.RankUpward(in)
 	}
-	order := algo.OrderDescPrecedence(in.G, rank)
+	order := refOrderDescPrecedence(in.G, rank)
 
 	var critChild []dag.TaskID
 	var estFinish []float64
@@ -256,4 +262,141 @@ func refEstimateChildEFT(pl *sched.Plan, c dag.TaskID, estFinish []float64) floa
 		}
 	}
 	return best
+}
+
+// refOrderDescPrecedence sorts the tasks by decreasing priority, ties by
+// topological position. For priorities that never increase along an
+// edge the result is precedence-valid; for others it need not be.
+func refOrderDescPrecedence(g *dag.Graph, prio []float64) []dag.TaskID {
+	topo := g.TopoOrder()
+	pos := make([]int, g.Len())
+	for i, v := range topo {
+		pos[v] = i
+	}
+	order := append([]dag.TaskID(nil), topo...)
+	sort.SliceStable(order, func(a, b int) bool {
+		ta, tb := order[a], order[b]
+		if prio[ta] != prio[tb] {
+			return prio[ta] > prio[tb]
+		}
+		return pos[ta] < pos[tb]
+	})
+	return order
+}
+
+// RefHEFT is the dedicated HEFT loop: tasks ordered by decreasing upward
+// rank, each placed on the processor minimizing its insertion-based
+// earliest finish time.
+func RefHEFT(in *sched.Instance) *sched.Schedule {
+	order := refOrderDescPrecedence(in.G, sched.RankUpward(in))
+	pl := sched.NewPlan(in)
+	for _, t := range order {
+		p, s, _ := pl.BestEFT(t, true)
+		pl.Place(t, p, s)
+	}
+	return pl.Finalize("HEFT")
+}
+
+// RefCPOP is the dedicated CPOP loop: priority rank_u + rank_d, every
+// critical-path task pinned to the processor minimizing the critical
+// path's total execution cost, the rest on insertion-based best EFT,
+// tasks consumed from a ready queue in priority order.
+func RefCPOP(in *sched.Instance) *sched.Schedule {
+	up := sched.RankUpward(in)
+	down := sched.RankDownward(in)
+	prio := make([]float64, in.N())
+	for i := range prio {
+		prio[i] = up[i] + down[i]
+	}
+	cpPath, _ := sched.CriticalPathMean(in)
+	onCP := make([]bool, in.N())
+	for _, v := range cpPath {
+		onCP[v] = true
+	}
+	// The critical-path processor minimizes the CP's total execution cost.
+	cpProc, bestCost := 0, math.Inf(1)
+	for p := 0; p < in.P(); p++ {
+		var sum float64
+		for _, v := range cpPath {
+			sum += in.Cost(v, p)
+		}
+		if sum < bestCost {
+			cpProc, bestCost = p, sum
+		}
+	}
+
+	pl := sched.NewPlan(in)
+	rl := algo.NewReadyList(in.G)
+	for !rl.Empty() {
+		// Highest-priority ready task; ascending-id ready list breaks ties.
+		var pick dag.TaskID = -1
+		for _, r := range rl.Ready() {
+			if pick == -1 || prio[r] > prio[pick] {
+				pick = r
+			}
+		}
+		if onCP[pick] {
+			s, _ := pl.EFTOn(pick, cpProc, true)
+			pl.Place(pick, cpProc, s)
+		} else {
+			p, s, _ := pl.BestEFT(pick, true)
+			pl.Place(pick, p, s)
+		}
+		rl.Complete(pick)
+	}
+	return pl.Finalize("CPOP")
+}
+
+// RefHLFET is the dedicated HLFET loop: ready tasks consumed in
+// decreasing static level, each placed on the processor giving the
+// earliest start time, without insertion.
+func RefHLFET(in *sched.Instance) *sched.Schedule {
+	sl := sched.StaticLevel(in)
+	pl := sched.NewPlan(in)
+	rl := algo.NewReadyList(in.G)
+	for !rl.Empty() {
+		var pick dag.TaskID = -1
+		for _, r := range rl.Ready() {
+			if pick == -1 || sl[r] > sl[pick] {
+				pick = r
+			}
+		}
+		bestP, bestS := -1, 0.0
+		for p := 0; p < in.P(); p++ {
+			s, _ := pl.EFTOn(pick, p, false)
+			if bestP == -1 || s < bestS {
+				bestP, bestS = p, s
+			}
+		}
+		pl.Place(pick, bestP, bestS)
+		rl.Complete(pick)
+	}
+	return pl.Finalize("HLFET")
+}
+
+// RefETF is the dedicated ETF loop: at each step, among all ready tasks
+// and all processors, the pair with the smallest earliest start time,
+// ties to the higher static level. Non-insertion.
+func RefETF(in *sched.Instance) *sched.Schedule {
+	sl := sched.StaticLevel(in)
+	pl := sched.NewPlan(in)
+	rl := algo.NewReadyList(in.G)
+	for !rl.Empty() {
+		bestStart := math.Inf(1)
+		var bestTask dag.TaskID = -1
+		bestProc := 0
+		for _, t := range rl.Ready() {
+			for p := 0; p < in.P(); p++ {
+				start, _ := pl.EFTOn(t, p, false)
+				better := start < bestStart ||
+					(start == bestStart && bestTask != -1 && sl[t] > sl[bestTask])
+				if better {
+					bestStart, bestTask, bestProc = start, t, p
+				}
+			}
+		}
+		pl.Place(bestTask, bestProc, bestStart)
+		rl.Complete(bestTask)
+	}
+	return pl.Finalize("ETF")
 }
