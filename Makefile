@@ -5,12 +5,17 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-concurrent cluster-chaos bench-smoke fuzz-smoke perfbench-check scale service-bench stream-bench ci
+.PHONY: all build fmt-check vet test race race-concurrent cluster-chaos bench-smoke fuzz-smoke perfbench-check scale service-bench stream-bench ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# gofmt over every tracked Go file: the target fails if it lists any.
+fmt-check:
+	@files=$$(git ls-files '*.go') && out=$$(gofmt -l $$files) && \
+	if [ -n "$$out" ]; then echo "fmt-check: not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 # go vet always; staticcheck when the host has it (not vendored, so CI
 # images without it still pass the tier).
@@ -31,11 +36,11 @@ race:
 # Focused race pass over the concurrency-heavy subsystems: the
 # experiment repetition worker pool, the schedd service (worker pool,
 # cache, graceful shutdown, singleflight coalescing, the batch fan-out
-# and the 3-node consistent-hash ring e2e — forwarding, peer-cache
-# probes, failover, plus the dynamic-membership layer: heartbeat
-# failure detection, cache replication with hinted handoff, the
-# kill/restart/rejoin e2e and join/leave churn racing in-flight
-# batches), the speculative-transaction layer (including
+# and the 3-node consistent-hash ring e2e — routing, peer-cache
+# probes, failover, cold-key bursts, plus the dynamic-membership
+# layer: heartbeat failure detection, cache replication with hinted
+# handoff, the kill/restart/rejoin e2e and join/leave churn racing
+# in-flight batches), the speculative-transaction layer (including
 # cloned comm-state trials under contended models), the ILS trial
 # machinery, the contention-aware wrappers, the differential suite
 # with the per-processor trial workers forced on (and the parallel
@@ -103,4 +108,4 @@ service-bench:
 stream-bench:
 	$(GO) run ./cmd/schedbench -stream -out BENCH_stream.json
 
-ci: vet race race-concurrent bench-smoke perfbench-check
+ci: fmt-check vet race race-concurrent bench-smoke perfbench-check

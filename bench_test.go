@@ -51,14 +51,14 @@ func BenchmarkE11Ablation(b *testing.B)           { runExperiment(b, "E11") }
 func BenchmarkE12OptimalityAndRuntime(b *testing.B) {
 	runExperiment(b, "E12")
 }
-func BenchmarkE13Robustness(b *testing.B)     { runExperiment(b, "E13") }
-func BenchmarkE14ExtendedLineup(b *testing.B) { runExperiment(b, "E14") }
-func BenchmarkE15SearchVsList(b *testing.B)   { runExperiment(b, "E15") }
-func BenchmarkE16Contention(b *testing.B)     { runExperiment(b, "E16") }
-func BenchmarkE17DupBudget(b *testing.B)      { runExperiment(b, "E17") }
-func BenchmarkE18LinkSpread(b *testing.B)     { runExperiment(b, "E18") }
-func BenchmarkE19FailStopRepair(b *testing.B) { runExperiment(b, "E19") }
-func BenchmarkE20CommModels(b *testing.B)     { runExperiment(b, "E20") }
+func BenchmarkE13Robustness(b *testing.B)      { runExperiment(b, "E13") }
+func BenchmarkE14ExtendedLineup(b *testing.B)  { runExperiment(b, "E14") }
+func BenchmarkE15SearchVsList(b *testing.B)    { runExperiment(b, "E15") }
+func BenchmarkE16Contention(b *testing.B)      { runExperiment(b, "E16") }
+func BenchmarkE17DupBudget(b *testing.B)       { runExperiment(b, "E17") }
+func BenchmarkE18LinkSpread(b *testing.B)      { runExperiment(b, "E18") }
+func BenchmarkE19FailStopRepair(b *testing.B)  { runExperiment(b, "E19") }
+func BenchmarkE20CommModels(b *testing.B)      { runExperiment(b, "E20") }
 func BenchmarkE21FaultRobustness(b *testing.B) { runExperiment(b, "E21") }
 
 // benchSizeCap bounds the DAG size each algorithm is benchmarked at in

@@ -25,17 +25,17 @@ import (
 
 func main() {
 	var (
-		exps    = flag.String("exp", "all", "comma-separated experiment ids (e.g. E1,E9) or 'all'")
-		reps    = flag.Int("reps", 0, "repetitions per design point (0 = experiment default)")
-		seed    = flag.Int64("seed", 0, "base random seed")
-		quick   = flag.Bool("quick", false, "reduced sweeps for a fast smoke run")
-		workers = flag.Int("workers", 0, "repetition worker pool size (0 = GOMAXPROCS); never affects results")
-		scale   = flag.Bool("scale", false, "run the scheduler-throughput sweep instead of the experiment suite")
-		svc     = flag.Bool("service", false, "run the serving-tier batch benchmark instead of the experiment suite")
-		strm    = flag.Bool("stream", false, "run the streaming-engine benchmark (incremental vs full re-plan) instead of the experiment suite")
-		out     = flag.String("out", "", "output path for -scale/-service/-stream ('-' = stdout; default BENCH_sched.json / BENCH_service.json / BENCH_stream.json)")
-		linkSp  = flag.Float64("link-spread", 0, "per-link transfer-rate spread in [0,2) for -scale instances (0 = uniform links)")
-		startSp = flag.Float64("startup-spread", 0, "per-link startup spread in [0,2) for -scale instances")
+		exps      = flag.String("exp", "all", "comma-separated experiment ids (e.g. E1,E9) or 'all'")
+		reps      = flag.Int("reps", 0, "repetitions per design point (0 = experiment default)")
+		seed      = flag.Int64("seed", 0, "base random seed")
+		quick     = flag.Bool("quick", false, "reduced sweeps for a fast smoke run")
+		workers   = flag.Int("workers", 0, "repetition worker pool size (0 = GOMAXPROCS); never affects results")
+		scale     = flag.Bool("scale", false, "run the scheduler-throughput sweep instead of the experiment suite")
+		svc       = flag.Bool("service", false, "run the serving-tier batch benchmark instead of the experiment suite")
+		strm      = flag.Bool("stream", false, "run the streaming-engine benchmark (incremental vs full re-plan) instead of the experiment suite")
+		out       = flag.String("out", "", "output path for -scale/-service/-stream ('-' = stdout; default BENCH_sched.json / BENCH_service.json / BENCH_stream.json)")
+		linkSp    = flag.Float64("link-spread", 0, "per-link transfer-rate spread in [0,2) for -scale instances (0 = uniform links)")
+		startSp   = flag.Float64("startup-spread", 0, "per-link startup spread in [0,2) for -scale instances")
 		faults    = flag.String("faults", "", "comma-separated crash rates for the robustness experiment E21 (overrides its default sweep)")
 		faultSeed = flag.Int64("fault-seed", 0, "fault-plan sampling seed offset for E21")
 	)

@@ -94,10 +94,12 @@ func ContentionFree(sys *System) CommModel { return contentionFree{sys} }
 
 type contentionFree struct{ sys *System }
 
-func (m contentionFree) Kind() string                         { return KindContentionFree }
-func (m contentionFree) Cost(from, to int, data float64) float64 { return m.sys.CommCost(from, to, data) }
-func (m contentionFree) MeanCost(data float64) float64        { return m.sys.MeanCommCost(data) }
-func (m contentionFree) NewState() CommState                  { return nil }
+func (m contentionFree) Kind() string { return KindContentionFree }
+func (m contentionFree) Cost(from, to int, data float64) float64 {
+	return m.sys.CommCost(from, to, data)
+}
+func (m contentionFree) MeanCost(data float64) float64 { return m.sys.MeanCommCost(data) }
+func (m contentionFree) NewState() CommState           { return nil }
 
 // OnePort returns the one-port contention model in the spirit of Sinnen
 // and Sousa: idle-network costs equal the contention-free matrices, but

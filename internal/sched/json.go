@@ -53,13 +53,21 @@ func (in *Instance) WriteJSON(w io.Writer) error {
 
 // ReadInstanceJSON reads an instance written by WriteJSON, re-validating
 // every component.
-func ReadInstanceJSON(r io.Reader) (*Instance, error) {
+func ReadInstanceJSON(r io.Reader) (*Instance, error) { return ReadInstanceJSONCapped(r, 0) }
+
+// ReadInstanceJSONCapped is ReadInstanceJSON for untrusted input: when
+// maxProcs > 0, an instance declaring more processors is rejected after
+// decoding and before the platform's P×P link matrices are allocated.
+func ReadInstanceJSONCapped(r io.Reader, maxProcs int) (*Instance, error) {
 	var ij instanceJSON
 	if err := json.NewDecoder(r).Decode(&ij); err != nil {
 		return nil, fmt.Errorf("sched: decoding instance: %w", err)
 	}
 	if ij.Graph == nil {
 		return nil, fmt.Errorf("sched: instance missing graph")
+	}
+	if p := len(ij.System.Speeds); maxProcs > 0 && p > maxProcs {
+		return nil, fmt.Errorf("sched: instance declares %d processors, above the limit of %d", p, maxProcs)
 	}
 	sys, err := platform.New(platform.Config{
 		Speeds:        ij.System.Speeds,

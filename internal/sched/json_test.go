@@ -95,3 +95,15 @@ func TestReadInstanceJSONErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestReadInstanceJSONCapped checks the processor cap counts declared
+// speeds: at the cap the instance reads, one above it is rejected.
+func TestReadInstanceJSONCapped(t *testing.T) {
+	in := `{"graph":{"tasks":[{"id":0,"weight":1}],"edges":[]},"system":{"speeds":[1,1]},"costs":[[1,1]]}`
+	if _, err := ReadInstanceJSONCapped(strings.NewReader(in), 2); err != nil {
+		t.Fatalf("2 processors under a cap of 2: %v", err)
+	}
+	if _, err := ReadInstanceJSONCapped(strings.NewReader(in), 1); err == nil || !strings.Contains(err.Error(), "limit of 1") {
+		t.Fatalf("2 processors under a cap of 1: got %v, want the limit error", err)
+	}
+}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -16,11 +15,11 @@ import (
 // under its own deadline (its timeoutMs, or the server default) with
 // partial-failure semantics — the batch answers 200 with per-item
 // statuses as long as the envelope itself was well-formed — and the
-// results array preserves request order. Items enqueue blocking (the
-// queue backpressures a large batch instead of 503ing its tail), go
-// through the same tiered cache as single requests (local LRU, then
-// the owning peer's cache, then compute), and coalesce with concurrent
-// identical work.
+// results array preserves request order. Items take serveItem, the
+// path of a single request (local LRU, then the key's holders' caches,
+// then compute), except that they enqueue blocking (the queue
+// backpressures a large batch instead of 503ing its tail), and they
+// coalesce with concurrent identical work.
 //
 // With "Accept: application/x-ndjson" the response streams instead:
 // one BatchItemResult JSON line per item in completion order, flushed
@@ -117,13 +116,11 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, reqID strin
 	_ = rc.Flush()
 }
 
-// runBatchItem resolves and schedules one batch item, mapping its
-// outcome to the status a single request would have received. Items
-// run on their own goroutines outside the instrument middleware, so
-// panics are contained here — one poisoned item answers a per-item 500
-// while its siblings complete.
+// runBatchItem serves one batch item through serveItem. Items run on
+// their own goroutines outside the instrument middleware, so panics
+// are contained here — one poisoned item answers a per-item 500 while
+// its siblings complete.
 func (s *Server) runBatchItem(r *http.Request, reqID string, i int, item *ScheduleRequest) (res BatchItemResult) {
-	res.Index = i
 	itemID := fmt.Sprintf("%s#%d", reqID, i)
 	defer func() {
 		if p := recover(); p != nil {
@@ -133,27 +130,7 @@ func (s *Server) runBatchItem(r *http.Request, reqID string, i int, item *Schedu
 				Error: fmt.Sprintf("internal error (request %s)", itemID)}
 		}
 	}()
-	a, in, err := s.resolveRequest(item)
-	if err != nil {
-		res.Status, res.Error = http.StatusBadRequest, err.Error()
-		return res
-	}
-	key, err := cacheKey(in, item.Algorithm, item.Analyze, item.LinkBandwidth, item.Faults)
-	if err != nil {
-		res.Status, res.Error = http.StatusInternalServerError, err.Error()
-		return res
-	}
-	timeout := s.timeoutFor(item.TimeoutMs)
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	low, _ := lowPriority(item.Priority) // validated by resolveRequest
-	resp, err := s.scheduleLocal(ctx, itemID, parsedItem{
-		alg: a, in: in, analyze: item.Analyze, faults: item.Faults, key: key, lowPrio: low,
-	}, true, true)
-	if err != nil {
-		res.Status, res.Error = s.statusFor(err, timeout)
-		return res
-	}
-	res.Status, res.Response = http.StatusOK, resp
+	res, _ = s.serveItem(r.Context(), itemID, item, true)
+	res.Index = i
 	return res
 }

@@ -15,9 +15,9 @@ type breaker struct {
 }
 
 // breakerSet is a keyed collection of circuit breakers — per algorithm
-// in the single-node client (PR 5's behaviour), per peer in the
-// multi-node client and in the server's request forwarder. Thresholds
-// and cooldowns are passed per call so a caller whose RetryPolicy is
+// in the single-node client, per peer in the multi-node client and in
+// the server's cache probes and replica pushes. Thresholds and
+// cooldowns are passed per call so a caller whose RetryPolicy is
 // mutable keeps its existing semantics.
 type breakerSet struct {
 	mu sync.Mutex

@@ -340,7 +340,8 @@ func (c *Client) fetchRing(ctx context.Context, peer string) (RingView, error) {
 // server's canonical instance hash (which needs a full parse): two
 // byte-identical requests always land on the same peer — which is what
 // keeps that peer's cache hot — and a semantically-equal-but-reformatted
-// request at worst lands elsewhere and is forwarded by the server.
+// request at worst lands elsewhere, which finds the result by probing
+// the key's holders or computes it again.
 func requestKey(req *ScheduleRequest) string {
 	h := fnv.New64a()
 	io.WriteString(h, req.Algorithm)

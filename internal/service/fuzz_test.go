@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 // FuzzScheduleRequest asserts the /v1/schedule request decoder never
 // panics and that anything it accepts is a coherent scheduling problem:
-// a resolvable algorithm, at least one processor and one task, a
+// a resolvable algorithm, 1 to maxProcessors processors, a task, a
 // registered communication-model kind, no NaN or negative communication
 // cost (the decoder must reject poisoned payloads rather than hand them
 // to the schedulers), and a hashable cache identity.
@@ -39,15 +40,19 @@ func FuzzScheduleRequest(f *testing.F) {
 	f.Add([]byte(`[]`))
 	s := New(Options{CacheSize: -1})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, a, in, err := s.parseRequest(bytes.NewReader(body))
-		if err != nil {
+		var req ScheduleRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 			return // rejecting garbage is fine; panicking is not
 		}
-		if req == nil || a == nil || in == nil {
+		a, in, err := s.resolveRequest(&req)
+		if err != nil {
+			return
+		}
+		if a == nil || in == nil {
 			t.Fatal("accepted request with nil parts")
 		}
-		if in.P() < 1 || in.N() < 1 {
-			t.Fatalf("accepted degenerate problem: P=%d N=%d", in.P(), in.N())
+		if in.P() < 1 || in.P() > maxProcessors || in.N() < 1 {
+			t.Fatalf("accepted degenerate or oversized problem: P=%d N=%d", in.P(), in.N())
 		}
 		kind := in.CommKind()
 		known := false

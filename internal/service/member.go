@@ -549,14 +549,7 @@ func (m *membership) swapLocked() {
 		m.s.shard.Store(nil)
 		return
 	}
-	m.s.shard.Store(&shardState{
-		self:         m.self,
-		ring:         ring,
-		peers:        ring.peers,
-		brk:          m.s.peerBrk,
-		client:       m.s.peerClient,
-		probeTimeout: m.s.opts.ProbeTimeout,
-	})
+	m.s.shard.Store(&shardState{self: m.self, ring: ring})
 }
 
 // addMember applies one join. It reports whether the member was new or

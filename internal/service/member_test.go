@@ -35,7 +35,7 @@ func TestDetectorSuspectThenDead(t *testing.T) {
 	urls := memberURLs(3)
 	s, m, now := detectorFixture(t, urls...)
 
-	if sh := s.shard.Load(); sh == nil || len(sh.peers) != 3 {
+	if sh := s.shard.Load(); sh == nil || len(sh.ring.peers) != 3 {
 		t.Fatalf("initial shard = %+v, want a 3-peer ring", s.shard.Load())
 	}
 	alive, suspect, dead, epoch0 := m.counts()
@@ -61,7 +61,7 @@ func TestDetectorSuspectThenDead(t *testing.T) {
 	if epoch1 != epoch0 {
 		t.Fatalf("suspect transition bumped epoch %d -> %d; only death/leave reshards", epoch0, epoch1)
 	}
-	if sh := s.shard.Load(); sh == nil || len(sh.peers) != 3 {
+	if sh := s.shard.Load(); sh == nil || len(sh.ring.peers) != 3 {
 		t.Fatalf("suspect members dropped from ring: %+v", s.shard.Load())
 	}
 
@@ -77,7 +77,7 @@ func TestDetectorSuspectThenDead(t *testing.T) {
 		t.Fatal("death did not bump the membership epoch")
 	}
 	if sh := s.shard.Load(); sh != nil {
-		t.Fatalf("sole survivor still sharding over %v", sh.peers)
+		t.Fatalf("sole survivor still sharding over %v", sh.ring.peers)
 	}
 
 	// A heartbeat from a dead member readopts it and reshards.
@@ -85,7 +85,7 @@ func TestDetectorSuspectThenDead(t *testing.T) {
 	if alive, _, dead, _ = m.counts(); alive != 1 || dead != 1 {
 		t.Fatalf("counts after rejoin heartbeat = %d alive %d dead, want 1/1", alive, dead)
 	}
-	if sh := s.shard.Load(); sh == nil || len(sh.peers) != 2 {
+	if sh := s.shard.Load(); sh == nil || len(sh.ring.peers) != 2 {
 		t.Fatalf("rejoin did not rebuild a 2-node ring: %+v", s.shard.Load())
 	}
 }
@@ -110,7 +110,7 @@ func TestDetectorAdoptsViewMembers(t *testing.T) {
 	if m.isAlive("http://10.0.9.2:8080") {
 		t.Fatal("adopted a member another node declared dead")
 	}
-	if sh := s.shard.Load(); sh == nil || len(sh.peers) != 3 {
+	if sh := s.shard.Load(); sh == nil || len(sh.ring.peers) != 3 {
 		t.Fatalf("ring peers = %+v, want 3 after adoption", s.shard.Load())
 	}
 	v := m.view()
@@ -143,7 +143,7 @@ func TestAddRemoveMember(t *testing.T) {
 	if m.removeMember(urls[0]) {
 		t.Fatal("a relayed copy of our own leave must be a no-op")
 	}
-	if sh := s.shard.Load(); sh == nil || len(sh.peers) != 2 {
+	if sh := s.shard.Load(); sh == nil || len(sh.ring.peers) != 2 {
 		t.Fatalf("ring = %+v, want the original 2 peers", s.shard.Load())
 	}
 }
@@ -157,13 +157,13 @@ func TestNormalizePeerURL(t *testing.T) {
 		{" https://node-3.cluster:9000/ ", "https://node-3.cluster:9000"},
 		{"http://h/", "http://h"},
 		{"", ""},
-		{"10.0.0.1:8080", ""},                     // no scheme
-		{"ftp://10.0.0.1", ""},                    // wrong scheme
-		{"http://", ""},                           // no host
-		{"http://u:p@h:1", ""},                    // userinfo
-		{"http://h:1/path", ""},                   // path
-		{"http://h:1?x=1", ""},                    // query
-		{"http://h:1#frag", ""},                   // fragment
+		{"10.0.0.1:8080", ""},                      // no scheme
+		{"ftp://10.0.0.1", ""},                     // wrong scheme
+		{"http://", ""},                            // no host
+		{"http://u:p@h:1", ""},                     // userinfo
+		{"http://h:1/path", ""},                    // path
+		{"http://h:1?x=1", ""},                     // query
+		{"http://h:1#frag", ""},                    // fragment
 		{"http://" + strings.Repeat("a", 600), ""}, // oversized
 	}
 	for _, c := range cases {

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
+	"dagsched/internal/algo"
 	"dagsched/internal/service"
 	"dagsched/internal/testfix"
 )
@@ -84,11 +86,11 @@ func scheduleDigest(t *testing.T, r *service.ScheduleResponse) string {
 	return string(data)
 }
 
-// TestMultiNodeForwarding runs a 3-node ring: every node must agree on
-// each key's owner (X-Shard-Owner), route requests it does not own to
-// that owner (X-Served-By), and produce byte-identical schedules to a
-// standalone single-node server.
-func TestMultiNodeForwarding(t *testing.T) {
+// TestMultiNodeRouting runs a 3-node ring: every entry node must
+// answer each algorithm with the single-node reference schedule, all
+// nodes must name the same owner (X-Shard-Owner), and a repeat at the
+// same entry node must come back from the cache.
+func TestMultiNodeRouting(t *testing.T) {
 	_, urls := startCluster(t, 3, service.Options{Workers: 2, QueueDepth: 32})
 	_, ref := startServer(t, service.Options{Workers: 2}) // single-node reference
 
@@ -116,87 +118,101 @@ func TestMultiNodeForwarding(t *testing.T) {
 			} else if o != owner {
 				t.Errorf("%s: node %d names owner %q, earlier nodes %q — ring views disagree", alg, i, o, owner)
 			}
-			// The serving node is the owner — either this node owns the
-			// key, or it forwarded there. (A cached local copy can answer
-			// later rounds, but each alg's first pass has a cold ring.)
-			if sb := hdr.Get("X-Served-By"); sb != owner && i == 0 {
-				// First request is computed at the owner via forwarding.
-				t.Errorf("%s via node %d: served by %q, want owner %q", alg, i, sb, owner)
+			again, _ := postSchedule(t, base, req)
+			if !again.Cached {
+				t.Errorf("%s via node %d: repeat not served from cache", alg, i)
+			}
+			if scheduleDigest(t, again) != want {
+				t.Errorf("%s via node %d: cached repeat differs from single-node reference", alg, i)
 			}
 		}
 	}
 }
 
-// TestMultiNodePeerCacheHit pins the middle cache tier: a batch item
-// whose key is owned by another node finds that node's cached result
-// via the /v1/cache probe instead of recomputing. Replication is
+// TestMultiNodePeerCacheHit pins the middle cache tier: a query whose
+// key another node owns and has cached is answered from that node's
+// cache via the /v1/cache probe instead of recomputing, whether it
+// arrives as a single request or as a batch item. Replication is
 // disabled: a pushed replica would turn the probe into a local hit,
 // which is exactly what this test must not conflate (replica.go has
 // its own tests).
 func TestMultiNodePeerCacheHit(t *testing.T) {
-	servers, urls := startCluster(t, 3, service.Options{Workers: 2, QueueDepth: 32, Replication: -1})
 	inst := instanceJSON(t, testfix.Topcuoglu())
-	req := service.ScheduleRequest{Algorithm: "HEFT", Instance: inst}
+	for _, tc := range []struct {
+		name  string
+		query func(t *testing.T, c *service.Client, req service.ScheduleRequest) *service.ScheduleResponse
+	}{
+		{"single", func(t *testing.T, c *service.Client, req service.ScheduleRequest) *service.ScheduleResponse {
+			resp, _ := postSchedule(t, c.BaseURL, req)
+			return resp
+		}},
+		{"batch item", func(t *testing.T, c *service.Client, req service.ScheduleRequest) *service.ScheduleResponse {
+			bresp, err := c.ScheduleBatch(context.Background(), service.BatchRequest{Items: []service.ScheduleRequest{req}})
+			if err != nil {
+				t.Fatalf("batch via %s: %v", c.BaseURL, err)
+			}
+			if bresp.Failed != 0 {
+				t.Fatalf("batch item failed: %+v", bresp.Items)
+			}
+			return bresp.Items[0].Response
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, urls := startCluster(t, 3, service.Options{Workers: 2, QueueDepth: 32, Replication: -1})
+			req := service.ScheduleRequest{Algorithm: "HEFT", Instance: inst}
 
-	// Compute once through node 0; forwarding caches the result at the
-	// key's owner.
-	warm, hdr := postSchedule(t, urls[0], req)
-	owner := hdr.Get("X-Shard-Owner")
-	ownerIdx := -1
-	for i, u := range urls {
-		if u == owner {
-			ownerIdx = i
-		}
-	}
-	if ownerIdx < 0 {
-		t.Fatalf("owner %q not among cluster URLs %v", owner, urls)
-	}
+			// Learn the owner through node 0, then warm the owner itself
+			// (a no-op when node 0 is the owner). The probe node is one
+			// that has never seen the key.
+			_, hdr := postSchedule(t, urls[0], req)
+			owner := hdr.Get("X-Shard-Owner")
+			warm, _ := postSchedule(t, owner, req)
+			probe := ""
+			for _, u := range urls {
+				if u != owner && u != urls[0] && probe == "" {
+					probe = u
+				}
+			}
+			if probe == "" {
+				t.Fatalf("owner %q not among cluster URLs %v", owner, urls)
+			}
 
-	// A batch through a node that does NOT own the key: its local LRU is
-	// cold (unless it was the entry node that kept a copy), so the item
-	// must come back via the owner's cache.
-	probeIdx := (ownerIdx + 1) % len(servers)
-	if probeIdx == 0 {
-		probeIdx = (ownerIdx + 2) % len(servers) // node 0 may hold a local copy from warming
-	}
-	c := &service.Client{BaseURL: urls[probeIdx]}
-	bresp, err := c.ScheduleBatch(context.Background(), service.BatchRequest{Items: []service.ScheduleRequest{req}})
-	if err != nil {
-		t.Fatalf("batch via node %d: %v", probeIdx, err)
-	}
-	if bresp.Failed != 0 {
-		t.Fatalf("batch item failed: %+v", bresp.Items)
-	}
-	item := bresp.Items[0].Response
-	if !item.Cached {
-		t.Errorf("batch item not served from cache (cached=%v)", item.Cached)
-	}
-	if item.Makespan != warm.Makespan {
-		t.Errorf("peer-cache makespan %v != computed %v", item.Makespan, warm.Makespan)
-	}
-	snap, err := c.Metrics(context.Background())
-	if err != nil {
-		t.Fatalf("Metrics: %v", err)
-	}
-	if snap.Cache.Tier.Peer < 1 {
-		t.Errorf("node %d cache.tier.peer = %d, want >= 1 (batch item must have probed the owner)", probeIdx, snap.Cache.Tier.Peer)
-	}
-	if !snap.Shard.Enabled || snap.Shard.Self != urls[probeIdx] {
-		t.Errorf("shard snapshot = %+v, want enabled with self %q", snap.Shard, urls[probeIdx])
+			c := &service.Client{BaseURL: probe}
+			resp := tc.query(t, c, req)
+			if !resp.Cached {
+				t.Errorf("answer not served from cache (cached=%v)", resp.Cached)
+			}
+			if scheduleDigest(t, resp) != scheduleDigest(t, warm) {
+				t.Errorf("peer-cache schedule differs from the owner's")
+			}
+			snap, err := c.Metrics(context.Background())
+			if err != nil {
+				t.Fatalf("Metrics: %v", err)
+			}
+			if snap.Cache.Tier.Peer != 1 {
+				t.Errorf("probe node cache.tier.peer = %d, want 1 (the query must have probed the owner)", snap.Cache.Tier.Peer)
+			}
+			if n := computeCount(snap); n != 0 {
+				t.Errorf("probe node computed %d schedules, want 0", n)
+			}
+			if !snap.Shard.Enabled || snap.Shard.Self != probe {
+				t.Errorf("shard snapshot = %+v, want enabled with self %q", snap.Shard, probe)
+			}
+		})
 	}
 }
 
-// TestMultiNodeFailover kills a key's owner: surviving nodes must keep
-// answering that key by computing locally after the forward fails, and
-// the failure must surface in their forward metrics. Replication is
-// disabled so the forward genuinely fails instead of being served from
-// a local replica (the replicated path is cluster_test.go's job).
+// TestMultiNodeFailover kills a key's owner: a surviving node must keep
+// answering that key by computing locally after its probe of the owner
+// fails, and the failure must surface in its probe metrics. Replication
+// is disabled so the probe genuinely fails instead of the key being
+// served from a local replica (the replicated path is cluster_test.go's
+// job).
 func TestMultiNodeFailover(t *testing.T) {
 	servers, urls := startCluster(t, 3, service.Options{Workers: 2, QueueDepth: 32, Replication: -1})
 	inst := instanceJSON(t, testfix.Topcuoglu())
 
-	// Find an algorithm whose key is NOT owned by node 0, so node 0
-	// must forward — and survive the owner's death.
+	// Find an algorithm whose key is NOT owned by node 0.
 	algs := []string{"HEFT", "CPOP", "DLS", "HCPT", "PETS", "MCP", "ISH"}
 	var req service.ScheduleRequest
 	var owner string
@@ -224,21 +240,17 @@ func TestMultiNodeFailover(t *testing.T) {
 		}
 	}
 
-	// Entry node 0 holds a local copy from the warm-up round — a fresh
-	// algorithm name under the same death is the honest test, so use a
-	// node that never saw the request AND does not own it.
+	// Entry node 0 holds a local copy from the warm-up round, so ask
+	// the node that never saw the request and does not own it.
 	var probe string
 	for _, u := range urls {
 		if u != owner && u != urls[0] {
 			probe = u
 		}
 	}
-	resp, hdr := postSchedule(t, probe, req)
+	resp, _ := postSchedule(t, probe, req)
 	if scheduleDigest(t, resp) != scheduleDigest(t, want) {
 		t.Errorf("failover answer differs from pre-failure schedule")
-	}
-	if sb := hdr.Get("X-Served-By"); sb != probe {
-		t.Errorf("served by %q, want local fallback %q after owner death", sb, probe)
 	}
 
 	c := &service.Client{BaseURL: probe}
@@ -246,8 +258,8 @@ func TestMultiNodeFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Metrics: %v", err)
 	}
-	if snap.Shard.ForwardFailures[owner] < 1 {
-		t.Errorf("forward_failures[%s] = %d, want >= 1", owner, snap.Shard.ForwardFailures[owner])
+	if failed := snap.Shard.Probe.Errors + snap.Shard.Probe.Timeouts; failed < 1 {
+		t.Errorf("shard.probe errors + timeouts = %d, want >= 1 (the probe of the dead owner must fail)", failed)
 	}
 
 	// The multi-node client fails over too: owner-first, then survivors.
@@ -261,34 +273,66 @@ func TestMultiNodeFailover(t *testing.T) {
 	}
 }
 
-// TestMultiNodeForwardMetrics asserts the per-peer forward counters
-// appear and add up after forwarded traffic.
-func TestMultiNodeForwardMetrics(t *testing.T) {
-	_, urls := startCluster(t, 3, service.Options{Workers: 2, QueueDepth: 32})
-	inst := instanceJSON(t, testfix.Topcuoglu())
-	for _, alg := range []string{"HEFT", "CPOP", "DLS", "MCP"} {
-		for _, base := range urls {
-			postSchedule(t, base, service.ScheduleRequest{Algorithm: alg, Instance: inst})
-		}
-	}
-	var forwards int64
-	for _, base := range urls {
-		c := &service.Client{BaseURL: base}
-		snap, err := c.Metrics(context.Background())
-		if err != nil {
-			t.Fatalf("Metrics %s: %v", base, err)
-		}
-		if snap.Shard.Forwards == nil || snap.Shard.ForwardFailures == nil {
-			t.Fatalf("node %s: forward maps missing from /metrics", base)
-		}
-		for peer, n := range snap.Shard.Forwards {
-			if peer == base {
-				t.Errorf("node %s recorded a forward to itself", base)
+// TestMultiNodeColdBurst pins the recompute bound of per-node
+// singleflight: 8 callers on each node of a 3-node ring send the same
+// cold request at once. Every answer must be the single-node reference
+// schedule, and no node may compute it more than once — so the ring
+// computes it at most once per entry node. With no delay, late callers
+// race the first computations' finish; with one, every request arrives
+// while they still run, which is the worst case of one run per node.
+func TestMultiNodeColdBurst(t *testing.T) {
+	for _, delay := range []time.Duration{0, 50 * time.Millisecond} {
+		t.Run(delay.String(), func(t *testing.T) {
+			slow := &slowAlg{name: "slow", delay: delay}
+			resolve := func(string) (algo.Algorithm, error) { return slow, nil }
+			_, urls := startCluster(t, 3, service.Options{Workers: 2, QueueDepth: 64, Resolver: resolve})
+			_, ref := startServer(t, service.Options{Workers: 2, Resolver: resolve})
+			req := service.ScheduleRequest{Algorithm: "slow", Instance: instanceJSON(t, testfix.Topcuoglu())}
+			refResp, err := ref.Schedule(context.Background(), req)
+			if err != nil {
+				t.Fatalf("reference: %v", err)
 			}
-			forwards += n
-		}
-	}
-	if forwards == 0 {
-		t.Errorf("no forwards recorded across the ring; 4 algorithms x 3 entry nodes must forward at least once")
+			want := scheduleDigest(t, refResp)
+
+			const perNode = 8
+			start := make(chan struct{})
+			digests := make([]string, perNode*len(urls))
+			errs := make([]error, len(digests))
+			var wg sync.WaitGroup
+			for i := range digests {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					c := &service.Client{BaseURL: urls[i%len(urls)], Retry: &service.RetryPolicy{MaxAttempts: 1}}
+					<-start
+					resp, err := c.Schedule(context.Background(), req)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					digests[i] = scheduleDigest(t, resp)
+				}(i)
+			}
+			close(start)
+			wg.Wait()
+			for i := range digests {
+				if errs[i] != nil {
+					t.Errorf("caller %d via node %d: %v", i, i%len(urls), errs[i])
+				} else if digests[i] != want {
+					t.Errorf("caller %d via node %d: schedule differs from single-node reference", i, i%len(urls))
+				}
+			}
+			for i, u := range urls {
+				snap, err := fetchMetrics(u)
+				if err != nil {
+					t.Fatalf("metrics %s: %v", u, err)
+				}
+				for alg, st := range snap.Algorithms {
+					if st.Count > 1 {
+						t.Errorf("node %d computed %s %d times, want at most once", i, alg, st.Count)
+					}
+				}
+			}
+		})
 	}
 }

@@ -113,21 +113,21 @@ func (s *Server) replicate(key string, resp *ScheduleResponse) {
 		if peer == sh.self {
 			continue
 		}
-		go s.repl.pushOne(sh, peer, key, resp)
+		go s.repl.pushOne(peer, key, resp)
 	}
 }
 
 // pushOne PUTs one entry to one peer, falling back to the hinted-
-// handoff queue on failure. A peer with an open forward circuit is not
-// even dialed — the hint waits for the detector's verdict instead.
-func (r *replicator) pushOne(sh *shardState, peer, key string, resp *ScheduleResponse) {
-	if _, open := sh.brk.allow(peer, forwardBreakerThreshold); open {
+// handoff queue on failure. A peer with an open circuit is not even
+// dialed — the hint waits for the detector's verdict instead.
+func (r *replicator) pushOne(peer, key string, resp *ScheduleResponse) {
+	if _, open := r.s.peerBrk.allow(peer, peerBreakerThreshold); open {
 		r.s.met.ObserveReplicaPush(false)
 		r.enqueue(peer, key, resp)
 		return
 	}
-	err := r.put(sh, peer, key, resp)
-	sh.brk.observe(peer, forwardBreakerThreshold, forwardBreakerCooldown, err)
+	err := r.put(peer, key, resp)
+	r.s.peerBrk.observe(peer, peerBreakerThreshold, peerBreakerCooldown, err)
 	r.s.met.ObserveReplicaPush(err == nil)
 	if err != nil {
 		r.enqueue(peer, key, resp)
@@ -135,19 +135,19 @@ func (r *replicator) pushOne(sh *shardState, peer, key string, resp *ScheduleRes
 }
 
 // put performs one replica PUT bounded by the probe timeout.
-func (r *replicator) put(sh *shardState, peer, key string, resp *ScheduleResponse) error {
+func (r *replicator) put(peer, key string, resp *ScheduleResponse) error {
 	body, err := json.Marshal(resp)
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), sh.probeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), r.s.opts.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, peer+"/v1/cache/"+key, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	hr, err := sh.client.Do(req)
+	hr, err := r.s.peerClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -177,7 +177,7 @@ func (r *replicator) enqueue(peer, key string, resp *ScheduleResponse) {
 // attempt budget is only spent on real tries); hints that exhaust
 // handoffMaxAttempts are dropped.
 func (r *replicator) retryHandoffs() {
-	sh := r.s.shard.Load()
+	standalone := r.s.shard.Load() == nil
 	r.mu.Lock()
 	pending := r.queue
 	r.queue = nil
@@ -187,11 +187,11 @@ func (r *replicator) retryHandoffs() {
 	}
 	var keep []handoffEntry
 	for _, h := range pending {
-		if sh == nil || !r.s.member.isAlive(h.peer) {
+		if standalone || !r.s.member.isAlive(h.peer) {
 			keep = append(keep, h) // wait for the detector, free of charge
 			continue
 		}
-		err := r.put(sh, h.peer, h.key, h.resp)
+		err := r.put(h.peer, h.key, h.resp)
 		r.s.met.ObserveReplicaPush(err == nil)
 		if err == nil {
 			r.s.met.ObserveHandoff(handoffDelivered)
@@ -255,7 +255,7 @@ func (r *replicator) handoffOnLeave(ctx context.Context, sh *shardState) {
 		if owner == "" || owner == sh.self {
 			continue
 		}
-		err := r.put(sh, owner, e.key, e.resp)
+		err := r.put(owner, e.key, e.resp)
 		r.s.met.ObserveReplicaPush(err == nil)
 	}
 }

@@ -97,12 +97,12 @@ func TestFaultsValidation(t *testing.T) {
 	_, c := startServer(t, service.Options{Workers: 1})
 	inst := instanceJSON(t, testfix.Topcuoglu())
 	bad := []*service.FaultsRequest{
-		{},            // neither plan nor rate
-		{Rate: 2},     // rate out of range
-		{Rate: -0.1},  // negative rate
-		{Rate: 0.5, Samples: 100000},                                           // samples over cap
-		{Rate: 0.5, Policy: "nope"},                                            // unknown policy
-		{Plan: &sim.FaultPlan{Crashes: []sim.Crash{{Proc: 99, At: 1}}}},        // proc out of range
+		{},                           // neither plan nor rate
+		{Rate: 2},                    // rate out of range
+		{Rate: -0.1},                 // negative rate
+		{Rate: 0.5, Samples: 100000}, // samples over cap
+		{Rate: 0.5, Policy: "nope"},  // unknown policy
+		{Plan: &sim.FaultPlan{Crashes: []sim.Crash{{Proc: 99, At: 1}}}},          // proc out of range
 		{Plan: &sim.FaultPlan{Crashes: []sim.Crash{{Proc: 0, At: 5, Until: 2}}}}, // inverted window
 	}
 	for i, f := range bad {

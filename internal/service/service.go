@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"net"
@@ -74,10 +73,11 @@ type Options struct {
 	SelfURL string
 	// Peers lists the base URLs of every ring member, SelfURL
 	// included. Two or more distinct peers shard the canonical
-	// instance-hash space across the ring (requests are forwarded to
-	// their owner); fewer leave the node standalone. In-process tests
-	// can instead call Server.ConfigurePeers after Start, once
-	// ephemeral addresses are known.
+	// instance-hash space across the ring (a node probes a key's
+	// holders' caches before computing a key it does not own); fewer
+	// leave the node standalone. In-process tests can instead call
+	// Server.ConfigurePeers after Start, once ephemeral addresses are
+	// known.
 	Peers []string
 	// ProbeTimeout bounds one peer-cache probe and one replica push
 	// (default 500ms).
@@ -296,20 +296,13 @@ func (s *Server) Leave(ctx context.Context) {
 	}
 	// The post-leave ring: everyone but us. Entries we hand off go to
 	// the node that owns them now that our arcs are redistributed.
-	after := make([]string, 0, len(sh.peers))
-	for _, p := range sh.peers {
+	after := make([]string, 0, len(sh.ring.peers))
+	for _, p := range sh.ring.peers {
 		if p != sh.self {
 			after = append(after, p)
 		}
 	}
-	s.repl.handoffOnLeave(ctx, &shardState{
-		self:         sh.self,
-		ring:         newRing(after),
-		peers:        after,
-		brk:          sh.brk,
-		client:       sh.client,
-		probeTimeout: sh.probeTimeout,
-	})
+	s.repl.handoffOnLeave(ctx, &shardState{self: sh.self, ring: newRing(after)})
 }
 
 // Shutdown drains the server gracefully: the listener closes, in-flight
@@ -440,7 +433,7 @@ func (s *Server) run(j *job) (res jobResult) {
 }
 
 // robustness evaluates the Faults block of a request against a computed
-// schedule. The request was validated by parseRequest, so policy names
+// schedule. The request was validated by resolveRequest, so policy names
 // and plan shapes resolve here without re-checking.
 func robustness(sch *sched.Schedule, fr *FaultsRequest) (*RobustnessJSON, error) {
 	pol := resched.Default()
@@ -584,7 +577,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var self string
 	var peers []string
 	if sh := s.shard.Load(); sh != nil {
-		self, peers = sh.self, sh.peers
+		self, peers = sh.self, sh.ring.peers
 	}
 	cl := ClusterJSON{
 		Enabled:     s.shard.Load() != nil,
@@ -600,24 +593,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// parseRequest validates the wire request into a problem instance.
-func (s *Server) parseRequest(body io.Reader) (*ScheduleRequest, algo.Algorithm, *sched.Instance, error) {
-	var req ScheduleRequest
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, nil, fmt.Errorf("decoding request: %w", err)
-	}
-	a, in, err := s.resolveRequest(&req)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return &req, a, in, nil
-}
-
-// maxProcessors caps the platform size a bare-graph request or a stream
-// config may ask for: the platform holds P×P link matrices, cost rows
-// and EFT scans are O(P) per task, and an attacker-sized processor count
-// must not allocate before validation.
+// maxProcessors caps the platform size any request or stream config may
+// ask for: the platform holds P×P link matrices, cost rows and EFT
+// scans are O(P) per task, and an attacker-sized processor count must
+// not allocate before validation.
 const maxProcessors = 512
 
 // resolveRequest validates one decoded request — shared by the single
@@ -638,7 +617,7 @@ func (s *Server) resolveRequest(req *ScheduleRequest) (algo.Algorithm, *sched.In
 	case len(req.Instance) > 0 && len(req.Graph) > 0:
 		return nil, nil, fmt.Errorf("request carries both instance and graph; send one")
 	case len(req.Instance) > 0:
-		in, err = sched.ReadInstanceJSON(bytes.NewReader(req.Instance))
+		in, err = sched.ReadInstanceJSONCapped(bytes.NewReader(req.Instance), maxProcessors)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -834,16 +813,17 @@ func (s *Server) statusFor(err error, timeout time.Duration) (int, string) {
 }
 
 // scheduleLocal serves one parsed scheduling query on this node through
-// the tiered cache: the local LRU first; then — when probePeer is set
-// and another peer owns the key — that peer's cache via the cheap
-// /v1/cache probe (a hit is copied into the local LRU); then the worker
-// pool. Concurrent identical computations coalesce on a singleflight
-// group: one request leads and runs the algorithm, the rest park on its
-// result, so a burst of identical requests costs exactly one schedule.
-// block selects blocking enqueue (batch items backpressure on the
-// queue) versus the single-request fail-fast 503.
-func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem, probePeer, block bool) (*ScheduleResponse, error) {
-	probe := probePeer
+// the tiered cache: the local LRU first; then — when another peer owns
+// the key — the caches of the key's holders via the cheap /v1/cache
+// probe (a hit is copied into the local LRU); then the worker pool.
+// Concurrent identical queries that miss the local LRU coalesce on a
+// singleflight group: one request leads, probing and computing, and
+// the rest park on its result, so a burst of identical requests costs
+// one probe pass and at most one schedule per node. block selects
+// blocking enqueue (batch items backpressure on the queue) versus the
+// single-request fail-fast 503.
+func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem, block bool) (*ScheduleResponse, error) {
+	probe := true
 	for {
 		if resp, replica := s.cache.Get(it.key); resp != nil {
 			if replica {
@@ -852,21 +832,6 @@ func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem,
 				s.met.ObserveTier(tierLocal)
 			}
 			return resp, nil
-		}
-		if probe {
-			probe = false
-			// Only when another node owns the key: an owner with a cold
-			// cache computes rather than burning a probe round-trip per
-			// successor (the anti-entropy sweep re-warms a rejoined owner).
-			if sh := s.shard.Load(); sh != nil && sh.ring.owner(it.key) != sh.self {
-				if resp := s.probeReplicas(ctx, sh, it.key, ""); resp != nil {
-					s.met.ObserveTier(tierPeer)
-					s.cache.PutReplica(it.key, resp)
-					cp := *resp
-					cp.Cached = true
-					return &cp, nil
-				}
-			}
 		}
 		leader, f := s.flights.join(it.key)
 		if !leader {
@@ -885,6 +850,22 @@ func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem,
 				return nil, err
 			case <-ctx.Done():
 				return nil, ctx.Err()
+			}
+		}
+		if probe {
+			probe = false
+			// Only when another node owns the key: an owner with a cold
+			// cache computes rather than burning a probe round-trip per
+			// successor (the anti-entropy sweep re-warms a rejoined owner).
+			if sh := s.shard.Load(); sh != nil && sh.ring.owner(it.key) != sh.self {
+				if resp := s.probeReplicas(ctx, sh, it.key); resp != nil {
+					s.met.ObserveTier(tierPeer)
+					s.cache.PutReplica(it.key, resp)
+					cp := *resp
+					cp.Cached = true
+					s.flights.finish(it.key, f, &cp, nil)
+					return &cp, nil
+				}
 			}
 		}
 		if s.shouldShed(it.lowPrio) {
@@ -928,77 +909,60 @@ func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem,
 	}
 }
 
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+// serveItem is the one path a scheduling query takes, single request
+// or batch item: resolve it, key it, serve it through the tiered cache
+// under its own deadline, and map the outcome to the HTTP status a
+// single request answers. block selects the enqueue (see
+// scheduleLocal). key is "" when the query was rejected before it had
+// a cache key.
+func (s *Server) serveItem(ctx context.Context, reqID string, req *ScheduleRequest, block bool) (res BatchItemResult, key string) {
+	a, in, err := s.resolveRequest(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		return
-	}
-	req, a, in, err := s.parseRequest(bytes.NewReader(body))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		res.Status, res.Error = http.StatusBadRequest, err.Error()
+		return res, ""
 	}
 	// Keyed on the requested name, not a.Name(): a custom Resolver may
 	// map distinct request names onto one implementation, and those are
 	// distinct queries for caching and coalescing purposes. The default
 	// resolver matches names exactly, so the two are identical for it.
-	key, err := cacheKey(in, req.Algorithm, req.Analyze, req.LinkBandwidth, req.Faults)
+	key, err = cacheKey(in, req.Algorithm, req.Analyze, req.LinkBandwidth, req.Faults)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+		res.Status, res.Error = http.StatusInternalServerError, err.Error()
+		return res, ""
 	}
 	timeout := s.timeoutFor(req.TimeoutMs)
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	if sh := s.shard.Load(); sh != nil {
-		owner := sh.ring.owner(key)
-		w.Header().Set(hdrShardOwner, owner)
-		if owner != sh.self && r.Header.Get(hdrForwarded) == "" {
-			// Not ours: serve a local copy if we happen to hold one,
-			// otherwise forward to the owner (whose cache is the
-			// authoritative tier for this key). A failed forward falls
-			// through the key's replica holders — a dead owner's
-			// keyspace lives on at its successors — and only then to
-			// computing here: availability over placement.
-			if resp, replica := s.cache.Get(key); resp != nil {
-				if replica {
-					s.met.ObserveTier(tierReplica)
-				} else {
-					s.met.ObserveTier(tierLocal)
-				}
-				w.Header().Set(hdrServedBy, sh.self)
-				writeJSON(w, http.StatusOK, resp)
-				return
-			}
-			if s.tryForward(ctx, w, sh, owner, body) {
-				return
-			}
-			if resp := s.probeReplicas(ctx, sh, key, owner); resp != nil {
-				s.met.ObserveTier(tierPeer)
-				s.cache.PutReplica(key, resp)
-				cp := *resp
-				cp.Cached = true
-				w.Header().Set(hdrServedBy, sh.self)
-				writeJSON(w, http.StatusOK, &cp)
-				return
-			}
-		}
-		w.Header().Set(hdrServedBy, sh.self)
-	}
-	reqID, _ := r.Context().Value(reqIDKey{}).(string)
 	low, _ := lowPriority(req.Priority) // validated by resolveRequest
 	resp, err := s.scheduleLocal(ctx, reqID, parsedItem{
 		alg: a, in: in, analyze: req.Analyze, faults: req.Faults, key: key, lowPrio: low,
-	}, false, false)
+	}, block)
 	if err != nil {
-		status, msg := s.statusFor(err, timeout)
-		writeError(w, status, "%s", msg)
+		res.Status, res.Error = s.statusFor(err, timeout)
+		return res, key
+	}
+	res.Status, res.Response = http.StatusOK, resp
+	return res, key
+}
+
+func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	var req ScheduleRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)).Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return
+	}
+	reqID, _ := r.Context().Value(reqIDKey{}).(string)
+	res, key := s.serveItem(r.Context(), reqID, &req, false)
+	if sh := s.shard.Load(); sh != nil && key != "" {
+		w.Header().Set(hdrShardOwner, sh.ring.owner(key))
+	}
+	if res.Status != http.StatusOK {
+		writeError(w, res.Status, "%s", res.Error)
+		return
+	}
+	writeJSON(w, http.StatusOK, res.Response)
 }

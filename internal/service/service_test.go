@@ -398,6 +398,9 @@ func TestRequestValidation(t *testing.T) {
 	inst := instanceJSON(t, testfix.Topcuoglu())
 
 	graph := json.RawMessage(`{"tasks":[{"id":0,"weight":2},{"id":1,"weight":3}],"edges":[{"from":0,"to":1,"data":1}]}`)
+	// An 8 KB instance declaring 4096 processors: one task, no costs.
+	wide := json.RawMessage(`{"graph":{"tasks":[{"id":0,"weight":1}],"edges":[]},"system":{"speeds":[1` +
+		strings.Repeat(",1", 4095) + `]}}`)
 
 	cases := []struct {
 		name string
@@ -410,6 +413,7 @@ func TestRequestValidation(t *testing.T) {
 		// Two P×P link matrices at 4096 processors take 256 MiB: a body
 		// of a few hundred bytes must not get that far.
 		{"processors over the cap", service.ScheduleRequest{Algorithm: "HEFT", Graph: graph, Processors: 4096}, "HTTP 400"},
+		{"instance speeds over the cap", service.ScheduleRequest{Algorithm: "HEFT", Instance: wide}, "HTTP 400"},
 	}
 	for _, tc := range cases {
 		var before, after runtime.MemStats

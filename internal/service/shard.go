@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -11,40 +10,25 @@ import (
 	"time"
 )
 
-// Sharding headers. Every /v1/schedule response from a ring member
-// carries the owner of the request's canonical hash (X-Shard-Owner)
-// and the node that actually served it (X-Served-By). A node forwards
-// a request it does not own to the owner exactly once, marking the hop
-// with X-Schedd-Forwarded; a request already carrying that header is
-// never forwarded again, so inconsistent ring configurations degrade
-// to local computation instead of forwarding loops.
-const (
-	hdrShardOwner = "X-Shard-Owner"
-	hdrServedBy   = "X-Served-By"
-	hdrForwarded  = "X-Schedd-Forwarded"
-)
+// hdrShardOwner names the ring owner of the request's canonical hash
+// on every /v1/schedule response from a ring member. It is the only
+// way to learn a key's owner from outside the node.
+const hdrShardOwner = "X-Shard-Owner"
 
-// Forwarding circuit parameters: a peer that fails this many
-// consecutive forwards/probes is skipped for the cooldown, so a dead
-// node costs one connection timeout per cooldown instead of per
-// request.
+// Peer circuit parameters: a peer that fails this many consecutive
+// probes or replica pushes is skipped for the cooldown, so a dead node
+// costs one connection timeout per cooldown instead of per request.
 const (
-	forwardBreakerThreshold = 3
-	forwardBreakerCooldown  = 3 * time.Second
+	peerBreakerThreshold = 3
+	peerBreakerCooldown  = 3 * time.Second
 )
 
 // shardState is the immutable ring view of one configuration epoch;
 // Server.shard swaps it atomically so request paths read a consistent
 // (self, ring) pair without locking.
 type shardState struct {
-	self  string
-	ring  *hashRing
-	peers []string
-	brk   *breakerSet
-	// client issues forwards (bounded by the request context) and
-	// probes (bounded by probeTimeout).
-	client       *http.Client
-	probeTimeout time.Duration
+	self string
+	ring *hashRing
 }
 
 // shardPtr wraps the atomic pointer so a nil load means "sharding off".
@@ -68,73 +52,29 @@ func (s *Server) ConfigureJoin(self, seed string) error {
 	return s.member.configureJoin(self, seed)
 }
 
-// tryForward relays a /v1/schedule request body to the owning peer and
-// streams its response back. Returns false — telling the caller to
-// compute locally — when the peer's circuit is open, the transport
-// fails, or the owner is itself overloaded (503): a sharded ring
-// prefers answering from the wrong node over failing from the right
-// one. Any other owner response (including 4xx/5xx verdicts about the
-// request itself) is authoritative and relayed as-is.
-func (s *Server) tryForward(ctx context.Context, w http.ResponseWriter, sh *shardState, owner string, body []byte) bool {
-	if _, open := sh.brk.allow(owner, forwardBreakerThreshold); open {
-		return false
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+"/v1/schedule", bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(hdrForwarded, sh.self)
-	resp, err := sh.client.Do(req)
-	if err != nil {
-		sh.brk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, err)
-		s.met.ObserveForward(owner, false)
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusServiceUnavailable {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		sh.brk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown,
-			&StatusError{Method: http.MethodPost, Path: "/v1/schedule", Status: resp.StatusCode})
-		s.met.ObserveForward(owner, false)
-		return false
-	}
-	sh.brk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, nil)
-	s.met.ObserveForward(owner, true)
-	if v := resp.Header.Get(hdrServedBy); v != "" {
-		w.Header().Set(hdrServedBy, v)
-	}
-	if v := resp.Header.Get("Content-Type"); v != "" {
-		w.Header().Set("Content-Type", v)
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-	return true
-}
-
 // probePeerCache asks one peer whether it already has key's result — a
 // cheap GET against its cache, never a computation. Any failure
 // (circuit open, timeout, malformed body) degrades to a miss; timeouts
 // are counted separately from true misses, since a fleet whose probes
 // time out needs a bigger -probe-timeout, not a warmer cache.
-func (s *Server) probePeerCache(ctx context.Context, sh *shardState, owner, key string) *ScheduleResponse {
-	if _, open := sh.brk.allow(owner, forwardBreakerThreshold); open {
+func (s *Server) probePeerCache(ctx context.Context, peer, key string) *ScheduleResponse {
+	if _, open := s.peerBrk.allow(peer, peerBreakerThreshold); open {
 		return nil
 	}
-	pctx, cancel := context.WithTimeout(ctx, sh.probeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, s.opts.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, owner+"/v1/cache/"+key, nil)
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, peer+"/v1/cache/"+key, nil)
 	if err != nil {
 		return nil
 	}
-	resp, err := sh.client.Do(req)
+	resp, err := s.peerClient.Do(req)
 	if err != nil {
 		if pctx.Err() != nil && ctx.Err() == nil {
 			s.met.ObserveProbe(probeTimeout)
 		} else {
 			s.met.ObserveProbe(probeError)
 		}
-		sh.brk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, err)
+		s.peerBrk.observe(peer, peerBreakerThreshold, peerBreakerCooldown, err)
 		return nil
 	}
 	defer resp.Body.Close()
@@ -147,10 +87,10 @@ func (s *Server) probePeerCache(ctx context.Context, sh *shardState, owner, key 
 		} else {
 			s.met.ObserveProbe(probeMiss)
 		}
-		sh.brk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, obs)
+		s.peerBrk.observe(peer, peerBreakerThreshold, peerBreakerCooldown, obs)
 		return nil
 	}
-	sh.brk.observe(owner, forwardBreakerThreshold, forwardBreakerCooldown, nil)
+	s.peerBrk.observe(peer, peerBreakerThreshold, peerBreakerCooldown, nil)
 	var out ScheduleResponse
 	if err := json.NewDecoder(io.LimitReader(resp.Body, s.opts.MaxBodyBytes)).Decode(&out); err != nil {
 		s.met.ObserveProbe(probeError)
@@ -162,16 +102,15 @@ func (s *Server) probePeerCache(ctx context.Context, sh *shardState, owner, key 
 
 // probeReplicas walks key's holder set — owner first, then its
 // replication successors — probing each peer's cache until one
-// answers. With replication disabled the set is just the owner, which
-// is exactly the PR 8 lookup; with it, a dead owner's keyspace is
-// still one probe away at its successors. skip names a peer to leave
-// out (e.g. an owner a forward just failed against).
-func (s *Server) probeReplicas(ctx context.Context, sh *shardState, key, skip string) *ScheduleResponse {
+// answers. With replication disabled the set is just the owner; with
+// it, a dead owner's keyspace is still one probe away at its
+// successors.
+func (s *Server) probeReplicas(ctx context.Context, sh *shardState, key string) *ScheduleResponse {
 	for _, peer := range replicaHolders(sh, key, s.opts.Replication) {
-		if peer == sh.self || peer == skip {
+		if peer == sh.self {
 			continue
 		}
-		if resp := s.probePeerCache(ctx, sh, peer, key); resp != nil {
+		if resp := s.probePeerCache(ctx, peer, key); resp != nil {
 			return resp
 		}
 		if ctx.Err() != nil {

@@ -79,12 +79,9 @@ type serverMetrics struct {
 	handoffs    [numHandoffEvents]int64
 	sweepQueued int64
 	// Batch endpoint: request count, total items, size histogram.
-	batchCount  int64
-	batchItems  int64
-	batchSizes  []int64 // per batchSizeBuckets bucket, non-cumulative
-	// Per-peer forwarding outcomes.
-	forwards     map[string]int64
-	forwardFails map[string]int64
+	batchCount int64
+	batchItems int64
+	batchSizes []int64 // per batchSizeBuckets bucket, non-cumulative
 	// Per-algorithm makespan and scheduling-runtime accumulators over
 	// uncached successful runs.
 	algMakespan map[string]*metrics.Accumulator
@@ -94,15 +91,13 @@ type serverMetrics struct {
 
 func newServerMetrics() *serverMetrics {
 	return &serverMetrics{
-		start:        time.Now(),
-		byStatus:     make(map[int]int64),
-		latCounts:    make([]int64, len(latencyBucketsMs)+1),
-		batchSizes:   make([]int64, len(batchSizeBuckets)+1),
-		forwards:     make(map[string]int64),
-		forwardFails: make(map[string]int64),
-		algMakespan:  make(map[string]*metrics.Accumulator),
-		algRuntime:   make(map[string]*metrics.Accumulator),
-		algCount:     make(map[string]int),
+		start:       time.Now(),
+		byStatus:    make(map[int]int64),
+		latCounts:   make([]int64, len(latencyBucketsMs)+1),
+		batchSizes:  make([]int64, len(batchSizeBuckets)+1),
+		algMakespan: make(map[string]*metrics.Accumulator),
+		algRuntime:  make(map[string]*metrics.Accumulator),
+		algCount:    make(map[string]int),
 	}
 }
 
@@ -209,17 +204,6 @@ func (m *serverMetrics) ObserveBatch(size int) {
 	m.batchSizes[i]++
 }
 
-// ObserveForward records one forwarding attempt to peer.
-func (m *serverMetrics) ObserveForward(peer string, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ok {
-		m.forwards[peer]++
-	} else {
-		m.forwardFails[peer]++
-	}
-}
-
 // ObserveRun records one successful uncached scheduling run.
 func (m *serverMetrics) ObserveRun(algorithm string, makespan, runtimeMs float64) {
 	m.mu.Lock()
@@ -300,14 +284,6 @@ func (m *serverMetrics) Snapshot(queueDepth, queueCap, workers int, cacheHits, c
 	out.Shard.Self = self
 	out.Shard.Peers = peers
 	out.Shard.Enabled = len(peers) >= 2
-	out.Shard.Forwards = make(map[string]int64, len(m.forwards))
-	for p, n := range m.forwards {
-		out.Shard.Forwards[p] = n
-	}
-	out.Shard.ForwardFailures = make(map[string]int64, len(m.forwardFails))
-	for p, n := range m.forwardFails {
-		out.Shard.ForwardFailures[p] = n
-	}
 	out.Shard.Probe.Hits = m.probes[probeHit]
 	out.Shard.Probe.Misses = m.probes[probeMiss]
 	out.Shard.Probe.Timeouts = m.probes[probeTimeout]

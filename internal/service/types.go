@@ -66,7 +66,7 @@ type ScheduleResponse struct {
 	// result; a cached response reports the original run's time.
 	RuntimeMs float64 `json:"runtimeMs"`
 	// Cached marks a response served from the result cache (this
-	// node's, or — on batch items — the owning peer's).
+	// node's, or a holder's reached through the peer cache probe).
 	Cached bool `json:"cached"`
 	// Coalesced marks a response that joined a concurrent identical
 	// in-flight computation instead of running its own.
@@ -158,11 +158,11 @@ type RepairedJSON struct {
 	Chosen   string  `json:"chosen"`
 	Makespan float64 `json:"makespan"`
 	// Stretch divides the repaired makespan by the nominal one.
-	Stretch float64 `json:"stretch"`
-	Frozen  int     `json:"frozen"`
-	Lost    int     `json:"lost"`
-	Remapped int    `json:"remapped"`
-	Delayed  int    `json:"delayed"`
+	Stretch  float64 `json:"stretch"`
+	Frozen   int     `json:"frozen"`
+	Lost     int     `json:"lost"`
+	Remapped int     `json:"remapped"`
+	Delayed  int     `json:"delayed"`
 }
 
 // AssignmentJSON is one task copy placed on a processor.
@@ -311,15 +311,18 @@ type MetricsSnapshot struct {
 		SizeHistogram SizeHistogramJSON `json:"sizeHistogram"`
 	} `json:"batch"`
 	// Shard describes this node's position on the consistent-hash ring
-	// and its forwarding traffic (per-peer success/failure counts).
+	// and its peer cache-probe traffic.
 	Shard struct {
 		Enabled bool     `json:"enabled"`
 		Self    string   `json:"self,omitempty"`
 		Peers   []string `json:"peers,omitempty"`
-		// Forwards counts requests forwarded to each owning peer;
-		// ForwardFailures counts forwards that failed (and fell back to
-		// computing locally).
-		Forwards        map[string]int64 `json:"forwards"`
+		// Forwards is always empty: a node never forwards a request.
+		//
+		// Deprecated: read Probe and Cache.Tier instead.
+		Forwards map[string]int64 `json:"forwards"`
+		// ForwardFailures is always empty, like Forwards.
+		//
+		// Deprecated: read Probe.Errors and Probe.Timeouts instead.
 		ForwardFailures map[string]int64 `json:"forwardFailures"`
 		// Probe counts peer cache-probe outcomes; timeouts are distinct
 		// from misses so slow peers are visible separately from cold
