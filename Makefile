@@ -73,7 +73,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMCPScaling' -benchtime 1x ./internal/algo/listsched
 	$(GO) test -run '^$$' -bench 'BenchmarkILSEndToEnd' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkPopulationEval' -benchtime 1x ./internal/adversary
-	$(GO) test -run '^$$' -bench 'BenchmarkBatchEndpoint' -benchtime 1x ./internal/service
+	$(GO) test -run '^$$' -bench 'BenchmarkBatchEndpoint|BenchmarkScheduleHandler' -benchtime 1x ./internal/service
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamAppend' -benchtime 1x ./internal/stream
 
 # The benchmark under perfbench/ is a nested module, so `go build ./...`

@@ -22,9 +22,14 @@ type Processor struct {
 
 // System is an immutable description of the target machine.
 type System struct {
-	procs   []Processor
-	startup [][]float64 // startup[p][q]: per-message latency, 0 on diagonal
-	invRate [][]float64 // invRate[p][q]: time per data unit, 0 on diagonal
+	procs []Processor
+	// startup[p][q] is the per-message latency and invRate[p][q] the time
+	// per data unit of link p→q; only off-diagonal entries are read. On a
+	// uniform platform every row is one shared row, so the matrices take
+	// O(P) memory however many processors the system declares.
+	startup [][]float64
+	invRate [][]float64
+	uniform bool // every distinct pair has the same links
 }
 
 // Config collects the options accepted by New.
@@ -66,60 +71,116 @@ func New(cfg Config) (*System, error) {
 	for i := range sys.procs {
 		sys.procs[i] = Processor{ID: i, Name: fmt.Sprintf("P%d", i), Speed: cfg.Speeds[i]}
 	}
-	var err error
-	sys.startup, err = fullMatrix(p, cfg.Latency, cfg.StartupMatrix, "startup")
-	if err != nil {
+	if err := checkMatrix(p, cfg.StartupMatrix, "startup"); err != nil {
 		return nil, err
 	}
-	sys.invRate, err = fullMatrix(p, cfg.TimePerUnit, cfg.InvRateMatrix, "inverse-rate")
-	if err != nil {
+	if err := checkMatrix(p, cfg.InvRateMatrix, "inverse-rate"); err != nil {
 		return nil, err
+	}
+	// A one-processor system has no distinct pair, so its link values
+	// are unobservable: all of them keep the same zero links.
+	var lat, inv float64
+	sys.uniform = true
+	if p > 1 {
+		var latOK, invOK bool
+		lat, latOK = uniformValue(cfg.Latency, cfg.StartupMatrix)
+		inv, invOK = uniformValue(cfg.TimePerUnit, cfg.InvRateMatrix)
+		sys.uniform = latOK && invOK
+	}
+	if sys.uniform {
+		sys.startup, sys.invRate = sharedRows(p, lat), sharedRows(p, inv)
+	} else {
+		sys.startup = fullMatrix(p, cfg.Latency, cfg.StartupMatrix)
+		sys.invRate = fullMatrix(p, cfg.TimePerUnit, cfg.InvRateMatrix)
 	}
 	// Individually valid entries can still overflow the unit-message cost
 	// (startup + inverse rate); a system whose links cost +Inf poisons
 	// every downstream computation and cannot be re-serialized.
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
-			if c := sys.startup[i][j] + sys.invRate[i][j]; math.IsInf(c, 1) || math.IsNaN(c) {
-				return nil, fmt.Errorf("platform: link (%d,%d) unit cost overflows: startup %g + inverse rate %g", i, j, sys.startup[i][j], sys.invRate[i][j])
+			if su, ir := sys.Startup(i, j), sys.InvRate(i, j); math.IsInf(su+ir, 1) || math.IsNaN(su+ir) {
+				return nil, fmt.Errorf("platform: link (%d,%d) unit cost overflows: startup %g + inverse rate %g", i, j, su, ir)
 			}
+		}
+		if sys.uniform {
+			break // every row of a uniform system is row 0
 		}
 	}
 	return sys, nil
 }
 
-func fullMatrix(p int, uniform float64, override [][]float64, what string) ([][]float64, error) {
+// checkMatrix validates an override matrix's shape and off-diagonal
+// entries; a nil matrix is valid.
+func checkMatrix(p int, m [][]float64, what string) error {
+	if m == nil {
+		return nil
+	}
+	if len(m) != p {
+		return fmt.Errorf("platform: %s matrix has %d rows, want %d", what, len(m), p)
+	}
+	for i, row := range m {
+		if len(row) != p {
+			return fmt.Errorf("platform: %s matrix row %d has %d cols, want %d", what, i, len(row), p)
+		}
+		for j, v := range row {
+			if i != j && v < 0 {
+				return fmt.Errorf("platform: %s[%d][%d] negative: %g", what, i, j, v)
+			}
+		}
+	}
+	return nil
+}
+
+// uniformValue reports the value every distinct pair of a link
+// parameter takes, and whether there is one: the scalar when no matrix
+// overrides it, else the matrix's off-diagonal entry when all of them
+// are bit-identical. m, when set, is a checked matrix of two or more
+// processors.
+func uniformValue(scalar float64, m [][]float64) (float64, bool) {
+	if m == nil {
+		return scalar, true
+	}
+	first := math.Float64bits(m[0][1])
+	for i, row := range m {
+		for j, v := range row {
+			if i != j && math.Float64bits(v) != first {
+				return 0, false
+			}
+		}
+	}
+	return m[0][1], true
+}
+
+// sharedRows returns a p×p matrix whose rows are all one row holding v.
+func sharedRows(p int, v float64) [][]float64 {
+	row := make([]float64, p)
+	for j := range row {
+		row[j] = v
+	}
+	m := make([][]float64, p)
+	for i := range m {
+		m[i] = row
+	}
+	return m
+}
+
+// fullMatrix returns a fresh p×p matrix with a zero diagonal, its other
+// entries copied from override or, when override is nil, all scalar.
+func fullMatrix(p int, scalar float64, override [][]float64) [][]float64 {
 	m := make([][]float64, p)
 	for i := range m {
 		m[i] = make([]float64, p)
 		for j := range m[i] {
-			if i != j {
-				m[i][j] = uniform
-			}
-		}
-	}
-	if override == nil {
-		return m, nil
-	}
-	if len(override) != p {
-		return nil, fmt.Errorf("platform: %s matrix has %d rows, want %d", what, len(override), p)
-	}
-	for i, row := range override {
-		if len(row) != p {
-			return nil, fmt.Errorf("platform: %s matrix row %d has %d cols, want %d", what, i, len(row), p)
-		}
-		for j, v := range row {
 			switch {
 			case i == j:
-				m[i][j] = 0
-			case v < 0:
-				return nil, fmt.Errorf("platform: %s[%d][%d] negative: %g", what, i, j, v)
+			case override != nil:
+				m[i][j] = override[i][j]
 			default:
-				m[i][j] = v
+				m[i][j] = scalar
 			}
 		}
 	}
-	return m, nil
+	return m
 }
 
 // MustNew is New that panics on error, for generators and tests.
@@ -159,11 +220,31 @@ func (s *System) Speed(p int) float64 { return s.procs[p].Speed }
 
 // Startup returns the per-message startup latency of link p→q (0 on the
 // diagonal).
-func (s *System) Startup(p, q int) float64 { return s.startup[p][q] }
+func (s *System) Startup(p, q int) float64 {
+	if p == q {
+		return 0
+	}
+	return s.startup[p][q]
+}
 
 // InvRate returns the per-data-unit transfer time of link p→q (0 on the
 // diagonal).
-func (s *System) InvRate(p, q int) float64 { return s.invRate[p][q] }
+func (s *System) InvRate(p, q int) float64 {
+	if p == q {
+		return 0
+	}
+	return s.invRate[p][q]
+}
+
+// UniformLinks returns the latency and per-data-unit transfer time every
+// distinct processor pair shares, with ok false when links differ
+// between pairs. A single-processor system reports zero links.
+func (s *System) UniformLinks() (latency, invRate float64, ok bool) {
+	if !s.uniform || len(s.procs) < 2 {
+		return 0, 0, s.uniform
+	}
+	return s.startup[0][1], s.invRate[0][1], true
+}
 
 // CommCost returns the time to transfer data units from processor p to q:
 // zero when p == q, otherwise startup + data * invRate.

@@ -92,6 +92,67 @@ func TestMatrixOverride(t *testing.T) {
 	}
 }
 
+// TestUniformLinks checks the uniform link form: a system given scalar
+// links, or matrices whose off-diagonal entries all agree, stores one
+// shared row per matrix, yet answers every link query with the values
+// of a full matrix — the mean summed pair by pair, bit for bit.
+func TestUniformLinks(t *testing.T) {
+	const p, lat, inv = 5, 0.7, 0.3
+	speeds := []float64{1, 1, 1, 1, 1}
+	full := func(v float64) [][]float64 {
+		m := make([][]float64, p)
+		for i := range m {
+			m[i] = make([]float64, p)
+			for j := range m[i] {
+				if i != j {
+					m[i][j] = v
+				}
+			}
+		}
+		return m
+	}
+	for _, s := range []*System{
+		MustNew(Config{Speeds: speeds, Latency: lat, TimePerUnit: inv}),
+		MustNew(Config{Speeds: speeds, StartupMatrix: full(lat), InvRateMatrix: full(inv)}),
+	} {
+		if &s.startup[0][0] != &s.startup[p-1][0] || &s.invRate[0][0] != &s.invRate[p-1][0] {
+			t.Fatal("uniform links stored as full matrices")
+		}
+		if l, r, ok := s.UniformLinks(); !ok || l != lat || r != inv {
+			t.Fatalf("UniformLinks = %v, %v, %v", l, r, ok)
+		}
+		for _, data := range []float64{0, 1, 3, 17.25} {
+			var sum float64
+			for i := 0; i < p; i++ {
+				for j := 0; j < p; j++ {
+					want := 0.0
+					if i != j {
+						want = lat + data*inv
+						sum += want
+					}
+					if got := s.CommCost(i, j, data); got != want {
+						t.Fatalf("CommCost(%d,%d,%v) = %v, want %v", i, j, data, got, want)
+					}
+					if i == j && (s.Startup(i, j) != 0 || s.InvRate(i, j) != 0) {
+						t.Fatalf("diagonal link %d not zero", i)
+					}
+				}
+			}
+			if got, want := s.MeanCommCost(data), sum/float64(p*(p-1)); got != want {
+				t.Fatalf("MeanCommCost(%v) = %v, want %v", data, got, want)
+			}
+		}
+	}
+	het := full(inv)
+	het[3][1] = 2 * inv
+	if _, _, ok := MustNew(Config{Speeds: speeds, Latency: lat, InvRateMatrix: het}).UniformLinks(); ok {
+		t.Fatal("UniformLinks reports per-pair links as uniform")
+	}
+	if _, err := New(Config{Speeds: speeds, Latency: math.MaxFloat64, TimePerUnit: math.MaxFloat64}); err == nil {
+		t.Fatal("uniform links whose unit cost overflows were accepted")
+	}
+}
+
 func TestGenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s, err := Generate(GenConfig{Procs: 8, SpeedHeterogeneity: 1.0, Latency: 1, TimePerUnit: 1}, rng)

@@ -115,16 +115,20 @@ func (in *Instance) cacheStats() {
 		in.meanW[i] = mean
 		in.sigmaW[i] = math.Sqrt(varSum / float64(p))
 	}
+	// One MeanCommData call per arc fills both tables. Sources are
+	// visited in id order and each task's predecessor arcs are sorted by
+	// source id, so arc i→t is always the next unfilled slot of t's
+	// predecessor row: a per-target cursor places it.
 	in.meanCommSucc = make([]float64, in.G.NumEdges())
 	in.meanCommPred = make([]float64, in.G.NumEdges())
+	next := make([]int32, n)
 	for i := 0; i < n; i++ {
 		base := in.G.SuccStart(dag.TaskID(i))
 		for j, a := range in.G.Succ(dag.TaskID(i)) {
-			in.meanCommSucc[base+j] = in.MeanCommData(a.Data)
-		}
-		base = in.G.PredStart(dag.TaskID(i))
-		for j, a := range in.G.Pred(dag.TaskID(i)) {
-			in.meanCommPred[base+j] = in.MeanCommData(a.Data)
+			c := in.MeanCommData(a.Data)
+			in.meanCommSucc[base+j] = c
+			in.meanCommPred[in.G.PredStart(a.To)+int(next[a.To])] = c
+			next[a.To]++
 		}
 	}
 }

@@ -210,6 +210,34 @@ func TestCommCosts(t *testing.T) {
 	}
 }
 
+// TestMeanCommTables checks both per-arc mean-comm tables against a
+// direct MeanCommData call on each arc's data, on uniform and per-pair
+// links.
+func TestMeanCommTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, in := range []*Instance{
+		randomInstance(t, rng, 40, 4),
+		Consistent(randomInstance(t, rng, 40, 4).G, platform.MustNew(platform.Config{
+			Speeds:        []float64{1, 2, 3},
+			InvRateMatrix: [][]float64{{0, 1, 2}, {3, 0, 4}, {5, 6, 0}},
+		})),
+	} {
+		for i := 0; i < in.N(); i++ {
+			v := dag.TaskID(i)
+			for j, a := range in.G.Succ(v) {
+				if got, want := in.MeanCommSucc(v, j), in.MeanCommData(a.Data); got != want {
+					t.Fatalf("MeanCommSucc(%d,%d) = %v, want %v", v, j, got, want)
+				}
+			}
+			for j, a := range in.G.Pred(v) {
+				if got, want := in.MeanCommPred(v, j), in.MeanCommData(a.Data); got != want {
+					t.Fatalf("MeanCommPred(%d,%d) = %v, want %v", v, j, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestCCR(t *testing.T) {
 	g := diamondGraph(t)
 	in := Consistent(g, platform.Homogeneous(2, 0, 1))

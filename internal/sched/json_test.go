@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -96,14 +97,56 @@ func TestReadInstanceJSONErrors(t *testing.T) {
 	}
 }
 
-// TestReadInstanceJSONCapped checks the processor cap counts declared
-// speeds: at the cap the instance reads, one above it is rejected.
-func TestReadInstanceJSONCapped(t *testing.T) {
+// TestInstanceJSONBuildCapped checks the processor cap counts declared
+// speeds: at the cap the instance builds, one above it is rejected.
+func TestInstanceJSONBuildCapped(t *testing.T) {
 	in := `{"graph":{"tasks":[{"id":0,"weight":1}],"edges":[]},"system":{"speeds":[1,1]},"costs":[[1,1]]}`
-	if _, err := ReadInstanceJSONCapped(strings.NewReader(in), 2); err != nil {
+	var ij InstanceJSON
+	if err := json.Unmarshal([]byte(in), &ij); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ij.Build(2); err != nil {
 		t.Fatalf("2 processors under a cap of 2: %v", err)
 	}
-	if _, err := ReadInstanceJSONCapped(strings.NewReader(in), 1); err == nil || !strings.Contains(err.Error(), "limit of 1") {
+	if _, err := ij.Build(1); err == nil || !strings.Contains(err.Error(), "limit of 1") {
 		t.Fatalf("2 processors under a cap of 1: got %v, want the limit error", err)
+	}
+}
+
+// TestInstanceJSONExactLinks round-trips link values that do not survive
+// a re-derivation from costs (1 + 0.3 - 1 != 0.3): reading back what
+// WriteJSON wrote must reproduce every link value and comm cost exactly,
+// on uniform and on per-pair links.
+func TestInstanceJSONExactLinks(t *testing.T) {
+	g := dag.NewBuilder("two")
+	x := g.AddTask("", 1)
+	y := g.AddTask("", 2)
+	g.AddEdge(x, y, 3)
+	graph := g.MustBuild()
+	for _, cfg := range []platform.Config{
+		{Speeds: []float64{1, 1, 1}, Latency: 1, TimePerUnit: 0.3},
+		{Speeds: []float64{1, 1, 1}, Latency: 0.7, TimePerUnit: 2.9},
+		{Speeds: []float64{1, 2}, StartupMatrix: [][]float64{{0, 1}, {0.7, 0}}, InvRateMatrix: [][]float64{{0, 0.3}, {2.9, 0}}},
+	} {
+		in := Consistent(graph, platform.MustNew(cfg))
+		var buf bytes.Buffer
+		if err := in.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadInstanceJSON(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < in.P(); p++ {
+			for q := 0; q < in.P(); q++ {
+				if back.Sys.Startup(p, q) != in.Sys.Startup(p, q) || back.Sys.InvRate(p, q) != in.Sys.InvRate(p, q) {
+					t.Fatalf("%+v: link %d->%d read back as %v/%v, wrote %v/%v", cfg, p, q,
+						back.Sys.Startup(p, q), back.Sys.InvRate(p, q), in.Sys.Startup(p, q), in.Sys.InvRate(p, q))
+				}
+				if got, want := back.Sys.CommCost(p, q, 3), in.Sys.CommCost(p, q, 3); got != want {
+					t.Fatalf("%+v: CommCost(%d,%d,3) = %v after the round trip, want %v", cfg, p, q, got, want)
+				}
+			}
+		}
 	}
 }

@@ -31,7 +31,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var breq BatchRequest
+	// Items stay raw until their own goroutine decodes them, so an item
+	// that is valid JSON but not a valid request answers its own 400.
+	var breq struct {
+		Items []json.RawMessage `json:"items"`
+	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)).Decode(&breq); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding batch: %v", err)
 		return
@@ -57,7 +61,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = s.runBatchItem(r, reqID, i, &breq.Items[i])
+			results[i] = s.runBatchItem(r, reqID, i, breq.Items[i])
 		}(i)
 	}
 	wg.Wait()
@@ -83,14 +87,14 @@ func wantsNDJSON(r *http.Request) bool {
 // per line, then a summary trailer. The 200 status commits before the
 // first item finishes, so per-item failures are in-band (Status/Error
 // on the item line), exactly as in the buffered response body.
-func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, reqID string, items []ScheduleRequest) {
+func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, reqID string, items []json.RawMessage) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 	results := make(chan BatchItemResult)
 	for i := range items {
 		go func(i int) {
-			results <- s.runBatchItem(r, reqID, i, &items[i])
+			results <- s.runBatchItem(r, reqID, i, items[i])
 		}(i)
 	}
 	enc := json.NewEncoder(w)
@@ -116,11 +120,11 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, reqID strin
 	_ = rc.Flush()
 }
 
-// runBatchItem serves one batch item through serveItem. Items run on
-// their own goroutines outside the instrument middleware, so panics
-// are contained here — one poisoned item answers a per-item 500 while
-// its siblings complete.
-func (s *Server) runBatchItem(r *http.Request, reqID string, i int, item *ScheduleRequest) (res BatchItemResult) {
+// runBatchItem decodes one batch item and serves it through serveItem.
+// Items run on their own goroutines outside the instrument middleware,
+// so panics are contained here — one poisoned item answers a per-item
+// 500 while its siblings complete.
+func (s *Server) runBatchItem(r *http.Request, reqID string, i int, item json.RawMessage) (res BatchItemResult) {
 	itemID := fmt.Sprintf("%s#%d", reqID, i)
 	defer func() {
 		if p := recover(); p != nil {
@@ -130,7 +134,11 @@ func (s *Server) runBatchItem(r *http.Request, reqID string, i int, item *Schedu
 				Error: fmt.Sprintf("internal error (request %s)", itemID)}
 		}
 	}()
-	res, _ = s.serveItem(r.Context(), itemID, item, true)
+	var req scheduleWire
+	if err := json.Unmarshal(item, &req); err != nil {
+		return BatchItemResult{Index: i, Status: http.StatusBadRequest, Error: fmt.Sprintf("decoding item: %v", err)}
+	}
+	res, _ = s.serveItem(r.Context(), itemID, &req, true)
 	res.Index = i
 	return res
 }

@@ -3,25 +3,31 @@ package service
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
+	"math"
 	"sync"
 
+	"dagsched/internal/dag"
 	"dagsched/internal/sched"
 )
 
-// cacheKey canonically identifies (instance, algorithm, options): the
-// instance is re-serialized through Instance.WriteJSON so two requests
-// that parse to the same problem hash identically regardless of the
-// JSON formatting they arrived in. The communication-model kind, the
-// shared-link bandwidth and the faults block are part of the identity —
-// the same problem under one-port, or under a different fault plan, is
-// a different scheduling query.
+// cacheKey canonically identifies (instance, algorithm, options) as the
+// 64-char hex sha256 that validCacheKey accepts. The instance part is
+// the parsed problem itself — the values Instance.WriteJSON writes —
+// not any serialization of it, so two requests that parse to the same
+// problem share a key regardless of the JSON formatting they arrived
+// in, and a bare graph request shares one with its expanded instance.
+// The communication-model kind, the shared-link bandwidth and the
+// faults block are part of the identity — the same problem under
+// one-port, or under a different fault plan, is a different scheduling
+// query.
 func cacheKey(in *sched.Instance, algorithm string, analyze bool, linkBandwidth float64, faults *FaultsRequest) (string, error) {
 	h := sha256.New()
-	if err := in.WriteJSON(h); err != nil {
-		return "", fmt.Errorf("service: hashing instance: %w", err)
-	}
+	hashInstance(h, in)
 	fmt.Fprintf(h, "|alg=%s|analyze=%v|comm=%s|bw=%g", algorithm, analyze, in.CommKind(), linkBandwidth)
 	if faults != nil {
 		fw, err := json.Marshal(faults)
@@ -30,7 +36,92 @@ func cacheKey(in *sched.Instance, algorithm string, analyze bool, linkBandwidth 
 		}
 		fmt.Fprintf(h, "|faults=%s", fw)
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// hashInstance feeds h the instance's values in WriteJSON's order:
+// graph name, tasks (name, weight), arcs (from, to, data), speeds,
+// links, then the cost rows. Floats go in as their float64 bits;
+// strings and every list are prefixed with their length, so the stream
+// parses back unambiguously and no two problems share one. Uniform
+// links hash as a tag plus the two scalars, per-pair links as every
+// off-diagonal pair, so a large uniform platform costs O(P) here.
+func hashInstance(h hash.Hash, in *sched.Instance) {
+	k := keyHasher{h: h, buf: make([]byte, 0, keyHashBuf)}
+	g := in.G
+	k.str(g.Name())
+	k.u64(uint64(g.Len()))
+	for i := 0; i < g.Len(); i++ {
+		t := g.Task(dag.TaskID(i))
+		k.str(t.Name)
+		k.f64(t.Weight)
+	}
+	k.u64(uint64(g.NumEdges()))
+	for i := 0; i < g.Len(); i++ {
+		for _, a := range g.Succ(dag.TaskID(i)) {
+			k.u64(uint64(i))
+			k.u64(uint64(a.To))
+			k.f64(a.Data)
+		}
+	}
+	p := in.P()
+	k.u64(uint64(p))
+	for q := 0; q < p; q++ {
+		k.f64(in.Sys.Speed(q))
+	}
+	if lat, inv, ok := in.Sys.UniformLinks(); ok {
+		k.u64(0)
+		k.f64(lat)
+		k.f64(inv)
+	} else {
+		k.u64(1)
+		for i := 0; i < p; i++ {
+			for j := 0; j < p; j++ {
+				if i != j {
+					k.f64(in.Sys.Startup(i, j))
+					k.f64(in.Sys.InvRate(i, j))
+				}
+			}
+		}
+	}
+	for _, row := range in.W {
+		for _, c := range row {
+			k.f64(c)
+		}
+	}
+	k.flush()
+}
+
+// keyHashBuf is the staging size of a keyHasher: values are hashed a
+// buffer at a time, not one 8-byte write each.
+const keyHashBuf = 1 << 10
+
+// keyHasher stages fixed-width values for a hash.
+type keyHasher struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func (k *keyHasher) u64(v uint64) {
+	k.buf = binary.LittleEndian.AppendUint64(k.buf, v)
+	if len(k.buf) >= keyHashBuf {
+		k.flush()
+	}
+}
+
+func (k *keyHasher) f64(v float64) { k.u64(math.Float64bits(v)) }
+
+func (k *keyHasher) str(s string) {
+	k.u64(uint64(len(s)))
+	k.buf = append(k.buf, s...)
+	if len(k.buf) >= keyHashBuf {
+		k.flush()
+	}
+}
+
+func (k *keyHasher) flush() {
+	k.h.Write(k.buf) // hash.Hash.Write never returns an error
+	k.buf = k.buf[:0]
 }
 
 // lruCache is a mutex-guarded LRU of schedule responses with hit/miss

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dagsched/internal/platform"
+	"dagsched/internal/sched"
 )
 
 // FuzzScheduleRequest asserts the /v1/schedule request decoder never
@@ -14,7 +15,9 @@ import (
 // a resolvable algorithm, 1 to maxProcessors processors, a task, a
 // registered communication-model kind, no NaN or negative communication
 // cost (the decoder must reject poisoned payloads rather than hand them
-// to the schedulers), and a hashable cache identity.
+// to the schedulers), and a hashable cache identity that survives the
+// problem's re-encoding: written with Instance.WriteJSON and resolved
+// as an instance request, it keys the same.
 func FuzzScheduleRequest(f *testing.F) {
 	graph := `{"tasks":[{"id":0,"weight":1},{"id":1,"weight":2}],"edges":[{"from":0,"to":1,"data":3}]}`
 	// Seed corpus: valid requests under every model, plus near-misses on
@@ -40,7 +43,7 @@ func FuzzScheduleRequest(f *testing.F) {
 	f.Add([]byte(`[]`))
 	s := New(Options{CacheSize: -1})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req ScheduleRequest
+		var req scheduleWire
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 			return // rejecting garbage is fine; panicking is not
 		}
@@ -77,8 +80,24 @@ func FuzzScheduleRequest(f *testing.F) {
 				t.Fatalf("accepted out-of-range faults block %+v", f)
 			}
 		}
-		if _, err := cacheKey(in, a.Name(), req.Analyze, req.LinkBandwidth, req.Faults); err != nil {
+		key, err := cacheKey(in, a.Name(), req.Analyze, req.LinkBandwidth, req.Faults)
+		if err != nil {
 			t.Fatalf("cacheKey: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := in.WriteJSON(&buf); err != nil {
+			t.Fatalf("WriteJSON of an accepted problem: %v", err)
+		}
+		expanded := scheduleWire{ScheduleRequest: req.ScheduleRequest, Instance: new(sched.InstanceJSON)}
+		if err := json.Unmarshal(buf.Bytes(), expanded.Instance); err != nil {
+			t.Fatalf("decoding the written instance: %v", err)
+		}
+		_, back, err := s.resolveRequest(&expanded)
+		if err != nil {
+			t.Fatalf("the written instance is rejected: %v", err)
+		}
+		if k, err := cacheKey(back, a.Name(), req.Analyze, req.LinkBandwidth, req.Faults); err != nil || k != key {
+			t.Fatalf("re-encoded problem keys %s (err %v), want %s", k, err, key)
 		}
 	})
 }

@@ -14,7 +14,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -552,9 +551,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -599,9 +596,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // not allocate before validation.
 const maxProcessors = 512
 
+// scheduleWire is the server's decode target for one scheduling query,
+// a single request or a batch item: ScheduleRequest with the problem in
+// its typed wire form. The outer fields shadow the embedded raw ones, so
+// the decode of the body fills the whole problem; its bytes are not
+// copied out and decoded a second time.
+type scheduleWire struct {
+	ScheduleRequest
+	Instance *sched.InstanceJSON `json:"instance,omitempty"`
+	Graph    *dag.GraphJSON      `json:"graph,omitempty"`
+}
+
 // resolveRequest validates one decoded request — shared by the single
 // and batch endpoints.
-func (s *Server) resolveRequest(req *ScheduleRequest) (algo.Algorithm, *sched.Instance, error) {
+func (s *Server) resolveRequest(req *scheduleWire) (algo.Algorithm, *sched.Instance, error) {
 	if req.Algorithm == "" {
 		return nil, nil, fmt.Errorf("missing algorithm name")
 	}
@@ -614,20 +622,20 @@ func (s *Server) resolveRequest(req *ScheduleRequest) (algo.Algorithm, *sched.In
 	}
 	var in *sched.Instance
 	switch {
-	case len(req.Instance) > 0 && len(req.Graph) > 0:
+	case req.Instance != nil && req.Graph != nil:
 		return nil, nil, fmt.Errorf("request carries both instance and graph; send one")
-	case len(req.Instance) > 0:
-		in, err = sched.ReadInstanceJSONCapped(bytes.NewReader(req.Instance), maxProcessors)
+	case req.Instance != nil:
+		in, err = req.Instance.Build(maxProcessors)
 		if err != nil {
 			return nil, nil, err
 		}
-	case len(req.Graph) > 0:
-		g, err := dag.ReadJSON(bytes.NewReader(req.Graph))
-		if err != nil {
-			return nil, nil, err
-		}
+	case req.Graph != nil:
 		if req.Processors > maxProcessors {
 			return nil, nil, fmt.Errorf("processors %d exceeds the limit of %d", req.Processors, maxProcessors)
+		}
+		g, err := req.Graph.Build()
+		if err != nil {
+			return nil, nil, err
 		}
 		procs := req.Processors
 		if procs <= 0 {
@@ -654,7 +662,7 @@ func (s *Server) resolveRequest(req *ScheduleRequest) (algo.Algorithm, *sched.In
 	default:
 		return nil, nil, fmt.Errorf("request carries neither instance nor graph")
 	}
-	in, err = bindCommModel(in, req)
+	in, err = bindCommModel(in, &req.ScheduleRequest)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -915,7 +923,7 @@ func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem,
 // single request answers. block selects the enqueue (see
 // scheduleLocal). key is "" when the query was rejected before it had
 // a cache key.
-func (s *Server) serveItem(ctx context.Context, reqID string, req *ScheduleRequest, block bool) (res BatchItemResult, key string) {
+func (s *Server) serveItem(ctx context.Context, reqID string, req *scheduleWire, block bool) (res BatchItemResult, key string) {
 	a, in, err := s.resolveRequest(req)
 	if err != nil {
 		res.Status, res.Error = http.StatusBadRequest, err.Error()
@@ -950,7 +958,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req ScheduleRequest
+	var req scheduleWire
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return

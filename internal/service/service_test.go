@@ -318,11 +318,26 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 			})
 		}(i)
 	}
-	// Wait until the pool is saturated (2 running, 2 queued).
+	// Wait until the pool is saturated (2 running, 2 queued): Shutdown
+	// closes the listener, so a request that has not reached the queue
+	// by then would meet a refused connection instead of a drain.
 	deadline := time.Now().Add(2 * time.Second)
 	for slow.starts.Load() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("workers never picked up jobs")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for {
+		m, err := c.Metrics(context.Background())
+		if err != nil {
+			t.Fatalf("Metrics: %v", err)
+		}
+		if m.Queue.Depth == inflight-2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d queued requests", m.Queue.Depth, inflight-2)
 		}
 		time.Sleep(time.Millisecond)
 	}
