@@ -41,8 +41,9 @@ race:
 # layer: heartbeat failure detection, cache replication with hinted
 # handoff, the kill/restart/rejoin e2e and join/leave churn racing
 # in-flight batches), the speculative-transaction layer (including
-# cloned comm-state trials under contended models), the ILS trial
-# machinery, the contention-aware wrappers, the differential suite
+# cloned comm-state trials under contended models), the speculative
+# trials of listsched.Param that ILS, DSH and BTDH run, the
+# contention-aware wrappers, the differential suite
 # with the per-processor trial workers forced on (and the parallel
 # level-set rank kernels plus selection heap forced through every
 # algorithm), the fault replay/repair path (exercised concurrently
@@ -53,7 +54,7 @@ race:
 # already covers them once; this tier re-runs them with fresh state so
 # interleavings differ between passes.
 race-concurrent:
-	$(GO) test -race -count=1 ./internal/experiment/... ./internal/service/... ./internal/stream ./internal/sched ./internal/sched/timeline ./internal/dag ./internal/algo/suite ./internal/core ./internal/sim ./internal/algo/resched ./internal/adversary
+	$(GO) test -race -count=1 ./internal/experiment/... ./internal/service/... ./internal/stream ./internal/sched ./internal/sched/timeline ./internal/dag ./internal/algo/suite ./internal/algo/listsched ./internal/core ./internal/sim ./internal/algo/resched ./internal/adversary
 
 # Chaos tier: the kill/restart/rejoin e2e repeated under the race
 # detector with fresh process state each run, so detector timings,

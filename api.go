@@ -150,8 +150,9 @@ type (
 	// Algorithm maps an instance to a schedule.
 	Algorithm = algo.Algorithm
 	// CtxScheduler is implemented by algorithms whose hot loop carries
-	// cancellation checkpoints (ILS, the listsched.Param grid points
-	// including HEFT, CPOP, HLFET and ETF, and the search schedulers).
+	// cancellation checkpoints: the listsched.Param grid points, which
+	// include HEFT, CPOP, HLFET, ETF, DSH, BTDH and every ILS
+	// configuration, and the search schedulers.
 	CtxScheduler = algo.CtxScheduler
 	// ILSOptions selects the mechanisms of the ILS scheduler.
 	ILSOptions = core.Options

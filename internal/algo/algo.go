@@ -1,7 +1,8 @@
 // Package algo defines the Algorithm interface implemented by every
 // scheduler in this repository and the machinery they share: precedence-
 // safe priority ordering, ready-list iteration and the critical-parent
-// duplication trial used by duplication-based heuristics.
+// duplication trials (DSH's greedy, BTDH's chain) used by duplication-
+// based heuristics.
 package algo
 
 import (

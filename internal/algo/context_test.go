@@ -34,6 +34,8 @@ func TestScheduleContextPreCanceled(t *testing.T) {
 	// Both a CtxScheduler and a plain Algorithm refuse a dead context.
 	for _, a := range []algo.Algorithm{
 		listsched.HEFT{},
+		listsched.DSH{},
+		listsched.BTDH{},
 		listsched.DLS{}, // no ScheduleContext: checked by the dispatcher
 	} {
 		if _, err := algo.ScheduleContext(ctx, a, in); !errors.Is(err, context.Canceled) {
@@ -124,11 +126,13 @@ func TestCheckpointStride(t *testing.T) {
 	}
 }
 
-var _ algo.CtxScheduler = core.ILS{}
+var _ algo.CtxScheduler = core.New()
 var _ algo.CtxScheduler = listsched.HEFT{}
 var _ algo.CtxScheduler = listsched.CPOP{}
 var _ algo.CtxScheduler = listsched.HLFET{}
 var _ algo.CtxScheduler = listsched.ETF{}
+var _ algo.CtxScheduler = listsched.DSH{}
+var _ algo.CtxScheduler = listsched.BTDH{}
 var _ algo.CtxScheduler = search.HillClimb{}
 var _ algo.CtxScheduler = search.Anneal{}
 var _ algo.CtxScheduler = search.Genetic{}

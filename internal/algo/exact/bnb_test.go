@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dagsched/internal/algo"
-	"dagsched/internal/algo/dup"
 	"dagsched/internal/algo/listsched"
 	"dagsched/internal/core"
 	"dagsched/internal/dag"
@@ -119,7 +118,7 @@ func TestHeuristicsNeverBeatOptimal(t *testing.T) {
 	algs := []algo.Algorithm{
 		listsched.HEFT{}, listsched.CPOP{}, listsched.DLS{}, listsched.MCP{},
 		listsched.ETF{}, listsched.HLFET{}, listsched.ISH{},
-		dup.DSH{}, dup.BTDH{},
+		listsched.DSH{}, listsched.BTDH{},
 		core.New(), core.NoDuplication(), core.NoLookahead(), core.RankOnly(),
 	}
 	testfix.Battery(testfix.BatteryConfig{Trials: 25, MaxTasks: 8, MaxProcs: 3, Seed: 505}, func(trial int, in *sched.Instance) {

@@ -239,4 +239,41 @@ func TryDuplication(tx *sched.Txn, t dag.TaskID, p int, maxDups int) DupResult {
 	return DupResult{Start: start, Finish: start + dur, Dups: dups}
 }
 
+// TryDuplicationChain evaluates placing task t on processor p with the
+// BTDH strategy: it keeps duplicating remote critical parents even when
+// one duplicate alone does not improve the start time, remembers the
+// journal position of the best start seen, and rewinds tx to it. This
+// recovers cases where only a combination of duplicated parents pays
+// off. Like TryDuplication it is limited to direct parents and bounded
+// by maxDups. Termination: every accepted duplicate makes one more
+// parent local on p, and local parents are never candidates again.
+func TryDuplicationChain(tx *sched.Txn, t dag.TaskID, p int, maxDups int) DupResult {
+	in := tx.Instance()
+	dur := in.Cost(t, p)
+	start := tx.FindSlot(p, tx.DataReady(t, p), dur, true)
+	best := DupResult{Start: start, Finish: start + dur}
+	bestMark := tx.Mark()
+	dups := 0
+	for dups < maxDups {
+		parent, arrival := CriticalParent(tx, t, p)
+		// Unlike TryDuplication, duplicate even when the parent is not
+		// strictly binding: the chain may pay off later. Stop only when
+		// data already arrives at time zero.
+		if parent == -1 || arrival <= 0 {
+			break
+		}
+		pready := tx.DataReady(parent, p)
+		pslot := tx.FindSlot(p, pready, in.Cost(parent, p), true)
+		tx.PlaceDup(parent, p, pslot)
+		dups++
+		start = tx.FindSlot(p, tx.DataReady(t, p), dur, true)
+		if start < best.Start {
+			best = DupResult{Start: start, Finish: start + dur, Dups: dups}
+			bestMark = tx.Mark()
+		}
+	}
+	tx.Undo(bestMark)
+	return best
+}
+
 const slackEps = 1e-9

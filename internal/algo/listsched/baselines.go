@@ -1,10 +1,11 @@
 // Package listsched implements the classic list-scheduling baselines of
 // the static-scheduling literature: HEFT, CPOP and DLS for heterogeneous
-// systems, and MCP, ETF, HLFET and ISH, which originate in the homogeneous
+// systems, MCP, ETF, HLFET and ISH, which originate in the homogeneous
 // literature but are implemented here against the general heterogeneous
 // cost model (on a homogeneous system they reduce to their original
-// definitions). HEFT, CPOP, HLFET and ETF are grid points of Param, the
-// one list-scheduling placement loop.
+// definitions), and the duplication-based DSH and BTDH. HEFT, CPOP,
+// HLFET, ETF, DSH and BTDH are grid points of Param, the one
+// list-scheduling placement loop.
 package listsched
 
 import (
@@ -19,10 +20,13 @@ var baselines = map[string]Param{
 	"CPOP":  CPOPParam(),
 	"HLFET": HLFETParam(),
 	"ETF":   ETFParam(),
+	"DSH":   {Priority: PrioStaticLevel, Order: OrderReady, Select: SelectEFT, Insertion: true, Duplication: DupGreedy},
+	"BTDH":  {Priority: PrioStaticLevel, Order: OrderReady, Select: SelectEFT, Insertion: true, Duplication: DupChain},
 }
 
 // Baseline returns the grid point of the named canonical baseline —
-// HEFT, CPOP, HLFET or ETF — carrying the name, so its schedules do too.
+// HEFT, CPOP, HLFET, ETF, DSH or BTDH — carrying the name, so its
+// schedules do too.
 func Baseline(name string) (Param, bool) {
 	pm, ok := baselines[name]
 	if ok {
@@ -112,4 +116,46 @@ func (ETF) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 // ScheduleContext implements algo.CtxScheduler.
 func (ETF) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
 	return baseline("ETF").ScheduleContext(ctx, in)
+}
+
+// DSH is the Duplication Scheduling Heuristic of Kruatrachue and Lewis
+// (1988): ready tasks in decreasing static level; on every candidate
+// processor the start time is improved by greedily duplicating the
+// critical parent into the idle slot in front of the task, keeping a
+// duplicate only when the start time strictly improves; the processor
+// with the smallest resulting finish time wins.
+type DSH struct{}
+
+// Name implements algo.Algorithm.
+func (DSH) Name() string { return "DSH" }
+
+// Schedule implements algo.Algorithm.
+func (DSH) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+	return baseline("DSH").Schedule(in)
+}
+
+// ScheduleContext implements algo.CtxScheduler.
+func (DSH) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
+	return baseline("DSH").ScheduleContext(ctx, in)
+}
+
+// BTDH is bottom-up top-down duplication, the earlier heuristic of the
+// paper's own authors. It extends DSH: it keeps duplicating remote
+// parents even when one duplicate alone does not improve the start time,
+// and keeps the best configuration seen. This recovers cases where only
+// a combination of duplicated parents pays off. Duplication is limited
+// to direct parents, matching DSH's search space.
+type BTDH struct{}
+
+// Name implements algo.Algorithm.
+func (BTDH) Name() string { return "BTDH" }
+
+// Schedule implements algo.Algorithm.
+func (BTDH) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+	return baseline("BTDH").Schedule(in)
+}
+
+// ScheduleContext implements algo.CtxScheduler.
+func (BTDH) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
+	return baseline("BTDH").ScheduleContext(ctx, in)
 }

@@ -1,23 +1,22 @@
-package dup
+package listsched
 
 import (
 	"testing"
 
 	"dagsched/internal/algo"
-	"dagsched/internal/algo/listsched"
 	"dagsched/internal/dag"
 	"dagsched/internal/platform"
 	"dagsched/internal/sched"
 	"dagsched/internal/testfix"
 )
 
-func TestNames(t *testing.T) {
+func TestDupNames(t *testing.T) {
 	if (DSH{}).Name() != "DSH" || (BTDH{}).Name() != "BTDH" {
 		t.Fatal("bad names")
 	}
 }
 
-func TestValidOnBattery(t *testing.T) {
+func TestDupValidOnBattery(t *testing.T) {
 	algs := []algo.Algorithm{DSH{}, BTDH{}}
 	testfix.Battery(testfix.BatteryConfig{Trials: 30, Seed: 202}, func(trial int, in *sched.Instance) {
 		for _, a := range algs {
@@ -35,7 +34,7 @@ func TestValidOnBattery(t *testing.T) {
 	})
 }
 
-func TestValidOnAppGraphs(t *testing.T) {
+func TestDupValidOnAppGraphs(t *testing.T) {
 	for _, in := range testfix.AppGraphs(4, 66) {
 		for _, a := range []algo.Algorithm{DSH{}, BTDH{}} {
 			s, err := a.Schedule(in)
@@ -64,7 +63,7 @@ func fanOutInstance(t *testing.T) *sched.Instance {
 
 func TestDuplicationBeatsHEFTOnFanOut(t *testing.T) {
 	in := fanOutInstance(t)
-	heft, _ := listsched.HEFT{}.Schedule(in)
+	heft, _ := HEFT{}.Schedule(in)
 	dsh, err := DSH{}.Schedule(in)
 	if err != nil {
 		t.Fatal(err)

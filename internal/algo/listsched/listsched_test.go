@@ -12,11 +12,11 @@ import (
 )
 
 func all() []algo.Algorithm {
-	return []algo.Algorithm{HEFT{}, CPOP{}, DLS{}, MCP{}, ETF{}, HLFET{}, ISH{}, PETS{}, HCPT{}, LMT{}}
+	return []algo.Algorithm{HEFT{}, CPOP{}, DLS{}, MCP{}, ETF{}, HLFET{}, ISH{}, PETS{}, HCPT{}, LMT{}, DSH{}, BTDH{}}
 }
 
 func TestNames(t *testing.T) {
-	want := []string{"HEFT", "CPOP", "DLS", "MCP", "ETF", "HLFET", "ISH", "PETS", "HCPT", "LMT"}
+	want := []string{"HEFT", "CPOP", "DLS", "MCP", "ETF", "HLFET", "ISH", "PETS", "HCPT", "LMT", "DSH", "BTDH"}
 	for i, a := range all() {
 		if a.Name() != want[i] {
 			t.Fatalf("Name = %q, want %q", a.Name(), want[i])

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
+	"strconv"
 	"strings"
 
 	"dagsched/internal/algo"
@@ -19,9 +21,11 @@ import (
 // grid. It is the only list-scheduling placement loop: HEFT, CPOP, HLFET
 // and ETF are its grid points HEFTParam, CPOPParam, HLFETParam and
 // ETFParam (param_test.go pins them to the committed goldens and to the
-// dedicated loops kept in testfix), and the streaming engine re-plans
-// through Replan and PlaceOrder. The adversarial harness and the E23
-// ablation attack components rather than whole algorithms.
+// dedicated loops kept in testfix); DSH and BTDH are the baselines of
+// the same names, and ILS with its ablations are the σ-rank, lookahead
+// and duplication points package core names. The streaming engine
+// re-plans through Replan and PlaceOrder. The adversarial harness and
+// the E23 ablation attack components rather than whole algorithms.
 
 // Priority selects the task-priority metric.
 type Priority int
@@ -33,6 +37,10 @@ const (
 	PrioStaticLevel
 	// PrioUpDown is rank_u + rank_d, the CPOP priority.
 	PrioUpDown
+	// PrioSigma is the σ-augmented upward rank of ILS
+	// (sched.RankUpwardSigma): tasks whose cost varies strongly across
+	// processors come first. On a homogeneous system it is rank_u.
+	PrioSigma
 )
 
 // Order selects how tasks are consumed.
@@ -66,6 +74,29 @@ const (
 	// minimizing the critical path's total execution cost and uses
 	// min-EFT elsewhere (CPOP).
 	SelectCPPin
+	// SelectLookahead places on the processor minimizing the estimated
+	// earliest finish of the task's critical child, its highest-priority
+	// successor, after a tentative placement of the task (ILS). Scores
+	// within 1e-12 tie and break toward the lower own finish time, then
+	// the lower processor id. A task without successors is scored by its
+	// own finish, which makes the rule min-EFT.
+	SelectLookahead
+)
+
+// Duplication selects the critical-parent duplication policy. A
+// duplicating trial always uses insertion, whatever Param.Insertion says.
+type Duplication int
+
+const (
+	// DupNone never duplicates.
+	DupNone Duplication = iota
+	// DupGreedy copies the critical parent into an idle slot of the
+	// candidate processor while that strictly lowers the task's start
+	// (algo.TryDuplication; DSH, ILS).
+	DupGreedy
+	// DupChain keeps copying remote critical parents and keeps the best
+	// configuration seen (algo.TryDuplicationChain; BTDH).
+	DupChain
 )
 
 // Param is one point of the component grid, itself an algo.Algorithm.
@@ -76,11 +107,12 @@ type Param struct {
 	Order     Order
 	Select    Select
 	Insertion bool
-	// Duplication adds greedy critical-parent duplication to processor
+	// Duplication adds critical-parent duplication to processor
 	// selection: every candidate processor is evaluated in a speculative
-	// transaction with algo.TryDuplication and the winner's duplicates
-	// are committed. None of the four baselines uses it.
-	Duplication bool
+	// transaction and the winner's duplicates are committed.
+	Duplication Duplication
+	// MaxDups bounds the duplicates accepted per placement; 0 means 64.
+	MaxDups int
 	// DisplayName overrides the canonical Name() (e.g. "HEFT*" for the
 	// equivalence tests).
 	DisplayName string
@@ -106,22 +138,22 @@ func ETFParam() Param {
 	return Param{Priority: PrioStaticLevel, Order: OrderPair, Select: SelectEST}
 }
 
-var prioNames = map[Priority]string{PrioUpward: "u", PrioStaticLevel: "sl", PrioUpDown: "ud"}
+var prioNames = map[Priority]string{PrioUpward: "u", PrioStaticLevel: "sl", PrioUpDown: "ud", PrioSigma: "sigma"}
 var orderNames = map[Order]string{OrderStatic: "static", OrderReady: "ready", OrderPair: "pair"}
-var selNames = map[Select]string{SelectEFT: "eft", SelectEST: "est", SelectCPPin: "cppin"}
+var selNames = map[Select]string{SelectEFT: "eft", SelectEST: "est", SelectCPPin: "cppin", SelectLookahead: "look"}
+var insNames = map[bool]string{true: "ins", false: "noins"}
+var dupNames = map[Duplication]string{DupNone: "nodup", DupGreedy: "dup", DupChain: "chain"}
 
 // String returns the canonical grid-point name, e.g.
-// "LS/u/static/eft/ins/nodup".
+// "LS/u/static/eft/ins/nodup". A duplicating point with a budget other
+// than the default carries it in its last token, e.g. "dup8".
 func (pm Param) String() string {
-	ins, dup := "noins", "nodup"
-	if pm.Insertion {
-		ins = "ins"
-	}
-	if pm.Duplication {
-		dup = "dup"
+	dup := dupNames[pm.Duplication]
+	if pm.Duplication != DupNone && pm.MaxDups != 0 {
+		dup += strconv.Itoa(pm.MaxDups)
 	}
 	return fmt.Sprintf("LS/%s/%s/%s/%s/%s",
-		prioNames[pm.Priority], orderNames[pm.Order], selNames[pm.Select], ins, dup)
+		prioNames[pm.Priority], orderNames[pm.Order], selNames[pm.Select], insNames[pm.Insertion], dup)
 }
 
 // Name implements algo.Algorithm.
@@ -133,86 +165,85 @@ func (pm Param) Name() string {
 }
 
 // ParseParam parses a canonical grid-point name produced by String:
-// "LS/<u|sl|ud>/<static|ready|pair>/<eft|est|cppin>/<ins|noins>/<dup|nodup>".
+// "LS/<u|sl|ud|sigma>/<static|ready|pair>/<eft|est|cppin|look>/<ins|noins>/<nodup|dup[N]|chain[N]>",
+// where N, a positive budget, overrides the default MaxDups.
 func ParseParam(name string) (Param, error) {
 	parts := strings.Split(name, "/")
 	if len(parts) != 6 || parts[0] != "LS" {
 		return Param{}, fmt.Errorf("listsched: bad param name %q (want LS/prio/order/select/ins/dup)", name)
 	}
 	var pm Param
-	ok := false
-	for k, v := range prioNames {
-		if v == parts[1] {
-			pm.Priority, ok = k, true
+	var err error
+	if pm.Priority, err = token(prioNames, parts[1], "priority"); err != nil {
+		return Param{}, err
+	}
+	if pm.Order, err = token(orderNames, parts[2], "order"); err != nil {
+		return Param{}, err
+	}
+	if pm.Select, err = token(selNames, parts[3], "selection"); err != nil {
+		return Param{}, err
+	}
+	if pm.Insertion, err = token(insNames, parts[4], "insertion flag"); err != nil {
+		return Param{}, err
+	}
+	policy := strings.TrimRight(parts[5], "0123456789")
+	if pm.Duplication, err = token(dupNames, policy, "duplication policy"); err != nil {
+		return Param{}, err
+	}
+	if budget := parts[5][len(policy):]; budget != "" {
+		n, err := strconv.Atoi(budget)
+		if pm.Duplication == DupNone || err != nil || n <= 0 || strconv.Itoa(n) != budget {
+			return Param{}, fmt.Errorf("listsched: bad duplication budget in %q (want a positive count after dup or chain)", parts[5])
 		}
-	}
-	if !ok {
-		return Param{}, fmt.Errorf("listsched: unknown priority %q (u|sl|ud)", parts[1])
-	}
-	ok = false
-	for k, v := range orderNames {
-		if v == parts[2] {
-			pm.Order, ok = k, true
-		}
-	}
-	if !ok {
-		return Param{}, fmt.Errorf("listsched: unknown order %q (static|ready|pair)", parts[2])
-	}
-	ok = false
-	for k, v := range selNames {
-		if v == parts[3] {
-			pm.Select, ok = k, true
-		}
-	}
-	if !ok {
-		return Param{}, fmt.Errorf("listsched: unknown selection %q (eft|est|cppin)", parts[3])
-	}
-	switch parts[4] {
-	case "ins":
-		pm.Insertion = true
-	case "noins":
-	default:
-		return Param{}, fmt.Errorf("listsched: unknown insertion flag %q (ins|noins)", parts[4])
-	}
-	switch parts[5] {
-	case "dup":
-		pm.Duplication = true
-	case "nodup":
-	default:
-		return Param{}, fmt.Errorf("listsched: unknown duplication flag %q (dup|nodup)", parts[5])
+		pm.MaxDups = n
 	}
 	return pm, nil
 }
 
+// token returns the key names maps to tok.
+func token[K comparable](names map[K]string, tok, what string) (K, error) {
+	for k, v := range names {
+		if v == tok {
+			return k, nil
+		}
+	}
+	want := make([]string, 0, len(names))
+	for _, v := range names {
+		want = append(want, v)
+	}
+	sort.Strings(want)
+	var zero K
+	return zero, fmt.Errorf("listsched: unknown %s %q (want %s)", what, tok, strings.Join(want, "|"))
+}
+
 // Grid returns the component grid swept by the E23 ablation: the full
-// factorial over priority × {static, ready} order × {EFT, EST} selection
-// × insertion × duplication, plus the coupled selection rules at their
-// meaningful settings — pair order per priority and critical-path
-// pinning at the CPOP priority. Every returned Param is a valid
-// scheduler; the four canonical baselines are among them.
+// factorial over the baselines' priorities × {static, ready} order ×
+// {EFT, EST} selection × insertion × greedy duplication, plus the
+// coupled selection rules at their meaningful settings — pair order per
+// priority and critical-path pinning at the CPOP priority. Duplication
+// trials always insert, so a duplicating point without insertion would
+// be its insertion twin under another name and is left out. Every
+// returned Param is a valid scheduler; HEFT, CPOP, HLFET, ETF and DSH
+// are among them.
 func Grid() []Param {
 	var out []Param
 	for _, pr := range []Priority{PrioUpward, PrioStaticLevel, PrioUpDown} {
 		for _, ord := range []Order{OrderStatic, OrderReady} {
 			for _, sel := range []Select{SelectEFT, SelectEST} {
-				for _, ins := range []bool{true, false} {
-					for _, dup := range []bool{false, true} {
-						out = append(out, Param{Priority: pr, Order: ord, Select: sel, Insertion: ins, Duplication: dup})
-					}
-				}
+				out = append(out,
+					Param{Priority: pr, Order: ord, Select: sel, Insertion: true},
+					Param{Priority: pr, Order: ord, Select: sel, Insertion: true, Duplication: DupGreedy},
+					Param{Priority: pr, Order: ord, Select: sel})
 			}
 		}
 		out = append(out, Param{Priority: pr, Order: OrderPair, Select: SelectEST})
 	}
 	out = append(out,
 		CPOPParam(),
-		Param{Priority: PrioUpDown, Order: OrderReady, Select: SelectCPPin, Insertion: true, Duplication: true},
+		Param{Priority: PrioUpDown, Order: OrderReady, Select: SelectCPPin, Insertion: true, Duplication: DupGreedy},
 	)
 	return out
 }
-
-// maxParamDups bounds duplicates per placement, matching package dup.
-const maxParamDups = 64
 
 // Schedule implements algo.Algorithm.
 func (pm Param) Schedule(in *sched.Instance) (*sched.Schedule, error) {
@@ -221,8 +252,9 @@ func (pm Param) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 
 // ScheduleContext implements algo.CtxScheduler: Replan with no frozen
 // prefix at clock zero. Each grid point follows exactly the code path of
-// the baseline it generalizes, so grid points coinciding with
-// HEFT/CPOP/HLFET/ETF are bit-identical to them.
+// the algorithm it generalizes, so the points of HEFT, CPOP, HLFET, ETF,
+// DSH, BTDH and the ILS configurations are bit-identical to the
+// reference loops in testfix.
 func (pm Param) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
 	pl, err := pm.Replan(ctx, in, pm.priorities(in), nil, 0)
 	if err != nil {
@@ -237,11 +269,11 @@ func (pm Param) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched
 // are seeded first and never move; they must be ancestor-closed. A zero
 // clock leaves every start where the static scheduler puts it, so with
 // no prefix Replan is the static scheduler itself (DESIGN.md invariant
-// 13). Duplicating grid points re-plan only at clock zero: their trials
+// 13). Speculative grid points re-plan only at clock zero: their trials
 // take no floor.
 func (pm Param) Replan(ctx context.Context, in *sched.Instance, prio []float64, frozen []sched.Assignment, clock float64) (*sched.Plan, error) {
 	pl := sched.SeedPlan(in, frozen)
-	cp, ds, err := pm.selection(pl, clock)
+	cp, ds, err := pm.selection(pl, prio, clock)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +352,7 @@ func (pm Param) Replan(ctx context.Context, in *sched.Instance, prio []float64, 
 // every predecessor of a task is placed already or earlier in it. The
 // streaming engine passes the affected suffix of an incremental re-plan.
 func (pm Param) PlaceOrder(pl *sched.Plan, order []dag.TaskID, clock float64) error {
-	cp, ds, err := pm.selection(pl, clock)
+	cp, ds, err := pm.selection(pl, nil, clock)
 	if err != nil {
 		return err
 	}
@@ -354,6 +386,8 @@ func (pm Param) priorities(in *sched.Instance) []float64 {
 	switch pm.Priority {
 	case PrioStaticLevel:
 		return sched.StaticLevel(in)
+	case PrioSigma:
+		return sched.RankUpwardSigma(in)
 	case PrioUpDown:
 		up := sched.RankUpward(in)
 		down := sched.RankDownward(in)
@@ -367,26 +401,35 @@ func (pm Param) priorities(in *sched.Instance) []float64 {
 	}
 }
 
+// Speculative reports whether processor selection runs a speculative
+// trial per processor: the grid point duplicates or looks ahead. Such
+// trials take no clock floor, so a speculative point places only at
+// clock zero.
+func (pm Param) Speculative() bool {
+	return pm.Duplication != DupNone || pm.Select == SelectLookahead
+}
+
 // selection returns a placement pass's selection state: CPOP's pin and
-// the duplication trials, each only when the grid point uses it. The
-// caller closes the trials.
-func (pm Param) selection(pl *sched.Plan, clock float64) (*cpState, *dupState, error) {
-	if pm.Duplication && clock > 0 {
-		return nil, nil, fmt.Errorf("%s: duplicating grid point cannot place at clock %g", pm.Name(), clock)
+// the speculative trials, each only when the grid point uses it. prio
+// picks the lookahead's critical children; nil means the grid point's
+// own metric. The caller closes the trials.
+func (pm Param) selection(pl *sched.Plan, prio []float64, clock float64) (*cpState, *dupState, error) {
+	if pm.Speculative() && clock > 0 {
+		return nil, nil, fmt.Errorf("%s: speculative grid point cannot place at clock %g", pm.Name(), clock)
 	}
 	var cp *cpState
 	if pm.Select == SelectCPPin {
 		cp = newCPState(pl.Instance())
 	}
 	var ds *dupState
-	if pm.Duplication {
-		ds = newDupState(pl)
+	if pm.Speculative() {
+		ds = pm.newDupState(pl, prio)
 	}
 	return cp, ds, nil
 }
 
 // place chooses a processor for t under the configured selection rule,
-// with readiness floored at the clock, and places it (with duplication
+// with readiness floored at the clock, and places it (with speculative
 // trials when enabled). At clock zero the floor is a no-op.
 func (pm Param) place(pl *sched.Plan, ds *dupState, cp *cpState, t dag.TaskID, clock float64) {
 	if cp != nil && cp.onCP[t] {
@@ -400,7 +443,7 @@ func (pm Param) place(pl *sched.Plan, ds *dupState, cp *cpState, t dag.TaskID, c
 		return
 	}
 	if ds != nil {
-		ds.placeBest(pl, t, pm.Select == SelectEST)
+		ds.placeBest(pl, t, pm.Select)
 		return
 	}
 	switch {
@@ -456,22 +499,63 @@ func newCPState(in *sched.Instance) *cpState {
 	return st
 }
 
-// dupState evaluates per-processor duplication trials on speculative
-// transactions, mirroring the dup-package driver: one reusable Txn per
-// processor, trials run on a bounded worker group, winner committed.
+// dupState runs the per-processor trials of a speculative grid point:
+// one reusable Txn per processor, trials on a bounded worker group. A
+// trial duplicates under the policy or, without duplication, takes the
+// plain EFT; under lookahead it then places the task tentatively,
+// estimates its critical child's finish and rewinds. The winner's
+// transaction is committed only when duplicating.
 type dupState struct {
 	group   *algo.TrialGroup
 	txs     []*sched.Txn
-	results []algo.DupResult
+	results []trial
+	dup     Duplication
+	maxDups int
+	ins     bool
+	// child and estFinish are set under lookahead only: each task's
+	// highest-priority successor (-1 for an exit task), and each task's
+	// estimated finish (downward rank plus mean cost), which stands in
+	// for a child's unscheduled parents.
+	child     []dag.TaskID
+	estFinish []float64
 }
 
-func newDupState(pl *sched.Plan) *dupState {
+// trial is one processor's outcome: the task's window and its score,
+// which is the finish time unless the grid point looks ahead.
+type trial struct{ start, finish, score float64 }
+
+func (pm Param) newDupState(pl *sched.Plan, prio []float64) *dupState {
 	in := pl.Instance()
-	return &dupState{
+	ds := &dupState{
 		group:   algo.NewTrialGroup(in.P(), in.N()),
 		txs:     make([]*sched.Txn, in.P()),
-		results: make([]algo.DupResult, in.P()),
+		results: make([]trial, in.P()),
+		dup:     pm.Duplication,
+		maxDups: pm.MaxDups,
+		ins:     pm.Insertion,
 	}
+	if ds.maxDups <= 0 {
+		ds.maxDups = 64
+	}
+	if pm.Select == SelectLookahead {
+		if prio == nil {
+			prio = pm.priorities(in)
+		}
+		ds.child = make([]dag.TaskID, in.N())
+		for i := range ds.child {
+			ds.child[i] = -1
+			for _, s := range in.G.Succ(dag.TaskID(i)) {
+				if ds.child[i] == -1 || prio[s.To] > prio[ds.child[i]] {
+					ds.child[i] = s.To
+				}
+			}
+		}
+		ds.estFinish = sched.RankDownward(in)
+		for i := range ds.estFinish {
+			ds.estFinish[i] += in.MeanCost(dag.TaskID(i))
+		}
+	}
+	return ds
 }
 
 func (ds *dupState) Close() { ds.group.Close() }
@@ -484,34 +568,95 @@ func (ds *dupState) trial(pl *sched.Plan, t dag.TaskID, p int) {
 	} else {
 		tx.Reset()
 	}
-	ds.results[p] = algo.TryDuplication(tx, t, p, maxParamDups)
+	var r algo.DupResult
+	switch ds.dup {
+	case DupGreedy:
+		r = algo.TryDuplication(tx, t, p, ds.maxDups)
+	case DupChain:
+		r = algo.TryDuplicationChain(tx, t, p, ds.maxDups)
+	default:
+		r.Start, r.Finish = pl.EFTOn(t, p, ds.ins)
+	}
+	score := r.Finish
+	if ds.child != nil && ds.child[t] != -1 {
+		m := tx.Mark()
+		tx.Place(t, p, r.Start)
+		score = estimateChildEFT(tx, ds.child[t], ds.estFinish)
+		tx.Undo(m)
+	}
+	ds.results[p] = trial{start: r.Start, finish: r.Finish, score: score}
 }
 
-// placeBest runs a duplication trial on every processor and commits the
-// winner: the minimum finish (or start, under EST selection), ties to
-// the lower processor id.
-func (ds *dupState) placeBest(pl *sched.Plan, t dag.TaskID, byStart bool) {
+// placeBest runs a trial on every processor and places t on the winner:
+// the minimum finish, or start under EST selection, or lookahead score
+// under the lookahead's tie rule; remaining ties go to the lower
+// processor id.
+func (ds *dupState) placeBest(pl *sched.Plan, t dag.TaskID, sel Select) {
 	in := pl.Instance()
 	ds.group.Run(in.P(), func(p int) { ds.trial(pl, t, p) })
-	best := math.Inf(1)
-	bestProc := -1
-	for p := 0; p < in.P(); p++ {
-		v := ds.results[p].Finish
-		if byStart {
-			v = ds.results[p].Start
+	best := 0
+	for p := 1; p < in.P(); p++ {
+		r, b := ds.results[p], ds.results[best]
+		var better bool
+		switch sel {
+		case SelectEST:
+			better = r.start < b.start
+		case SelectLookahead:
+			better = r.score < b.score-1e-12 || (math.Abs(r.score-b.score) <= 1e-12 && r.finish < b.finish)
+		default:
+			better = r.finish < b.finish
 		}
-		if v < best {
-			best, bestProc = v, p
+		if better {
+			best = p
 		}
 	}
-	ds.txs[bestProc].Commit()
-	pl.Place(t, bestProc, ds.results[bestProc].Start)
+	ds.place(pl, t, best)
 }
 
-// placeOn runs a single duplication trial on the given processor and
-// commits it.
+// placeOn runs a single trial on the given processor and places t there.
 func (ds *dupState) placeOn(pl *sched.Plan, t dag.TaskID, p int) {
 	ds.trial(pl, t, p)
-	ds.txs[p].Commit()
-	pl.Place(t, p, ds.results[p].Start)
+	ds.place(pl, t, p)
+}
+
+// place places t on p at its trial's start, first committing the trial's
+// duplicates.
+func (ds *dupState) place(pl *sched.Plan, t dag.TaskID, p int) {
+	if ds.dup != DupNone {
+		ds.txs[p].Commit()
+	}
+	pl.Place(t, p, ds.results[p].start)
+}
+
+// estimateChildEFT returns the smallest estimated finish time of task c
+// over all processors given the current, possibly speculative, view.
+// Scheduled parents contribute their real data-arrival times; unscheduled
+// parents contribute estFinish plus the mean communication cost.
+func estimateChildEFT(v sched.View, c dag.TaskID, estFinish []float64) float64 {
+	in := v.Instance()
+	best := math.Inf(1)
+	for q := 0; q < in.P(); q++ {
+		ready := 0.0
+		for j, pe := range in.G.Pred(c) {
+			var arrival float64
+			if v.Scheduled(pe.To) {
+				arrival = math.Inf(1)
+				for _, cp := range v.Copies(pe.To) {
+					if t := cp.Finish + in.CommCost(cp.Proc, q, pe.Data); t < arrival {
+						arrival = t
+					}
+				}
+			} else {
+				arrival = estFinish[pe.To] + in.MeanCommPred(c, j)
+			}
+			if arrival > ready {
+				ready = arrival
+			}
+		}
+		start := v.FindSlot(q, ready, in.Cost(c, q), true)
+		if f := start + in.Cost(c, q); f < best {
+			best = f
+		}
+	}
+	return best
 }

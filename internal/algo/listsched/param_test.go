@@ -6,6 +6,7 @@ import (
 
 	"dagsched/internal/algo"
 	"dagsched/internal/algo/listsched"
+	"dagsched/internal/core"
 	"dagsched/internal/sched"
 	"dagsched/internal/testfix"
 )
@@ -106,7 +107,8 @@ func TestGridAllValidate(t *testing.T) {
 		}
 		seen[pm.String()] = true
 	}
-	for _, want := range []listsched.Param{listsched.HEFTParam(), listsched.CPOPParam(), listsched.HLFETParam(), listsched.ETFParam()} {
+	dsh, _ := listsched.Baseline("DSH")
+	for _, want := range []listsched.Param{listsched.HEFTParam(), listsched.CPOPParam(), listsched.HLFETParam(), listsched.ETFParam(), dsh} {
 		if !seen[want.String()] {
 			t.Errorf("grid is missing baseline point %s", want)
 		}
@@ -125,10 +127,17 @@ func TestGridAllValidate(t *testing.T) {
 }
 
 // TestParamParseRoundTrip pins the canonical naming: String and
-// ParseParam are inverses over the whole grid, and malformed names
-// error.
+// ParseParam are inverses over the whole grid and the named ILS, DSH and
+// BTDH points, and malformed names error. Stream session names arrive
+// from the network, so a bad duplication budget must error too.
 func TestParamParseRoundTrip(t *testing.T) {
-	for _, pm := range listsched.Grid() {
+	named := []listsched.Param{core.New(), core.NoDuplication(), core.NoLookahead(), core.RankOnly()}
+	for _, name := range []string{"DSH", "BTDH"} {
+		pm, _ := listsched.Baseline(name)
+		named = append(named, pm)
+	}
+	for _, pm := range append(listsched.Grid(), named...) {
+		pm.DisplayName = ""
 		got, err := listsched.ParseParam(pm.String())
 		if err != nil {
 			t.Fatalf("parse %s: %v", pm, err)
@@ -141,9 +150,55 @@ func TestParamParseRoundTrip(t *testing.T) {
 		"", "HEFT", "LS/u/static/eft/ins", "LS/x/static/eft/ins/nodup",
 		"LS/u/never/eft/ins/nodup", "LS/u/static/xxx/ins/nodup",
 		"LS/u/static/eft/maybe/nodup", "LS/u/static/eft/ins/maybe",
+		"LS/u/static/eft/ins/dup0", "LS/u/static/eft/ins/dup-1",
+		"LS/u/static/eft/ins/dupx", "LS/u/static/eft/ins/dup08",
+		"LS/u/static/eft/ins/chain0", "LS/u/static/eft/ins/nodup8",
+		"LS/u/static/eft/ins/dup99999999999999999999",
 	} {
 		if _, err := listsched.ParseParam(bad); err == nil {
 			t.Errorf("ParseParam(%q) accepted", bad)
+		}
+	}
+}
+
+// TestDuplicationIgnoresInsertion pins why Grid has no duplicating point
+// without insertion: duplication trials always insert, so flipping
+// Insertion on a duplicating point leaves every golden digest unchanged.
+// The trials run on a forced worker group, so under -race the test also
+// shakes out sharing between concurrent speculative trials.
+func TestDuplicationIgnoresInsertion(t *testing.T) {
+	oldW, oldT := algo.ForceTrialWorkers, algo.ParallelTrialThreshold
+	algo.ForceTrialWorkers, algo.ParallelTrialThreshold = 4, 0
+	t.Cleanup(func() { algo.ForceTrialWorkers, algo.ParallelTrialThreshold = oldW, oldT })
+	golden, err := testfix.Golden()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []listsched.Param
+	for _, pm := range listsched.Grid() {
+		if pm.Duplication != listsched.DupNone {
+			points = append(points, pm)
+		}
+	}
+	dsh, _ := listsched.Baseline("DSH")
+	btdh, _ := listsched.Baseline("BTDH")
+	points = append(points, dsh, btdh, core.New(), core.NoLookahead())
+	for _, ni := range testfix.GoldenInstances() {
+		for _, pm := range points {
+			flipped := pm
+			flipped.Insertion = !pm.Insertion
+			a, errA := pm.Schedule(ni.In)
+			b, errB := flipped.Schedule(ni.In)
+			if errA != nil || errB != nil {
+				t.Fatalf("%s on %s: %v %v", pm, ni.Name, errA, errB)
+			}
+			want := testfix.ScheduleDigest(a)
+			if rec, ok := golden[ni.Name][pm.Name()]; ok {
+				want = rec.Digest
+			}
+			if testfix.ScheduleDigest(b) != want {
+				t.Errorf("%s on %s: flipping insertion to %v moved the schedule", pm, ni.Name, flipped.Insertion)
+			}
 		}
 	}
 }

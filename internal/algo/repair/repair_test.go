@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dagsched/internal/algo"
-	"dagsched/internal/algo/dup"
 	"dagsched/internal/algo/listsched"
 	"dagsched/internal/core"
 	"dagsched/internal/dag"
@@ -116,7 +115,7 @@ func TestRepairMidExecution(t *testing.T) {
 // Repair must produce valid schedules across the battery, for plain and
 // duplication-based schedules, at several failure times.
 func TestRepairPropertyBattery(t *testing.T) {
-	algs := []algo.Algorithm{listsched.HEFT{}, dup.BTDH{}, core.New()}
+	algs := []algo.Algorithm{listsched.HEFT{}, listsched.BTDH{}, core.New()}
 	rng := rand.New(rand.NewSource(12))
 	testfix.Battery(testfix.BatteryConfig{Trials: 15, MaxProcs: 5, Seed: 8001}, func(trial int, in *sched.Instance) {
 		if in.P() < 2 {
@@ -161,8 +160,8 @@ func TestRepairTransactionalSchedules(t *testing.T) {
 			txn  func(in *sched.Instance) (*sched.Schedule, error)
 			ref  func(in *sched.Instance) *sched.Schedule
 		}{
-			{"DSH", dup.DSH{}.Schedule, testfix.RefDSH},
-			{"BTDH", dup.BTDH{}.Schedule, testfix.RefBTDH},
+			{"DSH", listsched.DSH{}.Schedule, testfix.RefDSH},
+			{"BTDH", listsched.BTDH{}.Schedule, testfix.RefBTDH},
 		}
 		for _, p := range pairs {
 			got, err := p.txn(in)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"dagsched/internal/algo"
-	"dagsched/internal/algo/dup"
 	"dagsched/internal/algo/listsched"
 	"dagsched/internal/algo/resched"
 	"dagsched/internal/sched"
@@ -46,7 +45,7 @@ func TestGoldenFaultReplay(t *testing.T) {
 	for i, in := range testfix.AppGraphs(4, 5)[:2] {
 		fixtures = append(fixtures, fixture{fmt.Sprintf("app%d", i), in})
 	}
-	algs := []algo.Algorithm{listsched.HEFT{}, dup.BTDH{}}
+	algs := []algo.Algorithm{listsched.HEFT{}, listsched.BTDH{}}
 	seeds := []int64{31, 207}
 
 	got := map[string]goldenEntry{}

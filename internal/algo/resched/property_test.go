@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dagsched/internal/algo"
-	"dagsched/internal/algo/dup"
 	"dagsched/internal/algo/listsched"
 	"dagsched/internal/algo/resched"
 	"dagsched/internal/core"
@@ -25,7 +24,7 @@ import (
 //  3. no copy occupies a crashed processor past its crash instant.
 func TestRepairProperties(t *testing.T) {
 	const eps = 1e-9
-	algs := []algo.Algorithm{listsched.HEFT{}, dup.BTDH{}, core.New()}
+	algs := []algo.Algorithm{listsched.HEFT{}, listsched.BTDH{}, core.New()}
 	testfix.Battery(testfix.BatteryConfig{Trials: 30, Seed: 77}, func(trial int, in *sched.Instance) {
 		if in.P() < 2 {
 			return // a single-processor platform has no survivors to repair onto

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"dagsched/internal/algo"
-	"dagsched/internal/algo/dup"
+	"dagsched/internal/algo/listsched"
 	"dagsched/internal/core"
 	"dagsched/internal/dag"
 	"dagsched/internal/sched"
@@ -51,8 +51,8 @@ func TestDifferentialDuplicationFamily(t *testing.T) {
 		{"ILS-R", core.RankOnly().Schedule, func(in *sched.Instance) *sched.Schedule {
 			return testfix.RefILS(in, "ILS-R", testfix.RefILSOptions{SigmaRank: true})
 		}},
-		{"DSH", dup.DSH{}.Schedule, testfix.RefDSH},
-		{"BTDH", dup.BTDH{}.Schedule, testfix.RefBTDH},
+		{"DSH", listsched.DSH{}.Schedule, testfix.RefDSH},
+		{"BTDH", listsched.BTDH{}.Schedule, testfix.RefBTDH},
 	}
 
 	check := func(t *testing.T, name string, in *sched.Instance, p pair) {

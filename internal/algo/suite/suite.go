@@ -9,7 +9,6 @@ import (
 
 	"dagsched/internal/algo"
 	"dagsched/internal/algo/cluster"
-	"dagsched/internal/algo/dup"
 	"dagsched/internal/algo/listsched"
 	"dagsched/internal/algo/search"
 	"dagsched/internal/core"
@@ -34,8 +33,8 @@ func All() []algo.Algorithm {
 		listsched.ETF{},
 		listsched.HLFET{},
 		listsched.ISH{},
-		dup.DSH{},
-		dup.BTDH{},
+		listsched.DSH{},
+		listsched.BTDH{},
 		cluster.DSC{},
 		// HEFT and ILS through the shared one-port reservation layer
 		// (Sinnen and Sousa's contention model): for ILS the whole
@@ -65,8 +64,8 @@ func Heterogeneous() []algo.Algorithm {
 		listsched.HEFT{},
 		listsched.CPOP{},
 		listsched.DLS{},
-		dup.DSH{},
-		dup.BTDH{},
+		listsched.DSH{},
+		listsched.BTDH{},
 	}
 }
 
@@ -79,8 +78,8 @@ func Homogeneous() []algo.Algorithm {
 		listsched.ETF{},
 		listsched.HLFET{},
 		listsched.ISH{},
-		dup.DSH{},
-		dup.BTDH{},
+		listsched.DSH{},
+		listsched.BTDH{},
 		cluster.DSC{},
 	}
 }

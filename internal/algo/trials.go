@@ -5,11 +5,12 @@ import (
 	"sync"
 )
 
-// ParallelTrialThreshold is the task count from which the duplication
-// schedulers evaluate their per-processor trials concurrently. Below it
-// the round-trip cost of handing P closures to a worker group exceeds the
-// trial work itself. Tests lower it (together with ForceTrialWorkers) to
-// exercise the concurrent path on small instances under -race.
+// ParallelTrialThreshold is the task count from which the speculative
+// schedulers (duplication, lookahead) evaluate their per-processor trials
+// concurrently. Below it the round-trip cost of handing P closures to a
+// worker group exceeds the trial work itself. Tests lower it (together
+// with ForceTrialWorkers) to exercise the concurrent path on small
+// instances under -race.
 var ParallelTrialThreshold = 192
 
 // ForceTrialWorkers, when positive, pins the worker count of every new

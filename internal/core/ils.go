@@ -1,8 +1,7 @@
-// Package core implements ILS (Improved List Scheduling), this
-// repository's reconstruction of the paper's contribution: an insertion-
-// based list scheduler for heterogeneous and homogeneous systems that
-// improves on HEFT through three orthogonal, individually ablatable
-// mechanisms:
+// Package core names ILS (Improved List Scheduling), this repository's
+// reconstruction of the paper's contribution: an insertion-based list
+// scheduler for heterogeneous and homogeneous systems that improves on
+// HEFT through three orthogonal, individually ablatable mechanisms:
 //
 //  1. σ-augmented upward rank — tasks whose execution cost varies strongly
 //     across processors are prioritized, fixing volatile placement
@@ -14,20 +13,16 @@
 //     start time is copied into an idle slot of the candidate processor
 //     when that strictly lowers the task's finish time.
 //
-// The full configuration is exported as ILS; ILS-L (no duplication),
-// ILS-D (no lookahead) and ILS-R (σ-rank only) are the ablation variants
-// used by experiment E11.
+// Each mechanism is a component of listsched.Param, the one list-
+// scheduling placement loop: σ-rank is the PrioSigma priority, lookahead
+// the SelectLookahead selection and duplication the DupGreedy policy. An
+// ILS configuration is HEFT's grid point with some of them switched on.
+// The full configuration is New; ILS-L (no duplication), ILS-D (no
+// lookahead) and ILS-R (σ-rank only) are the ablation variants used by
+// experiment E11.
 package core
 
-import (
-	"context"
-	"fmt"
-	"math"
-
-	"dagsched/internal/algo"
-	"dagsched/internal/dag"
-	"dagsched/internal/sched"
-)
+import "dagsched/internal/algo/listsched"
 
 // Options selects the ILS mechanisms; the zero value (everything off)
 // degenerates to plain HEFT.
@@ -44,184 +39,44 @@ type Options struct {
 	MaxDups int
 }
 
-// ILS is the improved list scheduler.
-type ILS struct {
-	name string
-	opts Options
-}
-
 // New returns the full ILS configuration (σ-rank + lookahead +
 // duplication).
-func New() ILS {
-	return ILS{name: "ILS", opts: Options{SigmaRank: true, Lookahead: true, Duplication: true}}
+func New() listsched.Param {
+	return Variant("ILS", Options{SigmaRank: true, Lookahead: true, Duplication: true})
 }
 
 // NoDuplication returns ILS-L: σ-rank and lookahead without duplication.
-func NoDuplication() ILS {
-	return ILS{name: "ILS-L", opts: Options{SigmaRank: true, Lookahead: true}}
+func NoDuplication() listsched.Param {
+	return Variant("ILS-L", Options{SigmaRank: true, Lookahead: true})
 }
 
 // NoLookahead returns ILS-D: σ-rank and duplication without lookahead.
-func NoLookahead() ILS {
-	return ILS{name: "ILS-D", opts: Options{SigmaRank: true, Duplication: true}}
+func NoLookahead() listsched.Param {
+	return Variant("ILS-D", Options{SigmaRank: true, Duplication: true})
 }
 
 // RankOnly returns ILS-R: only the σ-augmented rank (HEFT otherwise).
-func RankOnly() ILS {
-	return ILS{name: "ILS-R", opts: Options{SigmaRank: true}}
+func RankOnly() listsched.Param {
+	return Variant("ILS-R", Options{SigmaRank: true})
 }
 
-// Variant returns an ILS with explicit options, for ablation sweeps.
-func Variant(name string, opts Options) ILS { return ILS{name: name, opts: opts} }
-
-// Name implements algo.Algorithm.
-func (a ILS) Name() string { return a.name }
-
-// Options returns the configuration (for ablation reporting).
-func (a ILS) Options() Options { return a.opts }
-
-// Schedule implements algo.Algorithm.
-func (a ILS) Schedule(in *sched.Instance) (*sched.Schedule, error) {
-	return a.ScheduleContext(context.Background(), in)
-}
-
-// ScheduleContext implements algo.CtxScheduler: the per-task placement
-// loop checks the context between tasks (each task costs O(P) trial
-// placements, so per-task polling is both cheap and prompt) and aborts
-// with the context's error on cancellation.
-//
-// Each of the P per-processor trials runs in its own speculative
-// transaction over the shared plan (duplication attempts and the
-// lookahead's tentative placement are journaled and undone), so a trial
-// costs O(changes) instead of a full plan clone and the trials are
-// independent — on large instances they evaluate concurrently. The winner
-// is still selected sequentially in ascending processor order with the
-// exact comparison of the clone-based implementation, so schedules are
-// unchanged.
-func (a ILS) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
-	maxDups := a.opts.MaxDups
-	if maxDups <= 0 {
-		maxDups = 8
+// Variant returns the grid point of an ILS configuration under name, for
+// ablation sweeps.
+func Variant(name string, opts Options) listsched.Param {
+	pm := listsched.HEFTParam()
+	pm.DisplayName = name
+	if opts.SigmaRank {
+		pm.Priority = listsched.PrioSigma
 	}
-	var rank []float64
-	if a.opts.SigmaRank {
-		rank = sched.RankUpwardSigma(in)
-	} else {
-		rank = sched.RankUpward(in)
+	if opts.Lookahead {
+		pm.Select = listsched.SelectLookahead
 	}
-	order := algo.OrderDescPrecedence(in.G, rank)
-
-	// For lookahead: the most critical child of each task and an estimated
-	// finish time for not-yet-scheduled tasks (used for a child's other
-	// parents), from mean-cost downward ranks.
-	var critChild []dag.TaskID
-	var estFinish []float64
-	if a.opts.Lookahead {
-		critChild = make([]dag.TaskID, in.N())
-		for i := 0; i < in.N(); i++ {
-			critChild[i] = -1
-			for _, s := range in.G.Succ(dag.TaskID(i)) {
-				if critChild[i] == -1 || rank[s.To] > rank[critChild[i]] {
-					critChild[i] = s.To
-				}
-			}
-		}
-		down := sched.RankDownward(in)
-		estFinish = make([]float64, in.N())
-		for i := range estFinish {
-			estFinish[i] = down[i] + in.MeanCost(dag.TaskID(i))
+	if opts.Duplication {
+		pm.Duplication = listsched.DupGreedy
+		pm.MaxDups = opts.MaxDups
+		if pm.MaxDups <= 0 {
+			pm.MaxDups = 8
 		}
 	}
-
-	pl := sched.NewPlan(in)
-	check := algo.NewCheckpoint(ctx, 1)
-	group := algo.NewTrialGroup(in.P(), in.N())
-	defer group.Close()
-	type trial struct{ start, finish, score float64 }
-	txs := make([]*sched.Txn, in.P())
-	results := make([]trial, in.P())
-	for _, t := range order {
-		if err := check.Check(); err != nil {
-			return nil, fmt.Errorf("%s: %w", a.name, err)
-		}
-		look := a.opts.Lookahead && critChild[t] != -1
-		group.Run(in.P(), func(p int) {
-			var tx *sched.Txn
-			var start, finish float64
-			if a.opts.Duplication || look {
-				if tx = txs[p]; tx == nil {
-					tx = pl.Begin()
-					txs[p] = tx
-				} else {
-					tx.Reset()
-				}
-			}
-			if a.opts.Duplication {
-				res := algo.TryDuplication(tx, t, p, maxDups)
-				start, finish = res.Start, res.Finish
-			} else {
-				start, finish = pl.EFTOn(t, p, true)
-			}
-			score := finish
-			if look {
-				// Tentatively place t and estimate the critical child's
-				// achievable EFT, then rewind: the tentative placement only
-				// informs the score, never the plan.
-				m := tx.Mark()
-				tx.Place(t, p, start)
-				score = estimateChildEFT(tx, critChild[t], estFinish)
-				tx.Undo(m)
-			}
-			results[p] = trial{start: start, finish: finish, score: score}
-		})
-		bestScore := math.Inf(1)
-		bestFinish := math.Inf(1)
-		bestProc := -1
-		bestStart := 0.0
-		for p := 0; p < in.P(); p++ {
-			r := results[p]
-			if r.score < bestScore-1e-12 || (math.Abs(r.score-bestScore) <= 1e-12 && r.finish < bestFinish) {
-				bestScore, bestFinish, bestProc, bestStart = r.score, r.finish, p, r.start
-			}
-		}
-		if a.opts.Duplication {
-			txs[bestProc].Commit()
-		}
-		pl.Place(t, bestProc, bestStart)
-	}
-	return pl.Finalize(a.name), nil
-}
-
-// estimateChildEFT returns the smallest estimated finish time of task c
-// over all processors given the current (possibly speculative) view.
-// Scheduled parents contribute their real data-arrival times; unscheduled
-// parents contribute a mean-cost estimate (downward rank + mean execution
-// + mean communication).
-func estimateChildEFT(v sched.View, c dag.TaskID, estFinish []float64) float64 {
-	in := v.Instance()
-	best := math.Inf(1)
-	for q := 0; q < in.P(); q++ {
-		ready := 0.0
-		for j, pe := range in.G.Pred(c) {
-			var arrival float64
-			if v.Scheduled(pe.To) {
-				arrival = math.Inf(1)
-				for _, cp := range v.Copies(pe.To) {
-					if t := cp.Finish + in.CommCost(cp.Proc, q, pe.Data); t < arrival {
-						arrival = t
-					}
-				}
-			} else {
-				arrival = estFinish[pe.To] + in.MeanCommPred(c, j)
-			}
-			if arrival > ready {
-				ready = arrival
-			}
-		}
-		start := v.FindSlot(q, ready, in.Cost(c, q), true)
-		if f := start + in.Cost(c, q); f < best {
-			best = f
-		}
-	}
-	return best
+	return pm
 }

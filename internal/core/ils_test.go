@@ -12,33 +12,45 @@ import (
 	"dagsched/internal/workload"
 )
 
+// TestNamesAndOptions pins the mapping of each ILS configuration onto
+// its listsched grid point: σ-rank is the PrioSigma priority, lookahead
+// the SelectLookahead rule and duplication the greedy policy with ILS's
+// budget of 8, all on HEFT's static order with insertion.
 func TestNamesAndOptions(t *testing.T) {
+	heft := listsched.HEFTParam()
+	with := func(name string, prio listsched.Priority, sel listsched.Select, dup listsched.Duplication, maxDups int) listsched.Param {
+		pm := heft
+		pm.DisplayName, pm.Priority, pm.Select, pm.Duplication, pm.MaxDups = name, prio, sel, dup, maxDups
+		return pm
+	}
 	cases := []struct {
-		a    ILS
-		name string
-		opts Options
+		got, want listsched.Param
+		canonical string
 	}{
-		{New(), "ILS", Options{SigmaRank: true, Lookahead: true, Duplication: true}},
-		{NoDuplication(), "ILS-L", Options{SigmaRank: true, Lookahead: true}},
-		{NoLookahead(), "ILS-D", Options{SigmaRank: true, Duplication: true}},
-		{RankOnly(), "ILS-R", Options{SigmaRank: true}},
+		{New(), with("ILS", listsched.PrioSigma, listsched.SelectLookahead, listsched.DupGreedy, 8), "LS/sigma/static/look/ins/dup8"},
+		{NoDuplication(), with("ILS-L", listsched.PrioSigma, listsched.SelectLookahead, listsched.DupNone, 0), "LS/sigma/static/look/ins/nodup"},
+		{NoLookahead(), with("ILS-D", listsched.PrioSigma, listsched.SelectEFT, listsched.DupGreedy, 8), "LS/sigma/static/eft/ins/dup8"},
+		{RankOnly(), with("ILS-R", listsched.PrioSigma, listsched.SelectEFT, listsched.DupNone, 0), "LS/sigma/static/eft/ins/nodup"},
+		{Variant("plain", Options{}), with("plain", listsched.PrioUpward, listsched.SelectEFT, listsched.DupNone, 0), "LS/u/static/eft/ins/nodup"},
+		{Variant("custom", Options{Lookahead: true, Duplication: true, MaxDups: 3}), with("custom", listsched.PrioUpward, listsched.SelectLookahead, listsched.DupGreedy, 3), "LS/u/static/look/ins/dup3"},
+		// A budget without duplication has nothing to bound.
+		{Variant("nodup", Options{SigmaRank: true, MaxDups: 3}), with("nodup", listsched.PrioSigma, listsched.SelectEFT, listsched.DupNone, 0), "LS/sigma/static/eft/ins/nodup"},
 	}
 	for _, c := range cases {
-		if c.a.Name() != c.name {
-			t.Fatalf("Name = %q, want %q", c.a.Name(), c.name)
+		if c.got != c.want {
+			t.Errorf("%s = %+v, want %+v", c.want.DisplayName, c.got, c.want)
 		}
-		if c.a.Options() != c.opts {
-			t.Fatalf("%s options = %+v, want %+v", c.name, c.a.Options(), c.opts)
+		if c.got.Name() != c.want.DisplayName {
+			t.Errorf("Name = %q, want %q", c.got.Name(), c.want.DisplayName)
 		}
-	}
-	v := Variant("custom", Options{Lookahead: true, MaxDups: 3})
-	if v.Name() != "custom" || !v.Options().Lookahead {
-		t.Fatal("Variant lost its configuration")
+		if c.got.String() != c.canonical {
+			t.Errorf("%s grid name = %q, want %q", c.got.Name(), c.got.String(), c.canonical)
+		}
 	}
 }
 
 func TestAllVariantsValidOnBattery(t *testing.T) {
-	variants := []ILS{New(), NoDuplication(), NoLookahead(), RankOnly(),
+	variants := []listsched.Param{New(), NoDuplication(), NoLookahead(), RankOnly(),
 		Variant("plain", Options{})}
 	testfix.Battery(testfix.BatteryConfig{Trials: 30, Seed: 808}, func(trial int, in *sched.Instance) {
 		for _, a := range variants {

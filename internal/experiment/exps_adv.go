@@ -93,7 +93,7 @@ func e23Grid(quick bool) []listsched.Param {
 	sl := heft
 	sl.Priority = listsched.PrioStaticLevel
 	dup := heft
-	dup.Duplication = true
+	dup.Duplication = listsched.DupGreedy
 	return []listsched.Param{
 		heft, listsched.CPOPParam(), listsched.HLFETParam(), listsched.ETFParam(),
 		noIns, est, sl, dup,

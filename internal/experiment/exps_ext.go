@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dagsched/internal/algo"
-	"dagsched/internal/algo/dup"
 	"dagsched/internal/algo/listsched"
 	"dagsched/internal/algo/search"
 	"dagsched/internal/core"
@@ -105,7 +104,7 @@ func E15() Experiment {
 func E16() Experiment {
 	return Experiment{ID: "E16", Title: "One-port contention: replayed stretch", Run: func(cfg Config) ([]*Table, error) {
 		var algs []algo.Algorithm
-		for _, a := range []algo.Algorithm{listsched.HEFT{}, core.New(), dup.BTDH{}} {
+		for _, a := range []algo.Algorithm{listsched.HEFT{}, core.New(), listsched.BTDH{}} {
 			algs = append(algs, a, algo.CommAware{Inner: a})
 		}
 		reps := cfg.reps(25)

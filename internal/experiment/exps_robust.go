@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"dagsched/internal/algo"
-	"dagsched/internal/algo/dup"
 	"dagsched/internal/algo/listsched"
 	"dagsched/internal/algo/resched"
 	"dagsched/internal/core"
@@ -25,8 +24,8 @@ func E21() Experiment {
 		algs := []algo.Algorithm{
 			core.New(),
 			listsched.HEFT{},
-			dup.DSH{},
-			dup.BTDH{},
+			listsched.DSH{},
+			listsched.BTDH{},
 		}
 		pols := resched.Policies()
 		reps := cfg.reps(10)

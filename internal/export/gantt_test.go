@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"dagsched/internal/algo/dup"
 	"dagsched/internal/algo/listsched"
 	"dagsched/internal/sched"
 	"dagsched/internal/testfix"
@@ -43,7 +42,7 @@ func TestGanttText(t *testing.T) {
 }
 
 func TestGanttTextShowsDuplicates(t *testing.T) {
-	s, err := dup.BTDH{}.Schedule(testfix.Topcuoglu())
+	s, err := listsched.BTDH{}.Schedule(testfix.Topcuoglu())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"image/png"
 	"testing"
 
-	"dagsched/internal/algo/dup"
+	"dagsched/internal/algo/listsched"
 	"dagsched/internal/testfix"
 )
 
@@ -60,7 +60,7 @@ func TestGanttPNGTinyWidthFallsBack(t *testing.T) {
 }
 
 func TestGanttPNGWithDuplicates(t *testing.T) {
-	s, err := dup.BTDH{}.Schedule(testfix.Topcuoglu())
+	s, err := listsched.BTDH{}.Schedule(testfix.Topcuoglu())
 	if err != nil {
 		t.Fatal(err)
 	}

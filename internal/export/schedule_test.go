@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"dagsched/internal/algo/dup"
+	"dagsched/internal/algo/listsched"
 	"dagsched/internal/testfix"
 )
 
@@ -53,7 +53,7 @@ func TestReadScheduleSummary(t *testing.T) {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	s, err := dup.BTDH{}.Schedule(testfix.Topcuoglu())
+	s, err := listsched.BTDH{}.Schedule(testfix.Topcuoglu())
 	if err != nil {
 		t.Fatal(err)
 	}

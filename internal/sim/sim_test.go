@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dagsched/internal/algo"
-	"dagsched/internal/algo/dup"
 	"dagsched/internal/algo/listsched"
 	"dagsched/internal/core"
 	"dagsched/internal/dag"
@@ -15,7 +14,7 @@ import (
 )
 
 func TestExactReplayMatchesAnalyticMakespan(t *testing.T) {
-	algs := []algo.Algorithm{listsched.HEFT{}, listsched.CPOP{}, dup.BTDH{}, core.New()}
+	algs := []algo.Algorithm{listsched.HEFT{}, listsched.CPOP{}, listsched.BTDH{}, core.New()}
 	testfix.Battery(testfix.BatteryConfig{Trials: 25, Seed: 2001}, func(trial int, in *sched.Instance) {
 		for _, a := range algs {
 			s, err := a.Schedule(in)
@@ -154,7 +153,7 @@ func TestReplayZeroDurationDuplicates(t *testing.T) {
 
 func TestReplayWithDuplicates(t *testing.T) {
 	testfix.Battery(testfix.BatteryConfig{Trials: 10, Seed: 2002}, func(trial int, in *sched.Instance) {
-		s, err := dup.BTDH{}.Schedule(in)
+		s, err := listsched.BTDH{}.Schedule(in)
 		if err != nil {
 			t.Fatal(err)
 		}

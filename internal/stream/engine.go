@@ -84,23 +84,24 @@ type Engine struct {
 
 // ParamFor resolves a streaming algorithm name to its listsched grid
 // point: the canonical baselines by name (empty means HEFT) or an
-// "LS/..." grid point. Duplicating points are rejected.
+// "LS/..." grid point. Speculative points, those that duplicate or look
+// ahead, are rejected whichever way they are named.
 func ParamFor(name string) (listsched.Param, error) {
 	if name == "" {
 		name = "HEFT"
 	}
-	if pm, ok := listsched.Baseline(name); ok {
-		return pm, nil
+	pm, ok := listsched.Baseline(name)
+	if !ok {
+		if !strings.HasPrefix(name, "LS/") {
+			return listsched.Param{}, fmt.Errorf("stream: unsupported algorithm %q (HEFT, CPOP, HLFET, ETF or an LS/ grid point)", name)
+		}
+		var err error
+		if pm, err = listsched.ParseParam(name); err != nil {
+			return listsched.Param{}, err
+		}
 	}
-	if !strings.HasPrefix(name, "LS/") {
-		return listsched.Param{}, fmt.Errorf("stream: unsupported algorithm %q (HEFT, CPOP, HLFET, ETF or an LS/ grid point)", name)
-	}
-	pm, err := listsched.ParseParam(name)
-	if err != nil {
-		return listsched.Param{}, err
-	}
-	if pm.Duplication {
-		return listsched.Param{}, fmt.Errorf("stream: duplicating scheduler %q not supported (duplicates cannot be re-planned incrementally)", name)
+	if pm.Speculative() {
+		return listsched.Param{}, fmt.Errorf("stream: speculative scheduler %q not supported (duplicating and lookahead trials cannot re-plan incrementally)", name)
 	}
 	return pm, nil
 }

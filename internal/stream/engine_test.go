@@ -317,8 +317,15 @@ func TestStreamIncrementalPathDominates(t *testing.T) {
 }
 
 func TestParamFor(t *testing.T) {
-	if _, err := ParamFor("LS/u/static/eft/ins/dup"); err == nil {
-		t.Fatal("duplicating grid point accepted")
+	// Duplicating and lookahead points are rejected by baseline name and
+	// by grid name alike.
+	for _, name := range []string{
+		"LS/u/static/eft/ins/dup", "DSH", "BTDH",
+		"LS/sigma/static/look/ins/nodup", "LS/sl/ready/eft/ins/chain",
+	} {
+		if _, err := ParamFor(name); err == nil {
+			t.Errorf("speculative scheduler %q accepted", name)
+		}
 	}
 	if _, err := ParamFor("NOPE"); err == nil {
 		t.Fatal("unknown algorithm accepted")
