@@ -83,9 +83,11 @@ bench-smoke:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# A few seconds of coverage-guided fuzzing per parser entry point.
+# A few seconds of coverage-guided fuzzing per parser entry point, plus
+# the streaming graph's live growth against a fresh seal.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 5s ./internal/dag
+	$(GO) test -run '^$$' -fuzz FuzzAppendableGrow -fuzztime 5s ./internal/dag
 	$(GO) test -run '^$$' -fuzz FuzzReadDAX -fuzztime 5s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzReadGraphJSON -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz FuzzScheduleRequest -fuzztime 5s ./internal/service

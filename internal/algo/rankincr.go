@@ -6,9 +6,9 @@ import (
 )
 
 // DefaultDirtyFraction is the share of the graph a rank repair may
-// recompute before abandoning the dirty-set walk for the full level-set
-// kernel. Past this point the repair's heap bookkeeping costs more than
-// the flat sweep it avoids.
+// recompute before abandoning the dirty-set walk for a full sweep. Past
+// this point the repair's heap bookkeeping costs more than the flat
+// sweep it avoids.
 const DefaultDirtyFraction = 0.25
 
 // RankTracker maintains HEFT upward ranks (sched.RankUpward) across
@@ -28,14 +28,14 @@ type RankTracker struct {
 
 	// Last-update statistics, for deltas and benchmarks.
 	Repaired int  // tasks recomputed by the dirty-set walk
-	Full     bool // whether the update fell back to the full kernel
+	Full     bool // whether the update fell back to the full sweep
 
 	heap rankHeap
 	inQ  []bool
 }
 
 // NewRankTracker returns an empty tracker; the first Update initializes
-// it (and necessarily runs the full kernel — everything is new).
+// it (and necessarily runs the full sweep — everything is new).
 func NewRankTracker() *RankTracker { return &RankTracker{} }
 
 // Ranks returns the maintained rank slice, indexed by task id. The
@@ -44,12 +44,13 @@ func (rt *RankTracker) Ranks() []float64 { return rt.ranks }
 
 // Update repairs the ranks after in's graph grew. oldN is the task count
 // at the previous Update (0 initially); newEdges are the arcs appended
-// since, including arcs incident to new tasks. pos must hold a valid
-// topological position per task of the grown graph (dag.Appendable's
-// maintained Positions, for a streaming caller). dirtyFrac bounds the
-// dirty-set walk as a fraction of n; <= 0 selects DefaultDirtyFraction,
-// >= 1 disables the fallback.
-func (rt *RankTracker) Update(in *sched.Instance, oldN int, newEdges []dag.Edge, pos []int, dirtyFrac float64) {
+// since, including arcs incident to new tasks. pos and order must be a
+// valid topological order of exactly the grown graph's tasks: pos[v] is
+// v's position and order its inverse (dag.Appendable.Order, for a
+// streaming caller). The tracker reads them as views during the call
+// and keeps neither. dirtyFrac bounds the dirty-set walk as a fraction
+// of n; <= 0 selects DefaultDirtyFraction, >= 1 disables the fallback.
+func (rt *RankTracker) Update(in *sched.Instance, oldN int, newEdges []dag.Edge, pos []int, order []dag.TaskID, dirtyFrac float64) {
 	n := in.N()
 	if dirtyFrac <= 0 {
 		dirtyFrac = DefaultDirtyFraction
@@ -74,28 +75,20 @@ func (rt *RankTracker) Update(in *sched.Instance, oldN int, newEdges []dag.Edge,
 	}
 
 	if rt.heap.len() > budget {
-		rt.fallback(in)
+		rt.fallback(in, order)
 		return
 	}
 
 	rt.Repaired, rt.Full = 0, false
 	for rt.heap.len() > 0 {
 		if rt.Repaired >= budget {
-			rt.fallback(in)
+			rt.fallback(in, order)
 			return
 		}
 		v := rt.heap.pop()
 		rt.inQ[v] = false
 		old := rt.ranks[v]
-		// The exact expression of sched.RankUpward's inner loop, successors
-		// in CSR adjacency order.
-		best := 0.0
-		for j, a := range in.G.Succ(v) {
-			if cand := in.MeanCommSucc(v, j) + rt.ranks[a.To]; cand > best {
-				best = cand
-			}
-		}
-		nv := in.MeanCost(v) + best
+		nv := rt.rank(in, v)
 		rt.Repaired++
 		if int(v) < oldN && nv == old {
 			continue // bit-equal: predecessors see unchanged inputs
@@ -107,13 +100,30 @@ func (rt *RankTracker) Update(in *sched.Instance, oldN int, newEdges []dag.Edge,
 	}
 }
 
-// fallback abandons the dirty walk for the full level-set kernel.
-func (rt *RankTracker) fallback(in *sched.Instance) {
+// rank evaluates v's upward rank from its successors' current ranks:
+// the exact expression of sched.RankUpward's inner loop, successors in
+// CSR adjacency order.
+func (rt *RankTracker) rank(in *sched.Instance, v dag.TaskID) float64 {
+	best := 0.0
+	for j, a := range in.G.Succ(v) {
+		if cand := in.MeanCommSucc(v, j) + rt.ranks[a.To]; cand > best {
+			best = cand
+		}
+	}
+	return in.MeanCost(v) + best
+}
+
+// fallback abandons the dirty walk for a full sweep of the maintained
+// order, last position first: every successor is final before its
+// predecessors read it, so the sweep is bit-identical to
+// sched.RankUpward and needs no level sets.
+func (rt *RankTracker) fallback(in *sched.Instance, order []dag.TaskID) {
 	for rt.heap.len() > 0 {
 		rt.inQ[rt.heap.pop()] = false
 	}
-	full := sched.RankUpward(in)
-	copy(rt.ranks, full)
+	for i := len(order) - 1; i >= 0; i-- {
+		rt.ranks[order[i]] = rt.rank(in, order[i])
+	}
 	rt.Repaired, rt.Full = in.N(), true
 }
 

@@ -92,7 +92,8 @@ func replayGrowth(t *testing.T, steps []growthStep, procs int, dirtyFrac float64
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt.Update(in, oldN, added, ap.Positions(), dirtyFrac)
+		pos, order := ap.Order()
+		rt.Update(in, oldN, added, pos, order, dirtyFrac)
 		oldN = ap.Len()
 
 		want := sched.RankUpward(in)

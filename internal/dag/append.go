@@ -23,19 +23,22 @@ import (
 // permutation of only those positions. Reaching from while walking
 // forward from to proves the cycle before anything is mutated.
 //
-// Seal batches the accumulated structure back into an immutable *Graph:
-// one CSR fill plus adjacency sort, with the graph's topo cache primed
-// by a fresh Kahn pass. The PK order validates appends; the canonical
-// Kahn order is what Builder.Build primes, and sealing with the same
-// order keeps a sealed stream bit-identical to a statically built graph
-// (tie-breaks in the list schedulers read topological positions).
-// Sealing does not consume the Appendable: appending and re-sealing
-// continues, which is the streaming engine's flush loop.
+// Two ways publish the accumulated structure as a *Graph. Seal batches
+// it into a fresh immutable graph: one CSR fill, with the topo cache
+// primed by a Kahn pass. Grow publishes it into one live graph that the
+// Appendable keeps and extends in place, paying only for what was
+// appended since the previous Grow; the streaming engine's flush loop
+// runs on it. The PK order validates appends; the canonical Kahn order
+// is what Builder.Build primes, so a sealed stream is bit-identical to a
+// statically built graph (tie-breaks in the list schedulers read
+// topological positions), and the live graph computes the same order
+// when something first asks for it. Neither consumes the Appendable:
+// appending continues.
 type Appendable struct {
 	name  string
 	tasks []Task
-	succ  [][]Adj // per-task successor lists, append order
-	pred  [][]Adj // per-task predecessor lists, append order
+	succ  [][]Adj // per-task successor lists, sorted by neighbor id
+	pred  [][]Adj // per-task predecessor lists, sorted by neighbor id
 	edges int
 
 	ord   []int    // ord[v]: v's position in the maintained topological order
@@ -45,6 +48,16 @@ type Appendable struct {
 	// in the current pass, so clearing is O(0) per reorder.
 	mark []uint32
 	gen  uint32
+
+	// The live graph Grow publishes into, with each block's capacity
+	// (index 0 successor blocks, 1 predecessor blocks). keep[d][v] is the
+	// unchanged prefix of a published block that took arcs since the last
+	// Grow, -1 while it took none; touched lists those blocks.
+	live    *Graph
+	cap     [2][]int32
+	keep    [2][]int32
+	touched []BlockChange
+	changes []BlockChange // Grow's result, reused
 }
 
 // NewAppendable returns an empty appendable graph with the given name.
@@ -113,7 +126,32 @@ func (ap *Appendable) AddEdge(from, to TaskID, data float64) error {
 	pi := sort.Search(len(ap.pred[to]), func(k int) bool { return ap.pred[to][k].To >= from })
 	ap.pred[to] = insertAdj(ap.pred[to], pi, Adj{To: from, Data: data})
 	ap.edges++
+	ap.touch(from, false, si)
+	ap.touch(to, true, pi)
 	return nil
+}
+
+// touch records an insert at index at into a published task's block; a
+// task the live graph does not have yet gets its whole block on Grow.
+func (ap *Appendable) touch(v TaskID, pred bool, at int) {
+	if ap.live == nil || int(v) >= ap.live.Len() {
+		return
+	}
+	d := dir(pred)
+	switch k := ap.keep[d][v]; {
+	case k < 0:
+		ap.keep[d][v] = int32(at)
+		ap.touched = append(ap.touched, BlockChange{Task: v, Pred: pred})
+	case int32(at) < k:
+		ap.keep[d][v] = int32(at)
+	}
+}
+
+func dir(pred bool) int {
+	if pred {
+		return 1
+	}
+	return 0
 }
 
 // insertAdj inserts a at position i, keeping the list sorted by To.
@@ -222,12 +260,12 @@ func (ap *Appendable) reorder(from, to TaskID) error {
 // topological order of the current graph at all times.
 func (ap *Appendable) Position(v TaskID) int { return ap.ord[v] }
 
-// Positions returns a copy of the maintained topological positions,
-// indexed by task id. Any dependency-respecting processing order may use
-// it; the incremental rank repair does.
-func (ap *Appendable) Positions() []int {
-	return append([]int(nil), ap.ord...)
-}
+// Order returns the maintained topological order as views: pos[v] is
+// v's position and order[i] the task at position i. Any
+// dependency-respecting processing order may use it; the incremental
+// rank repair does. The slices are the Appendable's own: they change
+// with the next AddTask or AddEdge, and callers must not modify them.
+func (ap *Appendable) Order() (pos []int, order []TaskID) { return ap.ord, ap.byPos }
 
 // Seal batches the accumulated structure into an immutable Graph: a
 // straight CSR fill (adjacency is kept sorted on insertion) with the
@@ -246,20 +284,10 @@ func (ap *Appendable) Seal() (*Graph, error) {
 		tasks: append([]Task(nil), ap.tasks...),
 		edges: ap.edges,
 	}
-	g.succOff = make([]int32, n+1)
-	g.predOff = make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		g.succOff[i+1] = g.succOff[i] + int32(len(ap.succ[i]))
-		g.predOff[i+1] = g.predOff[i] + int32(len(ap.pred[i]))
-	}
-	g.succAdj = make([]Adj, ap.edges)
-	g.predAdj = make([]Adj, ap.edges)
-	for i := 0; i < n; i++ {
-		// Adjacency is maintained sorted by neighbor id (insertAdj), so
-		// the CSR fill is a straight copy.
-		copy(g.succAdj[g.succOff[i]:g.succOff[i+1]], ap.succ[i])
-		copy(g.predAdj[g.predOff[i]:g.predOff[i+1]], ap.pred[i])
-	}
+	// Adjacency is maintained sorted by neighbor id (insertAdj), so the
+	// CSR fill is a straight copy.
+	g.succ = pack(n, ap.edges, func(v TaskID) []Adj { return ap.succ[v] })
+	g.pred = pack(n, ap.edges, func(v TaskID) []Adj { return ap.pred[v] })
 	order, err := topoOrder(g)
 	if err != nil {
 		// The incremental order maintenance guarantees acyclicity; this
@@ -268,4 +296,106 @@ func (ap *Appendable) Seal() (*Graph, error) {
 	}
 	g.topoOnce.Do(func() { g.topo = order })
 	return g, nil
+}
+
+// BlockChange describes one arc block that Grow rewrote: the task and
+// direction, the block's offset before the Grow (-1 for a task the live
+// graph did not have), and Keep, the length of its prefix that is
+// unchanged. The block may have moved: its current offset is SuccStart
+// or PredStart. Arcs from Keep on are new or shifted.
+type BlockChange struct {
+	Task   TaskID
+	Pred   bool
+	OldOff int
+	Keep   int
+}
+
+// Grow publishes everything appended since the previous call into the
+// live graph and returns it with the blocks it rewrote (a slice reused
+// by the next call). The graph is the same *Graph every time, extended
+// in place: it is valid until the next Grow, and a caller must not share
+// it. New tasks get blocks with spare capacity at the tail of the arc
+// arrays. An arc into an existing block is written at its sorted
+// position; a block out of capacity moves to the tail with twice the
+// room, leaving its old slots unused. The traversal caches are reset, so
+// the canonical Kahn order and the level sets are computed only when
+// something asks for them.
+func (ap *Appendable) Grow() (*Graph, []BlockChange, error) {
+	n := len(ap.tasks)
+	if n == 0 {
+		return nil, nil, errors.New("dag: graph has no tasks")
+	}
+	g := ap.live
+	if g == nil {
+		g = &Graph{name: ap.name}
+		ap.live = g
+	}
+	ap.changes = ap.changes[:0]
+	for _, c := range ap.touched {
+		d := dir(c.Pred)
+		c.OldOff, c.Keep = int(g.side(c.Pred).off[c.Task]), int(ap.keep[d][c.Task])
+		ap.keep[d][c.Task] = -1
+		ap.writeBlock(g, c.Task, c.Pred, c.Keep)
+		ap.changes = append(ap.changes, c)
+	}
+	ap.touched = ap.touched[:0]
+	for v := TaskID(len(g.tasks)); int(v) < n; v++ {
+		for d, pred := range [2]bool{false, true} {
+			b := g.side(pred)
+			b.off, b.end = append(b.off, 0), append(b.end, 0)
+			ap.cap[d] = append(ap.cap[d], 0)
+			ap.keep[d] = append(ap.keep[d], -1)
+			if len(ap.list(v, pred)) > 0 {
+				ap.writeBlock(g, v, pred, 0)
+				ap.changes = append(ap.changes, BlockChange{Task: v, Pred: pred, OldOff: -1})
+			}
+		}
+	}
+	g.tasks = ap.tasks[:n:n]
+	g.edges = ap.edges
+	g.resetCaches()
+	return g, ap.changes, nil
+}
+
+func (ap *Appendable) list(v TaskID, pred bool) []Adj {
+	if pred {
+		return ap.pred[v]
+	}
+	return ap.succ[v]
+}
+
+// side returns one direction of g's adjacency.
+func (g *Graph) side(pred bool) *blocks {
+	if pred {
+		return &g.pred
+	}
+	return &g.succ
+}
+
+// writeBlock copies v's arc list from index keep on into its block of
+// the live graph, first moving the block to the tail of the arc array
+// with twice the room when the list outgrew it.
+func (ap *Appendable) writeBlock(g *Graph, v TaskID, pred bool, keep int) {
+	list, d, b := ap.list(v, pred), dir(pred), g.side(pred)
+	if len(list) > int(ap.cap[d][v]) {
+		room := max(2*len(list), 4)
+		b.off[v] = int32(len(b.adj))
+		b.adj = extend(b.adj, room)
+		ap.cap[d][v] = int32(room)
+		keep = 0
+	}
+	copy(b.adj[int(b.off[v])+keep:], list[keep:])
+	b.end[v] = b.off[v] + int32(len(list))
+}
+
+// extend returns s with k more zeroed elements, doubling the capacity
+// when it runs out, so each arc slot is re-copied O(1) times as the live
+// graph grows.
+func extend(s []Adj, k int) []Adj {
+	if len(s)+k > cap(s) {
+		grown := make([]Adj, len(s), 2*(len(s)+k))
+		copy(grown, s)
+		s = grown
+	}
+	return s[:len(s)+k]
 }

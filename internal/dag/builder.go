@@ -68,37 +68,39 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	// Counting pass then fill: the adjacency goes straight into the flat
 	// CSR arrays, no per-task intermediate slices.
-	g.succOff = make([]int32, n+1)
-	g.predOff = make([]int32, n+1)
+	succOff := make([]int32, n+1)
+	predOff := make([]int32, n+1)
 	for _, e := range b.edges {
-		g.succOff[e.From+1]++
-		g.predOff[e.To+1]++
+		succOff[e.From+1]++
+		predOff[e.To+1]++
 	}
 	for i := 0; i < n; i++ {
-		g.succOff[i+1] += g.succOff[i]
-		g.predOff[i+1] += g.predOff[i]
+		succOff[i+1] += succOff[i]
+		predOff[i+1] += predOff[i]
 	}
-	g.succAdj = make([]Adj, len(b.edges))
-	g.predAdj = make([]Adj, len(b.edges))
-	sCur := append([]int32(nil), g.succOff[:n]...)
-	pCur := append([]int32(nil), g.predOff[:n]...)
+	succAdj := make([]Adj, len(b.edges))
+	predAdj := make([]Adj, len(b.edges))
+	sCur := append([]int32(nil), succOff[:n]...)
+	pCur := append([]int32(nil), predOff[:n]...)
 	for _, e := range b.edges {
-		g.succAdj[sCur[e.From]] = Adj{To: e.To, Data: e.Data}
+		succAdj[sCur[e.From]] = Adj{To: e.To, Data: e.Data}
 		sCur[e.From]++
-		g.predAdj[pCur[e.To]] = Adj{To: e.From, Data: e.Data}
+		predAdj[pCur[e.To]] = Adj{To: e.From, Data: e.Data}
 		pCur[e.To]++
 	}
 	for i := 0; i < n; i++ {
-		adj := g.succAdj[g.succOff[i]:g.succOff[i+1]]
+		adj := succAdj[succOff[i]:succOff[i+1]]
 		sort.Slice(adj, func(a, b int) bool { return adj[a].To < adj[b].To })
 		for k := 1; k < len(adj); k++ {
 			if adj[k].To == adj[k-1].To {
 				return nil, fmt.Errorf("dag: duplicate edge (%d,%d)", i, adj[k].To)
 			}
 		}
-		p := g.predAdj[g.predOff[i]:g.predOff[i+1]]
+		p := predAdj[predOff[i]:predOff[i+1]]
 		sort.Slice(p, func(a, b int) bool { return p[a].To < p[b].To })
 	}
+	g.succ = blocks{off: succOff, end: succOff[1:], adj: succAdj}
+	g.pred = blocks{off: predOff, end: predOff[1:], adj: predAdj}
 	order, err := topoOrder(g)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,9 @@
 // scheduling algorithm in this repository: the task-graph model, builders,
 // traversals, critical-path analysis and serialization.
 //
-// A Graph is immutable after Build; algorithms never mutate it. Task and
+// A Graph is immutable after Build; algorithms never mutate it. The one
+// exception is the live graph of an Appendable, which its Grow extends in
+// place (see Appendable.Grow); a caller must not share that graph. Task and
 // edge weights stored here are *nominal* costs: the per-processor execution
 // cost of a task on a concrete platform is derived in package sched by
 // combining the nominal weight with the platform's heterogeneity model.
@@ -40,33 +42,57 @@ type Edge struct {
 	Data float64
 }
 
-// Graph is an immutable weighted DAG.
+// Graph is an immutable weighted DAG (except the live graph that
+// Appendable.Grow returns, which later Grow calls extend in place).
 //
-// Adjacency is stored in CSR form: one flat arc array per direction plus
-// n+1 offsets, so Succ/Pred return zero-copy sub-slices and per-arc
-// companion tables (package sched's mean-communication caches) can be flat
-// arrays indexed by SuccStart/PredStart — no per-task slice headers, no
-// pointer chasing on the million-task hot paths.
+// Adjacency is stored in CSR form: one flat arc array per direction with
+// a block of arcs per task, so Succ/Pred return zero-copy sub-slices and
+// per-arc companion tables (package sched's mean-communication caches)
+// can be flat arrays of ArcSlots entries indexed by SuccStart/PredStart —
+// no per-task slice headers, no pointer chasing on the million-task hot
+// paths.
 type Graph struct {
 	name  string
 	tasks []Task
-	// succAdj holds all successor arcs grouped by source task (sorted by
-	// To within a group); task i's arcs are succAdj[succOff[i]:succOff[i+1]].
-	succOff []int32
-	succAdj []Adj
-	// predAdj mirrors succAdj for incoming arcs, sorted by predecessor id.
-	predOff []int32
-	predAdj []Adj
-	edges   int
+	succ  blocks // outgoing arcs, sorted by successor id within a block
+	pred  blocks // incoming arcs, sorted by predecessor id
+	edges int
 
-	// Traversal caches. The graph is immutable, so one topological order
-	// and the level-set groupings are computed once and shared; accessors
-	// hand out copies where callers are allowed to mutate the result.
+	// Traversal caches. One topological order and the level-set
+	// groupings are computed once per structure and shared (Grow resets
+	// them); accessors hand out copies where callers are allowed to
+	// mutate the result.
 	topoOnce sync.Once
 	topo     []TaskID
 	lvlOnce  sync.Once
 	depth    levelSets // tasks grouped by depth from the entries
 	height   levelSets // tasks grouped by height from the exits
+}
+
+// blocks is one direction of a graph's adjacency: task i's arcs are
+// adj[off[i]:end[i]]. A built graph packs the blocks in id order with no
+// gaps, and end aliases off[1:], so it costs no memory. The live graph of
+// an Appendable leaves spare slots after a block so it can take arcs in
+// place.
+type blocks struct {
+	off, end []int32
+	adj      []Adj
+}
+
+func (b *blocks) of(id TaskID) []Adj {
+	lo, hi := b.off[id], b.end[id]
+	return b.adj[lo:hi:hi]
+}
+
+// pack lays out n tasks' arc lists as packed blocks in id order.
+func pack(n, arcs int, list func(TaskID) []Adj) blocks {
+	b := blocks{off: make([]int32, n+1), adj: make([]Adj, 0, arcs)}
+	for i := 0; i < n; i++ {
+		b.adj = append(b.adj, list(TaskID(i))...)
+		b.off[i+1] = int32(len(b.adj))
+	}
+	b.end = b.off[1:]
+	return b
 }
 
 // levelSets is a CSR grouping of tasks by level: level l holds
@@ -76,6 +102,19 @@ type levelSets struct {
 	tasks []TaskID
 }
 
+// Compact returns a copy of g in the built layout: blocks packed in id
+// order, no spare slots. It shares nothing with g, so it stays fixed
+// while a live graph keeps growing.
+func (g *Graph) Compact() *Graph {
+	return &Graph{
+		name:  g.name,
+		tasks: g.Tasks(),
+		succ:  pack(len(g.tasks), g.edges, g.Succ),
+		pred:  pack(len(g.tasks), g.edges, g.Pred),
+		edges: g.edges,
+	}
+}
+
 // replaceWith installs src's structural fields into g and clears the
 // traversal caches, without copying the sync.Once fields. src must be
 // freshly built and not shared; UnmarshalJSON uses this in place of a
@@ -83,11 +122,14 @@ type levelSets struct {
 func (g *Graph) replaceWith(src *Graph) {
 	g.name = src.name
 	g.tasks = src.tasks
-	g.succOff = src.succOff
-	g.succAdj = src.succAdj
-	g.predOff = src.predOff
-	g.predAdj = src.predAdj
+	g.succ, g.pred = src.succ, src.pred
 	g.edges = src.edges
+	g.resetCaches()
+}
+
+// resetCaches drops the traversal caches; the next accessor recomputes
+// them from the current structure.
+func (g *Graph) resetCaches() {
 	g.topoOnce = sync.Once{}
 	g.topo = nil
 	g.lvlOnce = sync.Once{}
@@ -117,32 +159,32 @@ func (g *Graph) Tasks() []Task {
 
 // Succ returns the successor adjacency of id. The returned slice must not
 // be modified.
-func (g *Graph) Succ(id TaskID) []Adj {
-	lo, hi := g.succOff[id], g.succOff[id+1]
-	return g.succAdj[lo:hi:hi]
-}
+func (g *Graph) Succ(id TaskID) []Adj { return g.succ.of(id) }
 
 // Pred returns the predecessor adjacency of id. The returned slice must
 // not be modified.
-func (g *Graph) Pred(id TaskID) []Adj {
-	lo, hi := g.predOff[id], g.predOff[id+1]
-	return g.predAdj[lo:hi:hi]
-}
+func (g *Graph) Pred(id TaskID) []Adj { return g.pred.of(id) }
 
 // SuccStart returns the arc offset of task id's first outgoing arc in the
 // flat successor array: the j-th entry of Succ(id) is arc SuccStart(id)+j.
 // Flat per-arc tables (e.g. memoized mean communication costs) are indexed
 // with it.
-func (g *Graph) SuccStart(id TaskID) int { return int(g.succOff[id]) }
+func (g *Graph) SuccStart(id TaskID) int { return int(g.succ.off[id]) }
 
 // PredStart is SuccStart for incoming arcs.
-func (g *Graph) PredStart(id TaskID) int { return int(g.predOff[id]) }
+func (g *Graph) PredStart(id TaskID) int { return int(g.pred.off[id]) }
+
+// ArcSlots returns the lengths of the flat successor and predecessor arc
+// arrays: the size of a per-arc table indexed by SuccStart or PredStart.
+// A built graph has NumEdges slots in each; the live graph also counts
+// the spare slots between its blocks.
+func (g *Graph) ArcSlots() (succ, pred int) { return len(g.succ.adj), len(g.pred.adj) }
 
 // OutDegree returns the number of successors of id.
-func (g *Graph) OutDegree(id TaskID) int { return int(g.succOff[id+1] - g.succOff[id]) }
+func (g *Graph) OutDegree(id TaskID) int { return int(g.succ.end[id] - g.succ.off[id]) }
 
 // InDegree returns the number of predecessors of id.
-func (g *Graph) InDegree(id TaskID) int { return int(g.predOff[id+1] - g.predOff[id]) }
+func (g *Graph) InDegree(id TaskID) int { return int(g.pred.end[id] - g.pred.off[id]) }
 
 // EdgeData returns the data volume on edge (from, to) and whether the edge
 // exists.
@@ -200,8 +242,10 @@ func (g *Graph) TotalWeight() float64 {
 // TotalData returns the sum of all edge data volumes.
 func (g *Graph) TotalData() float64 {
 	var s float64
-	for _, a := range g.succAdj {
-		s += a.Data
+	for i := range g.tasks {
+		for _, a := range g.Succ(TaskID(i)) {
+			s += a.Data
+		}
 	}
 	return s
 }

@@ -67,13 +67,8 @@ func NewInstance(g *dag.Graph, sys *platform.System, w [][]float64) (*Instance, 
 	}
 	n, p := g.Len(), sys.Len()
 	for i, row := range w {
-		if len(row) != p {
-			return nil, fmt.Errorf("sched: cost row %d has %d cols, want %d", i, len(row), p)
-		}
-		for q, v := range row {
-			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("%w: W[%d][%d] = %g", ErrInvalidCost, i, q, v)
-			}
+		if err := checkRow(i, row, p); err != nil {
+			return nil, err
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -96,31 +91,33 @@ func NewInstance(g *dag.Graph, sys *platform.System, w [][]float64) (*Instance, 
 	return inst, nil
 }
 
+// checkRow validates task i's cost row: p finite, non-negative costs.
+func checkRow(i int, row []float64, p int) error {
+	if len(row) != p {
+		return fmt.Errorf("sched: cost row %d has %d cols, want %d", i, len(row), p)
+	}
+	for q, v := range row {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: W[%d][%d] = %g", ErrInvalidCost, i, q, v)
+		}
+	}
+	return nil
+}
+
 func (in *Instance) cacheStats() {
-	n, p := in.G.Len(), in.Sys.Len()
+	n := in.G.Len()
 	in.meanW = make([]float64, n)
 	in.sigmaW = make([]float64, n)
 	for i := 0; i < n; i++ {
-		row := in.W[i]
-		var sum float64
-		for q := 0; q < p; q++ {
-			sum += row[q]
-		}
-		mean := sum / float64(p)
-		var varSum float64
-		for q := 0; q < p; q++ {
-			d := row[q] - mean
-			varSum += d * d
-		}
-		in.meanW[i] = mean
-		in.sigmaW[i] = math.Sqrt(varSum / float64(p))
+		in.meanW[i], in.sigmaW[i] = rowStats(in.W[i])
 	}
 	// One MeanCommData call per arc fills both tables. Sources are
 	// visited in id order and each task's predecessor arcs are sorted by
 	// source id, so arc i→t is always the next unfilled slot of t's
 	// predecessor row: a per-target cursor places it.
-	in.meanCommSucc = make([]float64, in.G.NumEdges())
-	in.meanCommPred = make([]float64, in.G.NumEdges())
+	succSlots, predSlots := in.G.ArcSlots()
+	in.meanCommSucc = make([]float64, succSlots)
+	in.meanCommPred = make([]float64, predSlots)
 	next := make([]int32, n)
 	for i := 0; i < n; i++ {
 		base := in.G.SuccStart(dag.TaskID(i))
@@ -131,6 +128,22 @@ func (in *Instance) cacheStats() {
 			next[a.To]++
 		}
 	}
+}
+
+// rowStats returns the mean and (population) standard deviation of one
+// task's cost row.
+func rowStats(row []float64) (mean, sigma float64) {
+	var sum float64
+	for _, v := range row {
+		sum += v
+	}
+	mean = sum / float64(len(row))
+	var varSum float64
+	for _, v := range row {
+		d := v - mean
+		varSum += d * d
+	}
+	return mean, math.Sqrt(varSum / float64(len(row)))
 }
 
 // Consistent builds the related-machines instance: W[i][p] equals the

@@ -2,113 +2,64 @@ package sched
 
 import (
 	"fmt"
-	"math"
 
 	"dagsched/internal/dag"
 )
 
-// NewInstanceGrown builds the instance of a grown graph by extending a
-// previous instance instead of recomputing from scratch: the cost rows
-// and per-task statistics of existing tasks are reused, and the per-arc
-// mean-communication tables are refilled by copying the previous value
-// of every arc that already existed — only new tasks and new arcs pay
-// for computation. The values are bit-identical to NewInstance's (copied
-// values were produced by the same MeanCommData call on the same data),
-// so grown and fresh instances are interchangeable everywhere; the
-// streaming engine's per-flush instance construction depends on that.
-//
-// Requirements: g extends prev.G — existing tasks keep their ids and
-// arcs (with unchanged data), adjacency stays sorted by neighbor id
-// (both Builder.Build and Appendable.Seal guarantee this) — and w's
-// first prev.N() rows are unchanged (they are not re-read). Grown
-// instances chain: each call may consume spare capacity of prev's
-// backing arrays, so grow linearly (prev must not be grown twice).
-func NewInstanceGrown(prev *Instance, g *dag.Graph, w [][]float64) (*Instance, error) {
-	if prev == nil {
-		return nil, fmt.Errorf("sched: NewInstanceGrown with nil previous instance")
-	}
-	oldN, n, p := prev.N(), g.Len(), prev.P()
-	if n < oldN {
-		return nil, fmt.Errorf("sched: grown graph shrinks task count %d -> %d", oldN, n)
-	}
+// Grow extends the instance in place after its graph, the live graph of
+// a dag.Appendable, grew: changes are the blocks that Appendable.Grow
+// rewrote, and w holds every task's cost row (rows of tasks the
+// instance already has are not re-read). New cost rows are validated
+// and appended with their statistics. In the per-arc mean-communication
+// tables a moved block's unchanged prefix moves with it, and
+// MeanCommData runs only for new or shifted arcs (their data was
+// validated by the Appendable). Every value is the one NewInstance would
+// compute on the same graph, so a grown instance is interchangeable
+// with a fresh one; the streaming engine's flush depends on that. On
+// error the instance is unchanged.
+func (in *Instance) Grow(w [][]float64, changes []dag.BlockChange) error {
+	oldN, n, p := len(in.meanW), in.G.Len(), in.P()
 	if len(w) != n {
-		return nil, fmt.Errorf("sched: cost matrix has %d rows, want %d", len(w), n)
+		return fmt.Errorf("sched: cost matrix has %d rows, want %d", len(w), n)
 	}
-	inst := &Instance{G: g, Sys: prev.Sys, comm: prev.comm}
-
-	// New cost rows: validate, flatten onto the chained backing array.
-	inst.wFlat = prev.wFlat
-	inst.meanW = prev.meanW
-	inst.sigmaW = prev.sigmaW
-	inst.W = prev.W
 	for i := oldN; i < n; i++ {
-		row := w[i]
-		if len(row) != p {
-			return nil, fmt.Errorf("sched: cost row %d has %d cols, want %d", i, len(row), p)
+		if err := checkRow(i, w[i], p); err != nil {
+			return err
 		}
-		var sum float64
-		for q, v := range row {
-			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("%w: W[%d][%d] = %g", ErrInvalidCost, i, q, v)
-			}
-			sum += v
-		}
-		base := len(inst.wFlat)
-		inst.wFlat = append(inst.wFlat, row...)
-		inst.W = append(inst.W, inst.wFlat[base:base+p:base+p])
-		mean := sum / float64(p)
-		var varSum float64
-		for _, v := range row {
-			d := v - mean
-			varSum += d * d
-		}
-		inst.meanW = append(inst.meanW, mean)
-		inst.sigmaW = append(inst.sigmaW, math.Sqrt(varSum/float64(p)))
 	}
+	for i := oldN; i < n; i++ {
+		base := len(in.wFlat)
+		in.wFlat = append(in.wFlat, w[i]...)
+		in.W = append(in.W, in.wFlat[base:base+p:base+p])
+		mean, sigma := rowStats(w[i])
+		in.meanW = append(in.meanW, mean)
+		in.sigmaW = append(in.sigmaW, sigma)
+	}
+	succSlots, predSlots := in.G.ArcSlots()
+	in.meanCommSucc = extendTable(in.meanCommSucc, succSlots)
+	in.meanCommPred = extendTable(in.meanCommPred, predSlots)
+	for _, c := range changes {
+		table, arcs, off := in.meanCommSucc, in.G.Succ(c.Task), in.G.SuccStart(c.Task)
+		if c.Pred {
+			table, arcs, off = in.meanCommPred, in.G.Pred(c.Task), in.G.PredStart(c.Task)
+		}
+		if c.Keep > 0 && c.OldOff != off {
+			copy(table[off:off+c.Keep], table[c.OldOff:c.OldOff+c.Keep])
+		}
+		for j := c.Keep; j < len(arcs); j++ {
+			table[off+j] = in.MeanCommData(arcs[j].Data)
+		}
+	}
+	return nil
+}
 
-	// Per-arc mean-communication tables: the CSR offsets shift as arcs
-	// are added, so the tables are refilled — but an arc that existed in
-	// prev copies its cached value. Both adjacency lists are sorted by
-	// neighbor id, so a single merge walk matches old arcs to new.
-	inst.meanCommSucc = make([]float64, g.NumEdges())
-	inst.meanCommPred = make([]float64, g.NumEdges())
-	fill := func(dst, src []float64, arcs func(*dag.Graph, dag.TaskID) []dag.Adj,
-		start func(*dag.Graph, dag.TaskID) int) error {
-		for i := 0; i < n; i++ {
-			v := dag.TaskID(i)
-			newArcs := arcs(g, v)
-			base := start(g, v)
-			var oldArcs []dag.Adj
-			oldBase := 0
-			if i < oldN {
-				oldArcs = arcs(prev.G, v)
-				oldBase = start(prev.G, v)
-			}
-			j := 0
-			for k, a := range newArcs {
-				for j < len(oldArcs) && oldArcs[j].To < a.To {
-					j++
-				}
-				if j < len(oldArcs) && oldArcs[j].To == a.To {
-					dst[base+k] = src[oldBase+j]
-					j++
-					continue
-				}
-				if a.Data < 0 || math.IsNaN(a.Data) || math.IsInf(a.Data, 0) {
-					return fmt.Errorf("%w: edge at task %d data = %g", ErrInvalidCost, i, a.Data)
-				}
-				dst[base+k] = inst.MeanCommData(a.Data)
-			}
-		}
-		return nil
+// extendTable lengthens a per-arc table to slots entries, doubling its
+// capacity when it runs out.
+func extendTable(t []float64, slots int) []float64 {
+	if slots > cap(t) {
+		grown := make([]float64, len(t), 2*slots)
+		copy(grown, t)
+		t = grown
 	}
-	succ := func(g *dag.Graph, v dag.TaskID) []dag.Adj { return g.Succ(v) }
-	pred := func(g *dag.Graph, v dag.TaskID) []dag.Adj { return g.Pred(v) }
-	if err := fill(inst.meanCommSucc, prev.meanCommSucc, succ, (*dag.Graph).SuccStart); err != nil {
-		return nil, err
-	}
-	if err := fill(inst.meanCommPred, prev.meanCommPred, pred, (*dag.Graph).PredStart); err != nil {
-		return nil, err
-	}
-	return inst, nil
+	return t[:slots]
 }

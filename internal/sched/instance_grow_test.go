@@ -8,20 +8,48 @@ import (
 	"dagsched/internal/platform"
 )
 
-// TestNewInstanceGrownMatchesFresh grows a graph in batches, chaining
-// NewInstanceGrown, and checks every cached statistic bit-identical to a
-// fresh NewInstance of the same graph at every step.
-func TestNewInstanceGrownMatchesFresh(t *testing.T) {
+// TestInstanceGrowMatchesFresh streams a random DAG into a
+// dag.Appendable in topological, reverse and shuffled arrival, growing
+// one instance in place at every batch, and checks every cached
+// statistic bit-identical to a fresh NewInstance of the sealed graph.
+// A third of the arcs arrive some batches after both their endpoints,
+// so blocks take arcs mid-block; full blocks move, so kept prefixes move
+// and shifted arcs are recomputed.
+func TestInstanceGrowMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	sys := platform.Homogeneous(4, 1.5, 0.5)
-	ap := dag.NewAppendable("grow")
-	var w [][]float64
-
-	var prev *Instance
-	for batch := 0; batch < 12; batch++ {
-		for k := 0; k < 8; k++ {
-			id, err := ap.AddTask("", float64(1+rng.Intn(9)))
-			if err != nil {
+	sys, err := platform.Generate(platform.GenConfig{Procs: 4, Latency: 1.5, TimePerUnit: 0.5, LinkSpread: 0.5}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 120
+	type arc struct{ from, to int }
+	var arcs []arc
+	for to := 1; to < n; to++ {
+		for k := 0; k < 3; k++ {
+			arcs = append(arcs, arc{rng.Intn(to), to})
+		}
+	}
+	for _, order := range []string{"topo", "reverse", "shuffled"} {
+		arrival := rng.Perm(n)
+		for i := range arrival {
+			switch order {
+			case "topo":
+				arrival[i] = i
+			case "reverse":
+				arrival[i] = n - 1 - i
+			}
+		}
+		pos := make([]int, n)
+		for i, v := range arrival {
+			pos[v] = i
+		}
+		ap := dag.NewAppendable("grow")
+		var w [][]float64
+		var grown *Instance
+		var deferred []arc
+		moved, midBlock := 0, 0
+		for i := range arrival {
+			if _, err := ap.AddTask("", float64(1+rng.Intn(9))); err != nil {
 				t.Fatal(err)
 			}
 			row := make([]float64, sys.Len())
@@ -29,68 +57,108 @@ func TestNewInstanceGrownMatchesFresh(t *testing.T) {
 				row[p] = float64(1+rng.Intn(9)) * (0.5 + rng.Float64())
 			}
 			w = append(w, row)
-			for tries := 0; tries < 2 && id > 0; tries++ {
-				from := dag.TaskID(rng.Intn(int(id)))
-				// Ignore duplicates: the random draw may repeat an edge.
-				_ = ap.AddEdge(from, id, float64(rng.Intn(20)))
-			}
-		}
-		g, err := ap.Seal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var grown *Instance
-		if prev == nil {
-			grown, err = NewInstance(g, sys, w)
-		} else {
-			grown, err = NewInstanceGrown(prev, g, w)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := NewInstance(g, sys, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < g.Len(); i++ {
-			v := dag.TaskID(i)
-			if grown.MeanCost(v) != fresh.MeanCost(v) || grown.SigmaCost(v) != fresh.SigmaCost(v) {
-				t.Fatalf("batch %d task %d: stats differ: mean %x/%x sigma %x/%x", batch, i,
-					grown.MeanCost(v), fresh.MeanCost(v), grown.SigmaCost(v), fresh.SigmaCost(v))
-			}
-			for p := 0; p < sys.Len(); p++ {
-				if grown.Cost(v, p) != fresh.Cost(v, p) {
-					t.Fatalf("batch %d task %d proc %d: cost differs", batch, i, p)
+			for _, a := range arcs {
+				from, to := pos[a.from], pos[a.to]
+				if (from == i && to < i) || (to == i && from < i) {
+					deferred = append(deferred, arc{from, to})
 				}
 			}
-			for j := range g.Succ(v) {
-				if grown.MeanCommSucc(v, j) != fresh.MeanCommSucc(v, j) {
-					t.Fatalf("batch %d task %d succ arc %d: mean comm %x != %x", batch, i, j,
-						grown.MeanCommSucc(v, j), fresh.MeanCommSucc(v, j))
+			kept := deferred[:0]
+			for _, a := range deferred {
+				if i == n-1 || rng.Intn(3) > 0 {
+					// Ignore duplicates: the random draw may repeat an arc.
+					_ = ap.AddEdge(dag.TaskID(a.from), dag.TaskID(a.to), float64(rng.Intn(20)))
+				} else {
+					kept = append(kept, a)
 				}
 			}
-			for j := range g.Pred(v) {
-				if grown.MeanCommPred(v, j) != fresh.MeanCommPred(v, j) {
-					t.Fatalf("batch %d task %d pred arc %d: mean comm %x != %x", batch, i, j,
-						grown.MeanCommPred(v, j), fresh.MeanCommPred(v, j))
+			deferred = kept
+			if i%8 != 7 && i != n-1 {
+				continue
+			}
+			g, changes, err := ap.Grow()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range changes {
+				off, arcs := g.SuccStart(c.Task), g.OutDegree(c.Task)
+				if c.Pred {
+					off, arcs = g.PredStart(c.Task), g.InDegree(c.Task)
+				}
+				if c.OldOff >= 0 && c.Keep > 0 && c.OldOff != off {
+					moved++
+				}
+				if c.Keep < arcs-1 {
+					midBlock++
 				}
 			}
-		}
-		// The upward ranks — the digest-critical consumer — agree too.
-		gr, fr := RankUpward(grown), RankUpward(fresh)
-		for i := range gr {
-			if gr[i] != fr[i] {
-				t.Fatalf("batch %d: rank[%d] %x != %x", batch, i, gr[i], fr[i])
+			if grown == nil {
+				grown, err = NewInstance(g, sys, w)
+			} else {
+				err = grown.Grow(w, changes)
 			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealed, err := ap.Seal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewInstance(sealed, sys, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			instancesMatch(t, order, i, grown, fresh)
 		}
-		prev = grown
+		if moved == 0 || midBlock == 0 {
+			t.Fatalf("%s: %d moved blocks, %d mid-block rewrites; want both", order, moved, midBlock)
+		}
 	}
 }
 
-func TestNewInstanceGrownValidates(t *testing.T) {
+// instancesMatch asserts every cached statistic of got is bit-identical
+// to want's, and so are the upward ranks that read them.
+func instancesMatch(t *testing.T, order string, step int, got, want *Instance) {
+	t.Helper()
+	if got.N() != want.N() {
+		t.Fatalf("%s step %d: %d tasks, want %d", order, step, got.N(), want.N())
+	}
+	for i := 0; i < want.N(); i++ {
+		v := dag.TaskID(i)
+		if got.MeanCost(v) != want.MeanCost(v) || got.SigmaCost(v) != want.SigmaCost(v) {
+			t.Fatalf("%s step %d task %d: stats differ: mean %x/%x sigma %x/%x", order, step, i,
+				got.MeanCost(v), want.MeanCost(v), got.SigmaCost(v), want.SigmaCost(v))
+		}
+		for p := 0; p < want.P(); p++ {
+			if got.Cost(v, p) != want.Cost(v, p) {
+				t.Fatalf("%s step %d task %d proc %d: cost differs", order, step, i, p)
+			}
+		}
+		for j := range want.G.Succ(v) {
+			if got.MeanCommSucc(v, j) != want.MeanCommSucc(v, j) {
+				t.Fatalf("%s step %d task %d succ arc %d: mean comm %x != %x", order, step, i, j,
+					got.MeanCommSucc(v, j), want.MeanCommSucc(v, j))
+			}
+		}
+		for j := range want.G.Pred(v) {
+			if got.MeanCommPred(v, j) != want.MeanCommPred(v, j) {
+				t.Fatalf("%s step %d task %d pred arc %d: mean comm %x != %x", order, step, i, j,
+					got.MeanCommPred(v, j), want.MeanCommPred(v, j))
+			}
+		}
+	}
+	gr, fr := RankUpward(got), RankUpward(want)
+	for i := range fr {
+		if gr[i] != fr[i] {
+			t.Fatalf("%s step %d: rank[%d] %x != %x", order, step, i, gr[i], fr[i])
+		}
+	}
+}
+
+func TestInstanceGrowValidates(t *testing.T) {
 	ap := dag.NewAppendable("g")
 	ap.AddTask("", 1)
-	g, err := ap.Seal()
+	g, _, err := ap.Grow()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,20 +168,32 @@ func TestNewInstanceGrownValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ap.AddTask("", 2)
-	g2, err := ap.Seal()
+	if err := ap.AddEdge(0, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	_, changes, err := ap.Grow()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewInstanceGrown(in, g2, [][]float64{{1, 2}}); err == nil {
-		t.Fatal("short cost matrix accepted")
+	for _, w := range [][][]float64{
+		{{1, 2}},          // short cost matrix
+		{{1, 2}, {3}},     // ragged row
+		{{1, 2}, {3, -1}}, // negative cost
+	} {
+		if err := in.Grow(w, changes); err == nil {
+			t.Fatalf("cost matrix %v accepted", w)
+		}
+		if len(in.W) != 1 || len(in.meanW) != 1 {
+			t.Fatalf("rejected grow changed the instance: %d rows", len(in.W))
+		}
 	}
-	if _, err := NewInstanceGrown(in, g2, [][]float64{{1, 2}, {3}}); err == nil {
-		t.Fatal("ragged cost row accepted")
+	if err := in.Grow([][]float64{{1, 2}, {3, 4}}, changes); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewInstanceGrown(in, g2, [][]float64{{1, 2}, {3, -1}}); err == nil {
-		t.Fatal("negative cost accepted")
+	if in.MeanCost(1) != 3.5 || in.MeanCommSucc(0, 0) != in.MeanCommData(3) {
+		t.Fatalf("grown task: mean %v, arc %v", in.MeanCost(1), in.MeanCommSucc(0, 0))
 	}
-	if _, err := NewInstanceGrown(in, g, [][]float64{{1, 2}}); err != nil {
+	if err := in.Grow([][]float64{{1, 2}, {3, 4}}, nil); err != nil {
 		t.Fatalf("no-op grow rejected: %v", err)
 	}
 }

@@ -37,20 +37,22 @@ func SeedPlan(in *Instance, frozen []Assignment) *Plan {
 // whose existing tasks kept their ids and predecessor arcs, and
 // unchanged cost rows for every placed task (appended tasks and arcs
 // into unplaced tasks only — the engine's fast path when no placed task
-// is affected). New tasks start unscheduled; Done/Finalize account for
-// the new total. Only the contention-free model is supported: grown
-// instances would need their reservation state replayed.
+// is affected). The instance may be the plan's own, grown in place
+// (Instance.Grow): the plan counts its tasks itself. New tasks start
+// unscheduled; Done/Finalize account for the new total. Only the
+// contention-free model is supported: grown instances would need their
+// reservation state replayed.
 func (pl *Plan) Grow(in *Instance) error {
 	if in.P() != pl.in.P() {
 		return fmt.Errorf("sched: Grow changes processor count %d -> %d", pl.in.P(), in.P())
 	}
-	if in.N() < pl.in.N() {
-		return fmt.Errorf("sched: Grow shrinks task count %d -> %d", pl.in.N(), in.N())
+	if in.N() < len(pl.byTask) {
+		return fmt.Errorf("sched: Grow shrinks task count %d -> %d", len(pl.byTask), in.N())
 	}
 	if pl.comm != nil || in.comm != nil {
 		return fmt.Errorf("sched: Grow requires the contention-free communication model")
 	}
-	delta := in.N() - pl.in.N()
+	delta := in.N() - len(pl.byTask)
 	if delta > 0 {
 		arena := make([]Assignment, delta)
 		for i := 0; i < delta; i++ {

@@ -90,6 +90,16 @@ func (s *Schedule) Renamed(algorithm string) *Schedule {
 	return &cp
 }
 
+// WithInstance returns a copy of the schedule over another instance of
+// the same problem (same tasks, arcs, platform and costs), sharing all
+// placement data. The streaming engine, whose instance grows in place,
+// hands out mid-stream schedules over a compact snapshot this way.
+func (s *Schedule) WithInstance(in *Instance) *Schedule {
+	cp := *s
+	cp.inst = in
+	return &cp
+}
+
 // Validate re-checks every structural and temporal constraint of the
 // schedule against its instance. It is the single source of truth used by
 // tests, the simulator and the CLI tools. A nil return means the schedule

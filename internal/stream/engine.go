@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"dagsched/internal/algo"
@@ -31,7 +32,7 @@ type Config struct {
 	// BatchSize is the auto-flush threshold (DefaultBatchSize when 0).
 	BatchSize int
 	// DirtyFraction bounds the incremental rank repair before it falls
-	// back to the full kernel (algo.DefaultDirtyFraction when 0).
+	// back to a full sweep (algo.DefaultDirtyFraction when 0).
 	DirtyFraction float64
 	// FullRecompute disables the incremental path: every flush runs the
 	// full exact re-plan from the frozen prefix. The benchmark baseline.
@@ -45,13 +46,14 @@ type Config struct {
 
 // Engine consumes an event log and maintains a continuously-updated
 // schedule. Tasks and edges buffer until a flush (explicit, batch-size
-// or seal), which re-seals the graph, repairs the upward ranks over the
-// dirty set, and re-places only the affected suffix — tasks whose
-// readiness a new arc or task can change — while the frozen horizon
-// (placements started before the virtual clock) is pinned. Sealing runs
-// the configured scheduler's exact placement semantics over everything
-// unfrozen, so a sealed stream at horizon zero reproduces the static
-// scheduler bit for bit.
+// or seal), which publishes them into the live graph and grows the
+// instance in place, repairs the upward ranks over the dirty set, and
+// re-places only the affected suffix — tasks whose readiness a new arc
+// or task can change — while the frozen horizon (placements started
+// before the virtual clock) is pinned. An incremental flush costs its
+// batch, not the graph. Sealing runs the configured scheduler's exact
+// placement semantics over everything unfrozen, so a sealed stream at
+// horizon zero reproduces the static scheduler bit for bit.
 //
 // The engine is deterministic: the same event sequence yields the same
 // deltas and the same final schedule. It is not safe for concurrent use;
@@ -72,11 +74,25 @@ type Engine struct {
 	oldN     int
 
 	rt *algo.RankTracker
-	in *sched.Instance // instance of the last flush
+	in *sched.Instance // live instance over ap's live graph, grown by each flush
 	pl *sched.Plan     // live plan (every current task placed after a flush)
 
 	assign []sched.Assignment // primary placement mirror, task-indexed
 	placed []bool
+
+	// Delta figures kept current rather than rescanned per flush: the
+	// plan's makespan, and the frozen count as of clock frozenAt.
+	makespan float64
+	frozen   int
+	frozenAt float64
+
+	// Flush scratch, reused: the affected set as marks and as a list,
+	// and orderAffected's pending-predecessor counts, ready set and order.
+	affected []bool
+	affList  []dag.TaskID
+	preds    []int32
+	ready    []dag.TaskID
+	order    []dag.TaskID
 
 	seq    int
 	events int
@@ -145,12 +161,24 @@ func (e *Engine) Events() int { return e.events }
 func (e *Engine) Algorithm() string { return e.pm.Name() }
 
 // Schedule finalizes the current plan into a Schedule (nil before the
-// first flush).
+// first flush). Flushes grow the graph and instance in place, so a
+// schedule taken mid-stream is built on a compact copy of both as of the
+// last flush: later events never change it. After the seal nothing
+// grows, and the schedule shares them.
 func (e *Engine) Schedule() *sched.Schedule {
 	if e.pl == nil {
 		return nil
 	}
-	return e.pl.Finalize(e.pm.Name())
+	s := e.pl.Finalize(e.pm.Name())
+	if e.sealed {
+		return s
+	}
+	in, err := sched.NewInstance(e.in.G.Compact(), e.cfg.Sys, e.in.W)
+	if err != nil {
+		// The live instance was validated as it grew.
+		panic(err)
+	}
+	return s.WithInstance(in)
 }
 
 // isFrozen reports whether task v's placement started before the clock.
@@ -279,18 +307,17 @@ func (e *Engine) flush(seal bool) (*Delta, error) {
 	}
 	batchEvents := e.pending
 
-	g, err := e.ap.Seal()
+	// Publish the batch into the live graph and grow the instance from
+	// the blocks that changed: per-task statistics and per-arc
+	// mean-communication values are computed only for the batch's delta.
+	g, changes, err := e.ap.Grow()
 	if err != nil {
 		return nil, err
 	}
-	// Grow the previous flush's instance instead of rebuilding: per-task
-	// statistics and per-arc mean-communication values are reused
-	// bit-identically, so each flush pays only for the batch's delta.
-	var in2 *sched.Instance
 	if e.in == nil {
-		in2, err = sched.NewInstance(g, e.cfg.Sys, e.w)
+		e.in, err = sched.NewInstance(g, e.cfg.Sys, e.w)
 	} else {
-		in2, err = sched.NewInstanceGrown(e.in, g, e.w)
+		err = e.in.Grow(e.w, changes)
 	}
 	if err != nil {
 		return nil, err
@@ -303,11 +330,12 @@ func (e *Engine) flush(seal bool) (*Delta, error) {
 	var prio []float64
 	rankRepaired, fullRanks := 0, false
 	if e.pm.Priority == listsched.PrioUpward {
-		e.rt.Update(in2, e.oldN, e.newEdges, e.ap.Positions(), e.cfg.DirtyFraction)
+		pos, order := e.ap.Order()
+		e.rt.Update(e.in, e.oldN, e.newEdges, pos, order, e.cfg.DirtyFraction)
 		prio = e.rt.Ranks()[:n]
 		rankRepaired, fullRanks = e.rt.Repaired, e.rt.Full
 	} else {
-		prio = e.pm.PriorityVector(in2)
+		prio = e.pm.PriorityVector(e.in)
 		rankRepaired, fullRanks = n, true
 	}
 
@@ -322,27 +350,59 @@ func (e *Engine) flush(seal bool) (*Delta, error) {
 		Sealed:       seal,
 	}
 
-	if seal || e.cfg.FullRecompute {
-		if err := e.fullReplan(in2, prio, d); err != nil {
-			return nil, err
-		}
+	full := seal || e.cfg.FullRecompute
+	if full {
+		err = e.fullReplan(e.in, prio, d)
 	} else {
-		if err := e.incrementalReplan(in2, prio, d); err != nil {
-			return nil, err
-		}
+		err = e.incrementalReplan(e.in, prio, d)
+	}
+	if err != nil {
+		return nil, err
 	}
 
-	// Refresh the mirror and report changed placements.
-	changed := d.Placed[:0]
-	for v := 0; v < n; v++ {
-		a := e.pl.Primary(dag.TaskID(v))
+	// Refresh the mirror and report changed placements. After an
+	// incremental re-plan only the affected tasks (ascending id) can have
+	// moved: the rest kept their placements exactly.
+	refresh := func(v dag.TaskID) {
+		a := e.pl.Primary(v)
 		if !e.placed[v] || e.assign[v] != a {
-			changed = append(changed, Placement{Task: v, Proc: a.Proc, Start: a.Start, Finish: a.Finish})
+			d.Placed = append(d.Placed, Placement{Task: int(v), Proc: a.Proc, Start: a.Start, Finish: a.Finish})
 		}
 		e.assign[v] = a
 		e.placed[v] = true
 	}
-	d.Placed = changed
+	if full {
+		for v := 0; v < n; v++ {
+			refresh(dag.TaskID(v))
+		}
+	} else {
+		for _, v := range e.affList {
+			refresh(v)
+		}
+	}
+	// The makespan is the latest primary finish: a plan that only grew
+	// extends the previous one by the re-placed tasks' finishes.
+	if full || d.FullReplan {
+		e.makespan = e.pl.Makespan()
+	} else {
+		for _, v := range e.affList {
+			if f := e.assign[v].Finish; f > e.makespan {
+				e.makespan = f
+			}
+		}
+	}
+	d.Makespan = e.makespan
+	// Re-placed tasks start at or after the clock, so the frozen count
+	// changes only when the clock moved.
+	if e.clock != e.frozenAt {
+		e.frozen, e.frozenAt = 0, e.clock
+		for v := 0; v < n; v++ {
+			if e.isFrozen(dag.TaskID(v)) {
+				e.frozen++
+			}
+		}
+	}
+	d.Frozen = e.frozen
 	if seal && e.cfg.FinalAssignments {
 		all := make([]Placement, n)
 		for v := 0; v < n; v++ {
@@ -351,22 +411,18 @@ func (e *Engine) flush(seal bool) (*Delta, error) {
 		}
 		d.Placed = all
 	}
-	d.Frozen = 0
-	for v := 0; v < n; v++ {
-		if e.isFrozen(dag.TaskID(v)) {
-			d.Frozen++
-		}
+	for _, v := range e.affList {
+		e.affected[v] = false
 	}
-	d.Makespan = e.pl.Makespan()
+	e.affList = e.affList[:0]
 
-	e.in = in2
 	e.oldN = n
 	e.pending = 0
 	e.newEdges = e.newEdges[:0]
 	e.seq++
 
 	if seal {
-		if err := e.Schedule().Validate(); err != nil {
+		if err := e.pl.Finalize(e.pm.Name()).Validate(); err != nil {
 			return nil, fmt.Errorf("stream: sealed schedule invalid: %w", err)
 		}
 	}
@@ -389,30 +445,33 @@ func (e *Engine) frozenAssignments() []sched.Assignment {
 // static scheduler's own loop. At a zero clock the prefix is empty and
 // the floor a no-op, so a sealed stream at horizon zero reproduces the
 // static scheduler bit for bit (DESIGN.md invariant 13).
-func (e *Engine) fullReplan(in2 *sched.Instance, prio []float64, d *Delta) error {
+func (e *Engine) fullReplan(in *sched.Instance, prio []float64, d *Delta) error {
 	frozen := e.frozenAssignments()
-	pl, err := e.pm.Replan(context.Background(), in2, prio, frozen, e.clock)
+	pl, err := e.pm.Replan(context.Background(), in, prio, frozen, e.clock)
 	if err != nil {
 		return err
 	}
 	e.pl = pl
-	d.Replanned = in2.N() - len(frozen)
+	d.Replanned = in.N() - len(frozen)
 	d.FullReplan = true
 	return nil
 }
 
 // incrementalReplan re-places only the affected suffix: the new tasks,
-// the heads of new arcs, and their unfrozen descendants. Placements
-// outside the affected set are kept exactly; when none of them is
-// disturbed the live plan just grows in place.
-func (e *Engine) incrementalReplan(in2 *sched.Instance, prio []float64, d *Delta) error {
-	n := in2.N()
-	affected := make([]bool, n)
-	var queue []dag.TaskID
+// the heads of new arcs, and their unfrozen descendants, collected in
+// e.affList in ascending id order. Placements outside the affected set
+// are kept exactly; when none of them is disturbed the live plan just
+// grows in place.
+func (e *Engine) incrementalReplan(in *sched.Instance, prio []float64, d *Delta) error {
+	n := in.N()
+	for len(e.affected) < n {
+		e.affected = append(e.affected, false)
+		e.preds = append(e.preds, 0)
+	}
 	mark := func(v dag.TaskID) {
-		if !affected[v] && !e.isFrozen(v) {
-			affected[v] = true
-			queue = append(queue, v)
+		if !e.affected[v] && !e.isFrozen(v) {
+			e.affected[v] = true
+			e.affList = append(e.affList, v)
 		}
 	}
 	for v := e.oldN; v < n; v++ {
@@ -421,30 +480,26 @@ func (e *Engine) incrementalReplan(in2 *sched.Instance, prio []float64, d *Delta
 	for _, ed := range e.newEdges {
 		mark(ed.To)
 	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, a := range in2.G.Succ(v) {
+	for i := 0; i < len(e.affList); i++ {
+		for _, a := range in.G.Succ(e.affList[i]) {
 			mark(a.To)
 		}
 	}
+	slices.Sort(e.affList)
 
 	anyPlacedAffected := false
-	count := 0
-	for v := 0; v < n; v++ {
-		if affected[v] {
-			count++
-			if e.placed[v] {
-				anyPlacedAffected = true
-			}
+	for _, v := range e.affList {
+		if e.placed[v] {
+			anyPlacedAffected = true
+			break
 		}
 	}
 
 	switch {
 	case e.pl == nil:
-		e.pl = sched.NewPlan(in2)
+		e.pl = sched.NewPlan(in)
 	case !anyPlacedAffected:
-		if err := e.pl.Grow(in2); err != nil {
+		if err := e.pl.Grow(in); err != nil {
 			return err
 		}
 	default:
@@ -452,19 +507,18 @@ func (e *Engine) incrementalReplan(in2 *sched.Instance, prio []float64, d *Delta
 		// prefix plus the kept (unaffected) placements, all exact.
 		seed := e.frozenAssignments()
 		for v := 0; v < len(e.placed); v++ {
-			if e.placed[v] && !affected[v] && !e.isFrozen(dag.TaskID(v)) {
+			if e.placed[v] && !e.affected[v] && !e.isFrozen(dag.TaskID(v)) {
 				seed = append(seed, e.assign[v])
 			}
 		}
-		e.pl = sched.SeedPlan(in2, seed)
+		e.pl = sched.SeedPlan(in, seed)
 		d.FullReplan = true
 	}
 
-	order := orderAffected(in2.G, prio, e.ap.Positions(), affected, count)
-	if err := e.pm.PlaceOrder(e.pl, order, e.clock); err != nil {
+	if err := e.pm.PlaceOrder(e.pl, e.orderAffected(in.G, prio), e.clock); err != nil {
 		return err
 	}
-	d.Replanned = count
+	d.Replanned = len(e.affList)
 	return nil
 }
 
@@ -472,47 +526,46 @@ func (e *Engine) incrementalReplan(in2 *sched.Instance, prio []float64, d *Delta
 // order: repeatedly the highest-priority task whose affected
 // predecessors were all emitted (predecessors outside the set are placed
 // already), ties toward the earlier topological position. The same
-// greedy rule as algo.OrderDescPrecedence, restricted to the set.
-func orderAffected(g *dag.Graph, prio []float64, pos []int, affected []bool, count int) []dag.TaskID {
-	pending := make(map[dag.TaskID]int, count)
-	var ready []dag.TaskID
-	for v := 0; v < g.Len(); v++ {
-		if !affected[v] {
-			continue
-		}
-		c := 0
-		for _, p := range g.Pred(dag.TaskID(v)) {
-			if affected[p.To] {
+// greedy rule as algo.OrderDescPrecedence, restricted to the set. The
+// result is scratch space, valid until the next flush.
+func (e *Engine) orderAffected(g *dag.Graph, prio []float64) []dag.TaskID {
+	pos, _ := e.ap.Order()
+	e.ready = e.ready[:0]
+	for _, v := range e.affList {
+		c := int32(0)
+		for _, p := range g.Pred(v) {
+			if e.affected[p.To] {
 				c++
 			}
 		}
-		pending[dag.TaskID(v)] = c
+		e.preds[v] = c
 		if c == 0 {
-			ready = append(ready, dag.TaskID(v))
+			e.ready = append(e.ready, v)
 		}
 	}
-	order := make([]dag.TaskID, 0, count)
-	for len(ready) > 0 {
+	order := e.order[:0]
+	for len(e.ready) > 0 {
 		best := 0
-		for i := 1; i < len(ready); i++ {
-			a, b := ready[i], ready[best]
+		for i := 1; i < len(e.ready); i++ {
+			a, b := e.ready[i], e.ready[best]
 			if prio[a] > prio[b] || (prio[a] == prio[b] && pos[a] < pos[b]) {
 				best = i
 			}
 		}
-		pick := ready[best]
-		ready[best] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
+		pick := e.ready[best]
+		e.ready[best] = e.ready[len(e.ready)-1]
+		e.ready = e.ready[:len(e.ready)-1]
 		order = append(order, pick)
 		for _, a := range g.Succ(pick) {
-			if affected[a.To] {
-				pending[a.To]--
-				if pending[a.To] == 0 {
-					ready = append(ready, a.To)
+			if e.affected[a.To] {
+				e.preds[a.To]--
+				if e.preds[a.To] == 0 {
+					e.ready = append(e.ready, a.To)
 				}
 			}
 		}
 	}
+	e.order = order
 	return order
 }
 

@@ -167,7 +167,7 @@ type Delta struct {
 	Replanned int `json:"replanned"`
 	Frozen    int `json:"frozen"`
 	// RankRepaired counts tasks whose upward rank was recomputed;
-	// FullRanks marks a fall-back to the full level-set kernel.
+	// FullRanks marks a fall-back to a full rank computation.
 	RankRepaired int  `json:"rankRepaired"`
 	FullRanks    bool `json:"fullRanks,omitempty"`
 	// FullReplan marks a flush that rebuilt the plan from the frozen
