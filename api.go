@@ -8,7 +8,6 @@ import (
 
 	"dagsched/internal/algo"
 	"dagsched/internal/algo/exact"
-	"dagsched/internal/algo/repair"
 	"dagsched/internal/algo/resched"
 	"dagsched/internal/algo/suite"
 	"dagsched/internal/core"
@@ -204,25 +203,6 @@ func SearchLineup() []Algorithm { return suite.Search() }
 // alongside is the best found).
 func Optimal(in *Instance) (*Schedule, error) { return exact.BnB{}.Schedule(in) }
 
-// Fail-stop repair.
-type (
-	// Failure is a fail-stop event: processor Proc dies at Time.
-	Failure = repair.Failure
-	// RepairImpact summarizes what a failure costs after repair.
-	RepairImpact = repair.Impact
-)
-
-// Repair reschedules a schedule around a processor failure, preserving
-// every surviving placement and moving lost work to the remaining
-// processors.
-func Repair(s *Schedule, f Failure) (*Schedule, error) { return repair.Repair(s, f) }
-
-// AssessFailure repairs the schedule and reports the makespan impact and
-// how many tasks were lost or moved.
-func AssessFailure(s *Schedule, f Failure) (*Schedule, RepairImpact, error) {
-	return repair.Assess(s, f)
-}
-
 // Metrics.
 type (
 	// Result bundles the evaluation measures of one run.
@@ -390,6 +370,25 @@ func RepairPolicyByName(name string) (RepairPolicy, error) { return resched.ByNa
 // permanent crashes returns the schedule unchanged.
 func ReactToFaults(s *Schedule, fp *FaultPlan, p RepairPolicy) (*Schedule, RepairOutcome, error) {
 	return resched.React(s, fp, p)
+}
+
+// Repair reschedules a schedule around one fail-stop event with the
+// remap-stranded policy: work that started before the failure stays,
+// pending work keeps its processor and may only slide later, and work
+// lost on the dead processor moves to the survivors.
+func Repair(s *Schedule, f RepairEvent) (*Schedule, error) {
+	r, _, err := AssessFailure(s, f)
+	return r, err
+}
+
+// AssessFailure is Repair plus the outcome: Nominal and Repaired
+// makespans, tasks Lost, and pending tasks Delayed or Remapped.
+func AssessFailure(s *Schedule, f RepairEvent) (*Schedule, RepairOutcome, error) {
+	p, err := resched.ByName("remap-stranded")
+	if err != nil {
+		return nil, RepairOutcome{}, err
+	}
+	return p.Assess(s, []RepairEvent{f})
 }
 
 // EvalRobustness measures expected degradation of a schedule under

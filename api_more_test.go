@@ -2,11 +2,13 @@ package dagsched_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"dagsched"
+	"dagsched/internal/testfix"
 )
 
 func demoSchedule(t *testing.T) *dagsched.Schedule {
@@ -62,19 +64,99 @@ func TestAnalyzeAndRepairThroughFacade(t *testing.T) {
 	if len(an.Critical) == 0 || len(an.Slack) != s.Instance().N() {
 		t.Fatalf("analysis = %+v", an)
 	}
-	r, imp, err := dagsched.AssessFailure(s, dagsched.Failure{Proc: 0, Time: s.Makespan() / 2})
+	r, out, err := dagsched.AssessFailure(s, dagsched.RepairEvent{Proc: 0, Time: s.Makespan() / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if imp.Original != s.Makespan() || imp.Repaired < imp.Original-1e-9 {
-		t.Fatalf("impact = %+v", imp)
+	if out.Nominal != s.Makespan() || out.Repaired < out.Nominal-1e-9 {
+		t.Fatalf("outcome = %+v", out)
 	}
-	r2, err := dagsched.Repair(s, dagsched.Failure{Proc: 1, Time: 0})
+	r2, err := dagsched.Repair(s, dagsched.RepairEvent{Proc: 1, Time: 0})
 	if err != nil || r2.Validate() != nil {
 		t.Fatalf("Repair: %v", err)
+	}
+}
+
+// TestAssessFailureKeepsStartedWork pins Repair's contract on the random
+// battery: the repaired schedule validates and leaves the dead processor
+// idle from the failure on, and since a repair happens at the failure
+// instant, every copy that had started by then and was not destroyed
+// reappears unchanged, and no other copy starts before the failure.
+func TestAssessFailureKeepsStartedWork(t *testing.T) {
+	const eps = 1e-9
+	type placed struct {
+		task  dagsched.TaskID
+		proc  int
+		start float64
+	}
+	var algs []dagsched.Algorithm
+	for _, name := range []string{"HEFT", "BTDH", "ILS"} {
+		a, err := dagsched.AlgorithmByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		algs = append(algs, a)
+	}
+	repairs, broken := 0, 0
+	testfix.Battery(testfix.BatteryConfig{Trials: 30, Seed: 77}, func(trial int, in *dagsched.Instance) {
+		if in.P() < 2 {
+			return // no survivor to repair onto
+		}
+		for _, a := range algs {
+			s, err := a.Schedule(in)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, a.Name(), err)
+			}
+			for proc := 0; proc < in.P(); proc++ {
+				for _, frac := range []float64{0, 0.3, 0.7} {
+					f := dagsched.RepairEvent{Proc: proc, Time: s.Makespan() * frac}
+					r, _, err := dagsched.AssessFailure(s, f)
+					if err != nil {
+						t.Fatalf("trial %d %s %+v: %v", trial, a.Name(), f, err)
+					}
+					repairs++
+					if err := r.Validate(); err != nil {
+						t.Fatalf("trial %d %s %+v: repaired schedule invalid: %v", trial, a.Name(), f, err)
+					}
+					for _, c := range r.OnProc(f.Proc) {
+						if c.Finish > f.Time+eps {
+							t.Fatalf("trial %d %s %+v: task %d runs on the dead processor until %g", trial, a.Name(), f, c.Task, c.Finish)
+						}
+					}
+					started := map[placed]bool{}
+					for _, c := range s.All() {
+						if c.Start <= f.Time+eps && (c.Proc != f.Proc || c.Finish <= f.Time+eps) {
+							started[placed{c.Task, c.Proc, c.Start}] = true
+						}
+					}
+					var why string
+					for _, c := range r.All() {
+						k := placed{c.Task, c.Proc, c.Start}
+						switch {
+						case started[k]:
+							delete(started, k)
+						case c.Start < f.Time-eps:
+							why = fmt.Sprintf("task %d starts anew on P%d at %g", c.Task, c.Proc, c.Start)
+						}
+					}
+					for k := range started {
+						why = fmt.Sprintf("started copy of task %d on P%d at %g moved or dropped", k.task, k.proc, k.start)
+					}
+					if why != "" {
+						if broken == 0 {
+							t.Errorf("trial %d %s, P%d fails at %g: %s", trial, a.Name(), f.Proc, f.Time, why)
+						}
+						broken++
+					}
+				}
+			}
+		}
+	})
+	if broken > 0 {
+		t.Errorf("%d of %d repairs broke the contract", broken, repairs)
 	}
 }
 

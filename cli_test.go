@@ -1,8 +1,8 @@
 package dagsched_test
 
-// End-to-end smoke tests of the four CLI tools, exercising the same
-// binaries a user would run. They shell out to `go run`, so they are
-// skipped under -short.
+// End-to-end smoke tests of the four CLI tools and the example programs,
+// exercising the same binaries a user would run. They shell out to the go
+// tool, so they are skipped under -short.
 
 import (
 	"os"
@@ -111,5 +111,35 @@ func TestCLIEndToEnd(t *testing.T) {
 	_, errOut = runTool(t, "schedgen", "-dax", dax, "-o", daxJSON)
 	if !strings.Contains(errOut, "generated w: 2 tasks") {
 		t.Fatalf("DAX import: %s", errOut)
+	}
+}
+
+// TestExamplesRun builds every program under examples/ once and runs it:
+// each must exit 0 and print something.
+func TestExamplesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("example smoke tests compile binaries")
+	}
+	dir := t.TempDir()
+	build := exec.Command("go", "build", "-o", dir, "./examples/...")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build ./examples/...: %v\n%s", err, out)
+	}
+	bins, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bins) == 0 {
+		t.Fatal("go build ./examples/... produced no binary")
+	}
+	for _, b := range bins {
+		var out, errb strings.Builder
+		cmd := exec.Command(filepath.Join(dir, b.Name()))
+		cmd.Stdout, cmd.Stderr = &out, &errb
+		if err := cmd.Run(); err != nil {
+			t.Errorf("example %s: %v\nstderr: %s", b.Name(), err, errb.String())
+		} else if out.Len() == 0 {
+			t.Errorf("example %s printed nothing", b.Name())
+		}
 	}
 }

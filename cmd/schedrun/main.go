@@ -196,7 +196,7 @@ func main() {
 		if ft < 1 {
 			ft *= best.Makespan()
 		}
-		r, imp, err := dagsched.AssessFailure(best, dagsched.Failure{Proc: *failProc, Time: ft})
+		r, out, err := dagsched.AssessFailure(best, dagsched.RepairEvent{Proc: *failProc, Time: ft})
 		if err != nil {
 			fatal(err)
 		}
@@ -204,8 +204,8 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("\nfail-stop of P%d at t=%.4g: makespan %.4g -> %.4g (+%.1f%%), %d tasks lost, %d moved\n",
-			*failProc, ft, imp.Original, imp.Repaired,
-			100*(imp.Repaired/imp.Original-1), imp.Lost, imp.Moved)
+			*failProc, ft, out.Nominal, out.Repaired,
+			100*(out.Repaired/out.Nominal-1), out.Lost, out.Delayed+out.Remapped)
 	}
 	if *faults != "" {
 		f, err := os.Open(*faults)

@@ -58,9 +58,9 @@ func ExampleRepair() {
 	g, _ := dagsched.LaplaceDAG(4)
 	in, _ := dagsched.MakeInstance(g, dagsched.WorkloadConfig{Procs: 3, CCR: 1, Beta: 0.5}, rng)
 	s, _ := dagsched.ILS().Schedule(in)
-	r, imp, _ := dagsched.AssessFailure(s, dagsched.Failure{Proc: 0, Time: s.Makespan() / 2})
+	r, out, _ := dagsched.AssessFailure(s, dagsched.RepairEvent{Proc: 0, Time: s.Makespan() / 2})
 	fmt.Printf("repaired schedule valid: %v\n", r.Validate() == nil)
-	fmt.Printf("repair never improves a failure-free run: %v\n", imp.Repaired >= imp.Original-1e-9)
+	fmt.Printf("repair never improves a failure-free run: %v\n", out.Repaired >= out.Nominal-1e-9)
 	// Output:
 	// repaired schedule valid: true
 	// repair never improves a failure-free run: true

@@ -44,16 +44,16 @@ func main() {
 		fmt.Fprintln(tw, "failed proc\trepaired makespan\tgrowth\tlost\tmoved")
 		worst := 0.0
 		for p := 0; p < in.P(); p++ {
-			_, imp, err := dagsched.AssessFailure(s, dagsched.Failure{Proc: p, Time: s.Makespan() / 2})
+			_, out, err := dagsched.AssessFailure(s, dagsched.RepairEvent{Proc: p, Time: s.Makespan() / 2})
 			if err != nil {
 				log.Fatal(err)
 			}
-			growth := imp.Repaired/imp.Original - 1
+			growth := out.Repaired/out.Nominal - 1
 			if growth > worst {
 				worst = growth
 			}
 			fmt.Fprintf(tw, "P%d\t%.4g\t%+.1f%%\t%d\t%d\n",
-				p, imp.Repaired, 100*growth, imp.Lost, imp.Moved)
+				p, out.Repaired, 100*growth, out.Lost, out.Delayed+out.Remapped)
 		}
 		tw.Flush()
 		fmt.Printf("worst-case single failure at t=ms/2: %+.1f%%\n\n", 100*worst)

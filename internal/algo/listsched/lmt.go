@@ -1,6 +1,9 @@
 package listsched
 
 import (
+	"cmp"
+	"slices"
+
 	"dagsched/internal/dag"
 	"dagsched/internal/sched"
 )
@@ -17,35 +20,33 @@ func (LMT) Name() string { return "LMT" }
 
 // Schedule implements algo.Algorithm.
 func (LMT) Schedule(in *sched.Instance) (*sched.Schedule, error) {
-	levels := in.G.Levels()
-	maxLevel := 0
-	for _, l := range levels {
-		if l > maxLevel {
-			maxLevel = l
-		}
+	key := make([]float64, in.N())
+	for i := range key {
+		key[i] = in.MeanCost(dag.TaskID(i))
 	}
-	byLevel := make([][]dag.TaskID, maxLevel+1)
-	for i := 0; i < in.N(); i++ {
-		byLevel[levels[i]] = append(byLevel[levels[i]], dag.TaskID(i))
-	}
+	return levelPass(in, key, "LMT"), nil
+}
+
+// levelPass is the level-by-level list scheduler PETS and LMT share: the
+// depth levels go in order, each sorted by decreasing key with ids
+// breaking ties, and every task goes to its insertion-based best-EFT
+// processor.
+func levelPass(in *sched.Instance, key []float64, name string) *sched.Schedule {
+	off, tasks := in.G.DepthLevels()
+	order := slices.Clone(tasks)
 	pl := sched.NewPlan(in)
-	for _, level := range byLevel {
-		order := append([]dag.TaskID(nil), level...)
-		// Decreasing mean cost, ids break ties.
-		for i := 1; i < len(order); i++ {
-			v := order[i]
-			j := i - 1
-			for j >= 0 && (in.MeanCost(order[j]) < in.MeanCost(v) ||
-				(in.MeanCost(order[j]) == in.MeanCost(v) && order[j] > v)) {
-				order[j+1] = order[j]
-				j--
+	for l := 0; l+1 < len(off); l++ {
+		level := order[off[l]:off[l+1]]
+		slices.SortFunc(level, func(a, b dag.TaskID) int {
+			if c := cmp.Compare(key[b], key[a]); c != 0 {
+				return c
 			}
-			order[j+1] = v
-		}
-		for _, t := range order {
+			return cmp.Compare(a, b)
+		})
+		for _, t := range level {
 			p, s, _ := pl.BestEFT(t, true)
 			pl.Place(t, p, s)
 		}
 	}
-	return pl.Finalize("LMT"), nil
+	return pl.Finalize(name)
 }

@@ -3,7 +3,6 @@ package listsched
 import (
 	"math"
 
-	"dagsched/internal/dag"
 	"dagsched/internal/sched"
 )
 
@@ -22,13 +21,6 @@ func (PETS) Name() string { return "PETS" }
 
 // Schedule implements algo.Algorithm.
 func (PETS) Schedule(in *sched.Instance) (*sched.Schedule, error) {
-	levels := in.G.Levels()
-	maxLevel := 0
-	for _, l := range levels {
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
 	// rank = ACC + DTC + RPT, computed in topological order (parents
 	// before children).
 	rank := make([]float64, in.N())
@@ -46,27 +38,5 @@ func (PETS) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 		}
 		rank[v] = math.Round(acc + dtc + rpt)
 	}
-	byLevel := make([][]dag.TaskID, maxLevel+1)
-	for i := 0; i < in.N(); i++ {
-		byLevel[levels[i]] = append(byLevel[levels[i]], dag.TaskID(i))
-	}
-	pl := sched.NewPlan(in)
-	for _, level := range byLevel {
-		order := append([]dag.TaskID(nil), level...)
-		// Decreasing rank within the level; ids break ties.
-		for i := 1; i < len(order); i++ {
-			v := order[i]
-			j := i - 1
-			for j >= 0 && (rank[order[j]] < rank[v] || (rank[order[j]] == rank[v] && order[j] > v)) {
-				order[j+1] = order[j]
-				j--
-			}
-			order[j+1] = v
-		}
-		for _, t := range order {
-			p, s, _ := pl.BestEFT(t, true)
-			pl.Place(t, p, s)
-		}
-	}
-	return pl.Finalize("PETS"), nil
+	return levelPass(in, rank, "PETS"), nil
 }

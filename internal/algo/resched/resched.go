@@ -269,7 +269,9 @@ func placeSuffix(v placer, in *sched.Instance, m mode, movable []item, reaction 
 
 // CrashEvents extracts the permanent crashes of a fault plan as repair
 // events, sorted by time (transient crashes, link faults and jitter are
-// runtime noise the static repair does not react to).
+// runtime noise the static repair does not react to). A dead processor
+// cannot die again, so only each processor's earliest crash is an event
+// and a plan costs at most one repair per processor.
 func CrashEvents(fp *sim.FaultPlan) []Event {
 	if fp == nil {
 		return nil
@@ -286,15 +288,23 @@ func CrashEvents(fp *sim.FaultPlan) []Event {
 		}
 		return evs[i].Proc < evs[j].Proc
 	})
-	return evs
+	dead := map[int]bool{}
+	first := evs[:0]
+	for _, ev := range evs {
+		if !dead[ev.Proc] {
+			dead[ev.Proc] = true
+			first = append(first, ev)
+		}
+	}
+	return first
 }
 
 // React applies the iterative reaction protocol to a fault plan: the
-// plan's permanent crashes are sorted by time and the schedule is
-// repaired after each one, every repair seeing the schedule already
-// repaired for the earlier events. The outcome is aggregated against the
-// original schedule. A plan with no permanent crashes returns the input
-// schedule unchanged.
+// schedule is repaired after each of the plan's CrashEvents in time
+// order, every repair seeing the schedule already repaired for the
+// earlier events. The outcome is aggregated against the original
+// schedule. A plan with no permanent crashes returns the input schedule
+// unchanged.
 func React(s *sched.Schedule, fp *sim.FaultPlan, p Policy) (*sched.Schedule, Outcome, error) {
 	events := CrashEvents(fp)
 	agg := Outcome{Policy: p.name, Chosen: p.name, Nominal: s.Makespan(), Repaired: s.Makespan()}

@@ -43,45 +43,64 @@ func TestPolicyRegistry(t *testing.T) {
 func TestRepairSurvivesCrash(t *testing.T) {
 	s := heftTopcuoglu(t)
 	in := s.Instance()
-	ev := resched.Event{Proc: 0, Time: s.Makespan() * 0.4}
-	for _, p := range resched.Policies() {
-		r, out, err := p.Assess(s, []resched.Event{ev})
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		if err := r.Validate(); err != nil {
-			t.Fatalf("%s: repaired schedule invalid: %v", p, err)
-		}
-		// Nothing on the dead processor past the crash instant.
-		for _, a := range r.OnProc(ev.Proc) {
-			if a.Finish > ev.Time+1e-9 {
-				t.Fatalf("%s: task %d runs on dead P%d until %g (crash at %g)", p, a.Task, ev.Proc, a.Finish, ev.Time)
+	for _, row := range []struct {
+		name string
+		ev   resched.Event
+		// empty: the dead processor must end up with no copy at all;
+		// free: the crash may lose, delay or remap nothing.
+		empty, free bool
+	}{
+		{name: "mid-run", ev: resched.Event{Proc: 0, Time: s.Makespan() * 0.4}},
+		// The entry task's processor dies before anything ran.
+		{name: "at-zero", ev: resched.Event{Proc: s.Primary(0).Proc, Time: 0}, empty: true},
+		{name: "after-makespan", ev: resched.Event{Proc: 1, Time: s.Makespan() + 1}, free: true},
+	} {
+		ev := row.ev
+		for _, p := range resched.Policies() {
+			r, out, err := p.Assess(s, []resched.Event{ev})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", row.name, p, err)
 			}
-		}
-		// Frozen work is preserved exactly: every original copy that had
-		// started by the reaction time and survived the crash reappears.
-		for i := 0; i < in.N(); i++ {
-			for _, c := range s.Copies(dag.TaskID(i)) {
-				if c.Start > ev.Time+1e-9 || (c.Proc == ev.Proc && c.Finish > ev.Time+1e-9) {
-					continue
+			if err := r.Validate(); err != nil {
+				t.Fatalf("%s/%s: repaired schedule invalid: %v", row.name, p, err)
+			}
+			// Nothing on the dead processor past the crash instant.
+			for _, a := range r.OnProc(ev.Proc) {
+				if a.Finish > ev.Time+1e-9 {
+					t.Fatalf("%s/%s: task %d runs on dead P%d until %g (crash at %g)", row.name, p, a.Task, ev.Proc, a.Finish, ev.Time)
 				}
-				found := false
-				for _, rc := range r.Copies(dag.TaskID(i)) {
-					if rc.Proc == c.Proc && math.Abs(rc.Start-c.Start) < 1e-9 {
-						found = true
-						break
+			}
+			// Frozen work is preserved exactly: every original copy that had
+			// started by the reaction time and survived the crash reappears.
+			for i := 0; i < in.N(); i++ {
+				for _, c := range s.Copies(dag.TaskID(i)) {
+					if c.Start > ev.Time+1e-9 || (c.Proc == ev.Proc && c.Finish > ev.Time+1e-9) {
+						continue
+					}
+					found := false
+					for _, rc := range r.Copies(dag.TaskID(i)) {
+						if rc.Proc == c.Proc && math.Abs(rc.Start-c.Start) < 1e-9 {
+							found = true
+							break
+						}
+					}
+					if !found {
+						t.Fatalf("%s/%s: frozen copy of task %d on P%d@%g was restarted or dropped", row.name, p, i, c.Proc, c.Start)
 					}
 				}
-				if !found {
-					t.Fatalf("%s: frozen copy of task %d on P%d@%g was restarted or dropped", p, i, c.Proc, c.Start)
-				}
 			}
-		}
-		if out.Nominal != s.Makespan() || out.Repaired != r.Makespan() {
-			t.Fatalf("%s: outcome %+v inconsistent with schedules", p, out)
-		}
-		if out.Policy != p.Name() {
-			t.Fatalf("%s: outcome policy %q", p, out.Policy)
+			if out.Nominal != s.Makespan() || out.Repaired != r.Makespan() {
+				t.Fatalf("%s/%s: outcome %+v inconsistent with schedules", row.name, p, out)
+			}
+			if out.Policy != p.Name() {
+				t.Fatalf("%s/%s: outcome policy %q", row.name, p, out.Policy)
+			}
+			if n := len(r.OnProc(ev.Proc)); row.empty && n != 0 {
+				t.Fatalf("%s/%s: %d copies left on P%d, dead from t=0", row.name, p, n, ev.Proc)
+			}
+			if row.free && (out.Lost+out.Delayed+out.Remapped != 0 || out.Repaired != out.Nominal) {
+				t.Fatalf("%s/%s: a crash after the makespan cost %+v", row.name, p, out)
+			}
 		}
 	}
 }
@@ -114,6 +133,9 @@ func TestRepairErrors(t *testing.T) {
 	}
 	if _, err := p.Repair(s, []resched.Event{{Proc: 99, Time: 1}}); err == nil {
 		t.Fatal("out-of-range processor accepted")
+	}
+	if _, err := p.Repair(s, []resched.Event{{Proc: -1, Time: 1}}); err == nil {
+		t.Fatal("negative processor accepted")
 	}
 	if _, err := p.Repair(s, []resched.Event{{Proc: 0, Time: -1}}); err == nil {
 		t.Fatal("negative time accepted")
@@ -172,9 +194,11 @@ func TestCrashEvents(t *testing.T) {
 		{Proc: 0, At: 4},
 		{Proc: 1, At: 4, Until: 6},
 		{Proc: 3, At: 4},
+		{Proc: 2, At: 12}, // a dead processor cannot die again
+		{Proc: 2, At: 7},  // only its earliest crash counts
 	}}
 	evs := resched.CrashEvents(fp)
-	want := []resched.Event{{Proc: 0, Time: 4}, {Proc: 3, Time: 4}, {Proc: 2, Time: 9}}
+	want := []resched.Event{{Proc: 0, Time: 4}, {Proc: 3, Time: 4}, {Proc: 2, Time: 7}}
 	if len(evs) != len(want) {
 		t.Fatalf("events %+v", evs)
 	}
@@ -185,6 +209,33 @@ func TestCrashEvents(t *testing.T) {
 	}
 	if resched.CrashEvents(nil) != nil {
 		t.Fatal("nil plan has events")
+	}
+
+	// 20000 crashes of one processor repair once, exactly like the plan
+	// holding only its earliest crash.
+	s := heftTopcuoglu(t)
+	ms := s.Makespan()
+	const k = 20000
+	many := &sim.FaultPlan{}
+	for i := k - 1; i >= 0; i-- {
+		many.Crashes = append(many.Crashes, sim.Crash{Proc: 0, At: ms * (0.3 + 0.7*float64(i)/k)})
+	}
+	one := &sim.FaultPlan{Crashes: []sim.Crash{{Proc: 0, At: ms * 0.3}}}
+	if evs := resched.CrashEvents(many); len(evs) != 1 || evs[0] != resched.CrashEvents(one)[0] {
+		t.Fatalf("%d crashes of P0 give %d events", k, len(evs))
+	}
+	for _, p := range resched.Policies() {
+		rm, _, err := resched.React(s, many, p)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		r1, _, err := resched.React(s, one, p)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		if testfix.ScheduleDigest(rm) != testfix.ScheduleDigest(r1) {
+			t.Fatalf("%s: %d crashes of P0 repair differently from its earliest crash", p, k)
+		}
 	}
 }
 

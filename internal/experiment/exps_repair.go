@@ -4,16 +4,20 @@ import (
 	"fmt"
 	"math/rand"
 
-	"dagsched/internal/algo/repair"
+	"dagsched/internal/algo/resched"
 	"dagsched/internal/algo/suite"
 	"dagsched/internal/metrics"
 )
 
 // E19 — fail-stop impact: the mean relative makespan growth after losing
 // one of eight processors at a given fraction of the makespan, repaired
-// with the preserve-survivors policy of internal/algo/repair.
+// by resched's remap-stranded policy reacting at the failure instant.
 func E19() Experiment {
 	return Experiment{ID: "E19", Title: "Fail-stop repair impact vs failure time", Run: func(cfg Config) ([]*Table, error) {
+		pol, err := resched.ByName("remap-stranded")
+		if err != nil {
+			return nil, err
+		}
 		algs := suite.Heterogeneous()
 		reps := cfg.reps(25)
 		fracs := []float64{0, 0.25, 0.5, 0.75}
@@ -36,7 +40,7 @@ func E19() Experiment {
 					if err != nil {
 						return nil, err
 					}
-					r, err := repair.Repair(s, repair.Failure{Proc: proc, Time: s.Makespan() * frac})
+					r, err := pol.Repair(s, []resched.Event{{Proc: proc, Time: s.Makespan() * frac}})
 					if err != nil {
 						return nil, err
 					}

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"math"
-	"sort"
 
 	"dagsched/internal/dag"
 )
@@ -209,44 +208,4 @@ func CriticalPathMean(in *Instance) ([]dag.TaskID, float64) {
 		cur = next
 	}
 	return path, cp
-}
-
-// SortByRankDesc returns task ids 0..n−1 ordered by decreasing rank,
-// breaking ties by smaller id. The caller's rank slice is not modified.
-func SortByRankDesc(rank []float64) []dag.TaskID {
-	order := make([]dag.TaskID, len(rank))
-	for i := range order {
-		order[i] = dag.TaskID(i)
-	}
-	sortStable(order, func(a, b dag.TaskID) bool {
-		if rank[a] != rank[b] {
-			return rank[a] > rank[b]
-		}
-		return a < b
-	})
-	return order
-}
-
-// SortByRankAsc is SortByRankDesc with ascending order.
-func SortByRankAsc(rank []float64) []dag.TaskID {
-	order := make([]dag.TaskID, len(rank))
-	for i := range order {
-		order[i] = dag.TaskID(i)
-	}
-	sortStable(order, func(a, b dag.TaskID) bool {
-		if rank[a] != rank[b] {
-			return rank[a] < rank[b]
-		}
-		return a < b
-	})
-	return order
-}
-
-// sortStable keeps a single entry point for the priority sorts so the
-// tie-breaking policies stay auditable. Stability plus an identical
-// comparator guarantees the same permutation as the binary-insertion sort
-// it replaces, at O(n log n) moves instead of O(n²) for the 10k-task
-// priority lists.
-func sortStable(ids []dag.TaskID, less func(a, b dag.TaskID) bool) {
-	sort.SliceStable(ids, func(i, j int) bool { return less(ids[i], ids[j]) })
 }

@@ -216,49 +216,6 @@ func TestCriticalPathMeanAlwaysReachesExit(t *testing.T) {
 	}
 }
 
-func TestSortByRank(t *testing.T) {
-	rank := []float64{3, 5, 5, 1}
-	desc := SortByRankDesc(rank)
-	wantDesc := []dag.TaskID{1, 2, 0, 3}
-	for i := range wantDesc {
-		if desc[i] != wantDesc[i] {
-			t.Fatalf("desc = %v, want %v", desc, wantDesc)
-		}
-	}
-	asc := SortByRankAsc(rank)
-	wantAsc := []dag.TaskID{3, 0, 1, 2}
-	for i := range wantAsc {
-		if asc[i] != wantAsc[i] {
-			t.Fatalf("asc = %v, want %v", asc, wantAsc)
-		}
-	}
-}
-
-func TestSortByRankLarge(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	rank := make([]float64, 500)
-	for i := range rank {
-		rank[i] = float64(rng.Intn(50)) // many ties
-	}
-	order := SortByRankDesc(rank)
-	seen := make(map[dag.TaskID]bool)
-	for i := 1; i < len(order); i++ {
-		a, b := order[i-1], order[i]
-		if rank[a] < rank[b] {
-			t.Fatal("not sorted descending")
-		}
-		if rank[a] == rank[b] && a > b {
-			t.Fatal("tie not broken by id")
-		}
-	}
-	for _, v := range order {
-		if seen[v] {
-			t.Fatal("duplicate id in order")
-		}
-		seen[v] = true
-	}
-}
-
 func TestRankUpwardRespectsTopology(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {

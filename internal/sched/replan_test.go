@@ -35,7 +35,7 @@ func replanInstance(t *testing.T, seed int64, n, procs int) *Instance {
 // rank order), returning the plan.
 func heftPlan(in *Instance) *Plan {
 	pl := NewPlan(in)
-	order := SortByRankDesc(RankUpward(in))
+	order := in.G.TopoOrder()
 	for _, t := range order {
 		p, s, _ := pl.BestEFT(t, true)
 		pl.Place(t, p, s)
@@ -70,7 +70,7 @@ func TestSeedPlanRoundTrip(t *testing.T) {
 func TestEFTFlooredAtZeroMatchesEFTOn(t *testing.T) {
 	in := replanInstance(t, 4, 30, 3)
 	pl := NewPlan(in)
-	order := SortByRankDesc(RankUpward(in))
+	order := in.G.TopoOrder()
 	for _, task := range order {
 		for p := 0; p < in.P(); p++ {
 			s0, f0 := pl.EFTOn(task, p, true)
