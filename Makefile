@@ -66,12 +66,12 @@ cluster-chaos:
 
 # One iteration of the scheduler-throughput benchmark at every size,
 # plus the transaction-layer micro-benchmarks (trial begin/rollback,
-# TryDuplication, MCP ready-queue scaling, ILS end-to-end) — a smoke
+# TryDuplication, MCP and ready-order scaling, ILS end-to-end) — a smoke
 # test of the hot paths, not a measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkAlgorithms -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkTxn|BenchmarkTryDuplication|BenchmarkRankLevelSets' -benchtime 1x ./internal/sched ./internal/algo
-	$(GO) test -run '^$$' -bench 'BenchmarkMCPScaling' -benchtime 1x ./internal/algo/listsched
+	$(GO) test -run '^$$' -bench 'BenchmarkMCPScaling|BenchmarkReadyOrderScaling' -benchtime 1x ./internal/algo/listsched
 	$(GO) test -run '^$$' -bench 'BenchmarkILSEndToEnd' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkPopulationEval' -benchtime 1x ./internal/adversary
 	$(GO) test -run '^$$' -bench 'BenchmarkBatchEndpoint|BenchmarkScheduleHandler' -benchtime 1x ./internal/service

@@ -64,15 +64,21 @@ func TestAnalyzeAndRepairThroughFacade(t *testing.T) {
 	if len(an.Critical) == 0 || len(an.Slack) != s.Instance().N() {
 		t.Fatalf("analysis = %+v", an)
 	}
-	r, out, err := dagsched.AssessFailure(s, dagsched.RepairEvent{Proc: 0, Time: s.Makespan() / 2})
+	ev := dagsched.RepairEvent{Proc: 0, Time: s.Makespan() / 2}
+	r, out, err := dagsched.AssessFailure(s, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if out.Nominal != s.Makespan() || out.Repaired < out.Nominal-1e-9 {
+	if out.Nominal != s.Makespan() {
 		t.Fatalf("outcome = %+v", out)
+	}
+	for _, c := range r.OnProc(ev.Proc) {
+		if c.Finish > ev.Time+1e-9 {
+			t.Fatalf("task %d runs on the failed P%d until %g, after the failure at %g", c.Task, ev.Proc, c.Finish, ev.Time)
+		}
 	}
 	r2, err := dagsched.Repair(s, dagsched.RepairEvent{Proc: 1, Time: 0})
 	if err != nil || r2.Validate() != nil {

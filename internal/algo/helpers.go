@@ -13,22 +13,35 @@ import (
 // tasks sorted by decreasing priority with topological tie-breaks; for
 // others, like CPOP's rank_u + rank_d, that sort would break precedence.
 func OrderDescPrecedence(g *dag.Graph, prio []float64) []dag.TaskID {
-	n := g.Len()
 	// The caller owns TopoOrder's copy: it yields the positions, then
 	// backs the output.
 	order := g.TopoOrder()
-	h := readyHeap{prio: prio, pos: make([]int32, n)}
+	pos := make([]int32, g.Len())
 	for i, v := range order {
-		h.pos[v] = int32(i)
+		pos[v] = int32(i)
 	}
-	pending := make([]int32, n)
+	return greedyOrder(g, readyHeap{prio: prio, pos: pos}, order[:0])
+}
+
+// ReadyOrder is OrderDescPrecedence with ties toward the lower task id:
+// the sequence in which a ReadyList yields g's tasks when each pick is
+// the ready task of highest priority, the first in id order on a tie.
+// That pick never depends on where earlier tasks were placed, so a
+// ready-list scheduler can take its whole order up front.
+func ReadyOrder(g *dag.Graph, prio []float64) []dag.TaskID {
+	return greedyOrder(g, readyHeap{prio: prio}, make([]dag.TaskID, 0, g.Len()))
+}
+
+// greedyOrder drains h from g's entry tasks, releasing each successor
+// once its last predecessor is taken, and appends the pops to order.
+func greedyOrder(g *dag.Graph, h readyHeap, order []dag.TaskID) []dag.TaskID {
+	pending := make([]int32, g.Len())
 	for i := range pending {
 		pending[i] = int32(g.InDegree(dag.TaskID(i)))
 		if pending[i] == 0 {
 			h.push(dag.TaskID(i))
 		}
 	}
-	order = order[:0]
 	for len(h.ts) > 0 {
 		t := h.pop()
 		order = append(order, t)
@@ -43,8 +56,8 @@ func OrderDescPrecedence(g *dag.Graph, prio []float64) []dag.TaskID {
 }
 
 // readyHeap is a binary max-heap of ready tasks keyed by (priority,
-// earlier topological position). Positions are unique, so the order is
-// total and the pop sequence deterministic.
+// earlier tie position), where a nil pos ranks by task id. Either tie key
+// is unique, so the order is total and the pop sequence deterministic.
 type readyHeap struct {
 	ts   []dag.TaskID
 	prio []float64
@@ -55,6 +68,9 @@ type readyHeap struct {
 func (h *readyHeap) before(a, b dag.TaskID) bool {
 	if h.prio[a] != h.prio[b] {
 		return h.prio[a] > h.prio[b]
+	}
+	if h.pos == nil {
+		return a < b
 	}
 	return h.pos[a] < h.pos[b]
 }
@@ -101,7 +117,9 @@ func (h *readyHeap) pop() dag.TaskID {
 }
 
 // ReadyList tracks which unscheduled tasks have all predecessors placed.
-// It is the driver for dynamic-priority heuristics (ETF, DLS, CPOP, ...).
+// It drives the heuristics whose pick depends on the placements so far
+// (ETF's pair order, DLS, ISH's hole fill); a pick by priority alone is
+// ReadyOrder.
 type ReadyList struct {
 	g       *dag.Graph
 	pending []int // unscheduled predecessor count per task

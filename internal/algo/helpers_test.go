@@ -1,11 +1,15 @@
 package algo
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"dagsched/internal/dag"
 	"dagsched/internal/platform"
 	"dagsched/internal/sched"
+	"dagsched/internal/workload"
 )
 
 func diamondInstance(t *testing.T) *sched.Instance {
@@ -73,6 +77,66 @@ func TestOrderDescPrecedence(t *testing.T) {
 		t.Fatalf("rank_u+rank_d %v never rises along an edge: the case tests nothing", prio)
 	}
 	requirePrecedence(t, in.G, OrderDescPrecedence(in.G, prio))
+}
+
+// TestReadyOrderMatchesReadyList: ReadyOrder is the pick sequence of an
+// argmax scan over a ReadyList, which keeps the first ready task in id
+// order on a tie. Priorities are rounded to four values so that most
+// picks tie, both for static levels and for CPOP's rank_u + rank_d,
+// which can rise along an edge.
+func TestReadyOrderMatchesReadyList(t *testing.T) {
+	rng := rand.New(rand.NewSource(2007))
+	topoDiffers := false
+	for trial := 0; trial < 40; trial++ {
+		g, err := workload.Random(workload.RandomConfig{
+			N:         2 + rng.Intn(80),
+			Shape:     0.5 + rng.Float64()*1.5,
+			OutDegree: 1 + rng.Intn(5),
+		}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := sched.Consistent(g, platform.Homogeneous(4, 0, 1))
+		up, down := sched.RankUpward(in), sched.RankDownward(in)
+		updown := make([]float64, in.N())
+		for i := range updown {
+			updown[i] = up[i] + down[i]
+		}
+		for _, prio := range [][]float64{sched.StaticLevel(in), updown} {
+			prio = roundTo(prio, 4)
+			var want []dag.TaskID
+			for rl := NewReadyList(g); !rl.Empty(); {
+				pick := rl.Ready()[0]
+				for _, r := range rl.Ready() {
+					if prio[r] > prio[pick] {
+						pick = r
+					}
+				}
+				want = append(want, pick)
+				rl.Complete(pick)
+			}
+			if got := ReadyOrder(g, prio); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: ReadyOrder %v, ready-list scan %v", trial, got, want)
+			}
+			topoDiffers = topoDiffers || !reflect.DeepEqual(OrderDescPrecedence(g, prio), want)
+		}
+	}
+	if !topoDiffers {
+		t.Fatal("a topological tie-break gives the same orders: the battery tests no tie rule")
+	}
+}
+
+// roundTo maps prio onto k evenly spaced values spanning its range.
+func roundTo(prio []float64, k int) []float64 {
+	hi := 0.0
+	for _, v := range prio {
+		hi = math.Max(hi, v)
+	}
+	out := make([]float64, len(prio))
+	for i, v := range prio {
+		out[i] = math.Round(v / hi * float64(k-1))
+	}
+	return out
 }
 
 func TestReadyList(t *testing.T) {

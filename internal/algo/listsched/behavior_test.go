@@ -6,8 +6,10 @@ package listsched
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"dagsched/internal/algo"
 	"dagsched/internal/dag"
 	"dagsched/internal/platform"
 	"dagsched/internal/sched"
@@ -136,8 +138,12 @@ func TestETFPicksGloballyEarliestStart(t *testing.T) {
 	}
 }
 
-// TestHLFETOrder: on a single processor, HLFET's start order descends by
-// static level (subject to readiness).
+// TestHLFETOrder: on a single processor every placement appends, so the
+// start order is the consumption order. For HLFET and the other
+// ready-order baselines it must be the ready list's: the ready task of
+// highest priority, ties to the lower id. The second input ties every
+// priority and its Kahn order lists task 3 before task 2, so a
+// topological tie-break would start task 3 first.
 func TestHLFETOrder(t *testing.T) {
 	in := testfix.Topcuoglu()
 	w := make([][]float64, in.N())
@@ -148,31 +154,38 @@ func TestHLFETOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl := sched.StaticLevel(one)
-	s, err := HLFET{}.Schedule(one)
-	if err != nil {
-		t.Fatal(err)
+	b := dag.NewBuilder("ties")
+	for i := 0; i < 4; i++ {
+		b.AddTask("", 1)
 	}
-	seq := s.OnProc(0)
-	for i := 1; i < len(seq); i++ {
-		a, b := seq[i-1].Task, seq[i].Task
-		if sl[a] < sl[b]-1e-9 && !one.G.IsReachable(a, b) {
-			// b was ready when a was chosen (single proc, everything
-			// ready in level order) — allow only precedence exceptions.
-			// Readiness: b ready iff all preds scheduled before position i.
-			ready := true
-			pos := map[dag.TaskID]int{}
-			for k, x := range seq {
-				pos[x.Task] = k
+	b.AddEdge(0, 3, 1)
+	b.AddEdge(1, 2, 1)
+	ties := sched.Consistent(b.MustBuild(), platform.Homogeneous(1, 0, 1))
+	if topo := ties.G.TopoOrder(); !reflect.DeepEqual(topo, []dag.TaskID{0, 1, 3, 2}) {
+		t.Fatalf("Kahn order %v, want [0 1 3 2]: the tie input tests nothing", topo)
+	}
+	for _, in := range []*sched.Instance{one, ties} {
+		for _, name := range []string{"HLFET", "CPOP", "DSH", "BTDH"} {
+			pm := baseline(name)
+			s, err := pm.Schedule(in)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, pe := range one.G.Pred(b) {
-				if pos[pe.To] >= i-1 {
-					ready = false
+			prio := pm.PriorityVector(in)
+			rl := algo.NewReadyList(in.G)
+			for i, a := range s.OnProc(0) {
+				pick := rl.Ready()[0]
+				for _, r := range rl.Ready() {
+					if prio[r] > prio[pick] {
+						pick = r
+					}
+				}
+				if a.Task != pick {
+					t.Errorf("%s on %s starts task %d at position %d; the ready list picks task %d",
+						name, in.G.Name(), a.Task, i, pick)
 					break
 				}
-			}
-			if ready {
-				t.Fatalf("HLFET chose SL %.2f before ready task with SL %.2f", sl[a], sl[b])
+				rl.Complete(pick)
 			}
 		}
 	}

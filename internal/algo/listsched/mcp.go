@@ -3,6 +3,7 @@ package listsched
 import (
 	"sort"
 
+	"dagsched/internal/algo"
 	"dagsched/internal/dag"
 	"dagsched/internal/sched"
 )
@@ -54,59 +55,16 @@ func (MCP) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 		return topoPos[a] < topoPos[b]
 	})
 	// ALAP ascends along edges when costs are positive, so the order is
-	// precedence-safe; a ready-pass guards the zero-cost corner case. The
-	// ready set is a binary min-heap over static order positions: the pick
-	// (minimum position, unique because positions are a permutation) is the
-	// same task the reference linear ready-list scan selects, at O(log w)
-	// per step instead of O(w) for ready-width w — the width-bound scan was
-	// MCP's superlinear term on 10k-task DAGs.
-	pl := sched.NewPlan(in)
-	pending := make([]int, in.N())
-	heap := make([]int, 0, in.N()) // order positions of ready tasks
-	push := func(posv int) {
-		heap = append(heap, posv)
-		for k := len(heap) - 1; k > 0; {
-			parent := (k - 1) / 2
-			if heap[parent] <= heap[k] {
-				break
-			}
-			heap[parent], heap[k] = heap[k], heap[parent]
-			k = parent
-		}
-	}
-	pop := func() int {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		for k := 0; ; {
-			c := 2*k + 1
-			if c >= len(heap) {
-				break
-			}
-			if c+1 < len(heap) && heap[c+1] < heap[c] {
-				c++
-			}
-			if heap[k] <= heap[c] {
-				break
-			}
-			heap[k], heap[c] = heap[c], heap[k]
-			k = c
-		}
-		return top
-	}
-	pos := make([]int, in.N())
+	// precedence-safe; the ready heap guards the zero-cost corner case.
+	// Keyed by minus the order position, it picks the ready task earliest
+	// in the order, in O(log w) for ready width w. The keys are distinct,
+	// so no tie rule applies.
+	key := make([]float64, in.N())
 	for k, v := range order {
-		pos[v] = k
+		key[v] = -float64(k)
 	}
-	for i := 0; i < in.N(); i++ {
-		pending[i] = in.G.InDegree(dag.TaskID(i))
-		if pending[i] == 0 {
-			push(pos[i])
-		}
-	}
-	for len(heap) > 0 {
-		pick := order[pop()]
+	pl := sched.NewPlan(in)
+	for _, pick := range algo.ReadyOrder(in.G, key) {
 		// Earliest insertion-based start; finish breaks start ties on
 		// heterogeneous systems.
 		bestP, bestS, bestF := -1, 0.0, 0.0
@@ -117,12 +75,6 @@ func (MCP) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 			}
 		}
 		pl.Place(pick, bestP, bestS)
-		for _, a := range in.G.Succ(pick) {
-			pending[a.To]--
-			if pending[a.To] == 0 {
-				push(pos[a.To])
-			}
-		}
 	}
 	return pl.Finalize("MCP"), nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dagsched/internal/algo"
 	"dagsched/internal/sched"
 	"dagsched/internal/workload"
 )
@@ -15,6 +16,21 @@ import (
 // 10k (15.2µs vs 3.7µs per task); the position-heap ready queue keeps the
 // ratio flat. Compare ns/op divided by n across the sub-benchmarks.
 func BenchmarkMCPScaling(b *testing.B) {
+	benchScaling(b, MCP{})
+}
+
+// BenchmarkReadyOrderScaling guards the ready-order grid points the same
+// way: HLFET and CPOP take their whole order from one ready heap, where
+// an argmax scan over the ready list per pick made the per-task cost grow
+// with the ready width. Compare ns/op divided by n across n.
+func BenchmarkReadyOrderScaling(b *testing.B) {
+	for _, a := range []algo.Algorithm{HLFET{}, CPOP{}} {
+		b.Run(a.Name(), func(b *testing.B) { benchScaling(b, a) })
+	}
+}
+
+// benchScaling runs a on one het instance (P=8, CCR 1, β 1) per size.
+func benchScaling(b *testing.B, a algo.Algorithm) {
 	for _, n := range []int{1000, 10000} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		g, err := workload.Random(workload.RandomConfig{N: n}, rng)
@@ -28,7 +44,7 @@ func BenchmarkMCPScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s, err := MCP{}.Schedule(in)
+				s, err := a.Schedule(in)
 				if err != nil {
 					b.Fatal(err)
 				}

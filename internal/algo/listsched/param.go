@@ -48,10 +48,12 @@ type Order int
 
 const (
 	// OrderStatic fixes the full order up front: tasks sorted by
-	// decreasing priority with precedence-safe tie-breaks (HEFT).
+	// decreasing priority with precedence-safe tie-breaks (HEFT;
+	// algo.OrderDescPrecedence).
 	OrderStatic Order = iota
 	// OrderReady repeatedly takes the highest-priority ready task
-	// (CPOP, HLFET); ties break toward the lower task id.
+	// (CPOP, HLFET); ties break toward the lower task id. The pick reads
+	// no placement, so the order is fixed up front too (algo.ReadyOrder).
 	OrderReady
 	// OrderPair jointly picks the (ready task, processor) pair with the
 	// earliest start time, breaking start ties by the higher priority
@@ -282,31 +284,18 @@ func (pm Param) Replan(ctx context.Context, in *sched.Instance, prio []float64, 
 	}
 	check := algo.NewCheckpoint(ctx, 64)
 	switch pm.Order {
-	case OrderStatic:
-		for _, t := range algo.OrderDescPrecedence(in.G, prio) {
+	case OrderStatic, OrderReady:
+		order := algo.OrderDescPrecedence
+		if pm.Order == OrderReady {
+			order = algo.ReadyOrder
+		}
+		for _, t := range order(in.G, prio) {
 			if err := check.Check(); err != nil {
 				return nil, fmt.Errorf("%s: %w", pm.Name(), err)
 			}
 			if !pl.Scheduled(t) {
 				pm.place(pl, ds, cp, t, clock)
 			}
-		}
-	case OrderReady:
-		rl := algo.NewReadyList(in.G)
-		for !rl.Empty() {
-			if err := check.Check(); err != nil {
-				return nil, fmt.Errorf("%s: %w", pm.Name(), err)
-			}
-			var pick dag.TaskID = -1
-			for _, r := range rl.Ready() {
-				if pick == -1 || prio[r] > prio[pick] {
-					pick = r
-				}
-			}
-			if !pl.Scheduled(pick) {
-				pm.place(pl, ds, cp, pick, clock)
-			}
-			rl.Complete(pick)
 		}
 	case OrderPair:
 		rl := algo.NewReadyList(in.G)
