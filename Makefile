@@ -40,19 +40,14 @@ race:
 # probes, failover, cold-key bursts, plus the dynamic-membership
 # layer: heartbeat failure detection, cache replication with hinted
 # handoff, the kill/restart/rejoin e2e and join/leave churn racing
-# in-flight batches), the speculative-transaction layer (including
-# cloned comm-state trials under contended models), the speculative
-# trials of listsched.Param that ILS, DSH and BTDH run, the
-# contention-aware wrappers, the differential suite
-# with the per-processor trial workers forced on (and the parallel
-# level-set rank kernels plus selection heap forced through every
-# algorithm), the fault replay/repair path (exercised concurrently
-# through the service and experiment tiers), the adversary's parallel
-# population evaluator, the streaming engine (invariant-13 equivalence
-# plus the NDJSON session endpoint's worker-slot lifecycle), and the
-# dag/timeline substrate the sharded kernels read concurrently. `race`
-# already covers them once; this tier re-runs them with fresh state so
-# interleavings differ between passes.
+# in-flight batches), the scheduling substrate and algorithm suites
+# (schedd runs them on concurrent requests, so any shared package state
+# would race there), the fault replay/repair path (exercised concurrently through the service and experiment
+# tiers), the adversary's parallel population evaluator, and the
+# streaming engine (invariant-13 equivalence plus the NDJSON session
+# endpoint's worker-slot lifecycle). `race` already covers them once;
+# this tier re-runs them with fresh state so interleavings differ
+# between passes.
 race-concurrent:
 	$(GO) test -race -count=1 ./internal/experiment/... ./internal/service/... ./internal/stream ./internal/sched ./internal/sched/timeline ./internal/dag ./internal/algo/suite ./internal/algo/listsched ./internal/core ./internal/sim ./internal/algo/resched ./internal/adversary
 
@@ -65,12 +60,12 @@ cluster-chaos:
 	$(GO) test -race -count=$(CHAOS_RUNS) -run 'TestClusterKillRestartRejoin|TestChurnDuringBatchProperty' ./internal/service
 
 # One iteration of the scheduler-throughput benchmark at every size,
-# plus the transaction-layer micro-benchmarks (trial begin/rollback,
+# plus the trial-journal micro-benchmarks (Mark/Undo trial,
 # TryDuplication, MCP and ready-order scaling, ILS end-to-end) — a smoke
 # test of the hot paths, not a measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkAlgorithms -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkTxn|BenchmarkTryDuplication|BenchmarkRankLevelSets' -benchtime 1x ./internal/sched ./internal/algo
+	$(GO) test -run '^$$' -bench 'BenchmarkTrialMarkUndo|BenchmarkTryDuplication' -benchtime 1x ./internal/sched ./internal/algo
 	$(GO) test -run '^$$' -bench 'BenchmarkMCPScaling|BenchmarkReadyOrderScaling' -benchtime 1x ./internal/algo/listsched
 	$(GO) test -run '^$$' -bench 'BenchmarkILSEndToEnd' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkPopulationEval' -benchtime 1x ./internal/adversary

@@ -66,7 +66,7 @@ func BenchmarkE21FaultRobustness(b *testing.B) { runExperiment(b, "E21") }
 // insertion-based list schedulers scale to 10k-task DAGs; the
 // pair-scanning (ETF, DLS) and clustering/contention algorithms are
 // inherently super-quadratic and stop earlier. The duplication family
-// evaluates trials through the speculative-transaction layer, so the
+// evaluates trials on the plan's trial journal, so the
 // non-duplicating ILS variants reach 10k and the duplicating schedulers
 // are benchmarked to 1k. Algorithms not listed default to 10000.
 var benchSizeCap = map[string]int{

@@ -18,8 +18,8 @@ import (
 // benchSizeCap in the repository's bench_test.go: the pair-scanning (ETF,
 // DLS) and clustering/contention algorithms are inherently
 // super-quadratic and stop at the largest size they finish in reasonable
-// time; the duplication family runs its per-processor trials through the
-// speculative-transaction layer, so the non-duplicating ILS variants
+// time; the duplication family runs its per-processor trials on the
+// plan's trial journal, so the non-duplicating ILS variants
 // reach the 10k tier and the duplicating schedulers (whose trial count
 // still grows with duplicate fan-in) are timed to 1k. The near-linear
 // HEFT-class insertion schedulers are timed to 100k tasks, and HEFT

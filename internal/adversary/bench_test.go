@@ -4,11 +4,10 @@ import (
 	"context"
 	"testing"
 
-	"dagsched/internal/algo"
 	"dagsched/internal/algo/listsched"
 )
 
-// BenchmarkPopulationEval guards the throughput of the bounded parallel
+// BenchmarkPopulationEval guards the throughput of the concurrent
 // population evaluator — the hot loop of every GA adversary run.
 func BenchmarkPopulationEval(b *testing.B) {
 	base := Spec{N: 40, Procs: 4, CCR: 1, Beta: 0.5, BaseSeed: 11}
@@ -28,12 +27,10 @@ func BenchmarkPopulationEval(b *testing.B) {
 		pop[i].BaseSeed = int64(i)
 	}
 	e := &evaluator{ctx: context.Background(), cfg: &cfg}
-	group := algo.NewTrialGroup(popSize, algo.ParallelTrialThreshold)
-	defer group.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fits, err := e.evalPop(group, pop)
+		fits, err := e.evalPop(pop)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dagsched/internal/algo"
@@ -132,15 +135,25 @@ func (e *evaluator) eval(s *Spec) (fitness, error) {
 	return fitness{ratio: vMk / aMk, attackerMk: aMk, victimMk: vMk, in: in}, nil
 }
 
-// evalPop scores a whole population concurrently on the bounded worker
-// pool. Results land in per-index slots, so the outcome is independent
-// of scheduling order; the first context error (if any) is returned.
-func (e *evaluator) evalPop(group *algo.TrialGroup, pop []Spec) ([]fitness, error) {
+// evalPop scores a whole population on at most GOMAXPROCS goroutines,
+// each taking the next unscored spec until none is left. Results land in
+// per-index slots, so the outcome is independent of scheduling order; the
+// first context error (if any) is returned.
+func (e *evaluator) evalPop(pop []Spec) ([]fitness, error) {
 	fits := make([]fitness, len(pop))
 	errs := make([]error, len(pop))
-	group.Run(len(pop), func(i int) {
-		fits[i], errs[i] = e.eval(&pop[i])
-	})
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(pop)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(pop); i = int(next.Add(1) - 1) {
+				fits[i], errs[i] = e.eval(&pop[i])
+			}
+		}()
+	}
+	wg.Wait()
 	e.evals += len(pop)
 	for _, err := range errs {
 		if err != nil {
@@ -289,11 +302,8 @@ func anneal(e *evaluator, rng *rand.Rand, cur Spec, curFit fitness, cfg Config) 
 
 // genetic is a steady generational GA: tournament selection, uniform
 // crossover over the multiplier vectors, per-child mutation, elitism of
-// one. Populations are evaluated on the bounded TrialGroup pool.
+// one. Populations are evaluated concurrently (evalPop).
 func genetic(e *evaluator, rng *rand.Rand, seed Spec, seedFit fitness, cfg Config) (Spec, fitness, error) {
-	group := algo.NewTrialGroup(cfg.Pop, algo.ParallelTrialThreshold)
-	defer group.Close()
-
 	pop := make([]Spec, cfg.Pop)
 	pop[0] = seed.clone()
 	for i := 1; i < cfg.Pop; i++ {
@@ -302,7 +312,7 @@ func genetic(e *evaluator, rng *rand.Rand, seed Spec, seedFit fitness, cfg Confi
 			mutate(&pop[i], rng, cfg.MutateKnobs)
 		}
 	}
-	fits, err := e.evalPop(group, pop)
+	fits, err := e.evalPop(pop)
 	if err != nil {
 		return seed, seedFit, err
 	}
@@ -343,7 +353,7 @@ func genetic(e *evaluator, rng *rand.Rand, seed Spec, seedFit fitness, cfg Confi
 			next = append(next, child)
 		}
 		pop = next
-		fits, err = e.evalPop(group, pop)
+		fits, err = e.evalPop(pop)
 		if err != nil {
 			return best, bestFit, err
 		}

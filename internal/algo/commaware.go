@@ -9,8 +9,8 @@ import (
 
 // CommAware runs any registry algorithm contention-aware: it rebinds the
 // instance to a contended communication model (sched.Instance.WithComm)
-// and delegates, so the inner algorithm's own EFT queries, duplication
-// trials and transactions all flow through the shared reservation layer
+// and delegates, so the inner algorithm's own EFT queries and duplication
+// trials all flow through the shared reservation layer
 // in internal/platform — no scheduler needs bespoke contention code.
 //
 // Model resolution, most specific first: an instance already carrying a

@@ -170,17 +170,17 @@ func (rl *ReadyList) Complete(v dag.TaskID) {
 }
 
 // CriticalParent returns the predecessor of task t whose data arrives last
-// on processor p given the current view, provided that parent has no copy
+// on processor p given the current plan, provided that parent has no copy
 // on p already (so duplicating it could help), along with its arrival
 // time. It returns (-1, 0) when t has no remote critical parent.
-func CriticalParent(v sched.View, t dag.TaskID, p int) (dag.TaskID, float64) {
-	in := v.Instance()
+func CriticalParent(pl *sched.Plan, t dag.TaskID, p int) (dag.TaskID, float64) {
+	in := pl.Instance()
 	best := dag.TaskID(-1)
 	bestArrival := 0.0
 	for _, pe := range in.G.Pred(t) {
-		arrival := arrivalOn(v, pe.To, p, pe.Data)
+		arrival := arrivalOn(pl, pe.To, p, pe.Data)
 		local := false
-		for _, c := range v.Copies(pe.To) {
+		for _, c := range pl.Copies(pe.To) {
 			if c.Proc == p {
 				local = true
 				break
@@ -195,10 +195,10 @@ func CriticalParent(v sched.View, t dag.TaskID, p int) (dag.TaskID, float64) {
 
 // arrivalOn returns the earliest time data units from any copy of task m
 // reach processor p.
-func arrivalOn(v sched.View, m dag.TaskID, p int, data float64) float64 {
-	in := v.Instance()
+func arrivalOn(pl *sched.Plan, m dag.TaskID, p int, data float64) float64 {
+	in := pl.Instance()
 	best := -1.0
-	for _, c := range v.Copies(m) {
+	for _, c := range pl.Copies(m) {
 		t := c.Finish + in.CommCost(c.Proc, p, data)
 		if best < 0 || t < best {
 			best = t
@@ -208,8 +208,8 @@ func arrivalOn(v sched.View, m dag.TaskID, p int, data float64) float64 {
 }
 
 // DupResult reports the outcome of a duplication trial. The accepted
-// duplicates live in the transaction the trial ran in; the caller commits
-// the winning transaction and places the task at the reported start.
+// duplicates stay placed in the trial's plan; the caller places the task
+// at the reported start, or undoes the trial.
 type DupResult struct {
 	// Start and Finish are the candidate task's achievable window on the
 	// trial processor after duplication.
@@ -227,28 +227,30 @@ type DupResult struct {
 // limited to direct parents (no grandparent recursion), bounded by
 // maxDups.
 //
-// The trial runs inside tx: accepted duplicates stay journaled in it,
-// rejected ones are rolled back immediately, and the base plan is never
-// touched. A trial therefore costs O(changes) — the clone-based reference
-// semantics are preserved bit for bit (proven by the differential suite).
-func TryDuplication(tx *sched.Txn, t dag.TaskID, p int, maxDups int) DupResult {
-	in := tx.Instance()
+// The trial runs in pl's trial journal, opening a trial if none is
+// open: accepted duplicates stay placed and journaled, rejected ones are
+// undone at once. The caller undoes the whole trial to a mark taken
+// before the call, or closes it with Commit to keep the duplicates. A
+// trial therefore costs O(changes) — the clone-based reference semantics
+// are preserved bit for bit (proven by the differential suite).
+func TryDuplication(pl *sched.Plan, t dag.TaskID, p int, maxDups int) DupResult {
+	in := pl.Instance()
 	dur := in.Cost(t, p)
-	start := tx.FindSlot(p, tx.DataReady(t, p), dur, true)
+	start := pl.FindSlot(p, pl.DataReady(t, p), dur, true)
 	dups := 0
 	for dups < maxDups {
-		parent, arrival := CriticalParent(tx, t, p)
+		parent, arrival := CriticalParent(pl, t, p)
 		if parent == -1 || arrival <= start-slackEps {
 			// No remote parent dominates the start time.
 			break
 		}
-		m := tx.Mark()
-		pready := tx.DataReady(parent, p)
-		pslot := tx.FindSlot(p, pready, in.Cost(parent, p), true)
-		tx.PlaceDup(parent, p, pslot)
-		newStart := tx.FindSlot(p, tx.DataReady(t, p), dur, true)
+		m := pl.Mark()
+		pready := pl.DataReady(parent, p)
+		pslot := pl.FindSlot(p, pready, in.Cost(parent, p), true)
+		pl.PlaceDup(parent, p, pslot)
+		newStart := pl.FindSlot(p, pl.DataReady(t, p), dur, true)
 		if newStart >= start-slackEps {
-			tx.Undo(m) // duplication did not strictly help
+			pl.Undo(m) // duplication did not strictly help
 			break
 		}
 		start = newStart
@@ -260,37 +262,37 @@ func TryDuplication(tx *sched.Txn, t dag.TaskID, p int, maxDups int) DupResult {
 // TryDuplicationChain evaluates placing task t on processor p with the
 // BTDH strategy: it keeps duplicating remote critical parents even when
 // one duplicate alone does not improve the start time, remembers the
-// journal position of the best start seen, and rewinds tx to it. This
+// journal position of the best start seen, and rewinds pl to it. This
 // recovers cases where only a combination of duplicated parents pays
 // off. Like TryDuplication it is limited to direct parents and bounded
 // by maxDups. Termination: every accepted duplicate makes one more
 // parent local on p, and local parents are never candidates again.
-func TryDuplicationChain(tx *sched.Txn, t dag.TaskID, p int, maxDups int) DupResult {
-	in := tx.Instance()
+func TryDuplicationChain(pl *sched.Plan, t dag.TaskID, p int, maxDups int) DupResult {
+	in := pl.Instance()
 	dur := in.Cost(t, p)
-	start := tx.FindSlot(p, tx.DataReady(t, p), dur, true)
+	start := pl.FindSlot(p, pl.DataReady(t, p), dur, true)
 	best := DupResult{Start: start, Finish: start + dur}
-	bestMark := tx.Mark()
+	bestMark := pl.Mark()
 	dups := 0
 	for dups < maxDups {
-		parent, arrival := CriticalParent(tx, t, p)
+		parent, arrival := CriticalParent(pl, t, p)
 		// Unlike TryDuplication, duplicate even when the parent is not
 		// strictly binding: the chain may pay off later. Stop only when
 		// data already arrives at time zero.
 		if parent == -1 || arrival <= 0 {
 			break
 		}
-		pready := tx.DataReady(parent, p)
-		pslot := tx.FindSlot(p, pready, in.Cost(parent, p), true)
-		tx.PlaceDup(parent, p, pslot)
+		pready := pl.DataReady(parent, p)
+		pslot := pl.FindSlot(p, pready, in.Cost(parent, p), true)
+		pl.PlaceDup(parent, p, pslot)
 		dups++
-		start = tx.FindSlot(p, tx.DataReady(t, p), dur, true)
+		start = pl.FindSlot(p, pl.DataReady(t, p), dur, true)
 		if start < best.Start {
 			best = DupResult{Start: start, Finish: start + dur, Dups: dups}
-			bestMark = tx.Mark()
+			bestMark = pl.Mark()
 		}
 	}
-	tx.Undo(bestMark)
+	pl.Undo(bestMark)
 	return best
 }
 

@@ -35,19 +35,19 @@ func benchFanInPlan(b *testing.B, width int) (*sched.Plan, dag.TaskID) {
 	return pl, join
 }
 
-// BenchmarkTryDuplication measures a single speculative duplication
-// trial (place duplicates of critical parents, decide, roll back) on a
-// reused transaction — the inner loop of DSH and ILS-D.
+// BenchmarkTryDuplication measures a single duplication trial (place
+// duplicates of critical parents, decide, undo) on the plan's journal —
+// the inner loop of DSH and ILS-D.
 func BenchmarkTryDuplication(b *testing.B) {
 	pl, join := benchFanInPlan(b, 64)
 	b.ReportAllocs()
-	tx := pl.Begin()
 	for i := 0; i < b.N; i++ {
-		tx.Reset()
-		res := TryDuplication(tx, join, 0, 8)
-		tx.Rollback()
+		m := pl.Mark()
+		res := TryDuplication(pl, join, 0, 8)
+		pl.Undo(m)
 		if res.Finish <= 0 {
 			b.Fatal("bogus trial result")
 		}
 	}
+	pl.Commit()
 }

@@ -206,8 +206,8 @@ func TestTryDuplicationImproves(t *testing.T) {
 	in := sched.Consistent(g, platform.Homogeneous(2, 0, 1))
 	pl := sched.NewPlan(in)
 	pl.Place(a, 1, 0) // A on P1, finish 2; data reaches P0 at 12
-	tx := pl.Begin()
-	res := TryDuplication(tx, c, 0, 4)
+	m := pl.Mark()
+	res := TryDuplication(pl, c, 0, 4)
 	if res.Dups != 1 {
 		t.Fatalf("Dups = %d, want 1", res.Dups)
 	}
@@ -215,12 +215,17 @@ func TestTryDuplicationImproves(t *testing.T) {
 	if res.Start != 2 {
 		t.Fatalf("Start = %g, want 2", res.Start)
 	}
-	// Base plan untouched until commit.
-	if len(pl.Copies(a)) != 1 {
-		t.Fatal("TryDuplication mutated the base plan")
+	if len(pl.Copies(a)) != 2 {
+		t.Fatalf("Copies(a) after the trial = %d, want 2", len(pl.Copies(a)))
 	}
-	// Commit and validate.
-	tx.Commit()
+	// Undoing the trial takes the duplicate back.
+	pl.Undo(m)
+	if len(pl.Copies(a)) != 1 || len(pl.OnProc(0)) != 0 {
+		t.Fatal("undone trial left its duplicate in the plan")
+	}
+	// Trial again, commit and validate.
+	res = TryDuplication(pl, c, 0, 4)
+	pl.Commit()
 	if len(pl.Copies(a)) != 2 {
 		t.Fatalf("Copies(a) after commit = %d, want 2", len(pl.Copies(a)))
 	}
@@ -246,17 +251,16 @@ func TestTryDuplicationDeclinesWhenUseless(t *testing.T) {
 	}
 	pl := sched.NewPlan(in)
 	pl.Place(a, 1, 0) // finish 1, data reaches P0 at 2
-	tx := pl.Begin()
-	res := TryDuplication(tx, c, 0, 4)
+	res := TryDuplication(pl, c, 0, 4)
 	if res.Dups != 0 {
 		t.Fatalf("Dups = %d, want 0 (duplicate costs 50)", res.Dups)
 	}
 	if res.Start != 2 {
 		t.Fatalf("Start = %g, want 2", res.Start)
 	}
-	// The rejected duplicate was rolled back inside the transaction: even
-	// committing it must leave the plan unchanged.
-	tx.Commit()
+	// The rejected duplicate was undone inside the trial: committing it
+	// leaves the plan unchanged.
+	pl.Commit()
 	if len(pl.Copies(a)) != 1 || len(pl.OnProc(0)) != 0 {
 		t.Fatal("rejected duplication leaked into the plan")
 	}

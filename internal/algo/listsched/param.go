@@ -110,8 +110,8 @@ type Param struct {
 	Select    Select
 	Insertion bool
 	// Duplication adds critical-parent duplication to processor
-	// selection: every candidate processor is evaluated in a speculative
-	// transaction and the winner's duplicates are committed.
+	// selection: every candidate processor is evaluated in a trial on the
+	// plan's journal and the winner's duplicates are placed.
 	Duplication Duplication
 	// MaxDups bounds the duplicates accepted per placement; 0 means 64.
 	MaxDups int
@@ -279,9 +279,6 @@ func (pm Param) Replan(ctx context.Context, in *sched.Instance, prio []float64, 
 	if err != nil {
 		return nil, err
 	}
-	if ds != nil {
-		defer ds.Close()
-	}
 	check := algo.NewCheckpoint(ctx, 64)
 	switch pm.Order {
 	case OrderStatic, OrderReady:
@@ -345,9 +342,6 @@ func (pm Param) PlaceOrder(pl *sched.Plan, order []dag.TaskID, clock float64) er
 	if err != nil {
 		return err
 	}
-	if ds != nil {
-		defer ds.Close()
-	}
 	for _, t := range order {
 		pm.place(pl, ds, cp, t, clock)
 	}
@@ -401,7 +395,7 @@ func (pm Param) Speculative() bool {
 // selection returns a placement pass's selection state: CPOP's pin and
 // the speculative trials, each only when the grid point uses it. prio
 // picks the lookahead's critical children; nil means the grid point's
-// own metric. The caller closes the trials.
+// own metric.
 func (pm Param) selection(pl *sched.Plan, prio []float64, clock float64) (*cpState, *dupState, error) {
 	if pm.Speculative() && clock > 0 {
 		return nil, nil, fmt.Errorf("%s: speculative grid point cannot place at clock %g", pm.Name(), clock)
@@ -488,15 +482,13 @@ func newCPState(in *sched.Instance) *cpState {
 	return st
 }
 
-// dupState runs the per-processor trials of a speculative grid point:
-// one reusable Txn per processor, trials on a bounded worker group. A
-// trial duplicates under the policy or, without duplication, takes the
-// plain EFT; under lookahead it then places the task tentatively,
-// estimates its critical child's finish and rewinds. The winner's
-// transaction is committed only when duplicating.
+// dupState runs the per-processor trials of a speculative grid point as a
+// plain loop on the plan's trial journal. A trial duplicates under the
+// policy or, without duplication, takes the plain EFT; under lookahead it
+// then places the task tentatively and estimates its critical child's
+// finish. Every trial is undone; the winner's duplicates, read from the
+// journal, are placed again before the task.
 type dupState struct {
-	group   *algo.TrialGroup
-	txs     []*sched.Txn
 	results []trial
 	dup     Duplication
 	maxDups int
@@ -509,15 +501,17 @@ type dupState struct {
 	estFinish []float64
 }
 
-// trial is one processor's outcome: the task's window and its score,
-// which is the finish time unless the grid point looks ahead.
-type trial struct{ start, finish, score float64 }
+// trial is one processor's outcome: the task's window, its score (the
+// finish time unless the grid point looks ahead) and the duplicates the
+// trial accepted, in placement order.
+type trial struct {
+	start, finish, score float64
+	dups                 []sched.Assignment
+}
 
 func (pm Param) newDupState(pl *sched.Plan, prio []float64) *dupState {
 	in := pl.Instance()
 	ds := &dupState{
-		group:   algo.NewTrialGroup(in.P(), in.N()),
-		txs:     make([]*sched.Txn, in.P()),
 		results: make([]trial, in.P()),
 		dup:     pm.Duplication,
 		maxDups: pm.MaxDups,
@@ -547,33 +541,26 @@ func (pm Param) newDupState(pl *sched.Plan, prio []float64) *dupState {
 	return ds
 }
 
-func (ds *dupState) Close() { ds.group.Close() }
-
+// trial evaluates t on p and leaves pl as it found it.
 func (ds *dupState) trial(pl *sched.Plan, t dag.TaskID, p int) {
-	tx := ds.txs[p]
-	if tx == nil {
-		tx = pl.Begin()
-		ds.txs[p] = tx
-	} else {
-		tx.Reset()
-	}
+	m := pl.Mark()
 	var r algo.DupResult
 	switch ds.dup {
 	case DupGreedy:
-		r = algo.TryDuplication(tx, t, p, ds.maxDups)
+		r = algo.TryDuplication(pl, t, p, ds.maxDups)
 	case DupChain:
-		r = algo.TryDuplicationChain(tx, t, p, ds.maxDups)
+		r = algo.TryDuplicationChain(pl, t, p, ds.maxDups)
 	default:
 		r.Start, r.Finish = pl.EFTOn(t, p, ds.ins)
 	}
-	score := r.Finish
+	res := &ds.results[p]
+	res.start, res.finish, res.score = r.Start, r.Finish, r.Finish
+	res.dups = pl.AppendPlaced(res.dups[:0], m)
 	if ds.child != nil && ds.child[t] != -1 {
-		m := tx.Mark()
-		tx.Place(t, p, r.Start)
-		score = estimateChildEFT(tx, ds.child[t], ds.estFinish)
-		tx.Undo(m)
+		pl.Place(t, p, r.Start)
+		res.score = estimateChildEFT(pl, ds.child[t], ds.estFinish)
 	}
-	ds.results[p] = trial{start: r.Start, finish: r.Finish, score: score}
+	pl.Undo(m)
 }
 
 // placeBest runs a trial on every processor and places t on the winner:
@@ -582,7 +569,9 @@ func (ds *dupState) trial(pl *sched.Plan, t dag.TaskID, p int) {
 // processor id.
 func (ds *dupState) placeBest(pl *sched.Plan, t dag.TaskID, sel Select) {
 	in := pl.Instance()
-	ds.group.Run(in.P(), func(p int) { ds.trial(pl, t, p) })
+	for p := 0; p < in.P(); p++ {
+		ds.trial(pl, t, p)
+	}
 	best := 0
 	for p := 1; p < in.P(); p++ {
 		r, b := ds.results[p], ds.results[best]
@@ -608,29 +597,31 @@ func (ds *dupState) placeOn(pl *sched.Plan, t dag.TaskID, p int) {
 	ds.place(pl, t, p)
 }
 
-// place places t on p at its trial's start, first committing the trial's
-// duplicates.
+// place closes the trial, then places p's trial duplicates and t at its
+// trial start. The plan is in the state the trial started from, so each
+// placement lands where the trial put it.
 func (ds *dupState) place(pl *sched.Plan, t dag.TaskID, p int) {
-	if ds.dup != DupNone {
-		ds.txs[p].Commit()
+	pl.Commit()
+	for _, d := range ds.results[p].dups {
+		pl.PlaceDup(d.Task, d.Proc, d.Start)
 	}
 	pl.Place(t, p, ds.results[p].start)
 }
 
 // estimateChildEFT returns the smallest estimated finish time of task c
-// over all processors given the current, possibly speculative, view.
+// over all processors given the current plan, trial placements included.
 // Scheduled parents contribute their real data-arrival times; unscheduled
 // parents contribute estFinish plus the mean communication cost.
-func estimateChildEFT(v sched.View, c dag.TaskID, estFinish []float64) float64 {
-	in := v.Instance()
+func estimateChildEFT(pl *sched.Plan, c dag.TaskID, estFinish []float64) float64 {
+	in := pl.Instance()
 	best := math.Inf(1)
 	for q := 0; q < in.P(); q++ {
 		ready := 0.0
 		for j, pe := range in.G.Pred(c) {
 			var arrival float64
-			if v.Scheduled(pe.To) {
+			if pl.Scheduled(pe.To) {
 				arrival = math.Inf(1)
-				for _, cp := range v.Copies(pe.To) {
+				for _, cp := range pl.Copies(pe.To) {
 					if t := cp.Finish + in.CommCost(cp.Proc, q, pe.Data); t < arrival {
 						arrival = t
 					}
@@ -642,7 +633,7 @@ func estimateChildEFT(v sched.View, c dag.TaskID, estFinish []float64) float64 {
 				ready = arrival
 			}
 		}
-		start := v.FindSlot(q, ready, in.Cost(c, q), true)
+		start := pl.FindSlot(q, ready, in.Cost(c, q), true)
 		if f := start + in.Cost(c, q); f < best {
 			best = f
 		}

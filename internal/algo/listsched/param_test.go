@@ -164,12 +164,7 @@ func TestParamParseRoundTrip(t *testing.T) {
 // TestDuplicationIgnoresInsertion pins why Grid has no duplicating point
 // without insertion: duplication trials always insert, so flipping
 // Insertion on a duplicating point leaves every golden digest unchanged.
-// The trials run on a forced worker group, so under -race the test also
-// shakes out sharing between concurrent speculative trials.
 func TestDuplicationIgnoresInsertion(t *testing.T) {
-	oldW, oldT := algo.ForceTrialWorkers, algo.ParallelTrialThreshold
-	algo.ForceTrialWorkers, algo.ParallelTrialThreshold = 4, 0
-	t.Cleanup(func() { algo.ForceTrialWorkers, algo.ParallelTrialThreshold = oldW, oldT })
 	golden, err := testfix.Golden()
 	if err != nil {
 		t.Fatal(err)

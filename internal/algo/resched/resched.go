@@ -14,8 +14,8 @@
 // disturbs the plan as little as possible (pending tasks keep their
 // processor and may only slide later), reschedule-suffix re-derives the
 // whole unfinished suffix with insertion-based best-EFT, and auto trials
-// both speculatively in sched.Txn transactions over the shared frozen
-// prefix and commits whichever yields the shorter repaired makespan.
+// both on the plan's trial journal over the shared frozen prefix, undoes
+// each, and re-places whichever yields the shorter repaired makespan.
 //
 // Repair plans and reports under the instance's idle communication
 // costs: under a contended model Plan.Place re-derives starts through
@@ -56,14 +56,6 @@ type Outcome struct {
 	// slid later on their own; DroppedDups counts not-yet-started
 	// duplicates the repair discarded as speculative.
 	Frozen, Lost, Remapped, Delayed, DroppedDups int
-}
-
-// placer is the slice of the Plan/Txn surface the suffix pass needs;
-// both satisfy it, which is what lets auto trial modes speculatively.
-type placer interface {
-	DataReady(i dag.TaskID, p int) float64
-	FindSlot(p int, ready, dur float64, insertion bool) float64
-	Place(i dag.TaskID, p int, start float64) sched.Assignment
 }
 
 // item is one movable task of the unfinished suffix.
@@ -183,35 +175,28 @@ func (p Policy) Assess(s *sched.Schedule, events []Event) (*sched.Schedule, Outc
 		}
 	}
 
-	switch p.mode {
-	case modeAuto:
-		// Trial both primitive modes as speculative transactions over
-		// the shared frozen prefix, commit the shorter repair. This is
-		// exactly what sched.Txn exists for: both trials read through to
-		// the same base, only the winner's journal is kept.
-		txA := pl.Begin()
-		msA, rmA, dlA, errA := placeSuffix(txA, in, modeRemap, movable, reaction)
-		txB := pl.Begin()
-		msB, rmB, dlB, errB := placeSuffix(txB, in, modeResuffix, movable, reaction)
+	mode := p.mode
+	if mode == modeAuto {
+		// Trial both primitive modes over the shared frozen prefix,
+		// undoing each, and re-place the shorter repair.
+		m := pl.Mark()
+		msA, _, _, errA := placeSuffix(pl, in, modeRemap, movable, reaction)
+		pl.Undo(m)
+		msB, _, _, errB := placeSuffix(pl, in, modeResuffix, movable, reaction)
+		pl.Undo(m)
+		pl.Commit()
 		if errA != nil && errB != nil {
 			return nil, Outcome{}, errA
 		}
-		useB := errA != nil || (errB == nil && msB < msA-eps)
-		if useB {
-			txA.Rollback()
-			txB.Commit()
-			out.Chosen, out.Remapped, out.Delayed = nameResuffix, rmB, dlB
-		} else {
-			txB.Rollback()
-			txA.Commit()
-			out.Chosen, out.Remapped, out.Delayed = nameRemap, rmA, dlA
+		mode, out.Chosen = modeRemap, nameRemap
+		if errA != nil || (errB == nil && msB < msA-eps) {
+			mode, out.Chosen = modeResuffix, nameResuffix
 		}
-	default:
-		var err error
-		_, out.Remapped, out.Delayed, err = placeSuffix(pl, in, p.mode, movable, reaction)
-		if err != nil {
-			return nil, Outcome{}, err
-		}
+	}
+	var err error
+	_, out.Remapped, out.Delayed, err = placeSuffix(pl, in, mode, movable, reaction)
+	if err != nil {
+		return nil, Outcome{}, err
 	}
 	r := pl.Finalize(s.Algorithm() + "+" + p.name)
 	out.Repaired = r.Makespan()
@@ -222,15 +207,15 @@ func (p Policy) Assess(s *sched.Schedule, events []Event) (*sched.Schedule, Outc
 // Nothing may start before the reaction time: the repair is computed *at*
 // that instant, so earlier gaps are in the past. Returns the latest
 // placed finish and the remapped/delayed counts.
-func placeSuffix(v placer, in *sched.Instance, m mode, movable []item, reaction float64) (maxFinish float64, remapped, delayed int, err error) {
+func placeSuffix(pl *sched.Plan, in *sched.Instance, m mode, movable []item, reaction float64) (maxFinish float64, remapped, delayed int, err error) {
 	for _, it := range movable {
 		if m == modeRemap && it.proc >= 0 {
 			// Keep the processor, slide later only as far as data and
 			// the (crash-blocked) timeline force.
 			dur := in.Cost(it.t, it.proc)
-			ready := math.Max(v.DataReady(it.t, it.proc), math.Max(it.start, reaction))
-			if st := v.FindSlot(it.proc, ready, dur, true); !math.IsInf(st, 1) {
-				a := v.Place(it.t, it.proc, st)
+			ready := math.Max(pl.DataReady(it.t, it.proc), math.Max(it.start, reaction))
+			if st := pl.FindSlot(it.proc, ready, dur, true); !math.IsInf(st, 1) {
+				a := pl.Place(it.t, it.proc, st)
 				if st > it.start+eps {
 					delayed++
 				}
@@ -245,15 +230,15 @@ func placeSuffix(v placer, in *sched.Instance, m mode, movable []item, reaction 
 		bf := math.Inf(1)
 		for q := 0; q < in.P(); q++ {
 			dur := in.Cost(it.t, q)
-			ready := math.Max(v.DataReady(it.t, q), reaction)
-			if st := v.FindSlot(q, ready, dur, true); st+dur < bf {
+			ready := math.Max(pl.DataReady(it.t, q), reaction)
+			if st := pl.FindSlot(q, ready, dur, true); st+dur < bf {
 				bp, bs, bf = q, st, st+dur
 			}
 		}
 		if bp < 0 || math.IsInf(bs, 1) {
 			return 0, 0, 0, fmt.Errorf("resched: no live processor can host task %d", it.t)
 		}
-		a := v.Place(it.t, bp, bs)
+		a := pl.Place(it.t, bp, bs)
 		switch {
 		case it.proc >= 0 && bp != it.proc:
 			remapped++

@@ -3,8 +3,6 @@ package suite
 import (
 	"testing"
 
-	"dagsched/internal/algo"
-	"dagsched/internal/core"
 	"dagsched/internal/dag"
 	"dagsched/internal/sched"
 	"dagsched/internal/sim"
@@ -76,31 +74,4 @@ func TestRegistryOnePortReplayProperty(t *testing.T) {
 			})
 		})
 	}
-}
-
-// TestContendedTrialsConcurrent drives the full ILS machinery — parallel
-// speculative trials, lookahead, duplication — through the one-port
-// reservation layer with a forced worker group, so the race tier
-// exercises the cloned comm-state path. Determinism across two runs
-// proves the trial clones never share reservation state.
-func TestContendedTrialsConcurrent(t *testing.T) {
-	forceConcurrentTrials(t)
-	cils := algo.CommAware{Inner: core.New(), DisplayName: "C-ILS"}
-	testfix.Battery(testfix.BatteryConfig{Trials: 8, MaxCCR: 8, Seed: 7200}, func(trial int, in *sched.Instance) {
-		s1, err := cils.Schedule(in)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if err := s1.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		s2, err := cils.Schedule(in)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if s1.Makespan() != s2.Makespan() {
-			t.Fatalf("trial %d: contended ILS not deterministic under concurrent trials: %g vs %g",
-				trial, s1.Makespan(), s2.Makespan())
-		}
-	})
 }

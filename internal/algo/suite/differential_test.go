@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,34 +9,21 @@ import (
 	"dagsched/internal/algo/listsched"
 	"dagsched/internal/core"
 	"dagsched/internal/dag"
+	"dagsched/internal/platform"
 	"dagsched/internal/sched"
 	"dagsched/internal/testfix"
 )
 
-// forceConcurrentTrials makes the transactional schedulers evaluate their
-// per-processor trials on a real worker group even on the small battery
-// instances (and on single-CPU machines), so the differential runs under
-// -race exercise the concurrent path, then restores the defaults.
-func forceConcurrentTrials(t *testing.T) {
-	t.Helper()
-	oldW, oldT := algo.ForceTrialWorkers, algo.ParallelTrialThreshold
-	algo.ForceTrialWorkers, algo.ParallelTrialThreshold = 4, 0
-	t.Cleanup(func() {
-		algo.ForceTrialWorkers, algo.ParallelTrialThreshold = oldW, oldT
-	})
-}
-
-// TestDifferentialDuplicationFamily proves the transactional trial layer
-// reproduces the retained clone-based reference implementations bit for
-// bit: identical schedule digests (same copies at the same float64 times)
-// for ILS and all its ablation variants, DSH and BTDH, across the random
-// battery and the golden instance set.
+// TestDifferentialDuplicationFamily proves the trial journal reproduces
+// the retained clone-based reference implementations bit for bit:
+// identical schedule digests (same copies at the same float64 times) for
+// ILS and all its ablation variants, DSH and BTDH, across the random
+// battery, the golden instance set, and the battery again under the
+// one-port and shared-link contention models.
 func TestDifferentialDuplicationFamily(t *testing.T) {
-	forceConcurrentTrials(t)
-
 	type pair struct {
 		name string
-		txn  func(in *sched.Instance) (*sched.Schedule, error)
+		run  func(in *sched.Instance) (*sched.Schedule, error)
 		ref  func(in *sched.Instance) *sched.Schedule
 	}
 	pairs := []pair{
@@ -57,13 +45,13 @@ func TestDifferentialDuplicationFamily(t *testing.T) {
 
 	check := func(t *testing.T, name string, in *sched.Instance, p pair) {
 		t.Helper()
-		got, err := p.txn(in)
+		got, err := p.run(in)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", p.name, name, err)
 		}
 		want := p.ref(in)
 		if g, w := testfix.ScheduleDigest(got), testfix.ScheduleDigest(want); g != w {
-			t.Errorf("%s on %s: transactional schedule diverges from clone-based reference\n got makespan %.9g digest %s\nwant makespan %.9g digest %s",
+			t.Errorf("%s on %s: journaled schedule diverges from clone-based reference\n got makespan %.9g digest %s\nwant makespan %.9g digest %s",
 				p.name, name, got.Makespan(), g, want.Makespan(), w)
 		}
 	}
@@ -76,18 +64,28 @@ func TestDifferentialDuplicationFamily(t *testing.T) {
 			testfix.Battery(testfix.BatteryConfig{Trials: 25, Seed: 9100}, func(trial int, in *sched.Instance) {
 				check(t, "battery", in, p)
 			})
+			// Under a contended model every trial placement reserves
+			// transfers, so the rewound trials must restore the
+			// reservation state as exactly as the timelines.
+			for _, kind := range []string{platform.KindOnePort, platform.KindSharedLink} {
+				testfix.Battery(testfix.BatteryConfig{Trials: 20, MaxCCR: 8, Seed: 9150}, func(trial int, in *sched.Instance) {
+					m, err := platform.ModelByKind(kind, in.Sys)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(t, fmt.Sprintf("%s battery %d", kind, trial), in.WithComm(m), p)
+				})
+			}
 		})
 	}
 }
 
 // TestDifferentialTryDuplication compares single duplication trials on
-// partial plans: the transactional TryDuplication must report the same
+// partial plans: the journaled TryDuplication must report the same
 // start/finish/duplicate count as the clone-based reference for every
 // (task, processor) pair reached while replaying a reference DSH run, and
-// must leave the base plan untouched after rollback.
+// Undo must restore the plan exactly.
 func TestDifferentialTryDuplication(t *testing.T) {
-	forceConcurrentTrials(t)
-
 	testfix.Battery(testfix.BatteryConfig{Trials: 15, MaxTasks: 30, Seed: 9200}, func(trial int, in *sched.Instance) {
 		sl := sched.StaticLevel(in)
 		pl := sched.NewPlan(in)
@@ -103,27 +101,21 @@ func TestDifferentialTryDuplication(t *testing.T) {
 				ref := testfix.RefTryDuplication(pl, pick, p, 64)
 				before := testfix.PlanFingerprint(pl)
 
-				tx := pl.Begin()
-				res := algo.TryDuplication(tx, pick, p, 64)
+				m := pl.Mark()
+				res := algo.TryDuplication(pl, pick, p, 64)
 				if res.Start != ref.Start || res.Finish != ref.Finish || res.Dups != ref.Dups {
-					t.Fatalf("trial %d task %d proc %d: txn (start=%.9g finish=%.9g dups=%d) != ref (start=%.9g finish=%.9g dups=%d)",
+					t.Fatalf("trial %d task %d proc %d: journal (start=%.9g finish=%.9g dups=%d) != ref (start=%.9g finish=%.9g dups=%d)",
 						trial, pick, p, res.Start, res.Finish, res.Dups, ref.Start, ref.Finish, ref.Dups)
 				}
-				// The transactional view must expose the same processor
-				// timeline the reference trial plan holds.
-				gotProc := append([]sched.Assignment(nil), tx.OnProc(p)...)
-				wantProc := ref.Plan.OnProc(p)
-				if len(gotProc) != len(wantProc) {
-					t.Fatalf("trial %d task %d proc %d: txn timeline %v != ref %v", trial, pick, p, gotProc, wantProc)
+				// Mid-trial the plan must hold exactly the reference
+				// trial plan.
+				if got, want := testfix.PlanFingerprint(pl), testfix.PlanFingerprint(ref.Plan); got != want {
+					t.Fatalf("trial %d task %d proc %d: trial plan\n%s\n!= ref\n%s", trial, pick, p, got, want)
 				}
-				for k := range gotProc {
-					if gotProc[k] != wantProc[k] {
-						t.Fatalf("trial %d task %d proc %d slot %d: %v != %v", trial, pick, p, k, gotProc[k], wantProc[k])
-					}
-				}
-				tx.Rollback()
+				pl.Undo(m)
+				pl.Commit()
 				if after := testfix.PlanFingerprint(pl); after != before {
-					t.Fatalf("trial %d task %d proc %d: rolled-back trial mutated the base plan", trial, pick, p)
+					t.Fatalf("trial %d task %d proc %d: undone trial changed the plan", trial, pick, p)
 				}
 			}
 			// Advance the partial plan exactly like the reference driver.

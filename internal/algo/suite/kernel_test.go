@@ -7,25 +7,19 @@ import (
 	"dagsched/internal/testfix"
 )
 
-// forceKernelFastPaths flips the scheduling substrate onto its scaled
-// code paths — concurrent level-set rank kernels and the bound-pruned
-// processor-selection heap — for one test, restoring the defaults after.
+// forceKernelFastPaths flips processor selection onto the bound-pruned
+// selection heap for one test, restoring the default after.
 func forceKernelFastPaths(t *testing.T) {
 	t.Helper()
-	oldRanks, oldTree := sched.ForceParallelRanks, sched.ForceTreeSelect
-	sched.ForceParallelRanks, sched.ForceTreeSelect = true, true
-	t.Cleanup(func() {
-		sched.ForceParallelRanks, sched.ForceTreeSelect = oldRanks, oldTree
-	})
+	old := sched.ForceTreeSelect
+	sched.ForceTreeSelect = true
+	t.Cleanup(func() { sched.ForceTreeSelect = old })
 }
 
 // TestKernelFastPathsBitIdentical is the end-to-end golden equivalence
-// proof for the SoA kernel work: every suite algorithm must produce a
+// proof for the selection heap: every suite algorithm must produce a
 // bit-identical schedule (same digest — same copies at the same float64
-// times) whether the substrate runs the sequential rank sweeps and linear
-// BestEFT scan or the parallel level-set kernels and the selection heap.
-// Under -race with GOMAXPROCS > 1 it also shakes the sharded rank loops
-// for data races through every algorithm's real call pattern.
+// times) whether BestEFT runs the linear scan or the selection heap.
 func TestKernelFastPathsBitIdentical(t *testing.T) {
 	type run struct {
 		name   string
@@ -60,9 +54,8 @@ func TestKernelFastPathsBitIdentical(t *testing.T) {
 }
 
 // TestKernelFastPathsBattery repeats the equivalence over a random
-// battery for the insertion-scheduler core (HEFT-class plus the
-// transactional ILS), where the selection heap and the rank kernels are
-// on the hot path of every placement.
+// battery for every suite algorithm, ILS's trials included, where the
+// selection heap is on the hot path of every placement.
 func TestKernelFastPathsBattery(t *testing.T) {
 	algos := All()
 	type key struct {

@@ -26,9 +26,9 @@ func benchInstance(b *testing.B, n int) *sched.Instance {
 }
 
 // BenchmarkILSEndToEnd times the full ILS configuration (σ-rank +
-// lookahead + duplication) on the scale-sweep design point. The
-// transactional trial layer is the hot path: allocations per op track how
-// much speculative state the trials churn.
+// lookahead + duplication) on the scale-sweep design point. The trial
+// journal is the hot path: allocations per op track how much state the
+// trials churn.
 func BenchmarkILSEndToEnd(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		in := benchInstance(b, n)

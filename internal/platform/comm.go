@@ -36,13 +36,12 @@ type CommModel interface {
 
 // CommState tracks the busy intervals of a model's contended resources
 // while a schedule is built or replayed. Reservations are journaled:
-// Mark/Undo rewind them exactly, which is what lets speculative
-// transactions (sched.Txn) trial contention-aware placements and roll
-// them back bit-for-bit (DESIGN.md invariant 8).
+// Mark/Undo rewind them exactly, which is what lets a plan's trial
+// journal (sched.Plan.Mark/Undo) trial contention-aware placements and
+// take them back bit-for-bit (DESIGN.md invariant 8).
 //
-// A CommState is not safe for concurrent mutation; concurrent trials each
-// Clone the frozen base state instead. TransferStart is a pure query and
-// may be called concurrently with other queries.
+// A CommState is not safe for concurrent mutation. TransferStart is a
+// pure query and may be called concurrently with other queries.
 type CommState interface {
 	// TransferStart returns the earliest time >= ready at which a transfer
 	// of the given duration can hold every resource on the from→to route

@@ -60,11 +60,10 @@ func TestPlanContendedDataReadyAndPlace(t *testing.T) {
 	if m := pl.CommState().Mark(); m != 0 {
 		t.Fatalf("estimate journaled %d reservations", m)
 	}
-	e0 := pl.commEpoch
 
 	pl.Place(1, 1, 5) // b on P1: commits the transfer [1,5)
-	if pl.commEpoch == e0 {
-		t.Fatal("committed reservation did not bump commEpoch")
+	if pl.CommState().Mark() == 0 {
+		t.Fatal("placement reserved no transfer")
 	}
 	busy := pl.CommState().Busy()
 	if busy[0] != 4 || busy[2+1] != 4 {
@@ -78,10 +77,10 @@ func TestPlanContendedDataReadyAndPlace(t *testing.T) {
 		t.Fatalf("DataReady(c,P0) = %g, want 1 (local)", got)
 	}
 	// A local placement reserves nothing.
-	e1 := pl.commEpoch
+	m1 := pl.CommState().Mark()
 	pl.Place(2, 0, 1)
-	if pl.commEpoch != e1 {
-		t.Fatal("local placement bumped commEpoch")
+	if pl.CommState().Mark() != m1 {
+		t.Fatal("local placement reserved a transfer")
 	}
 }
 
@@ -105,114 +104,36 @@ func TestPlanContendedPlaceNeverEarlier(t *testing.T) {
 	}
 }
 
+// TestTxnContendedTrialUndoCommit checks a trial under one-port: the
+// trial's queries see its own reservations, Undo takes them back, and a
+// committed trial keeps them.
 func TestTxnContendedTrialUndoCommit(t *testing.T) {
 	in := fanOutInstance(t)
 	op, _ := platform.ModelByKind(platform.KindOnePort, in.Sys)
 	pl := NewPlan(in.WithComm(op))
 	pl.Place(0, 0, 0)
-	base := pl.CommState()
 
-	tx := pl.Begin()
-	// Estimates before any speculative write read the frozen base state.
-	if got := tx.DataReady(1, 1); got != 5 {
-		t.Fatalf("txn DataReady = %g, want 5", got)
-	}
-	m := tx.Mark()
-	tx.Place(1, 1, 5)
-	if got := tx.DataReady(2, 1); got != 9 {
-		t.Fatalf("txn sees own reservation: DataReady = %g, want 9", got)
-	}
-	// The base plan never sees speculative reservations.
-	if got := pl.DataReady(1, 1); got != 5 {
-		t.Fatalf("base DataReady = %g after speculative place", got)
-	}
-	if base.Mark() != 0 {
-		t.Fatal("speculative reservation leaked into the base state")
-	}
-
-	// Undo rewinds the reservations exactly.
-	tx.Undo(m)
-	if got := tx.DataReady(2, 1); got != 5 {
-		t.Fatalf("after Undo, txn DataReady = %g, want 5", got)
-	}
-
-	// Re-place and commit: the base adopts the reservations.
-	tx.Place(1, 1, 5)
-	tx.Commit()
+	m := pl.Mark()
+	pl.Place(1, 1, 5)
 	if got := pl.DataReady(2, 1); got != 9 {
-		t.Fatalf("after Commit, base DataReady = %g, want 9", got)
+		t.Fatalf("trial sees own reservation: DataReady = %g, want 9", got)
+	}
+	pl.Undo(m)
+	if got := pl.DataReady(2, 1); got != 5 {
+		t.Fatalf("after Undo, DataReady = %g, want 5", got)
+	}
+	if busy := pl.CommState().Busy(); busy[0] != 0 || busy[2+1] != 0 {
+		t.Fatalf("after Undo, port busy = %v, want all idle", busy)
+	}
+
+	// Re-place and commit: the reservations stay.
+	pl.Place(1, 1, 5)
+	pl.Commit()
+	if got := pl.DataReady(2, 1); got != 9 {
+		t.Fatalf("after Commit, DataReady = %g, want 9", got)
 	}
 	if pl.CommState().Busy()[0] != 4 {
 		t.Fatalf("send port busy = %v", pl.CommState().Busy())
-	}
-}
-
-func TestTxnContendedRollbackAndReset(t *testing.T) {
-	in := fanOutInstance(t)
-	op, _ := platform.ModelByKind(platform.KindOnePort, in.Sys)
-	pl := NewPlan(in.WithComm(op))
-	pl.Place(0, 0, 0)
-
-	tx := pl.Begin()
-	tx.Place(1, 1, 5)
-	tx.Rollback()
-	if got := pl.DataReady(1, 1); got != 5 {
-		t.Fatalf("rollback leaked: base DataReady = %g", got)
-	}
-
-	// Reset keeps the clone while the base's reservations are unchanged…
-	tx = pl.Begin()
-	tx.Place(1, 1, 5)
-	tx.Reset()
-	if tx.comm == nil {
-		t.Fatal("Reset dropped a still-exact comm clone")
-	}
-	if got := tx.DataReady(1, 1); got != 5 {
-		t.Fatalf("after Reset, txn DataReady = %g, want 5", got)
-	}
-	// …and drops it once the base moves on.
-	pl.Place(1, 1, 5) // bumps commEpoch
-	tx.Reset()
-	if tx.comm != nil {
-		t.Fatal("Reset kept a stale comm clone")
-	}
-	if got := tx.DataReady(2, 1); got != 9 {
-		t.Fatalf("reset txn DataReady = %g, want 9 (base reservations)", got)
-	}
-}
-
-func TestTxnConcurrentContendedTrials(t *testing.T) {
-	in := fanOutInstance(t)
-	op, _ := platform.ModelByKind(platform.KindOnePort, in.Sys)
-	pl := NewPlan(in.WithComm(op))
-	pl.Place(0, 0, 0)
-
-	// Two trials from the same frozen base, evaluated in parallel: each
-	// owns its clone; the winner commits.
-	txs := []*Txn{pl.Begin(), pl.Begin()}
-	done := make(chan int, len(txs))
-	for k, tx := range txs {
-		go func(k int, tx *Txn) {
-			p := k // trial processor
-			start := tx.FindSlot(p, tx.DataReady(1, p), in.Cost(1, p), true)
-			tx.Place(1, p, start)
-			done <- k
-		}(k, tx)
-	}
-	for range txs {
-		<-done
-	}
-	// P0 is local (start 1), P1 pays the contended transfer (start 5).
-	if s := txs[0].Copies(1)[0].Start; s != 1 {
-		t.Fatalf("P0 trial start = %g, want 1", s)
-	}
-	if s := txs[1].Copies(1)[0].Start; s != 5 {
-		t.Fatalf("P1 trial start = %g, want 5", s)
-	}
-	txs[0].Commit()
-	txs[1].Rollback()
-	if got := pl.Makespan(); got != 2 {
-		t.Fatalf("makespan = %g, want 2", got)
 	}
 }
 

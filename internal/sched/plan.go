@@ -32,25 +32,31 @@ type Plan struct {
 	// the linear reference scan) if a placement ever straddles occupied
 	// intervals; correctness never depends on it.
 	gaps []*timeline.GapIndex
-	// epoch counts mutations; Txn.Commit refuses to apply a transaction
-	// begun against an older epoch (see txn.go).
-	epoch uint64
-	// procEpoch[p] counts mutations of processor p's timeline (inserts,
-	// blocks and committed transactions). Txn.Reset uses it to tell which
-	// gap-index snapshots are still exact and can be reused without
-	// re-copying treap nodes.
-	procEpoch []uint64
 	// comm holds the contended-network reservation state when the
 	// instance's communication model has one (nil on the default
 	// contention-free path, leaving every hot path untouched). DataReady
 	// then answers contention-aware earliest arrivals, and Place/PlaceDup
 	// commit the chosen transfers' reservations.
 	comm platform.CommState
-	// commEpoch counts committed comm reservations the way procEpoch
-	// counts timeline mutations; Txn.Reset uses it to tell whether a
-	// cloned comm state still mirrors the base.
-	commEpoch uint64
+	// trial is set from the first Mark until Commit; while it is set
+	// every placement appends a record to journal so Undo can reverse it.
+	trial   bool
+	journal []placement
 }
+
+// placement journals one placement made during a trial: the assignment,
+// its slot in the processor timeline, the gap index's occupy record and
+// the comm journal position before its reservations (-1 when the
+// instance has no contended model).
+type placement struct {
+	a        Assignment
+	slot     int
+	occ      timeline.OccupyLog
+	commMark int
+}
+
+// Mark is a trial journal position; Undo(m) rewinds the plan to it.
+type Mark int
 
 // NewPlan returns an empty plan for the instance. The per-task copy lists
 // are carved out of one flat arena — each task gets a zero-length slot of
@@ -64,7 +70,6 @@ func NewPlan(in *Instance) *Plan {
 		byTask:      make([][]Assignment, in.N()),
 		blockedFrom: make([]float64, in.P()),
 		gaps:        make([]*timeline.GapIndex, in.P()),
-		procEpoch:   make([]uint64, in.P()),
 	}
 	arena := make([]Assignment, in.N())
 	for i := range pl.byTask {
@@ -99,8 +104,6 @@ func (pl *Plan) CommState() platform.CommState { return pl.comm }
 func (pl *Plan) BlockProc(p int, from float64) {
 	if from < pl.blockedFrom[p] {
 		pl.blockedFrom[p] = from
-		pl.epoch++
-		pl.procEpoch[p]++
 	}
 }
 
@@ -151,7 +154,7 @@ func (pl *Plan) ProcReady(p int) float64 {
 // (without reserving anything itself — Place commits reservations).
 func (pl *Plan) DataReady(i dag.TaskID, p int) float64 {
 	if pl.comm != nil {
-		return commReady(pl, pl.comm, i, p, false)
+		return pl.commReady(i, p, false)
 	}
 	ready := 0.0
 	for _, pe := range pl.in.G.Pred(i) {
@@ -172,19 +175,19 @@ func (pl *Plan) DataReady(i dag.TaskID, p int) float64 {
 	return ready
 }
 
-// commReady is the contended counterpart of the DataReady loop, shared by
-// Plan and Txn: the earliest time all input data of task i is available
-// on processor p, with every inter-processor transfer queried against the
-// reservation state st. Per predecessor it takes the copy with the
-// earliest contended arrival; local copies and zero-cost transfers arrive
-// at the copy's finish. With reserve set, the winning transfer of each
+// commReady is the contended counterpart of the DataReady loop: the
+// earliest time all input data of task i is available on processor p,
+// with every inter-processor transfer queried against the plan's
+// reservation state. Per predecessor it takes the copy with the earliest
+// contended arrival; local copies and zero-cost transfers arrive at the
+// copy's finish. With reserve set, the winning transfer of each
 // predecessor is committed before the next predecessor is examined, so
 // the task's own inputs serialize correctly too.
-func commReady(v View, st platform.CommState, i dag.TaskID, p int, reserve bool) float64 {
-	in := v.Instance()
+func (pl *Plan) commReady(i dag.TaskID, p int, reserve bool) float64 {
+	in, st := pl.in, pl.comm
 	ready := 0.0
 	for _, pe := range in.G.Pred(i) {
-		copies := v.Copies(pe.To)
+		copies := pl.byTask[pe.To]
 		if len(copies) == 0 {
 			panic(fmt.Sprintf("sched: task %d scheduled before predecessor %d", i, pe.To))
 		}
@@ -368,13 +371,8 @@ func (pl *Plan) Place(i dag.TaskID, p int, start float64) Assignment {
 	if pl.Scheduled(i) {
 		panic(fmt.Sprintf("sched: task %d placed twice", i))
 	}
-	if pl.comm != nil {
-		start = pl.commitComm(i, p, start)
-	}
-	a := Assignment{Task: i, Proc: p, Start: start, Finish: start + pl.in.Cost(i, p)}
-	pl.insert(a)
 	pl.placed++
-	return a
+	return pl.insert(i, p, start, false)
 }
 
 // PlaceDup adds a duplicate copy of task i on processor p. The task's
@@ -384,40 +382,30 @@ func (pl *Plan) PlaceDup(i dag.TaskID, p int, start float64) Assignment {
 	if !pl.Scheduled(i) {
 		panic(fmt.Sprintf("sched: duplicating unscheduled task %d", i))
 	}
+	return pl.insert(i, p, start, true)
+}
+
+// insert records a copy of task i on processor p — under a contended
+// model at the start re-derived after reserving its input transfers: the
+// earliest slot at or after both the caller's start and the committed
+// data-ready time — and journals it while a trial is open.
+func (pl *Plan) insert(i dag.TaskID, p int, start float64, dup bool) Assignment {
+	commMark := -1
 	if pl.comm != nil {
-		start = pl.commitComm(i, p, start)
+		commMark = pl.comm.Mark()
+		if ready := pl.commReady(i, p, true); ready > start {
+			start = ready
+		}
+		start = pl.FindSlot(p, start, pl.in.Cost(i, p), true)
 	}
-	a := Assignment{Task: i, Proc: p, Start: start, Finish: start + pl.in.Cost(i, p), Dup: true}
-	pl.insert(a)
-	return a
-}
-
-// commitComm reserves task i's input transfers toward processor p and
-// returns the placement start re-derived against the reserved network:
-// the earliest slot at or after both the caller's start and the committed
-// data-ready time.
-func (pl *Plan) commitComm(i dag.TaskID, p int, start float64) float64 {
-	m := pl.comm.Mark()
-	ready := commReady(pl, pl.comm, i, p, true)
-	if start > ready {
-		ready = start
-	}
-	if pl.comm.Mark() != m {
-		pl.commEpoch++
-	}
-	return pl.FindSlot(p, ready, pl.in.Cost(i, p), true)
-}
-
-func (pl *Plan) insert(a Assignment) {
-	pl.epoch++
-	pl.procEpoch[a.Proc]++
-	t := pl.procs[a.Proc]
-	k := sort.Search(len(t), func(i int) bool { return t[i].Start > a.Start })
+	a := Assignment{Task: i, Proc: p, Start: start, Finish: start + pl.in.Cost(i, p), Dup: dup}
+	t := pl.procs[p]
+	k := sort.Search(len(t), func(j int) bool { return t[j].Start > a.Start })
 	t = append(t, Assignment{})
 	copy(t[k+1:], t[k:])
 	t[k] = a
-	pl.procs[a.Proc] = t
-	pl.gaps[a.Proc].Occupy(a.Start, a.Finish)
+	pl.procs[p] = t
+	occ := pl.gaps[p].OccupyLogged(a.Start, a.Finish)
 	switch {
 	case a.Dup:
 		pl.byTask[a.Task] = append(pl.byTask[a.Task], a)
@@ -428,6 +416,67 @@ func (pl *Plan) insert(a Assignment) {
 	default:
 		pl.byTask[a.Task] = append([]Assignment{a}, pl.byTask[a.Task]...)
 	}
+	if pl.trial {
+		pl.journal = append(pl.journal, placement{a: a, slot: k, occ: occ, commMark: commMark})
+	}
+	return a
+}
+
+// Mark opens a trial, unless one is open already, and returns the
+// current journal position. While a trial is open every Place and
+// PlaceDup is journaled, so Undo can take it back exactly; queries see
+// the trial's placements like any other. A speculative scheduler marks,
+// places, scores and undoes once per candidate, then closes the trial
+// with Commit. Trials do not nest: the marks of one trial are positions
+// in a single journal.
+func (pl *Plan) Mark() Mark {
+	pl.trial = true
+	return Mark(len(pl.journal))
+}
+
+// Undo takes back, newest first, every placement journaled after m.
+// Timelines, task copies, the gap indexes' gap sets and priority
+// counters, and comm reservations are restored to their state at m (an
+// occupy that degraded a gap index leaves it degraded, which affects
+// query cost, never answers; see timeline.Revert). The trial stays open:
+// a plan rewound to the trial's opening mark still journals what it
+// places next.
+func (pl *Plan) Undo(m Mark) {
+	for len(pl.journal) > int(m) {
+		r := pl.journal[len(pl.journal)-1]
+		pl.journal = pl.journal[:len(pl.journal)-1]
+		if r.commMark >= 0 {
+			pl.comm.Undo(r.commMark)
+		}
+		p, t := r.a.Proc, r.a.Task
+		procs := pl.procs[p]
+		copy(procs[r.slot:], procs[r.slot+1:])
+		pl.procs[p] = procs[:len(procs)-1]
+		pl.gaps[p].Revert(r.occ)
+		// Undo runs newest first, so the copy this record added is the
+		// task's last one; a primary is its only one.
+		pl.byTask[t] = pl.byTask[t][:len(pl.byTask[t])-1]
+		if !r.a.Dup {
+			pl.placed--
+		}
+	}
+}
+
+// Commit closes the trial: the placements it did not undo stay, and the
+// journal is dropped. Placements made with no trial open are not
+// journaled.
+func (pl *Plan) Commit() {
+	pl.trial = false
+	pl.journal = pl.journal[:0]
+}
+
+// AppendPlaced appends to dst the assignments journaled since m, oldest
+// first — what the trial placed after m and has not undone.
+func (pl *Plan) AppendPlaced(dst []Assignment, m Mark) []Assignment {
+	for _, r := range pl.journal[m:] {
+		dst = append(dst, r.a)
+	}
+	return dst
 }
 
 // Makespan returns the latest finish time of any primary copy placed so
@@ -442,8 +491,8 @@ func (pl *Plan) Makespan() float64 {
 	return ms
 }
 
-// Clone returns a deep copy of the plan; used by duplication heuristics to
-// evaluate tentative placements.
+// Clone returns a deep copy of the plan with no trial open; the
+// clone-based reference schedulers evaluate tentative placements on it.
 func (pl *Plan) Clone() *Plan {
 	cp := &Plan{
 		in:          pl.in,
@@ -452,8 +501,6 @@ func (pl *Plan) Clone() *Plan {
 		placed:      pl.placed,
 		blockedFrom: append([]float64(nil), pl.blockedFrom...),
 		gaps:        make([]*timeline.GapIndex, len(pl.gaps)),
-		procEpoch:   make([]uint64, len(pl.gaps)),
-		commEpoch:   pl.commEpoch,
 	}
 	if pl.comm != nil {
 		cp.comm = pl.comm.Clone()

@@ -30,33 +30,19 @@ func RankUpwardSigma(in *Instance) []float64 {
 
 // rankUpwardWith runs the upward-rank recurrence over the exit-anchored
 // height levels: every successor of a task lives in a strictly earlier
-// level, so levels can be swept in order — and each level sharded over
-// workers on large instances — while every task computes the exact float
-// expression of the sequential reverse-topological sweep. The two paths
-// are bit-identical because a task's rank depends only on already-final
-// values and its own successor loop order (adjacency order) is unchanged.
+// level, so a sweep in level order finds each successor's rank final.
 func rankUpwardWith(in *Instance, comp []float64) []float64 {
 	ranks := make([]float64, in.N())
-	off, tasks := in.G.HeightLevels()
-	eval := func(lo, hi int, set []dag.TaskID) {
-		for _, v := range set[lo:hi] {
-			best := 0.0
-			comm := in.meanCommSuccRow(v)
-			for j, a := range in.G.Succ(v) {
-				if cand := comm[j] + ranks[a.To]; cand > best {
-					best = cand
-				}
+	_, tasks := in.G.HeightLevels()
+	for _, v := range tasks {
+		best := 0.0
+		comm := in.meanCommSuccRow(v)
+		for j, a := range in.G.Succ(v) {
+			if cand := comm[j] + ranks[a.To]; cand > best {
+				best = cand
 			}
-			ranks[v] = comp[v] + best
 		}
-	}
-	if useParallelRanks(in.N()) {
-		for l := 0; l+1 < len(off); l++ {
-			set := tasks[off[l]:off[l+1]]
-			levelFor(len(set), func(lo, hi int) { eval(lo, hi, set) })
-		}
-	} else {
-		eval(0, len(tasks), tasks)
+		ranks[v] = comp[v] + best
 	}
 	return ranks
 }
@@ -64,59 +50,38 @@ func rankUpwardWith(in *Instance, comp []float64) []float64 {
 // RankDownward returns rank_d(i) = max over predecessors m of
 // (rank_d(m) + w̄(m) + c̄(m,i)); entry tasks have rank 0. rank_d is the
 // length of the longest mean-cost path from an entry up to (excluding) i.
-// It sweeps the entry-anchored depth levels (see rankUpwardWith for why
-// this is bit-identical to the topological-order sweep).
+// It sweeps the entry-anchored depth levels, mirroring rankUpwardWith.
 func RankDownward(in *Instance) []float64 {
 	ranks := make([]float64, in.N())
-	off, tasks := in.G.DepthLevels()
-	eval := func(lo, hi int, set []dag.TaskID) {
-		for _, v := range set[lo:hi] {
-			best := 0.0
-			comm := in.meanCommPredRow(v)
-			for j, p := range in.G.Pred(v) {
-				if cand := ranks[p.To] + in.meanW[p.To] + comm[j]; cand > best {
-					best = cand
-				}
+	_, tasks := in.G.DepthLevels()
+	for _, v := range tasks {
+		best := 0.0
+		comm := in.meanCommPredRow(v)
+		for j, p := range in.G.Pred(v) {
+			if cand := ranks[p.To] + in.meanW[p.To] + comm[j]; cand > best {
+				best = cand
 			}
-			ranks[v] = best
 		}
-	}
-	if useParallelRanks(in.N()) {
-		for l := 0; l+1 < len(off); l++ {
-			set := tasks[off[l]:off[l+1]]
-			levelFor(len(set), func(lo, hi int) { eval(lo, hi, set) })
-		}
-	} else {
-		eval(0, len(tasks), tasks)
+		ranks[v] = best
 	}
 	return ranks
 }
 
 // StaticLevel returns SL(i): the largest sum of mean execution costs along
 // any path from i to an exit, communication excluded (Sih & Lee's static
-// level, also HLFET's priority). Like the other rank kernels it sweeps the
-// height levels, going wide per level on large instances.
+// level, also HLFET's priority). Like the upward rank it sweeps the
+// height levels.
 func StaticLevel(in *Instance) []float64 {
 	sl := make([]float64, in.N())
-	off, tasks := in.G.HeightLevels()
-	eval := func(lo, hi int, set []dag.TaskID) {
-		for _, v := range set[lo:hi] {
-			best := 0.0
-			for _, a := range in.G.Succ(v) {
-				if sl[a.To] > best {
-					best = sl[a.To]
-				}
+	_, tasks := in.G.HeightLevels()
+	for _, v := range tasks {
+		best := 0.0
+		for _, a := range in.G.Succ(v) {
+			if sl[a.To] > best {
+				best = sl[a.To]
 			}
-			sl[v] = in.meanW[v] + best
 		}
-	}
-	if useParallelRanks(in.N()) {
-		for l := 0; l+1 < len(off); l++ {
-			set := tasks[off[l]:off[l+1]]
-			levelFor(len(set), func(lo, hi int) { eval(lo, hi, set) })
-		}
-	} else {
-		eval(0, len(tasks), tasks)
+		sl[v] = in.meanW[v] + best
 	}
 	return sl
 }

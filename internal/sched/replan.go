@@ -60,9 +60,6 @@ func (pl *Plan) Grow(in *Instance) error {
 		}
 	}
 	pl.in = in
-	// Invalidate any open transaction: it was begun against the old
-	// instance and its snapshots no longer describe this plan.
-	pl.epoch++
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package timeline
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -20,7 +19,7 @@ func gapsEqual(a, b []Gap) bool {
 
 // TestOccupyLoggedRevertExact drives random occupy bursts and asserts
 // that reverting them in LIFO order restores the exact gap set and
-// priority counter — the invariant sched.Txn.Undo depends on.
+// priority counter — the invariant sched.Plan.Undo depends on.
 func TestOccupyLoggedRevertExact(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -58,61 +57,6 @@ func TestOccupyLoggedRevertExact(t *testing.T) {
 	}
 }
 
-// TestSnapshotIsolation asserts the O(1) snapshot contract: while the
-// parent is frozen, a snapshot can be occupied and reverted arbitrarily
-// without the parent's answers changing, and an undisturbed sibling
-// snapshot still sees the parent's state.
-func TestSnapshotIsolation(t *testing.T) {
-	gi := New(eps)
-	gi.Occupy(2, 4)
-	gi.Occupy(10, 12)
-	parentGaps := gi.Gaps()
-
-	snapA := gi.Snapshot()
-	snapB := gi.Snapshot()
-
-	// Mutate snapA heavily: fill the first gap, split the middle one.
-	snapA.Occupy(0, 2)
-	l := snapA.OccupyLogged(5, 7)
-	snapA.Occupy(12, 20)
-	snapA.Revert(l)
-
-	if !gapsEqual(gi.Gaps(), parentGaps) {
-		t.Fatalf("parent gaps changed under snapshot mutation:\n got %v\nwant %v", gi.Gaps(), parentGaps)
-	}
-	if !gapsEqual(snapB.Gaps(), parentGaps) {
-		t.Fatalf("sibling snapshot polluted:\n got %v\nwant %v", snapB.Gaps(), parentGaps)
-	}
-	// snapA's own view reflects exactly its surviving occupies.
-	s, ok := snapA.EarliestFit(0, 1)
-	if !ok || s != 4 {
-		t.Fatalf("snapA EarliestFit(0,1) = %v,%v want 4,true", s, ok)
-	}
-	// The parent still answers from its own intact state.
-	s, ok = gi.EarliestFit(0, 1)
-	if !ok || s != 0 {
-		t.Fatalf("parent EarliestFit(0,1) = %v,%v want 0,true", s, ok)
-	}
-}
-
-// TestSnapshotOfSnapshot asserts chained snapshots (txn of a committed
-// txn state) keep the same isolation guarantee.
-func TestSnapshotOfSnapshot(t *testing.T) {
-	gi := New(eps)
-	gi.Occupy(0, 5)
-	s1 := gi.Snapshot()
-	s1.Occupy(5, 8)
-	base := s1.Gaps()
-	s2 := s1.Snapshot()
-	s2.Occupy(8, 30)
-	if !gapsEqual(s1.Gaps(), base) {
-		t.Fatalf("first snapshot mutated by second: %v want %v", s1.Gaps(), base)
-	}
-	if got, _ := s2.EarliestFit(0, 1); got != 30 {
-		t.Fatalf("second snapshot EarliestFit = %v, want 30", got)
-	}
-}
-
 // TestRevertOnDegradedIndex asserts degradation is sticky: a revert never
 // resurrects a degraded index, and reverting a record that itself caused
 // degradation is a no-op.
@@ -140,20 +84,5 @@ func TestRevertOnDegradedIndex(t *testing.T) {
 	gi2.Revert(good)
 	if gi2.OK() {
 		t.Fatal("degradation must be permanent")
-	}
-}
-
-// TestSnapshotInheritsDegradation asserts a snapshot of a degraded index
-// is itself degraded and harmless.
-func TestSnapshotInheritsDegradation(t *testing.T) {
-	gi := New(eps)
-	gi.Occupy(10, 20)
-	gi.Occupy(15, 25) // degrade
-	sn := gi.Snapshot()
-	if sn.OK() {
-		t.Fatal("snapshot of degraded index reports OK")
-	}
-	if _, ok := sn.EarliestFit(0, math.SmallestNonzeroFloat64); ok {
-		t.Fatal("degraded snapshot answered a query")
 	}
 }

@@ -25,15 +25,12 @@ package timeline
 import "math"
 
 // node is one idle gap, a treap node keyed by (start, end) and augmented
-// with the maximum gap length in its subtree. gen implements structural
-// sharing: a node may be mutated in place only by the index whose
-// generation matches; anyone else copies it first (see GapIndex.mut).
+// with the maximum gap length in its subtree.
 type node struct {
 	start, end  float64
 	prio        uint64
 	left, right *node
 	maxLen      float64
-	gen         uint32
 }
 
 func (n *node) recompute() {
@@ -54,25 +51,14 @@ func keyLess(s1, e1, s2, e2 float64) bool {
 }
 
 // GapIndex indexes the idle gaps of one processor's timeline.
-//
-// Indexes support O(1) copy-on-write snapshots (Snapshot): every node
-// carries the generation of the index that created it, and an index whose
-// generation is newer copies a node before touching it. The invariant is
-// that all nodes reachable from an index's root have generation <= the
-// index's own, with equality exactly for the nodes it may mutate in
-// place; Snapshot returns a new index at generation+1, so it owns nothing
-// and copies each path it first writes to, while the parent keeps
-// mutating its own nodes in place at the old cost.
 type GapIndex struct {
 	root *node
 	ctr  uint64 // deterministic priority stream
 	eps  float64
 	ok   bool
-	gen  uint32
-	// free chains recycled nodes (linked through left). Only nodes this
-	// index owns (gen match) are recycled, so handing one out again is
-	// exactly as safe as the in-place mutation mut already performs on
-	// them; see recycle. Snapshots and clones start with an empty list.
+	// free chains the nodes del unlinked (through left), so the next
+	// insertGap reuses one instead of allocating. Clones start with an
+	// empty list.
 	free *node
 }
 
@@ -226,42 +212,22 @@ func (gi *GapIndex) Revert(l OccupyLog) {
 	gi.ctr = l.Ctr
 }
 
-// mut returns a node this index may mutate in place: n itself when the
-// index created it, a same-generation copy otherwise. On an index that
-// never snapshotted this is a branch-predicted no-op, so the unshared
-// fast path allocates exactly as much as a plain mutable treap.
-func (gi *GapIndex) mut(n *node) *node {
-	if n.gen == gi.gen {
-		return n
-	}
-	c := *n
-	c.gen = gi.gen
-	return &c
-}
-
 func (gi *GapIndex) insertGap(root *node, s, e float64) *node {
 	x := gi.free
 	if x != nil {
 		gi.free = x.left
-		*x = node{start: s, end: e, prio: gi.nextPrio(), gen: gi.gen}
+		*x = node{start: s, end: e, prio: gi.nextPrio()}
 	} else {
-		x = &node{start: s, end: e, prio: gi.nextPrio(), gen: gi.gen}
+		x = &node{start: s, end: e, prio: gi.nextPrio()}
 	}
 	return gi.ins(root, x)
 }
 
-// recycle returns an unlinked node to the free list. Only nodes the index
-// owns are eligible: a shared node (older generation) may still be read
-// through a snapshot's root, while an owned node that was just unlinked is
-// unreachable from every snapshot that is still valid under the
-// freeze-while-speculating contract (the same contract that lets mut
-// rewrite owned nodes in place).
+// recycle returns an unlinked node to the free list.
 func (gi *GapIndex) recycle(n *node) {
-	if n.gen == gi.gen {
-		n.left = gi.free
-		n.right = nil
-		gi.free = n
-	}
+	n.left = gi.free
+	n.right = nil
+	gi.free = n
 }
 
 func (gi *GapIndex) ins(n, x *node) *node {
@@ -274,7 +240,6 @@ func (gi *GapIndex) ins(n, x *node) *node {
 		x.recompute()
 		return x
 	}
-	n = gi.mut(n)
 	if keyLess(x.start, x.end, n.start, n.end) {
 		n.left = gi.ins(n.left, x)
 	} else {
@@ -289,7 +254,6 @@ func (gi *GapIndex) split(n *node, s, e float64) (l, r *node) {
 	if n == nil {
 		return nil, nil
 	}
-	n = gi.mut(n)
 	if keyLess(n.start, n.end, s, e) {
 		var mid *node
 		mid, r = gi.split(n.right, s, e)
@@ -313,12 +277,10 @@ func (gi *GapIndex) merge(l, r *node) *node {
 		return l
 	}
 	if l.prio > r.prio {
-		l = gi.mut(l)
 		l.right = gi.merge(l.right, r)
 		l.recompute()
 		return l
 	}
-	r = gi.mut(r)
 	r.left = gi.merge(l, r.left)
 	r.recompute()
 	return r
@@ -335,7 +297,6 @@ func (gi *GapIndex) del(n *node, s, e float64) *node {
 		gi.recycle(n)
 		return m
 	}
-	n = gi.mut(n)
 	if keyLess(s, e, n.start, n.end) {
 		n.left = gi.del(n.left, s, e)
 	} else {
@@ -345,34 +306,18 @@ func (gi *GapIndex) del(n *node, s, e float64) *node {
 	return n
 }
 
-// Snapshot returns an O(1) copy-on-write snapshot: the snapshot shares
-// the parent's tree and copies each path it first writes to, so mutating
-// the snapshot never disturbs the parent. The reverse does not hold — the
-// parent keeps mutating its own nodes in place — so a snapshot answers
-// correctly only until the parent's next mutation. That is exactly the
-// speculative-transaction contract (sched.Txn): the base plan is frozen
-// while transactions are open, and every snapshot taken from it is dead
-// by the time the winning transaction commits and the base moves on.
-func (gi *GapIndex) Snapshot() *GapIndex {
-	return &GapIndex{root: gi.root, ctr: gi.ctr, eps: gi.eps, ok: gi.ok, gen: gi.gen + 1}
-}
-
-// Clone returns an independent deep copy of the index; unlike Snapshot it
-// stays valid under arbitrary interleaved mutation of both copies.
+// Clone returns an independent deep copy of the index.
 func (gi *GapIndex) Clone() *GapIndex {
-	cp := &GapIndex{ctr: gi.ctr, eps: gi.eps, ok: gi.ok, gen: gi.gen}
-	cp.root = cloneNode(gi.root, gi.gen)
-	return cp
+	return &GapIndex{root: cloneNode(gi.root), ctr: gi.ctr, eps: gi.eps, ok: gi.ok}
 }
 
-func cloneNode(n *node, gen uint32) *node {
+func cloneNode(n *node) *node {
 	if n == nil {
 		return nil
 	}
 	c := *n
-	c.gen = gen
-	c.left = cloneNode(n.left, gen)
-	c.right = cloneNode(n.right, gen)
+	c.left = cloneNode(n.left)
+	c.right = cloneNode(n.right)
 	return &c
 }
 

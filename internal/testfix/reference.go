@@ -1,8 +1,8 @@
 // reference.go preserves superseded implementations as semantic oracles.
 // The clone-per-trial duplication family (DSH, BTDH, and the ILS
-// placement loop) ships exactly as it did before the transactional trial
-// layer replaced it: deliberately slow — every trial deep-copies the
-// plan — and the transactional implementations must reproduce its
+// placement loop) ships exactly as it did before trials moved onto the
+// plan's journal: deliberately slow — every trial deep-copies the
+// plan — and the journaled implementations must reproduce its
 // schedules bit for bit on every instance. The dedicated HEFT, CPOP,
 // HLFET and ETF loops ship exactly as they did before listsched.Param
 // became the one placement loop: Param's grid points must reproduce them
