@@ -62,23 +62,14 @@ func BenchmarkE20CommModels(b *testing.B)      { runExperiment(b, "E20") }
 func BenchmarkE21FaultRobustness(b *testing.B) { runExperiment(b, "E21") }
 
 // benchSizeCap bounds the DAG size each algorithm is benchmarked at in
-// BenchmarkAlgorithms (it mirrors scaleSizeCap in cmd/schedbench). The
-// insertion-based list schedulers scale to 10k-task DAGs; the
-// pair-scanning (ETF, DLS) and clustering/contention algorithms are
-// inherently super-quadratic and stop earlier. The duplication family
-// evaluates trials on the plan's trial journal, so the
-// non-duplicating ILS variants reach 10k and the duplicating schedulers
-// are benchmarked to 1k. Algorithms not listed default to 10000.
+// BenchmarkAlgorithms (it mirrors scaleSizeCap in cmd/schedbench, whose
+// larger caps lie beyond this sweep). ETF and DLS scan every (ready
+// task, processor) pair per pick, and C-HEFT and C-ILS query one-port
+// reservations for every transfer: they stop at 1k. Algorithms not
+// listed default to 10000.
 var benchSizeCap = map[string]int{
 	"ETF":    1000,
 	"DLS":    1000,
-	"ILS":    1000,
-	"ILS-L":  10000,
-	"ILS-D":  1000,
-	"ILS-R":  10000,
-	"DSH":    1000,
-	"BTDH":   1000,
-	"DSC":    1000,
 	"C-HEFT": 1000,
 	"C-ILS":  1000,
 }

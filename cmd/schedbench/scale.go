@@ -15,27 +15,23 @@ import (
 )
 
 // scaleSizeCap bounds the DAG size each algorithm is timed at, mirroring
-// benchSizeCap in the repository's bench_test.go: the pair-scanning (ETF,
-// DLS) and clustering/contention algorithms are inherently
-// super-quadratic and stop at the largest size they finish in reasonable
-// time; the duplication family runs its per-processor trials on the
-// plan's trial journal, so the non-duplicating ILS variants
-// reach the 10k tier and the duplicating schedulers (whose trial count
-// still grows with duplicate fan-in) are timed to 1k. The near-linear
-// HEFT-class insertion schedulers are timed to 100k tasks, and HEFT
-// itself — the reference algorithm of the suite — to the million-task
-// tier that the SoA kernel targets. Unlisted algorithms stop at
-// scaleDefaultCap.
+// benchSizeCap in the repository's bench_test.go. ETF and DLS scan every
+// (ready task, processor) pair per pick, and C-HEFT and C-ILS query
+// one-port reservations for every transfer: they stop at 1k. The
+// duplicating schedulers (ILS-D, DSH, BTDH) and DSC's clustering reach
+// the 10k tier; the paper's ILS and the insertion list schedulers reach
+// 100k, and HEFT, the suite's reference algorithm, the million-task
+// tier. Unlisted algorithms stop at scaleDefaultCap.
 var scaleSizeCap = map[string]int{
 	"ETF":    1000,
 	"DLS":    1000,
-	"ILS":    1000,
+	"ILS":    100000,
 	"ILS-L":  10000,
-	"ILS-D":  1000,
+	"ILS-D":  10000,
 	"ILS-R":  10000,
-	"DSH":    1000,
-	"BTDH":   1000,
-	"DSC":    1000,
+	"DSH":    10000,
+	"BTDH":   10000,
+	"DSC":    10000,
 	"C-HEFT": 1000,
 	"C-ILS":  1000,
 	"HEFT":   1000000,

@@ -43,6 +43,10 @@ type Instance struct {
 	wFlat  []float64
 	meanW  []float64
 	sigmaW []float64
+	// minW is the smallest execution cost in W (+Inf with no tasks): no
+	// task fits an idle gap an interval of length minW does not, so the
+	// plan's gap indexes leave such gaps out.
+	minW float64
 	// Per-edge mean communication costs, memoized per arc in flat arrays
 	// indexed by the DAG's CSR arc offsets: the cost of the j-th outgoing
 	// edge of task i is meanCommSucc[G.SuccStart(i)+j]. System.MeanCommCost
@@ -79,13 +83,16 @@ func NewInstance(g *dag.Graph, sys *platform.System, w [][]float64) (*Instance, 
 			}
 		}
 	}
-	inst := &Instance{G: g, Sys: sys}
+	inst := &Instance{G: g, Sys: sys, minW: math.Inf(1)}
 	inst.wFlat = make([]float64, n*p)
 	inst.W = make([][]float64, n)
 	for i, row := range w {
 		dst := inst.wFlat[i*p : (i+1)*p : (i+1)*p]
 		copy(dst, row)
 		inst.W[i] = dst
+		for _, v := range row {
+			inst.minW = math.Min(inst.minW, v)
+		}
 	}
 	inst.cacheStats()
 	return inst, nil

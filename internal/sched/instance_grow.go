@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"dagsched/internal/dag"
 )
@@ -34,6 +35,9 @@ func (in *Instance) Grow(w [][]float64, changes []dag.BlockChange) error {
 		mean, sigma := rowStats(w[i])
 		in.meanW = append(in.meanW, mean)
 		in.sigmaW = append(in.sigmaW, sigma)
+		for _, v := range w[i] {
+			in.minW = math.Min(in.minW, v)
+		}
 	}
 	succSlots, predSlots := in.G.ArcSlots()
 	in.meanCommSucc = extendTable(in.meanCommSucc, succSlots)

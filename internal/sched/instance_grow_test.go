@@ -116,12 +116,16 @@ func TestInstanceGrowMatchesFresh(t *testing.T) {
 	}
 }
 
-// instancesMatch asserts every cached statistic of got is bit-identical
-// to want's, and so are the upward ranks that read them.
+// instancesMatch asserts every cached statistic of got, the smallest
+// cost included, is bit-identical to want's, and so are the upward ranks
+// that read them.
 func instancesMatch(t *testing.T, order string, step int, got, want *Instance) {
 	t.Helper()
 	if got.N() != want.N() {
 		t.Fatalf("%s step %d: %d tasks, want %d", order, step, got.N(), want.N())
+	}
+	if got.minW != want.minW {
+		t.Fatalf("%s step %d: smallest cost %x, want %x", order, step, got.minW, want.minW)
 	}
 	for i := 0; i < want.N(); i++ {
 		v := dag.TaskID(i)

@@ -27,10 +27,11 @@ type Plan struct {
 	// blockedFrom[p] < +Inf marks processor p unavailable from that time
 	// on (fail-stop support); FindSlot never places work beyond it.
 	blockedFrom []float64
-	// gaps[p] indexes the idle gaps of processor p for O(log k)
-	// earliest-fit queries. An index degrades (and FindSlot falls back to
-	// the linear reference scan) if a placement ever straddles occupied
-	// intervals; correctness never depends on it.
+	// gaps[p] indexes the idle gaps of processor p that the instance's
+	// cheapest task fits, for O(log k) earliest-fit queries. An index
+	// degrades (and FindSlot falls back to the linear reference scan) if a
+	// placement ever straddles occupied intervals or would leave it
+	// inexact; correctness never depends on it.
 	gaps []*timeline.GapIndex
 	// comm holds the contended-network reservation state when the
 	// instance's communication model has one (nil on the default
@@ -82,7 +83,7 @@ func NewPlan(in *Instance) *Plan {
 	for p := range pl.blockedFrom {
 		pl.procs[p] = make([]Assignment, 0, est)
 		pl.blockedFrom[p] = math.Inf(1)
-		pl.gaps[p] = timeline.New(slotEps)
+		pl.gaps[p] = timeline.New(slotEps, in.minW)
 	}
 	if in.comm != nil {
 		pl.comm = in.comm.NewState()
@@ -258,8 +259,8 @@ func (pl *Plan) findSlotUnbounded(p int, ready, dur float64, insertion bool) flo
 			return start
 		}
 	}
-	// Degraded gap index (a placement straddled occupied intervals):
-	// answer with the linear reference scan.
+	// Degraded gap index, or a query shorter than any task: answer with
+	// the linear reference scan.
 	prevFinish := 0.0
 	for _, a := range pl.procs[p] {
 		start := math.Max(ready, prevFinish)
@@ -287,20 +288,14 @@ func (pl *Plan) EFTOn(i dag.TaskID, p int, insertion bool) (start, finish float6
 }
 
 // BestEFT returns the processor minimizing the earliest finish time of
-// task i, with its start and finish. Ties break toward the smaller
-// processor id. When no processor has a feasible slot (every processor
-// blocked via BlockProc), it returns start = finish = +Inf with proc 0;
-// callers that schedule against blockable plans must check
-// math.IsInf(finish, 1) before placing.
-//
-// From TreeSelectThreshold processors on, the query runs over the
-// bound-pruned selection heap (see proctree.go), which returns the same
-// (proc, start, finish) bit for bit while skipping exact EFT evaluations
-// on processors whose lower bound already loses.
+// task i, with its start and finish: the same answer, bit for bit, as
+// calling EFTOn on every processor in id order and keeping the first
+// smallest finish, so ties break toward the smaller processor id. When
+// no processor has a feasible slot (every processor blocked via
+// BlockProc), it returns start = finish = +Inf with proc 0; callers that
+// schedule against blockable plans must check math.IsInf(finish, 1)
+// before placing.
 func (pl *Plan) BestEFT(i dag.TaskID, insertion bool) (proc int, start, finish float64) {
-	if ForceTreeSelect || pl.in.P() >= TreeSelectThreshold {
-		return pl.bestEFTTree(i, insertion)
-	}
 	// Gather each predecessor's (finish, proc, data) once instead of
 	// re-walking adjacency and copy lists inside DataReady for every
 	// processor. Stack arrays keep the scan allocation- and race-free;
@@ -406,16 +401,9 @@ func (pl *Plan) insert(i dag.TaskID, p int, start float64, dup bool) Assignment 
 	t[k] = a
 	pl.procs[p] = t
 	occ := pl.gaps[p].OccupyLogged(a.Start, a.Finish)
-	switch {
-	case a.Dup:
-		pl.byTask[a.Task] = append(pl.byTask[a.Task], a)
-	case len(pl.byTask[a.Task]) == 0:
-		// The common case: the primary is the first copy and lands in the
-		// task's arena slot without allocating.
-		pl.byTask[a.Task] = append(pl.byTask[a.Task], a)
-	default:
-		pl.byTask[a.Task] = append([]Assignment{a}, pl.byTask[a.Task]...)
-	}
+	// Place only takes a task with no copy, so a primary lands in the
+	// task's arena slot without allocating and a duplicate goes last.
+	pl.byTask[a.Task] = append(pl.byTask[a.Task], a)
 	if pl.trial {
 		pl.journal = append(pl.journal, placement{a: a, slot: k, occ: occ, commMark: commMark})
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dagsched/internal/dag"
 	"dagsched/internal/platform"
 )
 
@@ -399,4 +400,116 @@ func TestDuplicationNeverHurtsReadiness(t *testing.T) {
 	if err := pl.Finalize("dup").Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
+}
+
+// linearBestEFT is the plain EFTOn loop over every processor, the
+// canonical semantics BestEFT's scan must reproduce.
+func linearBestEFT(pl *Plan, i dag.TaskID, insertion bool) (proc int, start, finish float64) {
+	start, finish = math.Inf(1), math.Inf(1)
+	for p := 0; p < pl.in.P(); p++ {
+		s, f := pl.EFTOn(i, p, insertion)
+		if f < finish {
+			proc, start, finish = p, s, f
+		}
+	}
+	return proc, start, finish
+}
+
+// TestBestEFTTreeMatchesLinear grows random schedules task by task; at
+// every step BestEFT's scan (predecessors gathered on the stack, the
+// finish-floor skip, the gap-tree slot search) must return the same
+// (proc, start, finish) as the plain EFTOn loop, bit for bit — including
+// ties engineered by integer costs on a homogeneous system, partially
+// blocked processors, duplicated copies and one 64-processor system.
+func TestBestEFTTreeMatchesLinear(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 31; trial++ {
+		procs := 2 + rng.Intn(12)
+		if trial == 30 {
+			procs = 64
+		}
+		in := integerInstance(t, rng, 10+rng.Intn(60), procs)
+		pl := NewPlan(in)
+		if trial%3 == 1 {
+			pl.BlockProc(rng.Intn(procs), float64(rng.Intn(20)))
+		}
+		insertion := trial%2 == 0
+		for _, v := range in.G.TopoOrder() {
+			lp, ls, lf := linearBestEFT(pl, v, insertion)
+			tp, ts, tf := pl.BestEFT(v, insertion)
+			if lp != tp || ls != ts || lf != tf {
+				t.Fatalf("trial %d task %d: BestEFT (%d,%.17g,%.17g) != linear (%d,%.17g,%.17g)",
+					trial, v, tp, ts, tf, lp, ls, lf)
+			}
+			if math.IsInf(lf, 1) {
+				// Fully blocked: place on the reference answer's processor
+				// is impossible; stop growing this plan.
+				break
+			}
+			pl.Place(v, lp, ls)
+			// Occasionally duplicate onto another processor so later
+			// data-ready bounds see multi-copy predecessors.
+			if rng.Intn(6) == 0 && procs > 1 {
+				q := (lp + 1 + rng.Intn(procs-1)) % procs
+				ready := pl.DataReady(v, q)
+				s := pl.FindSlot(q, ready, in.Cost(v, q), true)
+				if !math.IsInf(s, 1) {
+					pl.PlaceDup(v, q, s)
+				}
+			}
+		}
+	}
+}
+
+// TestBestEFTTreeContended repeats the equivalence under the one-port
+// model, where BestEFT's readiness routes through reservation queries.
+func TestBestEFTTreeContended(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 10; trial++ {
+		procs := 3 + rng.Intn(6)
+		base := integerInstance(t, rng, 8+rng.Intn(40), procs)
+		in := base.WithComm(platform.OnePort(base.Sys))
+		pl := NewPlan(in)
+		for _, v := range in.G.TopoOrder() {
+			lp, ls, lf := linearBestEFT(pl, v, true)
+			tp, ts, tf := pl.BestEFT(v, true)
+			if lp != tp || ls != ts || lf != tf {
+				t.Fatalf("trial %d task %d: BestEFT (%d,%g,%g) != linear (%d,%g,%g)",
+					trial, v, tp, ts, tf, lp, ls, lf)
+			}
+			pl.Place(v, lp, ls)
+		}
+	}
+}
+
+// integerInstance builds a random instance with small integer costs and
+// comm data so EFT ties across processors are common — the regime where a
+// wrong tie-break shows up immediately.
+func integerInstance(t testing.TB, rng *rand.Rand, n, procs int) *Instance {
+	t.Helper()
+	b := dag.NewBuilder("int")
+	for i := 0; i < n; i++ {
+		b.AddTask("", float64(1+rng.Intn(5)))
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if rng.Float64() < 0.15 {
+				b.AddEdge(dag.TaskID(i), dag.TaskID(j), float64(rng.Intn(4)))
+			}
+		}
+	}
+	g := b.MustBuild()
+	sys := platform.Homogeneous(procs, 0, 1)
+	w := make([][]float64, n)
+	for i := range w {
+		w[i] = make([]float64, procs)
+		for p := range w[i] {
+			w[i][p] = float64(1 + rng.Intn(5))
+		}
+	}
+	in, err := NewInstance(g, sys, w)
+	if err != nil {
+		t.Fatalf("NewInstance: %v", err)
+	}
+	return in
 }

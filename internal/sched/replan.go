@@ -2,8 +2,10 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"dagsched/internal/dag"
+	"dagsched/internal/sched/timeline"
 )
 
 // Suffix re-planning: the streaming engine freezes the prefix of a
@@ -39,7 +41,9 @@ func SeedPlan(in *Instance, frozen []Assignment) *Plan {
 // into unplaced tasks only — the engine's fast path when no placed task
 // is affected). The instance may be the plan's own, grown in place
 // (Instance.Grow): the plan counts its tasks itself. New tasks start
-// unscheduled; Done/Finalize account for the new total. Only the
+// unscheduled; Done/Finalize account for the new total. When a new task
+// is cheaper than every earlier one, each intact gap index is rebuilt
+// from its timeline so it holds the gaps that task fits. Only the
 // contention-free model is supported: grown instances would need their
 // reservation state replayed.
 func (pl *Plan) Grow(in *Instance) error {
@@ -58,6 +62,21 @@ func (pl *Plan) Grow(in *Instance) error {
 		for i := 0; i < delta; i++ {
 			pl.byTask = append(pl.byTask, arena[i:i:i+1])
 		}
+	}
+	for p, gi := range pl.gaps {
+		if !gi.OK() || in.minW >= gi.MinDur() {
+			continue
+		}
+		// The gaps the linear scan sees: before each assignment, from the
+		// running maximum finish of the earlier ones, and the tail.
+		gaps := make([]timeline.Gap, 0, len(pl.procs[p])+1)
+		prevFinish := 0.0
+		for _, a := range pl.procs[p] {
+			gaps = append(gaps, timeline.Gap{Start: prevFinish, End: a.Start})
+			prevFinish = math.Max(prevFinish, a.Finish)
+		}
+		gaps = append(gaps, timeline.Gap{Start: prevFinish, End: math.Inf(1)})
+		pl.gaps[p] = timeline.Build(slotEps, in.minW, gaps)
 	}
 	pl.in = in
 	return nil

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -82,4 +83,59 @@ func TestEFTFlooredAtZeroMatchesEFTOn(t *testing.T) {
 		p, s, _ := pl.BestEFT(task, true)
 		pl.Place(task, p, s)
 	}
+}
+
+// TestGrowReadmitsShortGaps grows a plan, whose timeline holds a gap
+// shorter than every cost, with a cheaper task that fits it. The gap
+// index left that gap out; Grow must rebuild it so the index itself
+// answers the cheaper task's query with the linear scan's answer.
+func TestGrowReadmitsShortGaps(t *testing.T) {
+	b := dag.NewBuilder("grow")
+	b.AddTask("", 4)
+	b.AddTask("", 4)
+	small, err := NewInstance(b.MustBuild(), platform.Homogeneous(1, 0, 1), [][]float64{{4}, {4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPlan(small)
+	pl.Place(0, 0, 0)
+	pl.Place(1, 0, 5) // leaves the idle gap [4, 5), shorter than any cost
+	if got := len(pl.gaps[0].Gaps()); got != 1 {
+		t.Fatalf("index holds %d gaps before the cheaper task, want only the tail", got)
+	}
+
+	b = dag.NewBuilder("grow")
+	b.AddTask("", 4)
+	b.AddTask("", 4)
+	b.AddTask("", 1)
+	grown, err := NewInstance(b.MustBuild(), platform.Homogeneous(1, 0, 1), [][]float64{{4}, {4}, {1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Grow(grown); err != nil {
+		t.Fatal(err)
+	}
+	want := scanSlot(pl.OnProc(0), 0, 1)
+	if want != 4 {
+		t.Fatalf("linear scan answers %v, want 4", want)
+	}
+	if got := pl.FindSlot(0, 0, 1, true); got != want {
+		t.Fatalf("FindSlot = %v, linear scan %v", got, want)
+	}
+	if got, ok := pl.gaps[0].EarliestFit(0, 1); !ok || got != want {
+		t.Fatalf("gap index answers %v (ok %v), want %v from the index itself", got, ok, want)
+	}
+}
+
+// scanSlot is the linear reference slot scan FindSlot falls back to.
+func scanSlot(t []Assignment, ready, dur float64) float64 {
+	prevFinish := 0.0
+	for _, a := range t {
+		start := math.Max(ready, prevFinish)
+		if start+dur <= a.Start+slotEps {
+			return start
+		}
+		prevFinish = math.Max(prevFinish, a.Finish)
+	}
+	return math.Max(ready, prevFinish)
 }

@@ -19,41 +19,47 @@ func gapsEqual(a, b []Gap) bool {
 
 // TestOccupyLoggedRevertExact drives random occupy bursts and asserts
 // that reverting them in LIFO order restores the exact gap set and
-// priority counter — the invariant sched.Plan.Undo depends on.
+// priority counter — the invariant sched.Plan.Undo depends on — at every
+// threshold of fitCases.
 func TestOccupyLoggedRevertExact(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		gi := New(eps)
-		// A committed baseline of real assignments.
-		for i := 0; i < 20; i++ {
-			ready := rng.Float64() * 40
-			dur := rng.Float64() * 3
-			s, _ := gi.EarliestFit(ready, dur)
-			gi.Occupy(s, s+dur)
-		}
-		for burst := 0; burst < 50; burst++ {
-			before := gi.Gaps()
-			ctrBefore := gi.ctr
-			var logs []OccupyLog
-			for k := rng.Intn(4) + 1; k > 0; k-- {
-				ready := rng.Float64() * 60
-				dur := rng.Float64() * 4
-				s, ok := gi.EarliestFit(ready, dur)
-				if !ok {
-					t.Fatal("index degraded unexpectedly")
+	for _, fc := range fitCases {
+		t.Run(fc.name, func(t *testing.T) {
+			m, off := fc.m, fc.off
+			for seed := int64(0); seed < 30; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				gi := New(eps, m)
+				// A committed baseline of real assignments.
+				for i := 0; i < 20; i++ {
+					ready := off + rng.Float64()*40
+					dur := m + rng.Float64()*3
+					s, _ := gi.EarliestFit(ready, dur)
+					occupy(gi, s, s+dur)
 				}
-				logs = append(logs, gi.OccupyLogged(s, s+dur))
+				for burst := 0; burst < 50; burst++ {
+					before := gi.Gaps()
+					ctrBefore := gi.ctr
+					var logs []OccupyLog
+					for k := rng.Intn(4) + 1; k > 0; k-- {
+						ready := off + rng.Float64()*60
+						dur := m + rng.Float64()*4
+						s, ok := gi.EarliestFit(ready, dur)
+						if !ok {
+							t.Fatal("index degraded unexpectedly")
+						}
+						logs = append(logs, gi.OccupyLogged(s, s+dur))
+					}
+					for i := len(logs) - 1; i >= 0; i-- {
+						gi.Revert(logs[i])
+					}
+					if !gapsEqual(gi.Gaps(), before) {
+						t.Fatalf("seed %d burst %d: gap set not restored\n got %v\nwant %v", seed, burst, gi.Gaps(), before)
+					}
+					if gi.ctr != ctrBefore {
+						t.Fatalf("seed %d burst %d: priority counter %d, want %d", seed, burst, gi.ctr, ctrBefore)
+					}
+				}
 			}
-			for i := len(logs) - 1; i >= 0; i-- {
-				gi.Revert(logs[i])
-			}
-			if !gapsEqual(gi.Gaps(), before) {
-				t.Fatalf("seed %d burst %d: gap set not restored\n got %v\nwant %v", seed, burst, gi.Gaps(), before)
-			}
-			if gi.ctr != ctrBefore {
-				t.Fatalf("seed %d burst %d: priority counter %d, want %d", seed, burst, gi.ctr, ctrBefore)
-			}
-		}
+		})
 	}
 }
 
@@ -61,11 +67,11 @@ func TestOccupyLoggedRevertExact(t *testing.T) {
 // resurrects a degraded index, and reverting a record that itself caused
 // degradation is a no-op.
 func TestRevertOnDegradedIndex(t *testing.T) {
-	gi := New(eps)
-	gi.Occupy(10, 20)
+	gi := New(eps, 0)
+	occupy(gi, 10, 20)
 	// Straddle the assignment: degrades.
 	l := gi.OccupyLogged(15, 25)
-	if !l.Degraded || gi.OK() {
+	if gi.OK() {
 		t.Fatal("straddling OccupyLogged must degrade the index")
 	}
 	gi.Revert(l)
@@ -77,9 +83,9 @@ func TestRevertOnDegradedIndex(t *testing.T) {
 	}
 	// A log captured before degradation also reverts to nothing once the
 	// index is down.
-	gi2 := New(eps)
+	gi2 := New(eps, 0)
 	good := gi2.OccupyLogged(0, 1)
-	gi2.Occupy(5, 6)
+	occupy(gi2, 5, 6)
 	gi2.OccupyLogged(5.5, 10) // degrade
 	gi2.Revert(good)
 	if gi2.OK() {

@@ -4,22 +4,27 @@
 // O(log k) for k placed assignments, replacing the O(k) slot scan of the
 // naive implementation.
 //
-// The index reproduces the reference linear-scan semantics bit for bit.
-// A gap is the idle interval [start, end) between the running maximum
-// finish time of all earlier assignments and the start of the next one
-// (plus a leading gap from 0 and an unbounded tail gap); an interval of
-// length dur fits a gap when max(ready, gap.start) + dur <= gap.end + eps,
-// exactly the acceptance test of the reference scan, evaluated with the
-// same floating-point expression. Occupying a slot splits one gap into a
-// left and a right remainder; the remainders are kept even when they are
-// empty or microscopically negative (epsilon-dust fits), because the
-// reference scan sees those boundaries too.
+// The index reproduces the reference linear-scan semantics bit for bit
+// for every query at least m long, m being the instance's shortest
+// execution cost. A gap is the idle interval [start, end) between the
+// running maximum finish time of all earlier assignments and the start
+// of the next one (plus a leading gap from 0 and an unbounded tail gap);
+// an interval of length dur fits a gap when
+// max(ready, gap.start) + dur <= gap.end + eps, exactly the acceptance
+// test of the reference scan, evaluated with the same floating-point
+// expression. A gap an interval of length m does not fit is left out:
+// float addition is monotone, so no longer interval fits it either. On
+// a saturated processor nearly every placement at the tail leaves such
+// an empty gap behind. With m = 0 every gap is kept, empty and
+// epsilon-dust ones included. A query shorter than m gets no answer.
 //
 // The index only supports placements that land inside a single idle gap —
 // the invariant every FindSlot-driven scheduler maintains. A placement
 // that straddles occupied intervals permanently degrades the index
 // (OK reports false) and the caller must fall back to the linear scan;
-// schedule correctness never depends on the index.
+// so does a placement that would leave the index's gaps unlike the
+// scan's, which takes an interval shorter than eps. Schedule correctness
+// never depends on the index.
 package timeline
 
 import "math"
@@ -55,20 +60,31 @@ type GapIndex struct {
 	root *node
 	ctr  uint64 // deterministic priority stream
 	eps  float64
-	ok   bool
+	// m is the shortest query the index answers; it holds only the gaps
+	// an interval of length m fits.
+	m  float64
+	ok bool
 	// free chains the nodes del unlinked (through left), so the next
-	// insertGap reuses one instead of allocating. Clones start with an
+	// add reuses one instead of allocating. Clones start with an
 	// empty list.
 	free *node
 }
 
 // New returns an index over an empty timeline: one gap [0, +Inf). eps is
-// the slot-fit tolerance of the reference scan (sched.slotEps).
-func New(eps float64) *GapIndex {
-	gi := &GapIndex{eps: eps, ok: true}
-	root := &node{start: 0, end: math.Inf(1), prio: gi.nextPrio()}
-	root.recompute()
-	gi.root = root
+// the slot-fit tolerance of the reference scan (sched.slotEps) and m the
+// shortest query the index answers (the instance's smallest execution
+// cost).
+func New(eps, m float64) *GapIndex {
+	return Build(eps, m, []Gap{{Start: 0, End: math.Inf(1)}})
+}
+
+// Build returns an index over the given idle gaps, leaving out every gap
+// an interval of length m does not fit.
+func Build(eps, m float64, gaps []Gap) *GapIndex {
+	gi := &GapIndex{eps: eps, m: m, ok: true}
+	for _, g := range gaps {
+		gi.add(g.Start, g.End)
+	}
 	return gi
 }
 
@@ -84,21 +100,26 @@ func (gi *GapIndex) nextPrio() uint64 {
 }
 
 // OK reports whether the index still mirrors the timeline. It turns false
-// permanently after an Occupy that did not land inside a single idle gap;
+// permanently after an occupy that did not land inside a single idle gap;
 // the caller must then answer queries by scanning the timeline directly.
 func (gi *GapIndex) OK() bool { return gi.ok }
 
+// MinDur returns m, the shortest query the index answers.
+func (gi *GapIndex) MinDur() float64 { return gi.m }
+
 // EarliestFit returns the reference-scan earliest start >= ready at which
 // an interval of length dur fits, and whether the index could answer
-// (false once degraded).
+// (false once degraded, or when dur is shorter than m: the gaps such an
+// interval might fit are not indexed).
 func (gi *GapIndex) EarliestFit(ready, dur float64) (float64, bool) {
-	if !gi.ok {
+	if !gi.ok || dur < gi.m {
 		return 0, false
 	}
-	// The gap holding (or last preceding) ready: the rightmost gap with
-	// start <= ready. If any earlier gap fits, this one fits with the same
-	// resulting start (gap ends are non-decreasing), so checking it alone
-	// preserves the first-fit answer.
+	// The gap holding (or last preceding) ready: the rightmost indexed gap
+	// with start <= ready. If any earlier gap fits, this one fits with the
+	// same resulting start (gap ends are non-decreasing), so checking it
+	// alone preserves the first-fit answer. A gap left out fits no
+	// interval of length dur, so skipping it changes no answer.
 	if g := pred(gi.root, ready); g != nil {
 		if s := math.Max(ready, g.start); s+dur <= g.end+gi.eps {
 			return s, true
@@ -144,22 +165,12 @@ func firstFit(n *node, ready, dur, eps float64) *node {
 	return firstFit(n.right, ready, dur, eps)
 }
 
-// Occupy removes [start, finish] from the gap that contains it, splitting
-// the gap into its left and right remainders. It returns false — and
-// degrades the index permanently — when the interval does not lie within
-// a single idle gap.
-func (gi *GapIndex) Occupy(start, finish float64) bool {
-	l := gi.OccupyLogged(start, finish)
-	return l.WasOK && !l.Degraded
-}
-
 // OccupyLog records everything needed to reverse one OccupyLogged call:
 // the idle gap that was split, the occupied interval, and the priority
 // counter before the call. It is a plain value so journaling allocates
 // nothing.
 type OccupyLog struct {
-	// GapStart, GapEnd bound the idle gap the occupy split (meaningful
-	// only when WasOK and not Degraded).
+	// GapStart, GapEnd bound the idle gap the occupy split.
 	GapStart, GapEnd float64
 	// Start, Finish are the occupied interval.
 	Start, Finish float64
@@ -167,60 +178,104 @@ type OccupyLog struct {
 	// Revert restores it so the priority stream is independent of how
 	// many speculative occupies were rolled back.
 	Ctr uint64
-	// WasOK reports whether the index was intact before the occupy.
-	WasOK bool
-	// Degraded reports whether this occupy itself degraded the index.
-	Degraded bool
 }
 
-// OccupyLogged is Occupy returning a journal record that Revert can undo
-// exactly: after Revert the index holds the identical gap set and priority
-// counter it had before the call (tree shape may differ; queries never
-// depend on it). Records must be reverted in LIFO order.
+// OccupyLogged removes [start, finish] from the gap that contains it,
+// splitting the gap into its left and right remainders, and returns a
+// journal record that Revert can undo exactly: after Revert the index
+// holds the identical gap set and priority counter it had before the
+// call (tree shape may differ; queries never depend on it). Records must
+// be reverted in LIFO order. When the interval does not lie within a
+// single idle gap, or the occupy would not be exact, the index degrades
+// permanently.
 func (gi *GapIndex) OccupyLogged(start, finish float64) OccupyLog {
-	l := OccupyLog{Start: start, Finish: finish, Ctr: gi.ctr, WasOK: gi.ok}
+	l := OccupyLog{Start: start, Finish: finish, Ctr: gi.ctr}
 	if !gi.ok {
 		return l
 	}
 	g := pred(gi.root, start)
-	if g == nil || finish > g.end+gi.eps {
+	if g == nil || finish > g.end+gi.eps || !gi.exact(g, start, finish) {
 		gi.ok = false
 		gi.root = nil
-		l.Degraded = true
 		return l
 	}
 	gs, ge := g.start, g.end
 	l.GapStart, l.GapEnd = gs, ge
-	gi.root = gi.del(gi.root, gs, ge)
-	gi.root = gi.insertGap(gi.root, gs, start)
-	gi.root = gi.insertGap(gi.root, finish, ge)
+	gi.remove(gs, ge)
+	gi.add(gs, start)
+	gi.add(finish, ge)
 	return l
 }
 
+// exact reports whether occupying [start, finish] inside gap g leaves
+// the index answering as the reference scan does. Only an interval
+// shorter than eps breaks that: one starting past g's end sorts after
+// the assignment ending g, and an epsilon-dust fit past g's end delays
+// the next gap, which then starts before finish, when such an interval
+// follows.
+func (gi *GapIndex) exact(g *node, start, finish float64) bool {
+	if start > g.end {
+		return false
+	}
+	if finish <= g.end {
+		return true
+	}
+	next := succ(gi.root, g.start, g.end)
+	return next == nil || next.start >= finish
+}
+
+// succ returns the leftmost gap whose key follows (s, e).
+func succ(n *node, s, e float64) *node {
+	var best *node
+	for n != nil {
+		if keyLess(s, e, n.start, n.end) {
+			best, n = n, n.left
+		} else {
+			n = n.right
+		}
+	}
+	return best
+}
+
 // Revert undoes the most recent un-reverted OccupyLogged call: the two
-// remainder gaps are deleted, the original gap reinstated, and the
-// priority counter restored. A record whose occupy found (or left) the
-// index degraded reverts to nothing — degradation is permanent by design
-// and schedule correctness never depends on the index.
+// remainder gaps are deleted (those the index holds), the original gap
+// reinstated, and the priority counter restored. A degraded index
+// reverts nothing — degradation is permanent by design, so an occupy
+// that found or left the index degraded has nothing to undo.
 func (gi *GapIndex) Revert(l OccupyLog) {
-	if !gi.ok || !l.WasOK || l.Degraded {
+	if !gi.ok {
 		return
 	}
-	gi.root = gi.del(gi.root, l.GapStart, l.Start)
-	gi.root = gi.del(gi.root, l.Finish, l.GapEnd)
-	gi.root = gi.insertGap(gi.root, l.GapStart, l.GapEnd)
+	gi.remove(l.GapStart, l.Start)
+	gi.remove(l.Finish, l.GapEnd)
+	gi.add(l.GapStart, l.GapEnd)
 	gi.ctr = l.Ctr
 }
 
-func (gi *GapIndex) insertGap(root *node, s, e float64) *node {
+// holds reports whether the index keeps the gap [s, e): whether an
+// interval of length m fits it, by the reference scan's fit test.
+func (gi *GapIndex) holds(s, e float64) bool { return s+gi.m <= e+gi.eps }
+
+// add indexes the gap [s, e) if the index holds it.
+func (gi *GapIndex) add(s, e float64) {
+	if !gi.holds(s, e) {
+		return
+	}
 	x := gi.free
 	if x != nil {
 		gi.free = x.left
-		*x = node{start: s, end: e, prio: gi.nextPrio()}
 	} else {
-		x = &node{start: s, end: e, prio: gi.nextPrio()}
+		x = new(node)
 	}
-	return gi.ins(root, x)
+	*x = node{start: s, end: e, prio: gi.nextPrio()}
+	gi.root = gi.ins(gi.root, x)
+}
+
+// remove deletes the gap [s, e) if the index holds it.
+func (gi *GapIndex) remove(s, e float64) {
+	if gi.holds(s, e) {
+		gi.root = gi.del(gi.root, s, e)
+	}
 }
 
 // recycle returns an unlinked node to the free list.
@@ -287,7 +342,8 @@ func (gi *GapIndex) merge(l, r *node) *node {
 }
 
 // del removes the gap with the exact key (s, e); the gap is known to
-// exist because Occupy found it by predecessor search.
+// exist, because OccupyLogged found it by predecessor search or the
+// occupy being reverted indexed it.
 func (gi *GapIndex) del(n *node, s, e float64) *node {
 	if n == nil {
 		return nil
@@ -308,7 +364,7 @@ func (gi *GapIndex) del(n *node, s, e float64) *node {
 
 // Clone returns an independent deep copy of the index.
 func (gi *GapIndex) Clone() *GapIndex {
-	return &GapIndex{root: cloneNode(gi.root), ctr: gi.ctr, eps: gi.eps, ok: gi.ok}
+	return &GapIndex{root: cloneNode(gi.root), ctr: gi.ctr, eps: gi.eps, m: gi.m, ok: gi.ok}
 }
 
 func cloneNode(n *node) *node {
@@ -321,7 +377,7 @@ func cloneNode(n *node) *node {
 	return &c
 }
 
-// Gap is one idle interval, exported for tests and diagnostics.
+// Gap is one idle interval [Start, End).
 type Gap struct{ Start, End float64 }
 
 // Gaps returns the idle gaps in key order (nil once degraded).
@@ -341,16 +397,4 @@ func (gi *GapIndex) Gaps() []Gap {
 	}
 	walk(gi.root)
 	return out
-}
-
-// Len returns the number of indexed gaps (0 once degraded).
-func (gi *GapIndex) Len() int {
-	var count func(n *node) int
-	count = func(n *node) int {
-		if n == nil {
-			return 0
-		}
-		return 1 + count(n.left) + count(n.right)
-	}
-	return count(gi.root)
 }

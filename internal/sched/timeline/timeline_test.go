@@ -29,6 +29,12 @@ func referenceFit(items []interval, ready, dur float64) float64 {
 	return math.Max(ready, prevFinish)
 }
 
+// occupy is OccupyLogged reporting whether the index stayed intact.
+func occupy(gi *GapIndex, start, finish float64) bool {
+	gi.OccupyLogged(start, finish)
+	return gi.OK()
+}
+
 // insertItem mirrors sched.Plan.insert ordering (stable by start).
 func insertItem(items []interval, iv interval) []interval {
 	k := sort.Search(len(items), func(i int) bool { return items[i].start > iv.start })
@@ -38,65 +44,86 @@ func insertItem(items []interval, iv interval) []interval {
 	return items
 }
 
+// fitCases are the thresholds the randomized index tests run at. With
+// m = 0 every gap is indexed and queries of length zero are drawn; with a
+// positive m every query and placement is at least m long, and the far
+// case adds 1e12 to every time, where float spacing (~1.2e-4) exceeds
+// eps.
+var fitCases = []struct {
+	name   string
+	m, off float64
+}{
+	{"m=0", 0, 0},
+	{"m=0.5", 0.5, 0},
+	{"m=0.5/off=1e12", 0.5, 1e12},
+}
+
 // TestEarliestFitMatchesReference drives random schedules through the
 // index and the linear reference simultaneously and requires identical
-// earliest-fit answers at every step, including exact-fit gaps,
-// zero-duration tasks and queries at gap boundaries.
+// earliest-fit answers at every step, including exact-fit gaps, queries
+// of length m (zero at m = 0) and queries at gap boundaries. A query
+// shorter than m must get no answer.
 func TestEarliestFitMatchesReference(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		gi := New(eps)
-		var items []interval
-		for step := 0; step < 400; step++ {
-			var ready float64
-			switch rng.Intn(4) {
-			case 0:
-				ready = 0
-			case 1: // at an existing boundary
-				if len(items) > 0 {
-					it := items[rng.Intn(len(items))]
-					if rng.Intn(2) == 0 {
-						ready = it.start
-					} else {
-						ready = it.finish
+	for _, fc := range fitCases {
+		t.Run(fc.name, func(t *testing.T) {
+			m, off := fc.m, fc.off
+			for seed := int64(0); seed < 50; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				gi := New(eps, m)
+				var items []interval
+				for step := 0; step < 400; step++ {
+					ready := off
+					switch rng.Intn(4) {
+					case 0:
+					case 1: // at an existing boundary
+						if len(items) > 0 {
+							it := items[rng.Intn(len(items))]
+							if rng.Intn(2) == 0 {
+								ready = it.start
+							} else {
+								ready = it.finish
+							}
+						}
+					default:
+						ready = off + rng.Float64()*50
+					}
+					dur := m
+					switch rng.Intn(5) {
+					case 0:
+					case 1: // exact length of a random current gap
+						if gaps := gi.Gaps(); len(gaps) > 0 {
+							g := gaps[rng.Intn(len(gaps))]
+							if l := g.End - g.Start; l > 0 && l >= m && !math.IsInf(l, 0) {
+								dur = l
+							}
+						}
+					default:
+						dur = m + rng.Float64()*8
+					}
+
+					want := referenceFit(items, ready, dur)
+					got, ok := gi.EarliestFit(ready, dur)
+					if !ok {
+						t.Fatalf("seed %d step %d: index degraded unexpectedly", seed, step)
+					}
+					if got != want {
+						t.Fatalf("seed %d step %d: EarliestFit(ready=%v, dur=%v) = %v, reference %v (items %v)",
+							seed, step, ready, dur, got, want, items)
+					}
+					if _, ok := gi.EarliestFit(ready, m/2); m > 0 && ok {
+						t.Fatalf("seed %d step %d: answered a query shorter than m", seed, step)
+					}
+
+					// Occasionally commit the placement, as a scheduler would.
+					if rng.Intn(3) != 0 {
+						if !occupy(gi, want, want+dur) {
+							t.Fatalf("seed %d step %d: Occupy of a reported fit failed (start %v dur %v)", seed, step, want, dur)
+						}
+						items = insertItem(items, interval{start: want, finish: want + dur})
 					}
 				}
-			default:
-				ready = rng.Float64() * 50
 			}
-			var dur float64
-			switch rng.Intn(5) {
-			case 0:
-				dur = 0
-			case 1: // exact length of a random current gap
-				if gaps := gi.Gaps(); len(gaps) > 0 {
-					g := gaps[rng.Intn(len(gaps))]
-					if l := g.End - g.Start; l > 0 && !math.IsInf(l, 0) {
-						dur = l
-					}
-				}
-			default:
-				dur = rng.Float64() * 8
-			}
-
-			want := referenceFit(items, ready, dur)
-			got, ok := gi.EarliestFit(ready, dur)
-			if !ok {
-				t.Fatalf("seed %d step %d: index degraded unexpectedly", seed, step)
-			}
-			if got != want {
-				t.Fatalf("seed %d step %d: EarliestFit(ready=%v, dur=%v) = %v, reference %v (items %v)",
-					seed, step, ready, dur, got, want, items)
-			}
-
-			// Occasionally commit the placement, as a scheduler would.
-			if rng.Intn(3) != 0 {
-				if !gi.Occupy(want, want+dur) {
-					t.Fatalf("seed %d step %d: Occupy of a reported fit failed (start %v dur %v)", seed, step, want, dur)
-				}
-				items = insertItem(items, interval{start: want, finish: want + dur})
-			}
-		}
+		})
 	}
 }
 
@@ -104,11 +131,11 @@ func TestEarliestFitMatchesReference(t *testing.T) {
 // slot straddling an existing assignment turns the index off rather than
 // corrupting answers.
 func TestOccupyOutsideGapDegrades(t *testing.T) {
-	gi := New(eps)
-	if !gi.Occupy(10, 20) {
+	gi := New(eps, 0)
+	if !occupy(gi, 10, 20) {
 		t.Fatal("occupying the tail gap must succeed")
 	}
-	if gi.Occupy(15, 25) {
+	if occupy(gi, 15, 25) {
 		t.Fatal("occupying across an assignment must fail")
 	}
 	if gi.OK() {
@@ -122,10 +149,10 @@ func TestOccupyOutsideGapDegrades(t *testing.T) {
 // TestCloneIndependence asserts a clone evolves independently of its
 // parent.
 func TestCloneIndependence(t *testing.T) {
-	gi := New(eps)
-	gi.Occupy(5, 10)
+	gi := New(eps, 0)
+	occupy(gi, 5, 10)
 	cp := gi.Clone()
-	cp.Occupy(0, 5)
+	occupy(cp, 0, 5)
 
 	got, _ := gi.EarliestFit(0, 5)
 	if got != 0 {
@@ -140,7 +167,7 @@ func TestCloneIndependence(t *testing.T) {
 // TestGapCount sanity-checks the gap bookkeeping: k assignments inside
 // the timeline produce exactly k+1 gaps (degenerate remainders included).
 func TestGapCount(t *testing.T) {
-	gi := New(eps)
+	gi := New(eps, 0)
 	rng := rand.New(rand.NewSource(7))
 	var items []interval
 	for i := 0; i < 200; i++ {
@@ -150,12 +177,12 @@ func TestGapCount(t *testing.T) {
 		if !ok {
 			t.Fatal("index degraded")
 		}
-		if !gi.Occupy(s, s+dur) {
+		if !occupy(gi, s, s+dur) {
 			t.Fatal("occupy failed")
 		}
 		items = insertItem(items, interval{start: s, finish: s + dur})
 	}
-	if got, want := gi.Len(), len(items)+1; got != want {
+	if got, want := len(gi.Gaps()), len(items)+1; got != want {
 		t.Fatalf("gap count %d, want %d", got, want)
 	}
 	// The gaps must tile the complement: keys non-decreasing, tail open.
@@ -171,11 +198,11 @@ func TestGapCount(t *testing.T) {
 }
 
 func BenchmarkEarliestFit(b *testing.B) {
-	gi := New(eps)
+	gi := New(eps, 0)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
 		s, _ := gi.EarliestFit(rng.Float64()*1e6, rng.Float64()*10)
-		gi.Occupy(s, s+rng.Float64()*10)
+		occupy(gi, s, s+rng.Float64()*10)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
