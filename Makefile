@@ -79,12 +79,14 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # A few seconds of coverage-guided fuzzing per parser entry point, plus
-# the streaming graph's live growth against a fresh seal and the gap
-# index against the linear slot scan.
+# the streaming graph's live growth against a fresh seal, the gap index
+# against the linear slot scan, and a plan's data-ready row against
+# DataReady on every processor.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 5s ./internal/dag
 	$(GO) test -run '^$$' -fuzz FuzzAppendableGrow -fuzztime 5s ./internal/dag
 	$(GO) test -run '^$$' -fuzz FuzzGapIndex -fuzztime 5s ./internal/sched/timeline
+	$(GO) test -run '^$$' -fuzz FuzzReadyRow -fuzztime 5s ./internal/sched
 	$(GO) test -run '^$$' -fuzz FuzzReadDAX -fuzztime 5s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzReadGraphJSON -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz FuzzScheduleRequest -fuzztime 5s ./internal/service

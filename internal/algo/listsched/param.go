@@ -429,31 +429,31 @@ func (pm Param) place(pl *sched.Plan, ds *dupState, cp *cpState, t dag.TaskID, c
 		ds.placeBest(pl, t, pm.Select)
 		return
 	}
-	switch {
-	case pm.Select == SelectEST:
-		bestP, bestS := -1, 0.0
-		for p := 0; p < pl.Instance().P(); p++ {
-			s, _ := sched.EFTFloored(pl, t, p, clock, pm.Insertion)
-			if bestP == -1 || s < bestS {
-				bestP, bestS = p, s
-			}
-		}
-		pl.Place(t, bestP, bestS)
-	case clock == 0:
-		// SelectEFT, and SelectCPPin off the critical path: Plan.BestEFT
-		// with its pruned fast paths. Above zero, the floored scan below.
+	if pm.Select != SelectEST && clock == 0 {
+		// SelectEFT, and SelectCPPin off the critical path.
 		p, s, _ := pl.BestEFT(t, pm.Insertion)
 		pl.Place(t, p, s)
-	default:
-		bestP, bestS, bestF := -1, 0.0, 0.0
-		for p := 0; p < pl.Instance().P(); p++ {
-			s, f := sched.EFTFloored(pl, t, p, clock, pm.Insertion)
-			if bestP == -1 || f < bestF {
-				bestP, bestS, bestF = p, s, f
-			}
-		}
-		pl.Place(t, bestP, bestS)
+		return
 	}
+	// HLFET's EST scan, or the EFT scan floored at a re-plan's clock:
+	// EFTFloored on every processor, with the task's inputs read once.
+	in := pl.Instance()
+	bestP, bestS, bestF := -1, 0.0, 0.0
+	for p, ready := range pl.ReadyRow(t) {
+		if ready < clock {
+			ready = clock
+		}
+		dur := in.Cost(t, p)
+		s := pl.FindSlot(p, ready, dur, pm.Insertion)
+		better := s+dur < bestF
+		if pm.Select == SelectEST {
+			better = s < bestS
+		}
+		if bestP == -1 || better {
+			bestP, bestS, bestF = p, s, s+dur
+		}
+	}
+	pl.Place(t, bestP, bestS)
 }
 
 // cpState carries the CPOP critical-path pinning state, computed exactly
@@ -499,6 +499,12 @@ type dupState struct {
 	// for a child's unscheduled parents.
 	child     []dag.TaskID
 	estFinish []float64
+	// split's state under lookahead (see there): parentOf[u] == t+1
+	// marks u a parent of task t; ready is childEFT's row.
+	base, ready []float64
+	shared      []dag.Adj
+	data        float64
+	parentOf    []dag.TaskID
 }
 
 // trial is one processor's outcome: the task's window, its score (the
@@ -537,6 +543,8 @@ func (pm Param) newDupState(pl *sched.Plan, prio []float64) *dupState {
 		for i := range ds.estFinish {
 			ds.estFinish[i] += in.MeanCost(dag.TaskID(i))
 		}
+		ds.base = make([]float64, in.P())
+		ds.parentOf = make([]dag.TaskID, in.N())
 	}
 	return ds
 }
@@ -558,7 +566,7 @@ func (ds *dupState) trial(pl *sched.Plan, t dag.TaskID, p int) {
 	res.dups = pl.AppendPlaced(res.dups[:0], m)
 	if ds.child != nil && ds.child[t] != -1 {
 		pl.Place(t, p, r.Start)
-		res.score = estimateChildEFT(pl, ds.child[t], ds.estFinish)
+		res.score = ds.childEFT(pl, t)
 	}
 	pl.Undo(m)
 }
@@ -569,6 +577,7 @@ func (ds *dupState) trial(pl *sched.Plan, t dag.TaskID, p int) {
 // processor id.
 func (ds *dupState) placeBest(pl *sched.Plan, t dag.TaskID, sel Select) {
 	in := pl.Instance()
+	ds.split(pl, t)
 	for p := 0; p < in.P(); p++ {
 		ds.trial(pl, t, p)
 	}
@@ -593,6 +602,7 @@ func (ds *dupState) placeBest(pl *sched.Plan, t dag.TaskID, sel Select) {
 
 // placeOn runs a single trial on the given processor and places t there.
 func (ds *dupState) placeOn(pl *sched.Plan, t dag.TaskID, p int) {
+	ds.split(pl, t)
 	ds.trial(pl, t, p)
 	ds.place(pl, t, p)
 }
@@ -608,33 +618,59 @@ func (ds *dupState) place(pl *sched.Plan, t dag.TaskID, p int) {
 	pl.Place(t, p, ds.results[p].start)
 }
 
-// estimateChildEFT returns the smallest estimated finish time of task c
-// over all processors given the current plan, trial placements included.
-// Scheduled parents contribute their real data-arrival times; unscheduled
-// parents contribute estFinish plus the mean communication cost.
-func estimateChildEFT(pl *sched.Plan, c dag.TaskID, estFinish []float64) float64 {
+// split prepares the lookahead for t's trials. A trial places t and
+// copies of t's parents only (algo.CriticalParent returns direct
+// parents), so any other parent of t's critical child c arrives alike in
+// every trial: base holds their latest arrival per processor (estimated
+// finish plus mean communication cost if unscheduled); shared keeps c's
+// arcs from t's parents, and data the data on c's arc from t.
+func (ds *dupState) split(pl *sched.Plan, t dag.TaskID) {
+	if ds.child == nil || ds.child[t] == -1 {
+		return
+	}
 	in := pl.Instance()
-	best := math.Inf(1)
-	for q := 0; q < in.P(); q++ {
-		ready := 0.0
-		for j, pe := range in.G.Pred(c) {
-			var arrival float64
-			if pl.Scheduled(pe.To) {
-				arrival = math.Inf(1)
-				for _, cp := range pl.Copies(pe.To) {
-					if t := cp.Finish + in.CommCost(cp.Proc, q, pe.Data); t < arrival {
-						arrival = t
-					}
-				}
-			} else {
-				arrival = estFinish[pe.To] + in.MeanCommPred(c, j)
-			}
-			if arrival > ready {
-				ready = arrival
+	c := ds.child[t]
+	for _, pe := range in.G.Pred(t) {
+		ds.parentOf[pe.To] = t + 1
+	}
+	clear(ds.base)
+	ds.shared = ds.shared[:0]
+	for j, pe := range in.G.Pred(c) {
+		switch {
+		case pe.To == t:
+			ds.data = pe.Data
+		case ds.parentOf[pe.To] == t+1:
+			ds.shared = append(ds.shared, pe)
+		case pl.Scheduled(pe.To):
+			pl.RaiseArrivals(ds.base, pe)
+		default:
+			arrival := ds.estFinish[pe.To] + in.MeanCommPred(c, j)
+			for q, ready := range ds.base {
+				ds.base[q] = max(ready, arrival)
 			}
 		}
-		start := pl.FindSlot(q, ready, in.Cost(c, q), true)
-		if f := start + in.Cost(c, q); f < best {
+	}
+}
+
+// childEFT returns the smallest estimated finish of t's critical child
+// over all processors, t placed by the trial: base raised by the shared
+// parents' and t's arrivals (min and max are exact, so the split changes
+// no score). A processor whose floor ready+dur loses skips the slot search.
+func (ds *dupState) childEFT(pl *sched.Plan, t dag.TaskID) float64 {
+	in := pl.Instance()
+	ds.ready = append(ds.ready[:0], ds.base...)
+	for _, pe := range ds.shared {
+		pl.RaiseArrivals(ds.ready, pe)
+	}
+	a := pl.Primary(t)
+	best := math.Inf(1)
+	for q, ready := range ds.ready {
+		ready = max(ready, a.Finish+in.CommCost(a.Proc, q, ds.data))
+		dur := in.Cost(ds.child[t], q)
+		if ready+dur >= best {
+			continue
+		}
+		if f := pl.FindSlot(q, ready, dur, true) + dur; f < best {
 			best = f
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"dagsched/internal/algo/exact"
 	"dagsched/internal/algo/suite"
 	"dagsched/internal/dag"
+	"dagsched/internal/platform"
 	"dagsched/internal/sched"
 	"dagsched/internal/testfix"
 	"dagsched/internal/workload"
@@ -57,6 +58,19 @@ func TestBatteryAllAlgorithmsValidate(t *testing.T) {
 			in := instanceOf(t, g, err, 4, 7100+int64(i))
 			check(t, fmt.Sprintf("forkjoin-%dx%d", cfg.branches, cfg.stages), in)
 		}
+	})
+
+	// A zero-cost task placed at the start of a longer one must sort
+	// before it, or the processor's latest finish reads as the zero
+	// task's: on one processor, R(10)→X(5) and R→Z(0)→Y(1) put Z at 10,
+	// beside X's [10, 15), and Y must still wait for 15.
+	t.Run("zero-cost", func(t *testing.T) {
+		b := dag.NewBuilder("zero-cost")
+		r, x, z, y := b.AddTask("R", 10), b.AddTask("X", 5), b.AddTask("Z", 0), b.AddTask("Y", 1)
+		b.AddEdge(r, x, 1)
+		b.AddEdge(r, z, 1)
+		b.AddEdge(z, y, 1)
+		check(t, "zero-cost", sched.Consistent(b.MustBuild(), platform.Homogeneous(1, 0, 1)))
 	})
 
 	t.Run("tiled", func(t *testing.T) {

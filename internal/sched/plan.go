@@ -24,6 +24,8 @@ type Plan struct {
 	procs  [][]Assignment // per processor, sorted by Start
 	byTask [][]Assignment // per task: all copies, primary first
 	placed int            // number of tasks with a primary copy
+	row    []float64      // ReadyRow's answer; Clone gives the copy its own
+	firsts []Assignment   // ReadyRow's scratch
 	// blockedFrom[p] < +Inf marks processor p unavailable from that time
 	// on (fail-stop support); FindSlot never places work beyond it.
 	blockedFrom []float64
@@ -71,6 +73,7 @@ func NewPlan(in *Instance) *Plan {
 		byTask:      make([][]Assignment, in.N()),
 		blockedFrom: make([]float64, in.P()),
 		gaps:        make([]*timeline.GapIndex, in.P()),
+		row:         make([]float64, in.P()),
 	}
 	arena := make([]Assignment, in.N())
 	for i := range pl.byTask {
@@ -176,6 +179,62 @@ func (pl *Plan) DataReady(i dag.TaskID, p int) float64 {
 	return ready
 }
 
+// ReadyRow returns task i's data-ready time on every processor, bit for
+// bit what DataReady answers for each (the same arrivals; min and max
+// are exact). The row is the plan's own, overwritten by the next
+// ReadyRow or BestEFT call. It panics if a predecessor has no copy.
+func (pl *Plan) ReadyRow(i dag.TaskID) []float64 {
+	row := pl.row
+	if pl.comm != nil {
+		for p := range row {
+			row[p] = pl.commReady(i, p, false)
+		}
+		return row
+	}
+	clear(row)
+	// Read every predecessor's first copy before folding any in: on large
+	// graphs the reads miss the cache, and only a tight loop overlaps them.
+	preds, firsts := pl.in.G.Pred(i), pl.firsts[:0]
+	for _, pe := range preds {
+		if len(pl.byTask[pe.To]) == 0 {
+			panic(fmt.Sprintf("sched: task %d scheduled before predecessor %d", i, pe.To))
+		}
+		firsts = append(firsts, pl.byTask[pe.To][0])
+	}
+	pl.firsts = firsts
+	for k, pe := range preds {
+		if len(pl.byTask[pe.To]) > 1 {
+			pl.RaiseArrivals(row, pe)
+			continue
+		}
+		c := firsts[k]
+		for p, ready := range row {
+			if t := c.Finish + pl.in.CommCost(c.Proc, p, pe.Data); t > ready {
+				row[p] = t
+			}
+		}
+	}
+	return row
+}
+
+// RaiseArrivals raises row[p], for every processor p, to the earliest
+// arrival there of the data arc pe carries from a copy of its scheduled
+// source, by DataReady's contention-free expression.
+func (pl *Plan) RaiseArrivals(row []float64, pe dag.Adj) {
+	copies := pl.byTask[pe.To]
+	for p, ready := range row {
+		arrival := math.Inf(1)
+		for _, c := range copies {
+			if t := c.Finish + pl.in.CommCost(c.Proc, p, pe.Data); t < arrival {
+				arrival = t
+			}
+		}
+		if arrival > ready {
+			row[p] = arrival
+		}
+	}
+}
+
 // commReady is the contended counterpart of the DataReady loop: the
 // earliest time all input data of task i is available on processor p,
 // with every inter-processor transfer queried against the plan's
@@ -243,8 +302,8 @@ func (pl *Plan) findSlotUnbounded(p int, ready, dur float64, insertion bool) flo
 	}
 	if gi := pl.gaps[p]; gi.OK() {
 		// Tail fast path: while the index is intact every placement landed
-		// in a single idle gap, so assignments never overlap and the
-		// last-by-start one has the maximum finish — the start of the
+		// in a single idle gap, so assignments never overlap and the last
+		// in (start, finish) order has the maximum finish — the start of the
 		// unbounded tail gap. A query at or past it lands in that gap and
 		// no fit can start earlier than ready, so the answer is exactly
 		// ready (identical to what the index returns) without a tree walk.
@@ -296,49 +355,10 @@ func (pl *Plan) EFTOn(i dag.TaskID, p int, insertion bool) (start, finish float6
 // schedule against blockable plans must check math.IsInf(finish, 1)
 // before placing.
 func (pl *Plan) BestEFT(i dag.TaskID, insertion bool) (proc int, start, finish float64) {
-	// Gather each predecessor's (finish, proc, data) once instead of
-	// re-walking adjacency and copy lists inside DataReady for every
-	// processor. Stack arrays keep the scan allocation- and race-free;
-	// duplicated predecessors, wide fan-in and contended models take the
-	// general path. The per-arrival expression and the pred/copy
-	// iteration order match DataReady exactly, so readiness times are
-	// bit-identical.
-	var finA [16]float64
-	var dataA [16]float64
-	var procA [16]int32
-	gathered := -1
-	if pl.comm == nil {
-		preds := pl.in.G.Pred(i)
-		if len(preds) <= len(finA) {
-			gathered = len(preds)
-			for k, pe := range preds {
-				copies := pl.byTask[pe.To]
-				if len(copies) != 1 {
-					if len(copies) == 0 {
-						panic(fmt.Sprintf("sched: task %d scheduled before predecessor %d", i, pe.To))
-					}
-					gathered = -1
-					break
-				}
-				finA[k] = copies[0].Finish
-				procA[k] = int32(copies[0].Proc)
-				dataA[k] = pe.Data
-			}
-		}
-	}
 	start, finish = math.Inf(1), math.Inf(1)
-	for p := 0; p < pl.in.P(); p++ {
-		var ready float64
-		if gathered >= 0 {
-			for k := 0; k < gathered; k++ {
-				if t := finA[k] + pl.in.CommCost(int(procA[k]), p, dataA[k]); t > ready {
-					ready = t
-				}
-			}
-		} else {
-			ready = pl.DataReady(i, p)
-		}
-		dur := pl.in.Cost(i, p)
+	w := pl.in.W[i] // read before the row, so both cache misses overlap
+	for p, ready := range pl.ReadyRow(i) {
+		dur := w[p]
 		// finish on p is at least ready+dur (slots never start before
 		// ready, and float addition is monotone), so a processor whose
 		// floor already loses — or ties, which keep the earlier, smaller
@@ -394,8 +414,11 @@ func (pl *Plan) insert(i dag.TaskID, p int, start float64, dup bool) Assignment 
 		start = pl.FindSlot(p, start, pl.in.Cost(i, p), true)
 	}
 	a := Assignment{Task: i, Proc: p, Start: start, Finish: start + pl.in.Cost(i, p), Dup: dup}
+	// Order by start, then finish: a zero-length copy sorts before the
+	// copy that starts with it, so the last copy has the latest finish
+	// (ProcReady and FindSlot's tail fast path read it).
 	t := pl.procs[p]
-	k := sort.Search(len(t), func(j int) bool { return t[j].Start > a.Start })
+	k := sort.Search(len(t), func(j int) bool { return t[j].Start > a.Start || t[j].Start == a.Start && t[j].Finish > a.Finish })
 	t = append(t, Assignment{})
 	copy(t[k+1:], t[k:])
 	t[k] = a
@@ -489,6 +512,7 @@ func (pl *Plan) Clone() *Plan {
 		placed:      pl.placed,
 		blockedFrom: append([]float64(nil), pl.blockedFrom...),
 		gaps:        make([]*timeline.GapIndex, len(pl.gaps)),
+		row:         make([]float64, len(pl.row)),
 	}
 	if pl.comm != nil {
 		cp.comm = pl.comm.Clone()

@@ -513,3 +513,115 @@ func integerInstance(t testing.TB, rng *rand.Rand, n, procs int) *Instance {
 	}
 	return in
 }
+
+// TestZeroCostBesideLongerCopy places a zero-cost task at the start of a
+// longer one on the same processor. The zero-length copy sorts first, so
+// the processor's last copy still has its latest finish: ProcReady and
+// the slot search's tail fast path must both read 15, not the zero
+// task's 10.
+func TestZeroCostBesideLongerCopy(t *testing.T) {
+	b := dag.NewBuilder("zero-cost")
+	x, z := b.AddTask("X", 5), b.AddTask("Z", 0)
+	in := Consistent(b.MustBuild(), platform.Homogeneous(1, 0, 1))
+	pl := NewPlan(in)
+	pl.Place(x, 0, 10)
+	s := pl.FindSlot(0, 10, 0, true)
+	if s != 10 {
+		t.Fatalf("zero-cost slot at ready 10 = %g, want 10", s)
+	}
+	pl.Place(z, 0, s)
+	if got := pl.ProcReady(0); got != 15 {
+		t.Errorf("ProcReady = %g, want 15", got)
+	}
+	if got := pl.FindSlot(0, 12, 1, true); got != 15 {
+		t.Errorf("FindSlot(ready 12, dur 1) = %g, want 15", got)
+	}
+}
+
+// TestReadyRowMatchesDataReady grows plans whose last task is fed by
+// every other task (more than 16 predecessors, the width the old
+// stack-gathered scan stopped at), with zero-cost tasks and random
+// duplicates, on one processor and on several with per-link startups and
+// rates, under each communication model. Before every placement
+// ReadyRow must equal DataReady on every processor, bit for bit; entry
+// tasks included.
+func TestReadyRowMatchesDataReady(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, procs := range []int{1, 4, 7} {
+		for _, kind := range platform.ModelKinds() {
+			for trial := 0; trial < 4; trial++ {
+				in := readyRowInstance(t, rng, 18+rng.Intn(12), procs)
+				m, err := platform.ModelByKind(kind, in.Sys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkReadyRows(t, in.WithComm(m), func() int { return rng.Intn(1 << 30) })
+			}
+		}
+	}
+
+	pl := NewPlan(Consistent(diamondGraph(t), twoProc()))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ReadyRow on a task with an unscheduled predecessor did not panic")
+		}
+	}()
+	pl.ReadyRow(1)
+}
+
+// readyRowInstance draws an n-task DAG whose last task has every other
+// task as a predecessor, with costs from 0 to 5, on procs processors
+// whose links differ in startup and rate.
+func readyRowInstance(t testing.TB, rng *rand.Rand, n, procs int) *Instance {
+	t.Helper()
+	b := dag.NewBuilder("ready-row")
+	for i := 0; i < n; i++ {
+		b.AddTask("", 1)
+	}
+	for j := 1; j < n; j++ {
+		for i := 0; i < j; i++ {
+			if j == n-1 || rng.Intn(5) == 0 {
+				b.AddEdge(dag.TaskID(i), dag.TaskID(j), float64(rng.Intn(4)))
+			}
+		}
+	}
+	sys, err := platform.Generate(platform.GenConfig{Procs: procs, Latency: 1, TimePerUnit: 1, StartupSpread: 0.5, LinkSpread: 0.5}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make([][]float64, n)
+	for i := range w {
+		w[i] = make([]float64, procs)
+		for p := range w[i] {
+			w[i][p] = float64(rng.Intn(6))
+		}
+	}
+	in, err := NewInstance(b.MustBuild(), sys, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// checkReadyRows places in's tasks in topological order, each at its
+// earliest slot on the processor next picks, and while next picks so
+// duplicates it on up to three processors. Before each task is placed,
+// ReadyRow must equal DataReady on every processor, bit for bit.
+func checkReadyRows(t *testing.T, in *Instance, next func() int) {
+	t.Helper()
+	pl := NewPlan(in)
+	for _, v := range in.G.TopoOrder() {
+		row := pl.ReadyRow(v)
+		for p, r := range row {
+			if d := pl.DataReady(v, p); math.Float64bits(r) != math.Float64bits(d) {
+				t.Fatalf("%s, task %d on P%d: ReadyRow %v, DataReady %v", in.CommKind(), v, p, r, d)
+			}
+		}
+		p := next() % in.P()
+		pl.Place(v, p, pl.FindSlot(p, row[p], in.Cost(v, p), true))
+		for dups := 0; dups < 3 && next()%3 == 0; dups++ {
+			q := next() % in.P()
+			pl.PlaceDup(v, q, pl.FindSlot(q, pl.DataReady(v, q), in.Cost(v, q), true))
+		}
+	}
+}

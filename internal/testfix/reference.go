@@ -4,9 +4,11 @@
 // plan's journal: deliberately slow — every trial deep-copies the
 // plan — and the journaled implementations must reproduce its
 // schedules bit for bit on every instance. The dedicated HEFT, CPOP,
-// HLFET and ETF loops ship exactly as they did before listsched.Param
-// became the one placement loop: Param's grid points must reproduce them
-// bit for bit. The static-order oracles (RefHEFT, RefILS) order tasks
+// HLFET and ETF loops ship as they did before listsched.Param became the
+// one placement loop, except that HEFT and CPOP pick a processor with
+// the plain EFTOn loop Plan.BestEFT's contract names, not with BestEFT:
+// Param's grid points must reproduce them bit for bit, so they check
+// BestEFT's scan too. The static-order oracles (RefHEFT, RefILS) order tasks
 // with refOrderDescPrecedence, the global sort that
 // algo.OrderDescPrecedence's ready heap replaced, so they check the heap
 // too.
@@ -291,10 +293,23 @@ func RefHEFT(in *sched.Instance) *sched.Schedule {
 	order := refOrderDescPrecedence(in.G, sched.RankUpward(in))
 	pl := sched.NewPlan(in)
 	for _, t := range order {
-		p, s, _ := pl.BestEFT(t, true)
+		p, s := refBestEFT(pl, t)
 		pl.Place(t, p, s)
 	}
 	return pl.Finalize("HEFT")
+}
+
+// refBestEFT is Plan.BestEFT's documented contract, kept apart from its
+// scan: EFTOn with insertion on every processor in id order, the first
+// smallest finish winning.
+func refBestEFT(pl *sched.Plan, t dag.TaskID) (proc int, start float64) {
+	start, finish := math.Inf(1), math.Inf(1)
+	for p := 0; p < pl.Instance().P(); p++ {
+		if s, f := pl.EFTOn(t, p, true); f < finish {
+			proc, start, finish = p, s, f
+		}
+	}
+	return proc, start
 }
 
 // RefCPOP is the dedicated CPOP loop: priority rank_u + rank_d, every
@@ -339,7 +354,7 @@ func RefCPOP(in *sched.Instance) *sched.Schedule {
 			s, _ := pl.EFTOn(pick, cpProc, true)
 			pl.Place(pick, cpProc, s)
 		} else {
-			p, s, _ := pl.BestEFT(pick, true)
+			p, s := refBestEFT(pl, pick)
 			pl.Place(pick, p, s)
 		}
 		rl.Complete(pick)
