@@ -61,11 +61,12 @@ cluster-chaos:
 
 # One iteration of the scheduler-throughput benchmark at every size,
 # plus the trial-journal micro-benchmarks (Mark/Undo trial,
-# TryDuplication, MCP and ready-order scaling, ILS end-to-end) — a smoke
-# test of the hot paths, not a measurement.
+# TryDuplication, the data-ready row, instance build on 32 and 512
+# processors, MCP and ready-order scaling, ILS end-to-end) — a smoke test
+# of the hot paths, not a measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkAlgorithms -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkTrialMarkUndo|BenchmarkTryDuplication' -benchtime 1x ./internal/sched ./internal/algo
+	$(GO) test -run '^$$' -bench 'BenchmarkTrialMarkUndo|BenchmarkTryDuplication|BenchmarkReadyRow|BenchmarkInstanceBuild' -benchtime 1x ./internal/sched ./internal/algo
 	$(GO) test -run '^$$' -bench 'BenchmarkMCPScaling|BenchmarkReadyOrderScaling' -benchtime 1x ./internal/algo/listsched
 	$(GO) test -run '^$$' -bench 'BenchmarkILSEndToEnd' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkPopulationEval' -benchtime 1x ./internal/adversary
@@ -80,13 +81,15 @@ perfbench-check:
 
 # A few seconds of coverage-guided fuzzing per parser entry point, plus
 # the streaming graph's live growth against a fresh seal, the gap index
-# against the linear slot scan, and a plan's data-ready row against
-# DataReady on every processor.
+# against the linear slot scan, a plan's data-ready row against
+# DataReady on every processor, and the uniform links' mean cost against
+# the pair-by-pair sum.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 5s ./internal/dag
 	$(GO) test -run '^$$' -fuzz FuzzAppendableGrow -fuzztime 5s ./internal/dag
 	$(GO) test -run '^$$' -fuzz FuzzGapIndex -fuzztime 5s ./internal/sched/timeline
 	$(GO) test -run '^$$' -fuzz FuzzReadyRow -fuzztime 5s ./internal/sched
+	$(GO) test -run '^$$' -fuzz FuzzMeanCommCost -fuzztime 5s ./internal/platform
 	$(GO) test -run '^$$' -fuzz FuzzReadDAX -fuzztime 5s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzReadGraphJSON -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz FuzzScheduleRequest -fuzztime 5s ./internal/service

@@ -437,13 +437,13 @@ func (pm Param) place(pl *sched.Plan, ds *dupState, cp *cpState, t dag.TaskID, c
 	}
 	// HLFET's EST scan, or the EFT scan floored at a re-plan's clock:
 	// EFTFloored on every processor, with the task's inputs read once.
-	in := pl.Instance()
+	w := pl.Instance().W[t] // read before the row, so both cache misses overlap
 	bestP, bestS, bestF := -1, 0.0, 0.0
 	for p, ready := range pl.ReadyRow(t) {
 		if ready < clock {
 			ready = clock
 		}
-		dur := in.Cost(t, p)
+		dur := w[p]
 		s := pl.FindSlot(p, ready, dur, pm.Insertion)
 		better := s+dur < bestF
 		if pm.Select == SelectEST {
@@ -503,7 +503,6 @@ type dupState struct {
 	// marks u a parent of task t; ready is childEFT's row.
 	base, ready []float64
 	shared      []dag.Adj
-	data        float64
 	parentOf    []dag.TaskID
 }
 
@@ -623,7 +622,7 @@ func (ds *dupState) place(pl *sched.Plan, t dag.TaskID, p int) {
 // parents), so any other parent of t's critical child c arrives alike in
 // every trial: base holds their latest arrival per processor (estimated
 // finish plus mean communication cost if unscheduled); shared keeps c's
-// arcs from t's parents, and data the data on c's arc from t.
+// arcs from t and from t's parents.
 func (ds *dupState) split(pl *sched.Plan, t dag.TaskID) {
 	if ds.child == nil || ds.child[t] == -1 {
 		return
@@ -637,9 +636,7 @@ func (ds *dupState) split(pl *sched.Plan, t dag.TaskID) {
 	ds.shared = ds.shared[:0]
 	for j, pe := range in.G.Pred(c) {
 		switch {
-		case pe.To == t:
-			ds.data = pe.Data
-		case ds.parentOf[pe.To] == t+1:
+		case pe.To == t, ds.parentOf[pe.To] == t+1:
 			ds.shared = append(ds.shared, pe)
 		case pl.Scheduled(pe.To):
 			pl.RaiseArrivals(ds.base, pe)
@@ -653,19 +650,18 @@ func (ds *dupState) split(pl *sched.Plan, t dag.TaskID) {
 }
 
 // childEFT returns the smallest estimated finish of t's critical child
-// over all processors, t placed by the trial: base raised by the shared
-// parents' and t's arrivals (min and max are exact, so the split changes
-// no score). A processor whose floor ready+dur loses skips the slot search.
+// over all processors, t placed by the trial: base raised by the arrivals
+// from t and the shared parents (min and max are exact, so the split
+// changes no score). A processor whose floor ready+dur loses skips the
+// slot search.
 func (ds *dupState) childEFT(pl *sched.Plan, t dag.TaskID) float64 {
 	in := pl.Instance()
 	ds.ready = append(ds.ready[:0], ds.base...)
 	for _, pe := range ds.shared {
 		pl.RaiseArrivals(ds.ready, pe)
 	}
-	a := pl.Primary(t)
 	best := math.Inf(1)
 	for q, ready := range ds.ready {
-		ready = max(ready, a.Finish+in.CommCost(a.Proc, q, ds.data))
 		dur := in.Cost(ds.child[t], q)
 		if ready+dur >= best {
 			continue

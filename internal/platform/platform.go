@@ -257,11 +257,16 @@ func (s *System) CommCost(p, q int, data float64) float64 {
 
 // MeanCommCost returns the average over all ordered distinct pairs of the
 // cost of transferring data units — the c̄ used by rank computations.
-// With a single processor it returns 0.
+// With a single processor it returns 0. The sum runs pair by pair in
+// row-major order; under uniform links every pair adds the same cost, and
+// repeatedSum reproduces that sum bit for bit in O(log P) steps.
 func (s *System) MeanCommCost(data float64) float64 {
 	p := len(s.procs)
 	if p < 2 {
 		return 0
+	}
+	if v := s.startup[0][1] + data*s.invRate[0][1]; s.uniform && v >= 0 {
+		return repeatedSum(v, p*(p-1)) / float64(p*(p-1))
 	}
 	var sum float64
 	for i := 0; i < p; i++ {
@@ -272,6 +277,46 @@ func (s *System) MeanCommCost(data float64) float64 {
 		}
 	}
 	return sum / float64(p*(p-1))
+}
+
+// repeatedSum returns the float64 sum 0 + v + v + … of n copies of
+// v ≥ 0, rounded after every addition as a plain loop rounds it, in
+// O(log n) steps. Between two powers of two (a binade; the subnormals
+// share the first normal binade's ulp) every float is a multiple of the
+// binade's ulp u, so a step whose exact sum stays inside it adds v
+// rounded to a multiple of u. That multiple is the same at every step
+// but on a tie, where round-half-even picks the even sum: after one step
+// inside the binade the sum is an even multiple of u, and from then on
+// every step adds the same even amount. So once two successive steps
+// stay in one binade, each step until the sum would leave it adds the
+// second step's increment d, and k of them add k·d to the bit pattern:
+// one multiply. A sum that reaches +Inf stays there (d = 0).
+func repeatedSum(v float64, n int) float64 {
+	s, settled := 0.0, false
+	for n > 0 {
+		t := s + v
+		n--
+		inRange := binade(s) == binade(t)
+		if inRange && settled && n > 0 {
+			sb, tb := math.Float64bits(s), math.Float64bits(t)
+			d := tb - sb
+			k := uint64(n)
+			if top := (binade(t) + 1) << 52; d > 0 && (top-1-tb)/d < k {
+				k = (top - 1 - tb) / d
+			}
+			t = math.Float64frombits(tb + k*d)
+			n -= int(k)
+		}
+		s, settled = t, inRange
+	}
+	return s
+}
+
+// binade returns the biased exponent of a non-negative float, with the
+// subnormals counted in the first normal binade: across the two, a
+// float's value is its bit pattern times the one ulp they share.
+func binade(x float64) uint64 {
+	return max(math.Float64bits(x)>>52, 1)
 }
 
 // IsHomogeneous reports whether all processors share one speed.

@@ -24,8 +24,10 @@ type Plan struct {
 	procs  [][]Assignment // per processor, sorted by Start
 	byTask [][]Assignment // per task: all copies, primary first
 	placed int            // number of tasks with a primary copy
-	row    []float64      // ReadyRow's answer; Clone gives the copy its own
-	firsts []Assignment   // ReadyRow's scratch
+	// row is ReadyRow's answer; Clone gives the copy its own. low and
+	// firsts are the row's scratch, sized on first use (sizeScratch).
+	row, low []float64
+	firsts   []Assignment
 	// blockedFrom[p] < +Inf marks processor p unavailable from that time
 	// on (fail-stop support); FindSlot never places work beyond it.
 	blockedFrom []float64
@@ -183,6 +185,14 @@ func (pl *Plan) DataReady(i dag.TaskID, p int) float64 {
 // bit what DataReady answers for each (the same arrivals; min and max
 // are exact). The row is the plan's own, overwritten by the next
 // ReadyRow or BestEFT call. It panics if a predecessor has no copy.
+//
+// Under a contended model each entry is DataReady's contended query.
+// Otherwise the row folds in every predecessor once, a duplicated one
+// by RaiseArrivals. On uniform links (uniformLinks) a single copy that
+// finishes at F on q delivers at F + cost everywhere but q, where its
+// data is ready at F; so the single copies' part of the row is their
+// largest remote arrival M on every processor but M's own, which takes
+// the largest arrival there — O(in-degree + P) work.
 func (pl *Plan) ReadyRow(i dag.TaskID) []float64 {
 	row := pl.row
 	if pl.comm != nil {
@@ -191,7 +201,9 @@ func (pl *Plan) ReadyRow(i dag.TaskID) []float64 {
 		}
 		return row
 	}
-	clear(row)
+	if pl.low == nil {
+		pl.sizeScratch()
+	}
 	// Read every predecessor's first copy before folding any in: on large
 	// graphs the reads miss the cache, and only a tight loop overlaps them.
 	preds, firsts := pl.in.G.Pred(i), pl.firsts[:0]
@@ -202,15 +214,44 @@ func (pl *Plan) ReadyRow(i dag.TaskID) []float64 {
 		firsts = append(firsts, pl.byTask[pe.To][0])
 	}
 	pl.firsts = firsts
-	for k, pe := range preds {
-		if len(pl.byTask[pe.To]) > 1 {
-			pl.RaiseArrivals(row, pe)
-			continue
+	lat, inv, uniform := pl.uniformLinks()
+	if uniform {
+		// m is the largest remote arrival and q its processor.
+		m, q := 0.0, -1
+		for k, pe := range preds {
+			if c := firsts[k]; len(pl.byTask[pe.To]) == 1 {
+				if t := c.Finish + (lat + pe.Data*inv); t > m {
+					m, q = t, c.Proc
+				}
+			}
 		}
-		c := firsts[k]
-		for p, ready := range row {
-			if t := c.Finish + pl.in.CommCost(c.Proc, p, pe.Data); t > ready {
-				row[p] = t
+		for p := range row {
+			row[p] = m
+		}
+		if q >= 0 {
+			row[q] = 0
+			for k, pe := range preds {
+				if c := firsts[k]; len(pl.byTask[pe.To]) == 1 {
+					t := c.Finish
+					if c.Proc != q {
+						t += lat + pe.Data*inv
+					}
+					row[q] = max(row[q], t)
+				}
+			}
+		}
+	} else {
+		clear(row)
+	}
+	for k, pe := range preds {
+		switch c := firsts[k]; {
+		case len(pl.byTask[pe.To]) > 1:
+			pl.RaiseArrivals(row, pe)
+		case !uniform:
+			for p, ready := range row {
+				if t := c.Finish + pl.in.CommCost(c.Proc, p, pe.Data); t > ready {
+					row[p] = t
+				}
 			}
 		}
 	}
@@ -219,20 +260,71 @@ func (pl *Plan) ReadyRow(i dag.TaskID) []float64 {
 
 // RaiseArrivals raises row[p], for every processor p, to the earliest
 // arrival there of the data arc pe carries from a copy of its scheduled
-// source, by DataReady's contention-free expression.
+// source, by DataReady's contention-free expression. On uniform links
+// the earliest copy arrives first on every processor (float addition is
+// monotone), except that a processor holding a copy has the data at
+// that copy's finish if earlier: O(copies + P) work.
 func (pl *Plan) RaiseArrivals(row []float64, pe dag.Adj) {
 	copies := pl.byTask[pe.To]
-	for p, ready := range row {
-		arrival := math.Inf(1)
-		for _, c := range copies {
-			if t := c.Finish + pl.in.CommCost(c.Proc, p, pe.Data); t < arrival {
-				arrival = t
+	lat, inv, ok := pl.uniformLinks()
+	if !ok {
+		for p, ready := range row {
+			arrival := math.Inf(1)
+			for _, c := range copies {
+				if t := c.Finish + pl.in.CommCost(c.Proc, p, pe.Data); t < arrival {
+					arrival = t
+				}
+			}
+			if arrival > ready {
+				row[p] = arrival
 			}
 		}
-		if arrival > ready {
+		return
+	}
+	if pl.low == nil {
+		pl.sizeScratch()
+	}
+	first := math.Inf(1)
+	for _, c := range copies {
+		first = min(first, c.Finish)
+	}
+	low, remote := pl.low, first+(lat+pe.Data*inv)
+	for p := range low {
+		low[p] = remote
+	}
+	for _, c := range copies {
+		low[c.Proc] = min(low[c.Proc], c.Finish)
+	}
+	for p, arrival := range low {
+		if arrival > row[p] {
 			row[p] = arrival
 		}
 	}
+}
+
+// uniformLinks returns the one link every two distinct processors share
+// when the instance's transfers cost lat + data·inv between any two: on
+// uniform links under the System's own contention-free costs, the
+// default model or its explicit object (Instance.CommCost).
+func (pl *Plan) uniformLinks() (lat, inv float64, ok bool) {
+	in := pl.in
+	if in.comm != nil && in.comm != platform.ContentionFree(in.Sys) {
+		return 0, 0, false
+	}
+	return in.Sys.UniformLinks()
+}
+
+// sizeScratch allocates the row scratch on a plan's first ReadyRow or
+// uniform RaiseArrivals, so plans that never build a row pay nothing:
+// low holds one time per processor and firsts the graph's largest
+// in-degree (append still covers a graph that grows).
+func (pl *Plan) sizeScratch() {
+	maxIn := 0
+	for i := range pl.byTask {
+		maxIn = max(maxIn, pl.in.G.InDegree(dag.TaskID(i)))
+	}
+	pl.low = make([]float64, len(pl.row))
+	pl.firsts = make([]Assignment, 0, maxIn)
 }
 
 // commReady is the contended counterpart of the DataReady loop: the

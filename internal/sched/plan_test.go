@@ -540,25 +540,51 @@ func TestZeroCostBesideLongerCopy(t *testing.T) {
 
 // TestReadyRowMatchesDataReady grows plans whose last task is fed by
 // every other task (more than 16 predecessors, the width the old
-// stack-gathered scan stopped at), with zero-cost tasks and random
-// duplicates, on one processor and on several with per-link startups and
-// rates, under each communication model. Before every placement
-// ReadyRow must equal DataReady on every processor, bit for bit; entry
-// tasks included.
+// stack-gathered scan stopped at), with zero-cost tasks, zero-data arcs
+// and random duplicates, under each communication model: on one
+// processor and on several with per-link startups and rates, and on
+// uniform links (one, two, eight and 32 processors, latency 0 and 1),
+// where the contention-free row is read from the largest remote arrival.
+// The contention-free model runs as an explicit model object, as the
+// instance's default, and doubled (doubledLinks), which no uniform row
+// may serve. Before every placement ReadyRow must equal DataReady on
+// every processor, bit for bit; entry tasks included. Then
+// checkUniformRows pins hand-computed uniform rows.
 func TestReadyRowMatchesDataReady(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	var systems []func() *platform.System
 	for _, procs := range []int{1, 4, 7} {
+		systems = append(systems, func() *platform.System {
+			sys, err := platform.Generate(platform.GenConfig{Procs: procs, Latency: 1, TimePerUnit: 1, StartupSpread: 0.5, LinkSpread: 0.5}, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		})
+	}
+	for _, procs := range []int{1, 2, 8, 32} {
+		systems = append(systems,
+			func() *platform.System { return platform.Homogeneous(procs, 0, 1) },
+			func() *platform.System { return platform.Homogeneous(procs, 1, 0.5) })
+	}
+	for _, sys := range systems {
 		for _, kind := range platform.ModelKinds() {
 			for trial := 0; trial < 4; trial++ {
-				in := readyRowInstance(t, rng, 18+rng.Intn(12), procs)
+				in := readyRowInstance(t, rng, 18+rng.Intn(12), sys())
 				m, err := platform.ModelByKind(kind, in.Sys)
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkReadyRows(t, in.WithComm(m), func() int { return rng.Intn(1 << 30) })
+				if kind == platform.KindContentionFree {
+					checkReadyRows(t, in, func() int { return rng.Intn(1 << 30) })
+					checkReadyRows(t, in.WithComm(doubledLinks{m}), func() int { return rng.Intn(1 << 30) })
+				}
 			}
 		}
 	}
+
+	checkUniformRows(t)
 
 	pl := NewPlan(Consistent(diamondGraph(t), twoProc()))
 	defer func() {
@@ -569,10 +595,58 @@ func TestReadyRowMatchesDataReady(t *testing.T) {
 	pl.ReadyRow(1)
 }
 
-// readyRowInstance draws an n-task DAG whose last task has every other
-// task as a predecessor, with costs from 0 to 5, on procs processors
-// whose links differ in startup and rate.
-func readyRowInstance(t testing.TB, rng *rand.Rand, n, procs int) *Instance {
+// doubledLinks is a contention-free model whose transfers take twice the
+// System's time: its costs are not the links', uniform or not.
+type doubledLinks struct{ platform.CommModel }
+
+func (m doubledLinks) Cost(p, q int, data float64) float64 { return 2 * m.CommModel.Cost(p, q, data) }
+
+// checkUniformRows checks hand-computed rows on four uniform processors
+// (latency 1, one time unit per data unit). A (finish 4 on P0) sends one
+// unit, arriving at 6 elsewhere; B (finish 5 on P1) sends none, arriving
+// at 6 too: they tie for the largest remote arrival on different
+// processors. C has copies on P2 (finish 3) and P3 (finish 2) and sends
+// four units, arriving at 2+5 = 7 where it has no copy.
+func checkUniformRows(t *testing.T) {
+	b := dag.NewBuilder("uniform-rows")
+	a, bb, c := b.AddTask("A", 1), b.AddTask("B", 1), b.AddTask("C", 1)
+	ab, only, all := b.AddTask("AB", 1), b.AddTask("A-only", 1), b.AddTask("ABC", 1)
+	b.AddEdge(a, ab, 1)
+	b.AddEdge(bb, ab, 0)
+	b.AddEdge(a, only, 1)
+	b.AddEdge(a, all, 1)
+	b.AddEdge(bb, all, 0)
+	b.AddEdge(c, all, 4)
+	w := [][]float64{{4, 4, 4, 4}, {5, 5, 5, 5}, {3, 3, 3, 2}, {1, 1, 1, 1}, {1, 1, 1, 1}, {1, 1, 1, 1}}
+	in, err := NewInstance(b.MustBuild(), platform.Homogeneous(4, 1, 1), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPlan(in)
+	pl.Place(a, 0, 0)
+	pl.Place(bb, 1, 0)
+	pl.Place(c, 2, 0)
+	pl.PlaceDup(c, 3, 0)
+	for _, tc := range []struct {
+		task dag.TaskID
+		want []float64
+	}{
+		{ab, []float64{6, 6, 6, 6}},   // the tie: each processor hears from the other
+		{only, []float64{4, 6, 6, 6}}, // A's own processor reads its finish
+		{all, []float64{7, 7, 6, 6}},  // C's copies arrive locally at 3 and 2
+	} {
+		row := pl.ReadyRow(tc.task)
+		for p, r := range row {
+			if d := pl.DataReady(tc.task, p); r != tc.want[p] || d != tc.want[p] {
+				t.Errorf("task %s on P%d: ReadyRow %v, DataReady %v, want %v", in.G.Task(tc.task).Name, p, r, d, tc.want[p])
+			}
+		}
+	}
+}
+
+// readyRowInstance draws an n-task DAG on sys whose last task has every
+// other task as a predecessor, with costs and arc data from 0.
+func readyRowInstance(t testing.TB, rng *rand.Rand, n int, sys *platform.System) *Instance {
 	t.Helper()
 	b := dag.NewBuilder("ready-row")
 	for i := 0; i < n; i++ {
@@ -585,13 +659,9 @@ func readyRowInstance(t testing.TB, rng *rand.Rand, n, procs int) *Instance {
 			}
 		}
 	}
-	sys, err := platform.Generate(platform.GenConfig{Procs: procs, Latency: 1, TimePerUnit: 1, StartupSpread: 0.5, LinkSpread: 0.5}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
 	w := make([][]float64, n)
 	for i := range w {
-		w[i] = make([]float64, procs)
+		w[i] = make([]float64, sys.Len())
 		for p := range w[i] {
 			w[i][p] = float64(rng.Intn(6))
 		}
