@@ -148,10 +148,9 @@ func ReadInstanceJSON(r io.Reader) (*Instance, error) { return sched.ReadInstanc
 type (
 	// Algorithm maps an instance to a schedule.
 	Algorithm = algo.Algorithm
-	// CtxScheduler is implemented by algorithms whose hot loop carries
-	// cancellation checkpoints: the listsched.Param grid points, which
-	// include HEFT, CPOP, HLFET, ETF, DSH, BTDH and every ILS
-	// configuration, and the search schedulers.
+	// CtxScheduler is implemented by algorithms that check their context
+	// once per placement, pick or search iteration: every algorithm of
+	// Algorithms() and SearchLineup().
 	CtxScheduler = algo.CtxScheduler
 	// ILSOptions selects the mechanisms of the ILS scheduler.
 	ILSOptions = core.Options

@@ -6,6 +6,8 @@
 package cluster
 
 import (
+	"context"
+	"fmt"
 	"sort"
 
 	"dagsched/internal/algo"
@@ -20,13 +22,22 @@ type DSC struct{}
 func (DSC) Name() string { return "DSC" }
 
 // Schedule implements algo.Algorithm.
-func (DSC) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+func (d DSC) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+	return d.ScheduleContext(context.Background(), in)
+}
+
+// ScheduleContext implements algo.CtxScheduler: the final pass checks ctx
+// before each placement.
+func (DSC) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
 	assign := Assignments(in)
 	// Final pass: list schedule with processor choice fixed by the
 	// clustering, upward-rank order, insertion-based slots, real costs.
 	order := algo.OrderDescPrecedence(in.G, sched.RankUpward(in))
 	pl := sched.NewPlan(in)
 	for _, t := range order {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("DSC: %w", err)
+		}
 		s, _ := pl.EFTOn(t, assign[t], true)
 		pl.Place(t, assign[t], s)
 	}

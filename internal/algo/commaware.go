@@ -57,15 +57,7 @@ func (c CommAware) rebind(in *sched.Instance) (*sched.Instance, error) {
 
 // Schedule implements Algorithm.
 func (c CommAware) Schedule(in *sched.Instance) (*sched.Schedule, error) {
-	bound, err := c.rebind(in)
-	if err != nil {
-		return nil, err
-	}
-	s, err := c.Inner.Schedule(bound)
-	if err != nil {
-		return nil, err
-	}
-	return s.Renamed(c.Name()), nil
+	return c.ScheduleContext(context.Background(), in)
 }
 
 // ScheduleContext implements CtxScheduler, delegating cancellation to the

@@ -7,9 +7,11 @@ import (
 	"dagsched/internal/sched"
 )
 
-// CtxScheduler is implemented by algorithms whose hot loop carries
-// cancellation checkpoints: a canceled context makes Schedule return
-// promptly with the context's error instead of burning CPU to completion.
+// CtxScheduler is implemented by algorithms whose loops check their
+// context once per placement, pick or search iteration: a canceled
+// context makes ScheduleContext return promptly with the context's error
+// instead of burning CPU to completion. Every algorithm in the registry
+// implements it.
 type CtxScheduler interface {
 	ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error)
 }
@@ -35,41 +37,4 @@ func ScheduleContext(ctx context.Context, a Algorithm, in *sched.Instance) (*sch
 		return nil, fmt.Errorf("%s: %w", a.Name(), cerr)
 	}
 	return s, nil
-}
-
-// Checkpoint polls a context cheaply from a scheduling hot loop. A nil
-// done channel (context.Background and contexts that can never be
-// canceled) makes every Check a single comparison; otherwise the context
-// error is loaded once per stride iterations, starting with the very
-// first Check so a context canceled before the loop begins aborts it
-// immediately. The zero stride defaults to 64.
-type Checkpoint struct {
-	ctx    context.Context
-	done   <-chan struct{}
-	stride int
-	count  int
-}
-
-// NewCheckpoint returns a checkpoint polling ctx every stride Checks.
-func NewCheckpoint(ctx context.Context, stride int) *Checkpoint {
-	if stride <= 0 {
-		stride = 64
-	}
-	// Prime the counter so the first Check polls: a loop entered with an
-	// already-canceled context must not burn stride-1 iterations first.
-	return &Checkpoint{ctx: ctx, done: ctx.Done(), stride: stride, count: stride - 1}
-}
-
-// Check returns the context's error once it is canceled, polling at the
-// checkpoint's stride; it returns nil while the context is live.
-func (c *Checkpoint) Check() error {
-	if c.done == nil {
-		return nil
-	}
-	c.count++
-	if c.count < c.stride {
-		return nil
-	}
-	c.count = 0
-	return c.ctx.Err()
 }

@@ -9,8 +9,8 @@ import (
 	"dagsched/internal/algo"
 	"dagsched/internal/algo/listsched"
 	"dagsched/internal/algo/search"
+	"dagsched/internal/algo/suite"
 	"dagsched/internal/core"
-	"dagsched/internal/sched"
 	"dagsched/internal/testfix"
 )
 
@@ -32,11 +32,12 @@ func TestScheduleContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// Both a CtxScheduler and a plain Algorithm refuse a dead context.
+	plain := algo.Func{AlgName: "plain", Fn: listsched.DLS{}.Schedule} // checked by the dispatcher
 	for _, a := range []algo.Algorithm{
 		listsched.HEFT{},
 		listsched.DSH{},
 		listsched.BTDH{},
-		listsched.DLS{}, // no ScheduleContext: checked by the dispatcher
+		plain,
 	} {
 		if _, err := algo.ScheduleContext(ctx, a, in); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", a.Name(), err)
@@ -81,59 +82,22 @@ func TestScheduleContextAbortsMidRun(t *testing.T) {
 	}
 }
 
-func TestCheckpointNilDone(t *testing.T) {
-	c := algo.NewCheckpoint(context.Background(), 1)
-	for i := 0; i < 1000; i++ {
-		if err := c.Check(); err != nil {
-			t.Fatal(err)
+// TestRegistryScheduleContextPreCanceled calls every registry
+// algorithm's own ScheduleContext, not the dispatcher, with a context
+// canceled before the run: each must implement algo.CtxScheduler and
+// check its context before its first placement.
+func TestRegistryScheduleContextPreCanceled(t *testing.T) {
+	in := testfix.Topcuoglu()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, a := range append(suite.All(), suite.Search()...) {
+		ca, ok := a.(algo.CtxScheduler)
+		if !ok {
+			t.Errorf("%s does not implement algo.CtxScheduler", a.Name())
+			continue
+		}
+		if _, err := ca.ScheduleContext(ctx, in); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", a.Name(), err)
 		}
 	}
 }
-
-// TestCheckpointFirstCheckPolls is the regression test for the stride
-// counter: a context canceled before the loop starts must surface on the
-// very first Check, not after stride-1 free iterations.
-func TestCheckpointFirstCheckPolls(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c := algo.NewCheckpoint(ctx, 64)
-	if err := c.Check(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("first Check = %v, want context.Canceled", err)
-	}
-}
-
-// TestCheckpointStride pins the steady-state cadence: after the first
-// poll, a live context is polled exactly once per stride Checks — verified
-// by canceling between Checks and counting the delay until detection.
-func TestCheckpointStride(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	c := algo.NewCheckpoint(ctx, 4)
-	if err := c.Check(); err != nil { // first Check polls the live context
-		t.Fatalf("live first Check = %v", err)
-	}
-	cancel()
-	// Checks 2 and 3 fall inside the stride window; check 5 (= 1 + stride)
-	// is the next poll and must report the cancellation.
-	delay := 0
-	for c.Check() == nil {
-		delay++
-		if delay > 4 {
-			t.Fatalf("cancellation not seen within one stride")
-		}
-	}
-	if delay != 3 {
-		t.Fatalf("cancellation seen after %d Checks, want 3 (stride 4)", delay)
-	}
-}
-
-var _ algo.CtxScheduler = core.New()
-var _ algo.CtxScheduler = listsched.HEFT{}
-var _ algo.CtxScheduler = listsched.CPOP{}
-var _ algo.CtxScheduler = listsched.HLFET{}
-var _ algo.CtxScheduler = listsched.ETF{}
-var _ algo.CtxScheduler = listsched.DSH{}
-var _ algo.CtxScheduler = listsched.BTDH{}
-var _ algo.CtxScheduler = search.HillClimb{}
-var _ algo.CtxScheduler = search.Anneal{}
-var _ algo.CtxScheduler = search.Genetic{}
-var _ algo.Algorithm = algo.Func{AlgName: "f", Fn: func(in *sched.Instance) (*sched.Schedule, error) { return nil, nil }}

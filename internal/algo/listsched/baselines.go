@@ -3,14 +3,17 @@
 // systems, MCP, ETF, HLFET and ISH, which originate in the homogeneous
 // literature but are implemented here against the general heterogeneous
 // cost model (on a homogeneous system they reduce to their original
-// definitions), and the duplication-based DSH and BTDH. HEFT, CPOP,
-// HLFET, ETF, DSH and BTDH are grid points of Param, the one
-// list-scheduling placement loop.
+// definitions), and the duplication-based DSH and BTDH. Param is the one
+// list-scheduling placement loop: HEFT, CPOP, HLFET, ETF, DLS, DSH and
+// BTDH are its points, and HCPT, PETS, LMT and MCP compute their own
+// order and place it with Param.PlaceOrder. ISH alone keeps its own
+// loop: its hole fill takes ready tasks out of pick order.
 package listsched
 
 import (
 	"context"
 
+	"dagsched/internal/dag"
 	"dagsched/internal/sched"
 )
 
@@ -20,12 +23,13 @@ var baselines = map[string]Param{
 	"CPOP":  CPOPParam(),
 	"HLFET": HLFETParam(),
 	"ETF":   ETFParam(),
+	"DLS":   {Priority: PrioStaticLevel, Order: OrderDynamicLevel, Select: SelectEFT},
 	"DSH":   {Priority: PrioStaticLevel, Order: OrderReady, Select: SelectEFT, Insertion: true, Duplication: DupGreedy},
 	"BTDH":  {Priority: PrioStaticLevel, Order: OrderReady, Select: SelectEFT, Insertion: true, Duplication: DupChain},
 }
 
 // Baseline returns the grid point of the named canonical baseline —
-// HEFT, CPOP, HLFET, ETF, DSH or BTDH — carrying the name, so its
+// HEFT, CPOP, HLFET, ETF, DLS, DSH or BTDH — carrying the name, so its
 // schedules do too.
 func Baseline(name string) (Param, bool) {
 	pm, ok := baselines[name]
@@ -38,6 +42,19 @@ func Baseline(name string) (Param, bool) {
 func baseline(name string) Param {
 	pm, _ := Baseline(name)
 	return pm
+}
+
+// placeOrder schedules in by placing order, a precedence-safe order of
+// all its tasks, under pm's selection rule, and names the schedule. It
+// is the placement of HCPT, PETS, LMT and MCP, which keep only their
+// order code.
+func placeOrder(ctx context.Context, in *sched.Instance, pm Param, order []dag.TaskID, name string) (*sched.Schedule, error) {
+	pm.DisplayName = name
+	pl := sched.NewPlan(in)
+	if err := pm.PlaceOrder(ctx, pl, nil, order, 0); err != nil {
+		return nil, err
+	}
+	return pl.Finalize(name), nil
 }
 
 // HEFT is the Heterogeneous Earliest Finish Time algorithm of Topcuoglu,
@@ -116,6 +133,31 @@ func (ETF) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 // ScheduleContext implements algo.CtxScheduler.
 func (ETF) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
 	return baseline("ETF").ScheduleContext(ctx, in)
+}
+
+// DLS is the Dynamic Level Scheduling algorithm of Sih and Lee (TPDS
+// 1993). At every step it schedules the ready (task, processor) pair with
+// the highest dynamic level
+//
+//	DL(i,p) = SL(i) − EST(i,p) + Δ(i,p),   Δ(i,p) = w̄(i) − w(i,p),
+//
+// where SL is the static level (mean computation costs, no communication)
+// and EST uses the non-insertion policy of the original paper. The Δ term
+// is the generalized-heterogeneity adjustment from the original paper; on
+// homogeneous systems it vanishes.
+type DLS struct{}
+
+// Name implements algo.Algorithm.
+func (DLS) Name() string { return "DLS" }
+
+// Schedule implements algo.Algorithm.
+func (DLS) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+	return baseline("DLS").Schedule(in)
+}
+
+// ScheduleContext implements algo.CtxScheduler.
+func (DLS) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
+	return baseline("DLS").ScheduleContext(ctx, in)
 }
 
 // DSH is the Duplication Scheduling Heuristic of Kruatrachue and Lewis

@@ -1,7 +1,9 @@
 package listsched
 
 import (
-	"sort"
+	"cmp"
+	"context"
+	"slices"
 
 	"dagsched/internal/dag"
 	"dagsched/internal/sched"
@@ -12,15 +14,20 @@ import (
 // start time (AEST) equals their average latest start time (ALST) form
 // the critical path; critical tasks are visited in ascending ALST and,
 // before each is listed, its unlisted parent tree is emitted bottom-up
-// (parents in ascending ALST). Machine assignment: insertion-based EFT,
-// as in HEFT.
+// (parents in ascending ALST). Machine assignment: HEFT's selection
+// (insertion-based EFT) over that list.
 type HCPT struct{}
 
 // Name implements algo.Algorithm.
 func (HCPT) Name() string { return "HCPT" }
 
 // Schedule implements algo.Algorithm.
-func (HCPT) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+func (h HCPT) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+	return h.ScheduleContext(context.Background(), in)
+}
+
+// ScheduleContext implements algo.CtxScheduler.
+func (HCPT) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
 	const eps = 1e-9
 	// AEST = downward rank (mean costs); ALST = CP − (upward rank), i.e.
 	// the latest mean-cost start preserving the critical-path length.
@@ -37,6 +44,14 @@ func (HCPT) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 		alst[i] = cp - up[i]
 	}
 
+	// byALST orders tasks by ascending ALST, ids breaking ties.
+	byALST := func(a, b dag.TaskID) int {
+		if c := cmp.Compare(alst[a], alst[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+
 	// Critical tasks in ascending ALST.
 	var critical []dag.TaskID
 	for i := 0; i < in.N(); i++ {
@@ -44,12 +59,7 @@ func (HCPT) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 			critical = append(critical, dag.TaskID(i))
 		}
 	}
-	sort.SliceStable(critical, func(a, b int) bool {
-		if alst[critical[a]] != alst[critical[b]] {
-			return alst[critical[a]] < alst[critical[b]]
-		}
-		return critical[a] < critical[b]
-	})
+	slices.SortFunc(critical, byALST)
 
 	listed := make([]bool, in.N())
 	var list []dag.TaskID
@@ -59,15 +69,13 @@ func (HCPT) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 		if listed[t] {
 			return
 		}
-		parents := append([]dag.Adj(nil), in.G.Pred(t)...)
-		sort.SliceStable(parents, func(a, b int) bool {
-			if alst[parents[a].To] != alst[parents[b].To] {
-				return alst[parents[a].To] < alst[parents[b].To]
-			}
-			return parents[a].To < parents[b].To
-		})
+		var parents []dag.TaskID
+		for _, pe := range in.G.Pred(t) {
+			parents = append(parents, pe.To)
+		}
+		slices.SortFunc(parents, byALST)
 		for _, p := range parents {
-			emit(p.To)
+			emit(p)
 		}
 		listed[t] = true
 		list = append(list, t)
@@ -83,20 +91,9 @@ func (HCPT) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 			rest = append(rest, dag.TaskID(i))
 		}
 	}
-	sort.SliceStable(rest, func(a, b int) bool {
-		if alst[rest[a]] != alst[rest[b]] {
-			return alst[rest[a]] < alst[rest[b]]
-		}
-		return rest[a] < rest[b]
-	})
+	slices.SortFunc(rest, byALST)
 	for _, t := range rest {
 		emit(t)
 	}
-
-	pl := sched.NewPlan(in)
-	for _, t := range list {
-		p, s, _ := pl.BestEFT(t, true)
-		pl.Place(t, p, s)
-	}
-	return pl.Finalize("HCPT"), nil
+	return placeOrder(ctx, in, HEFTParam(), list, "HCPT")
 }

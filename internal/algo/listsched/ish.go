@@ -1,6 +1,9 @@
 package listsched
 
 import (
+	"context"
+	"fmt"
+
 	"dagsched/internal/algo"
 	"dagsched/internal/dag"
 	"dagsched/internal/sched"
@@ -17,22 +20,33 @@ type ISH struct{}
 func (ISH) Name() string { return "ISH" }
 
 // Schedule implements algo.Algorithm.
-func (ISH) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+func (i ISH) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+	return i.ScheduleContext(context.Background(), in)
+}
+
+// ScheduleContext implements algo.CtxScheduler: ctx is checked before
+// each pick and each hole-fill search.
+func (ISH) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
 	const eps = 1e-9
 	sl := sched.StaticLevel(in)
 	pl := sched.NewPlan(in)
 	rl := algo.NewReadyList(in.G)
 	for !rl.Empty() {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("ISH: %w", err)
+		}
 		var pick dag.TaskID = -1
 		for _, r := range rl.Ready() {
 			if pick == -1 || sl[r] > sl[pick] {
 				pick = r
 			}
 		}
+		// HLFET's earliest non-insertion start, the inputs read once.
+		w := in.W[pick]
 		bestP, bestS := -1, 0.0
 		holeStart := 0.0
-		for p := 0; p < in.P(); p++ {
-			s, _ := pl.EFTOn(pick, p, false)
+		for p, ready := range pl.ReadyRow(pick) {
+			s := pl.FindSlot(p, ready, w[p], false)
 			if bestP == -1 || s < bestS {
 				bestP, bestS = p, s
 				holeStart = pl.ProcReady(p)
@@ -47,6 +61,9 @@ func (ISH) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 		// static level first. Each fill may release new ready tasks, which
 		// are considered too; the loop ends when nothing fits.
 		for {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("ISH: %w", err)
+			}
 			var fill dag.TaskID = -1
 			fillStart := 0.0
 			for _, r := range rl.Ready() {

@@ -2,6 +2,7 @@ package listsched
 
 import (
 	"cmp"
+	"context"
 	"slices"
 
 	"dagsched/internal/dag"
@@ -19,34 +20,32 @@ type LMT struct{}
 func (LMT) Name() string { return "LMT" }
 
 // Schedule implements algo.Algorithm.
-func (LMT) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+func (l LMT) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+	return l.ScheduleContext(context.Background(), in)
+}
+
+// ScheduleContext implements algo.CtxScheduler.
+func (LMT) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
 	key := make([]float64, in.N())
 	for i := range key {
 		key[i] = in.MeanCost(dag.TaskID(i))
 	}
-	return levelPass(in, key, "LMT"), nil
+	return placeOrder(ctx, in, HEFTParam(), levelOrder(in, key), "LMT")
 }
 
-// levelPass is the level-by-level list scheduler PETS and LMT share: the
-// depth levels go in order, each sorted by decreasing key with ids
-// breaking ties, and every task goes to its insertion-based best-EFT
-// processor.
-func levelPass(in *sched.Instance, key []float64, name string) *sched.Schedule {
+// levelOrder is the order PETS and LMT share: the depth levels in turn,
+// each sorted by decreasing key with ids breaking ties. Both place it
+// with HEFT's selection (insertion-based best EFT).
+func levelOrder(in *sched.Instance, key []float64) []dag.TaskID {
 	off, tasks := in.G.DepthLevels()
 	order := slices.Clone(tasks)
-	pl := sched.NewPlan(in)
 	for l := 0; l+1 < len(off); l++ {
-		level := order[off[l]:off[l+1]]
-		slices.SortFunc(level, func(a, b dag.TaskID) int {
+		slices.SortFunc(order[off[l]:off[l+1]], func(a, b dag.TaskID) int {
 			if c := cmp.Compare(key[b], key[a]); c != 0 {
 				return c
 			}
 			return cmp.Compare(a, b)
 		})
-		for _, t := range level {
-			p, s, _ := pl.BestEFT(t, true)
-			pl.Place(t, p, s)
-		}
 	}
-	return pl.Finalize(name)
+	return order
 }

@@ -1,6 +1,7 @@
 package listsched
 
 import (
+	"context"
 	"sort"
 
 	"dagsched/internal/algo"
@@ -13,14 +14,21 @@ import (
 // communication costs); the task list ascends by ALAP with ties broken by
 // the sorted ALAP list of direct successors (a bounded variant of the
 // original lexicographic descendant comparison); each task is placed on
-// the processor allowing the earliest insertion-based start time.
+// the processor allowing the earliest insertion-based start time, start
+// ties going to the earlier finish on heterogeneous systems (Param's
+// SelectESTF).
 type MCP struct{}
 
 // Name implements algo.Algorithm.
 func (MCP) Name() string { return "MCP" }
 
 // Schedule implements algo.Algorithm.
-func (MCP) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+func (m MCP) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+	return m.ScheduleContext(context.Background(), in)
+}
+
+// ScheduleContext implements algo.CtxScheduler.
+func (MCP) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
 	alap := sched.ALAPStart(in)
 	// Successor ALAP lists for lexicographic tie-breaking.
 	succALAP := make([][]float64, in.N())
@@ -63,18 +71,5 @@ func (MCP) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 	for k, v := range order {
 		key[v] = -float64(k)
 	}
-	pl := sched.NewPlan(in)
-	for _, pick := range algo.ReadyOrder(in.G, key) {
-		// Earliest insertion-based start; finish breaks start ties on
-		// heterogeneous systems.
-		bestP, bestS, bestF := -1, 0.0, 0.0
-		for p := 0; p < in.P(); p++ {
-			s, f := pl.EFTOn(pick, p, true)
-			if bestP == -1 || s < bestS || (s == bestS && f < bestF) {
-				bestP, bestS, bestF = p, s, f
-			}
-		}
-		pl.Place(pick, bestP, bestS)
-	}
-	return pl.Finalize("MCP"), nil
+	return placeOrder(ctx, in, Param{Select: SelectESTF, Insertion: true}, algo.ReadyOrder(in.G, key), "MCP")
 }

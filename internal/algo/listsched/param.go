@@ -18,14 +18,16 @@ import (
 // literature (arXiv:2403.07112): a list scheduler is a priority metric ×
 // a consumption order × a processor-selection rule × an insertion policy
 // × a duplication policy. Param composes one scheduler per point of that
-// grid. It is the only list-scheduling placement loop: HEFT, CPOP, HLFET
-// and ETF are its grid points HEFTParam, CPOPParam, HLFETParam and
-// ETFParam (param_test.go pins them to the committed goldens and to the
-// dedicated loops kept in testfix); DSH and BTDH are the baselines of
-// the same names, and ILS with its ablations are the σ-rank, lookahead
-// and duplication points package core names. The streaming engine
-// re-plans through Replan and PlaceOrder. The adversarial harness and
-// the E23 ablation attack components rather than whole algorithms.
+// grid. It is the only list-scheduling placement loop but ISH's: HEFT,
+// CPOP, HLFET and ETF are its grid points HEFTParam, CPOPParam,
+// HLFETParam and ETFParam, and DLS, DSH and BTDH are the baselines of
+// the same names (param_test.go pins them to the committed goldens and
+// to the dedicated loops kept in testfix); ILS with its ablations are
+// the σ-rank, lookahead and duplication points package core names.
+// HCPT, PETS, LMT and MCP compute their own orders and place them with
+// PlaceOrder, as the streaming engine places its re-planned suffix. The
+// adversarial harness and the E23 ablation attack components rather
+// than whole algorithms.
 
 // Priority selects the task-priority metric.
 type Priority int
@@ -57,9 +59,14 @@ const (
 	OrderReady
 	// OrderPair jointly picks the (ready task, processor) pair with the
 	// earliest start time, breaking start ties by the higher priority
-	// (ETF). The Select component is ignored: pair order *is* the
-	// selection rule.
+	// (ETF). Pair order *is* the selection rule: Select applies only to
+	// an order given to PlaceOrder.
 	OrderPair
+	// OrderDynamicLevel jointly picks the pair with the highest dynamic
+	// level prio − start + (w̄ − w), ties going to the smallest pair in
+	// ready-id and processor order (DLS). For a single task the highest
+	// level is the lowest finish, so DLS's Select is EFT.
+	OrderDynamicLevel
 )
 
 // Select selects the processor-selection rule.
@@ -83,6 +90,9 @@ const (
 	// the lower processor id. A task without successors is scored by its
 	// own finish, which makes the rule min-EFT.
 	SelectLookahead
+	// SelectESTF places on the processor minimizing the earliest start
+	// time, start ties going to the earlier finish (MCP).
+	SelectESTF
 )
 
 // Duplication selects the critical-parent duplication policy. A
@@ -101,9 +111,10 @@ const (
 	DupChain
 )
 
-// Param is one point of the component grid, itself an algo.Algorithm.
-// The zero value is the HEFT setting minus insertion; use the named
-// constructors for the canonical baselines.
+// Param is one point of the component grid, itself an algo.Algorithm
+// and an algo.CtxScheduler: its loops check the context once per
+// placement or pick. The zero value is the HEFT setting minus insertion;
+// use the named constructors or Baseline for the canonical baselines.
 type Param struct {
 	Priority  Priority
 	Order     Order
@@ -141,8 +152,8 @@ func ETFParam() Param {
 }
 
 var prioNames = map[Priority]string{PrioUpward: "u", PrioStaticLevel: "sl", PrioUpDown: "ud", PrioSigma: "sigma"}
-var orderNames = map[Order]string{OrderStatic: "static", OrderReady: "ready", OrderPair: "pair"}
-var selNames = map[Select]string{SelectEFT: "eft", SelectEST: "est", SelectCPPin: "cppin", SelectLookahead: "look"}
+var orderNames = map[Order]string{OrderStatic: "static", OrderReady: "ready", OrderPair: "pair", OrderDynamicLevel: "dl"}
+var selNames = map[Select]string{SelectEFT: "eft", SelectEST: "est", SelectCPPin: "cppin", SelectLookahead: "look", SelectESTF: "estf"}
 var insNames = map[bool]string{true: "ins", false: "noins"}
 var dupNames = map[Duplication]string{DupNone: "nodup", DupGreedy: "dup", DupChain: "chain"}
 
@@ -167,8 +178,10 @@ func (pm Param) Name() string {
 }
 
 // ParseParam parses a canonical grid-point name produced by String:
-// "LS/<u|sl|ud|sigma>/<static|ready|pair>/<eft|est|cppin|look>/<ins|noins>/<nodup|dup[N]|chain[N]>",
-// where N, a positive budget, overrides the default MaxDups.
+// "LS/<u|sl|ud|sigma>/<static|ready|pair|dl>/<eft|est|estf|cppin|look>/<ins|noins>/<nodup|dup[N]|chain[N]>",
+// where N, a positive budget, overrides the default MaxDups. Every
+// component value parses, also dl (DLS) and estf (MCP), which no Grid
+// point uses.
 func ParseParam(name string) (Param, error) {
 	parts := strings.Split(name, "/")
 	if len(parts) != 6 || parts[0] != "LS" {
@@ -255,10 +268,10 @@ func (pm Param) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 // ScheduleContext implements algo.CtxScheduler: Replan with no frozen
 // prefix at clock zero. Each grid point follows exactly the code path of
 // the algorithm it generalizes, so the points of HEFT, CPOP, HLFET, ETF,
-// DSH, BTDH and the ILS configurations are bit-identical to the
+// DLS, DSH, BTDH and the ILS configurations are bit-identical to the
 // reference loops in testfix.
 func (pm Param) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
-	pl, err := pm.Replan(ctx, in, pm.priorities(in), nil, 0)
+	pl, err := pm.Replan(ctx, in, pm.PriorityVector(in), nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -272,78 +285,100 @@ func (pm Param) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched
 // clock leaves every start where the static scheduler puts it, so with
 // no prefix Replan is the static scheduler itself (DESIGN.md invariant
 // 13). Speculative grid points re-plan only at clock zero: their trials
-// take no floor.
+// take no floor. Once ctx is done it stops with ctx's error.
 func (pm Param) Replan(ctx context.Context, in *sched.Instance, prio []float64, frozen []sched.Assignment, clock float64) (*sched.Plan, error) {
 	pl := sched.SeedPlan(in, frozen)
-	cp, ds, err := pm.selection(pl, prio, clock)
+	var err error
+	switch pm.Order {
+	case OrderStatic:
+		err = pm.PlaceOrder(ctx, pl, prio, algo.OrderDescPrecedence(in.G, prio), clock)
+	case OrderReady:
+		err = pm.PlaceOrder(ctx, pl, prio, algo.ReadyOrder(in.G, prio), clock)
+	case OrderPair, OrderDynamicLevel:
+		err = pm.placePairs(ctx, pl, prio, clock)
+	default:
+		err = fmt.Errorf("listsched: unknown order %d", pm.Order)
+	}
 	if err != nil {
 		return nil, err
-	}
-	check := algo.NewCheckpoint(ctx, 64)
-	switch pm.Order {
-	case OrderStatic, OrderReady:
-		order := algo.OrderDescPrecedence
-		if pm.Order == OrderReady {
-			order = algo.ReadyOrder
-		}
-		for _, t := range order(in.G, prio) {
-			if err := check.Check(); err != nil {
-				return nil, fmt.Errorf("%s: %w", pm.Name(), err)
-			}
-			if !pl.Scheduled(t) {
-				pm.place(pl, ds, cp, t, clock)
-			}
-		}
-	case OrderPair:
-		rl := algo.NewReadyList(in.G)
-		for !rl.Empty() {
-			if err := check.Check(); err != nil {
-				return nil, fmt.Errorf("%s: %w", pm.Name(), err)
-			}
-			// Retire a ready frozen task first: it is placed already and
-			// must not enter the pair competition.
-			if r := firstScheduled(pl, rl.Ready()); r != -1 {
-				rl.Complete(r)
-				continue
-			}
-			bestStart := math.Inf(1)
-			var bestTask dag.TaskID = -1
-			bestProc := 0
-			for _, t := range rl.Ready() {
-				for p := 0; p < in.P(); p++ {
-					start, _ := sched.EFTFloored(pl, t, p, clock, pm.Insertion)
-					better := start < bestStart ||
-						(start == bestStart && bestTask != -1 && prio[t] > prio[bestTask])
-					if better {
-						bestStart, bestTask, bestProc = start, t, p
-					}
-				}
-			}
-			if ds != nil {
-				ds.placeOn(pl, bestTask, bestProc)
-			} else {
-				pl.Place(bestTask, bestProc, bestStart)
-			}
-			rl.Complete(bestTask)
-		}
-	default:
-		return nil, fmt.Errorf("listsched: unknown order %d", pm.Order)
 	}
 	return pl, nil
 }
 
-// PlaceOrder places the tasks of order into pl one after another under
-// the grid point's selection rule, none starting before clock. The order
-// replaces the consumption-order component and must be precedence-safe:
-// every predecessor of a task is placed already or earlier in it. The
-// streaming engine passes the affected suffix of an incremental re-plan.
-func (pm Param) PlaceOrder(pl *sched.Plan, order []dag.TaskID, clock float64) error {
-	cp, ds, err := pm.selection(pl, nil, clock)
+// PlaceOrder places the tasks of order that pl does not hold yet, one
+// after another under the grid point's selection rule, none starting
+// before clock, and checks ctx before each placement. The order replaces
+// the consumption-order component and must be precedence-safe: every
+// predecessor of a task is placed already or earlier in it. prio picks
+// the lookahead's critical children; nil means the grid point's own
+// metric.
+func (pm Param) PlaceOrder(ctx context.Context, pl *sched.Plan, prio []float64, order []dag.TaskID, clock float64) error {
+	cp, ds, err := pm.selection(pl, prio, clock)
 	if err != nil {
 		return err
 	}
 	for _, t := range order {
+		if pl.Scheduled(t) {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("%s: %w", pm.Name(), err)
+		}
 		pm.place(pl, ds, cp, t, clock)
+	}
+	return nil
+}
+
+// placePairs is the pair loop of ETF and DLS. Each pick reads every
+// ready task's data-ready row once, floors it at the clock and scores
+// the task on every processor: the earliest start, start ties to the
+// higher priority (OrderPair), or the highest dynamic level
+// (OrderDynamicLevel); remaining ties keep the first pair in ready-id
+// and processor order. It checks ctx before each pick.
+func (pm Param) placePairs(ctx context.Context, pl *sched.Plan, prio []float64, clock float64) error {
+	_, ds, err := pm.selection(pl, prio, clock)
+	if err != nil {
+		return err
+	}
+	in := pl.Instance()
+	rl := algo.NewReadyList(in.G)
+	for !rl.Empty() {
+		// Retire a ready frozen task first: it is placed already and
+		// must not enter the pair competition.
+		if r := firstScheduled(pl, rl.Ready()); r != -1 {
+			rl.Complete(r)
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("%s: %w", pm.Name(), err)
+		}
+		bestStart, bestLevel := math.Inf(1), math.Inf(-1)
+		var bestTask dag.TaskID = -1
+		bestProc := 0
+		for _, t := range rl.Ready() {
+			w, mean := in.W[t], in.MeanCost(t)
+			for p, ready := range pl.ReadyRow(t) {
+				if ready < clock {
+					ready = clock
+				}
+				start := pl.FindSlot(p, ready, w[p], pm.Insertion)
+				level := prio[t] - start + (mean - w[p])
+				better := level > bestLevel
+				if pm.Order == OrderPair {
+					better = start < bestStart ||
+						(start == bestStart && bestTask != -1 && prio[t] > prio[bestTask])
+				}
+				if better {
+					bestStart, bestLevel, bestTask, bestProc = start, level, t, p
+				}
+			}
+		}
+		if ds != nil {
+			ds.placeOn(pl, bestTask, bestProc)
+		} else {
+			pl.Place(bestTask, bestProc, bestStart)
+		}
+		rl.Complete(bestTask)
 	}
 	return nil
 }
@@ -358,14 +393,9 @@ func firstScheduled(pl *sched.Plan, ts []dag.TaskID) dag.TaskID {
 	return -1
 }
 
-// PriorityVector exposes the configured priority metric for Replan
+// PriorityVector computes the configured priority metric, for Replan
 // callers that do not keep their own.
 func (pm Param) PriorityVector(in *sched.Instance) []float64 {
-	return pm.priorities(in)
-}
-
-// priorities computes the configured priority vector.
-func (pm Param) priorities(in *sched.Instance) []float64 {
 	switch pm.Priority {
 	case PrioStaticLevel:
 		return sched.StaticLevel(in)
@@ -421,22 +451,26 @@ func (pm Param) place(pl *sched.Plan, ds *dupState, cp *cpState, t dag.TaskID, c
 			ds.placeOn(pl, t, cp.proc)
 			return
 		}
-		s, _ := sched.EFTFloored(pl, t, cp.proc, clock, pm.Insertion)
-		pl.Place(t, cp.proc, s)
+		ready := pl.DataReady(t, cp.proc)
+		if ready < clock {
+			ready = clock
+		}
+		pl.Place(t, cp.proc, pl.FindSlot(cp.proc, ready, pl.Instance().Cost(t, cp.proc), pm.Insertion))
 		return
 	}
 	if ds != nil {
 		ds.placeBest(pl, t, pm.Select)
 		return
 	}
-	if pm.Select != SelectEST && clock == 0 {
+	if (pm.Select == SelectEFT || pm.Select == SelectCPPin) && clock == 0 {
 		// SelectEFT, and SelectCPPin off the critical path.
 		p, s, _ := pl.BestEFT(t, pm.Insertion)
 		pl.Place(t, p, s)
 		return
 	}
-	// HLFET's EST scan, or the EFT scan floored at a re-plan's clock:
-	// EFTFloored on every processor, with the task's inputs read once.
+	// HLFET's and MCP's start scans, or the EFT scan floored at a
+	// re-plan's clock: the task's inputs read once, then every
+	// processor's slot.
 	w := pl.Instance().W[t] // read before the row, so both cache misses overlap
 	bestP, bestS, bestF := -1, 0.0, 0.0
 	for p, ready := range pl.ReadyRow(t) {
@@ -446,8 +480,8 @@ func (pm Param) place(pl *sched.Plan, ds *dupState, cp *cpState, t dag.TaskID, c
 		dur := w[p]
 		s := pl.FindSlot(p, ready, dur, pm.Insertion)
 		better := s+dur < bestF
-		if pm.Select == SelectEST {
-			better = s < bestS
+		if pm.Select == SelectEST || pm.Select == SelectESTF {
+			better = s < bestS || (pm.Select == SelectESTF && s == bestS && better)
 		}
 		if bestP == -1 || better {
 			bestP, bestS, bestF = p, s, s+dur
@@ -527,7 +561,7 @@ func (pm Param) newDupState(pl *sched.Plan, prio []float64) *dupState {
 	}
 	if pm.Select == SelectLookahead {
 		if prio == nil {
-			prio = pm.priorities(in)
+			prio = pm.PriorityVector(in)
 		}
 		ds.child = make([]dag.TaskID, in.N())
 		for i := range ds.child {
@@ -571,9 +605,9 @@ func (ds *dupState) trial(pl *sched.Plan, t dag.TaskID, p int) {
 }
 
 // placeBest runs a trial on every processor and places t on the winner:
-// the minimum finish, or start under EST selection, or lookahead score
-// under the lookahead's tie rule; remaining ties go to the lower
-// processor id.
+// the minimum finish, or start under EST selection (ESTF: start, then
+// finish), or lookahead score under the lookahead's tie rule; remaining
+// ties go to the lower processor id.
 func (ds *dupState) placeBest(pl *sched.Plan, t dag.TaskID, sel Select) {
 	in := pl.Instance()
 	ds.split(pl, t)
@@ -585,8 +619,8 @@ func (ds *dupState) placeBest(pl *sched.Plan, t dag.TaskID, sel Select) {
 		r, b := ds.results[p], ds.results[best]
 		var better bool
 		switch sel {
-		case SelectEST:
-			better = r.start < b.start
+		case SelectEST, SelectESTF:
+			better = r.start < b.start || (sel == SelectESTF && r.start == b.start && r.finish < b.finish)
 		case SelectLookahead:
 			better = r.score < b.score-1e-12 || (math.Abs(r.score-b.score) <= 1e-12 && r.finish < b.finish)
 		default:

@@ -11,30 +11,35 @@ import (
 	"dagsched/internal/testfix"
 )
 
-// pairings maps each canonical baseline's dedicated loop, kept in
-// testfix, to the grid point that must reproduce it bit for bit.
+// pairings maps each dedicated loop kept in testfix to what must
+// reproduce it bit for bit on Param: the canonical baselines' grid
+// points, unnamed, and MCP, which places its own order with PlaceOrder.
 func pairings() []struct {
-	name  string
-	ref   func(*sched.Instance) *sched.Schedule
-	param listsched.Param
+	name string
+	ref  func(*sched.Instance) *sched.Schedule
+	alg  algo.Algorithm
 } {
+	dls, _ := listsched.Baseline("DLS")
+	dls.DisplayName = ""
 	return []struct {
-		name  string
-		ref   func(*sched.Instance) *sched.Schedule
-		param listsched.Param
+		name string
+		ref  func(*sched.Instance) *sched.Schedule
+		alg  algo.Algorithm
 	}{
 		{"HEFT", testfix.RefHEFT, listsched.HEFTParam()},
 		{"CPOP", testfix.RefCPOP, listsched.CPOPParam()},
 		{"HLFET", testfix.RefHLFET, listsched.HLFETParam()},
 		{"ETF", testfix.RefETF, listsched.ETFParam()},
+		{"DLS", testfix.RefDLS, dls},
+		{"MCP", testfix.RefMCP, listsched.MCP{}},
 	}
 }
 
 // TestParamReproducesBaselinesOnGoldens proves the parameterized
-// scheduler is an exact factoring: at the HEFT/CPOP/HLFET/ETF component
-// settings it produces placement-digest-identical schedules to the
-// dedicated loops on every golden instance — and matches the committed
-// goldens themselves.
+// scheduler is an exact factoring: at the HEFT/CPOP/HLFET/ETF/DLS
+// component settings, and as MCP's placement, it produces
+// placement-digest-identical schedules to the dedicated loops on every
+// golden instance — and matches the committed goldens themselves.
 func TestParamReproducesBaselinesOnGoldens(t *testing.T) {
 	golden, err := testfix.Golden()
 	if err != nil {
@@ -43,14 +48,14 @@ func TestParamReproducesBaselinesOnGoldens(t *testing.T) {
 	for _, ni := range testfix.GoldenInstances() {
 		for _, pair := range pairings() {
 			want := pair.ref(ni.In)
-			got, err := pair.param.Schedule(ni.In)
+			got, err := pair.alg.Schedule(ni.In)
 			if err != nil {
-				t.Fatalf("%s on %s: %v", pair.param.Name(), ni.Name, err)
+				t.Fatalf("%s on %s: %v", pair.alg.Name(), ni.Name, err)
 			}
 			wantD, gotD := testfix.ScheduleDigest(want), testfix.ScheduleDigest(got)
 			if wantD != gotD {
 				t.Errorf("%s on %s: param digest differs from %s (makespans %v vs %v)",
-					pair.param.Name(), ni.Name, pair.name, got.Makespan(), want.Makespan())
+					pair.alg.Name(), ni.Name, pair.name, got.Makespan(), want.Makespan())
 			}
 			// And against the committed golden record directly, so the
 			// equivalence is anchored to the frozen fixtures, not just to
@@ -58,11 +63,11 @@ func TestParamReproducesBaselinesOnGoldens(t *testing.T) {
 			if rec, ok := golden[ni.Name][pair.name]; ok {
 				if gotD != rec.Digest {
 					t.Errorf("%s on %s: param digest drifted from committed %s golden",
-						pair.param.Name(), ni.Name, pair.name)
+						pair.alg.Name(), ni.Name, pair.name)
 				}
 				if got.Makespan() != rec.Makespan {
 					t.Errorf("%s on %s: param makespan %v, golden %v",
-						pair.param.Name(), ni.Name, got.Makespan(), rec.Makespan)
+						pair.alg.Name(), ni.Name, got.Makespan(), rec.Makespan)
 				}
 			} else {
 				t.Errorf("no committed %s golden on %s", pair.name, ni.Name)
@@ -79,14 +84,17 @@ func TestParamReproducesBaselinesOnBattery(t *testing.T) {
 	testfix.Battery(testfix.BatteryConfig{Trials: 25, MaxTasks: 45, Seed: 22001}, func(trial int, in *sched.Instance) {
 		for _, pair := range pairings() {
 			want := testfix.ScheduleDigest(pair.ref(in))
-			named, _ := listsched.Baseline(pair.name)
-			for _, pm := range []listsched.Param{pair.param, named} {
-				got, err := pm.Schedule(in)
+			algs := []algo.Algorithm{pair.alg}
+			if named, ok := listsched.Baseline(pair.name); ok {
+				algs = append(algs, named)
+			}
+			for _, a := range algs {
+				got, err := a.Schedule(in)
 				if err != nil {
-					t.Fatalf("trial %d %s: %v", trial, pm.Name(), err)
+					t.Fatalf("trial %d %s: %v", trial, a.Name(), err)
 				}
 				if testfix.ScheduleDigest(got) != want {
-					t.Errorf("trial %d: %s digest differs from %s", trial, pm.Name(), pair.name)
+					t.Errorf("trial %d: %s digest differs from %s", trial, a.Name(), pair.name)
 				}
 			}
 		}
@@ -127,15 +135,22 @@ func TestGridAllValidate(t *testing.T) {
 }
 
 // TestParamParseRoundTrip pins the canonical naming: String and
-// ParseParam are inverses over the whole grid and the named ILS, DSH and
-// BTDH points, and malformed names error. Stream session names arrive
-// from the network, so a bad duplication budget must error too.
+// ParseParam are inverses over the whole grid, the named ILS, DLS, DSH
+// and BTDH points and the estf and dl tokens, and malformed names error.
+// Stream session names arrive from the network, so a bad duplication
+// budget must error too.
 func TestParamParseRoundTrip(t *testing.T) {
 	named := []listsched.Param{core.New(), core.NoDuplication(), core.NoLookahead(), core.RankOnly()}
-	for _, name := range []string{"DSH", "BTDH"} {
+	for _, name := range []string{"DLS", "DSH", "BTDH"} {
 		pm, _ := listsched.Baseline(name)
 		named = append(named, pm)
 	}
+	// The two component values no grid point uses: MCP's selection and
+	// DLS's order, each also beside the other components.
+	named = append(named,
+		listsched.Param{Select: listsched.SelectESTF, Insertion: true},
+		listsched.Param{Priority: listsched.PrioUpDown, Order: listsched.OrderDynamicLevel, Select: listsched.SelectESTF, Duplication: listsched.DupGreedy, MaxDups: 3},
+	)
 	for _, pm := range append(listsched.Grid(), named...) {
 		pm.DisplayName = ""
 		got, err := listsched.ParseParam(pm.String())
@@ -154,6 +169,7 @@ func TestParamParseRoundTrip(t *testing.T) {
 		"LS/u/static/eft/ins/dupx", "LS/u/static/eft/ins/dup08",
 		"LS/u/static/eft/ins/chain0", "LS/u/static/eft/ins/nodup8",
 		"LS/u/static/eft/ins/dup99999999999999999999",
+		"LS/u/DL/eft/ins/nodup", "LS/u/static/est f/ins/nodup",
 	} {
 		if _, err := listsched.ParseParam(bad); err == nil {
 			t.Errorf("ParseParam(%q) accepted", bad)

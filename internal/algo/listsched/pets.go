@@ -1,6 +1,7 @@
 package listsched
 
 import (
+	"context"
 	"math"
 
 	"dagsched/internal/sched"
@@ -20,7 +21,12 @@ type PETS struct{}
 func (PETS) Name() string { return "PETS" }
 
 // Schedule implements algo.Algorithm.
-func (PETS) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+func (p PETS) Schedule(in *sched.Instance) (*sched.Schedule, error) {
+	return p.ScheduleContext(context.Background(), in)
+}
+
+// ScheduleContext implements algo.CtxScheduler.
+func (PETS) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
 	// rank = ACC + DTC + RPT, computed in topological order (parents
 	// before children).
 	rank := make([]float64, in.N())
@@ -38,5 +44,5 @@ func (PETS) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 		}
 		rank[v] = math.Round(acc + dtc + rpt)
 	}
-	return levelPass(in, rank, "PETS"), nil
+	return placeOrder(ctx, in, HEFTParam(), levelOrder(in, rank), "PETS")
 }

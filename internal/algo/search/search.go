@@ -12,7 +12,6 @@ import (
 	"math"
 	"math/rand"
 
-	"dagsched/internal/algo"
 	"dagsched/internal/algo/listsched"
 	"dagsched/internal/dag"
 	"dagsched/internal/sched"
@@ -106,10 +105,10 @@ func makespan(in *sched.Instance, s solution) float64 {
 	return decode(in, s).Makespan()
 }
 
-// seedSolution derives the starting point from HEFT: upward-rank
-// priorities and HEFT's processor assignment.
-func seedSolution(in *sched.Instance) (solution, error) {
-	heft, err := listsched.HEFT{}.Schedule(in)
+// seedSolution derives the starting point from HEFT, run under ctx:
+// upward-rank priorities and HEFT's processor assignment.
+func seedSolution(ctx context.Context, in *sched.Instance) (solution, error) {
+	heft, err := listsched.HEFT{}.ScheduleContext(ctx, in)
 	if err != nil {
 		return solution{}, err
 	}
@@ -165,14 +164,13 @@ func (h HillClimb) ScheduleContext(ctx context.Context, in *sched.Instance) (*sc
 		iters = 1000
 	}
 	rng := rand.New(rand.NewSource(h.Seed + 1))
-	cur, err := seedSolution(in)
+	cur, err := seedSolution(ctx, in)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("HC: %w", err)
 	}
 	curMS := makespan(in, cur)
-	check := algo.NewCheckpoint(ctx, 1)
 	for i := 0; i < iters; i++ {
-		if err := check.Check(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("HC: %w", err)
 		}
 		cand := cur.clone()
@@ -212,9 +210,9 @@ func (a Anneal) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched
 		iters = 2000
 	}
 	rng := rand.New(rand.NewSource(a.Seed + 2))
-	cur, err := seedSolution(in)
+	cur, err := seedSolution(ctx, in)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("SA: %w", err)
 	}
 	curMS := makespan(in, cur)
 	best, bestMS := cur.clone(), curMS
@@ -227,9 +225,8 @@ func (a Anneal) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched
 	if alpha <= 0 || alpha >= 1 {
 		alpha = math.Pow(1e-3, 1/float64(iters))
 	}
-	check := algo.NewCheckpoint(ctx, 1)
 	for i := 0; i < iters; i++ {
-		if err := check.Check(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("SA: %w", err)
 		}
 		cand := cur.clone()
@@ -283,9 +280,9 @@ func (g Genetic) ScheduleContext(ctx context.Context, in *sched.Instance) (*sche
 		mutRate = 0.3
 	}
 	rng := rand.New(rand.NewSource(g.Seed + 3))
-	seed, err := seedSolution(in)
+	seed, err := seedSolution(ctx, in)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("GA: %w", err)
 	}
 	// Initial population: the HEFT seed plus mutated copies.
 	people := make([]solution, pop)
@@ -317,7 +314,6 @@ func (g Genetic) ScheduleContext(ctx context.Context, in *sched.Instance) (*sche
 		}
 		return best
 	}
-	check := algo.NewCheckpoint(ctx, 1)
 	for gen := 0; gen < gens; gen++ {
 		next := make([]solution, 0, pop)
 		nextFit := make([]float64, 0, pop)
@@ -326,7 +322,7 @@ func (g Genetic) ScheduleContext(ctx context.Context, in *sched.Instance) (*sche
 		next = append(next, people[e].clone())
 		nextFit = append(nextFit, fitness[e])
 		for len(next) < pop {
-			if err := check.Check(); err != nil {
+			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("GA: %w", err)
 			}
 			ma, pa := people[tournament()], people[tournament()]

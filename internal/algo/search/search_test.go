@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"testing"
 
 	"dagsched/internal/algo"
@@ -97,7 +98,7 @@ func TestDeterministicPerSeed(t *testing.T) {
 
 func TestDecodeRespectsAssignment(t *testing.T) {
 	in := testfix.Topcuoglu()
-	seed, err := seedSolution(in)
+	seed, err := seedSolution(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}

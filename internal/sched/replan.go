@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"dagsched/internal/dag"
 	"dagsched/internal/sched/timeline"
 )
 
@@ -80,17 +79,4 @@ func (pl *Plan) Grow(in *Instance) error {
 	}
 	pl.in = in
 	return nil
-}
-
-// EFTFloored is EFTOn with the task's data-ready time floored at the
-// clock: a re-planned task cannot start in the frozen past. At clock
-// zero it is bit-identical to EFTOn.
-func EFTFloored(pl *Plan, t dag.TaskID, p int, clock float64, insertion bool) (start, finish float64) {
-	ready := pl.DataReady(t, p)
-	if ready < clock {
-		ready = clock
-	}
-	dur := pl.in.Cost(t, p)
-	start = pl.FindSlot(p, ready, dur, insertion)
-	return start, start + dur
 }

@@ -68,23 +68,6 @@ func TestSeedPlanRoundTrip(t *testing.T) {
 	_ = s
 }
 
-func TestEFTFlooredAtZeroMatchesEFTOn(t *testing.T) {
-	in := replanInstance(t, 4, 30, 3)
-	pl := NewPlan(in)
-	order := in.G.TopoOrder()
-	for _, task := range order {
-		for p := 0; p < in.P(); p++ {
-			s0, f0 := pl.EFTOn(task, p, true)
-			s1, f1 := EFTFloored(pl, task, p, 0, true)
-			if s0 != s1 || f0 != f1 {
-				t.Fatalf("task %d proc %d: floored (%x,%x) != EFTOn (%x,%x)", task, p, s1, f1, s0, f0)
-			}
-		}
-		p, s, _ := pl.BestEFT(task, true)
-		pl.Place(task, p, s)
-	}
-}
-
 // TestGrowReadmitsShortGaps grows a plan, whose timeline holds a gap
 // shorter than every cost, with a cheaper task that fits it. The gap
 // index left that gap out; Grow must rebuild it so the index itself

@@ -22,7 +22,7 @@ const DefaultBatchSize = 32
 // Config configures an Engine.
 type Config struct {
 	// Algorithm names the list scheduler: a canonical baseline (HEFT,
-	// CPOP, HLFET, ETF; empty means HEFT) or a listsched grid point
+	// CPOP, HLFET, ETF, DLS; empty means HEFT) or a listsched grid point
 	// ("LS/u/static/eft/ins/nodup"). Duplicating grid points are
 	// rejected — duplicates cannot be re-planned incrementally.
 	Algorithm string
@@ -109,7 +109,7 @@ func ParamFor(name string) (listsched.Param, error) {
 	pm, ok := listsched.Baseline(name)
 	if !ok {
 		if !strings.HasPrefix(name, "LS/") {
-			return listsched.Param{}, fmt.Errorf("stream: unsupported algorithm %q (HEFT, CPOP, HLFET, ETF or an LS/ grid point)", name)
+			return listsched.Param{}, fmt.Errorf("stream: unsupported algorithm %q (HEFT, CPOP, HLFET, ETF, DLS or an LS/ grid point)", name)
 		}
 		var err error
 		if pm, err = listsched.ParseParam(name); err != nil {
@@ -515,7 +515,7 @@ func (e *Engine) incrementalReplan(in *sched.Instance, prio []float64, d *Delta)
 		d.FullReplan = true
 	}
 
-	if err := e.pm.PlaceOrder(e.pl, e.orderAffected(in.G, prio), e.clock); err != nil {
+	if err := e.pm.PlaceOrder(context.Background(), e.pl, prio, e.orderAffected(in.G, prio), e.clock); err != nil {
 		return err
 	}
 	d.Replanned = len(e.affList)

@@ -61,7 +61,7 @@ func arrivalOrders(in *sched.Instance, seed int64) map[string][]dag.TaskID {
 // the final graph, for every supported algorithm family, regardless of
 // arrival order, batch size or full-recompute mode.
 func TestStreamHorizonZeroMatchesStatic(t *testing.T) {
-	algorithms := []string{"HEFT", "HLFET", "CPOP", "ETF", "LS/u/ready/est/ins/nodup"}
+	algorithms := []string{"HEFT", "HLFET", "CPOP", "ETF", "DLS", "LS/u/ready/est/ins/nodup"}
 	in := streamInstance(t, 7, 120, 4)
 	sys := platform.Homogeneous(4, 1, 1)
 

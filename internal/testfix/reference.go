@@ -4,14 +4,15 @@
 // plan's journal: deliberately slow — every trial deep-copies the
 // plan — and the journaled implementations must reproduce its
 // schedules bit for bit on every instance. The dedicated HEFT, CPOP,
-// HLFET and ETF loops ship as they did before listsched.Param became the
-// one placement loop, except that HEFT and CPOP pick a processor with
-// the plain EFTOn loop Plan.BestEFT's contract names, not with BestEFT:
-// Param's grid points must reproduce them bit for bit, so they check
-// BestEFT's scan too. The static-order oracles (RefHEFT, RefILS) order tasks
-// with refOrderDescPrecedence, the global sort that
-// algo.OrderDescPrecedence's ready heap replaced, so they check the heap
-// too.
+// HLFET, ETF, DLS and MCP loops ship as they did before each moved onto
+// listsched.Param, the one placement loop, except that HEFT and CPOP
+// pick a processor with the plain EFTOn loop Plan.BestEFT's contract
+// names, not with BestEFT: Param must reproduce them bit for bit, so
+// they check BestEFT's scan too, and DLS's and MCP's EFTOn loops check
+// the data-ready row Param's scans read. The static-order oracles
+// (RefHEFT, RefILS) order tasks with refOrderDescPrecedence, the global
+// sort that algo.OrderDescPrecedence's ready heap replaced, so they
+// check the heap too.
 package testfix
 
 import (
@@ -414,4 +415,96 @@ func RefETF(in *sched.Instance) *sched.Schedule {
 		rl.Complete(bestTask)
 	}
 	return pl.Finalize("ETF")
+}
+
+// RefDLS is the dedicated DLS loop: at each step, among all ready tasks
+// and all processors, the pair with the highest dynamic level
+// SL(i) − EST(i,p) + (w̄(i) − w(i,p)), ties to the smallest pair.
+// Non-insertion.
+func RefDLS(in *sched.Instance) *sched.Schedule {
+	sl := sched.StaticLevel(in)
+	pl := sched.NewPlan(in)
+	rl := algo.NewReadyList(in.G)
+	for !rl.Empty() {
+		bestDL := math.Inf(-1)
+		var bestTask dag.TaskID = -1
+		bestProc, bestStart := 0, 0.0
+		for _, t := range rl.Ready() {
+			for p := 0; p < in.P(); p++ {
+				start, _ := pl.EFTOn(t, p, false)
+				dl := sl[t] - start + (in.MeanCost(t) - in.Cost(t, p))
+				// Strictly-greater keeps the smallest (task, proc) pair on
+				// ties: ready ids ascend and processors ascend.
+				if dl > bestDL {
+					bestDL, bestTask, bestProc, bestStart = dl, t, p, start
+				}
+			}
+		}
+		pl.Place(bestTask, bestProc, bestStart)
+		rl.Complete(bestTask)
+	}
+	return pl.Finalize("DLS")
+}
+
+// RefMCP is the dedicated MCP loop: tasks in ascending ALAP start, ties
+// by the sorted ALAP list of direct successors, then topological
+// position, each on the processor with the earliest insertion-based
+// start, start ties to the earlier finish.
+func RefMCP(in *sched.Instance) *sched.Schedule {
+	alap := sched.ALAPStart(in)
+	// Successor ALAP lists for lexicographic tie-breaking.
+	succALAP := make([][]float64, in.N())
+	for i := 0; i < in.N(); i++ {
+		for _, a := range in.G.Succ(dag.TaskID(i)) {
+			succALAP[i] = append(succALAP[i], alap[a.To])
+		}
+		sort.Float64s(succALAP[i])
+	}
+	topoPos := make([]int, in.N())
+	for k, v := range in.G.TopoOrder() {
+		topoPos[v] = k
+	}
+	order := make([]dag.TaskID, in.N())
+	for i := range order {
+		order[i] = dag.TaskID(i)
+	}
+	sort.SliceStable(order, func(x, y int) bool {
+		a, b := order[x], order[y]
+		if alap[a] != alap[b] {
+			return alap[a] < alap[b]
+		}
+		la, lb := succALAP[a], succALAP[b]
+		for k := 0; k < len(la) && k < len(lb); k++ {
+			if la[k] != lb[k] {
+				return la[k] < lb[k]
+			}
+		}
+		if len(la) != len(lb) {
+			return len(la) < len(lb)
+		}
+		return topoPos[a] < topoPos[b]
+	})
+	// ALAP ascends along edges when costs are positive, so the order is
+	// precedence-safe; the ready heap guards the zero-cost corner case.
+	// Keyed by minus the order position, it picks the ready task earliest
+	// in the order, in O(log w) for ready width w. The keys are distinct,
+	// so no tie rule applies.
+	key := make([]float64, in.N())
+	for k, v := range order {
+		key[v] = -float64(k)
+	}
+	pl := sched.NewPlan(in)
+	for _, pick := range algo.ReadyOrder(in.G, key) {
+		// Earliest insertion-based start; finish breaks start ties on
+		// heterogeneous systems.
+		bestP, bestS, bestF := -1, 0.0, 0.0
+		for p := 0; p < in.P(); p++ {
+			s, f := pl.EFTOn(pick, p, true)
+			if bestP == -1 || s < bestS || (s == bestS && f < bestF) {
+				bestP, bestS, bestF = p, s, f
+			}
+		}
+		pl.Place(pick, bestP, bestS)
+	}
+	return pl.Finalize("MCP")
 }
