@@ -81,14 +81,16 @@ perfbench-check:
 
 # A few seconds of coverage-guided fuzzing per parser entry point, plus
 # the streaming graph's live growth against a fresh seal, the gap index
-# against the linear slot scan, a plan's data-ready row against
-# DataReady on every processor, and the uniform links' mean cost against
-# the pair-by-pair sum.
+# against the linear slot scan, the link reservation state against a
+# span-list scan, a plan's data-ready row against DataReady on every
+# processor, and the uniform links' mean cost against the pair-by-pair
+# sum.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 5s ./internal/dag
 	$(GO) test -run '^$$' -fuzz FuzzAppendableGrow -fuzztime 5s ./internal/dag
 	$(GO) test -run '^$$' -fuzz FuzzGapIndex -fuzztime 5s ./internal/sched/timeline
 	$(GO) test -run '^$$' -fuzz FuzzReadyRow -fuzztime 5s ./internal/sched
+	$(GO) test -run '^$$' -fuzz FuzzLinkState -fuzztime 5s ./internal/platform
 	$(GO) test -run '^$$' -fuzz FuzzMeanCommCost -fuzztime 5s ./internal/platform
 	$(GO) test -run '^$$' -fuzz FuzzReadDAX -fuzztime 5s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzReadGraphJSON -fuzztime 5s .

@@ -64,14 +64,11 @@ func BenchmarkE21FaultRobustness(b *testing.B) { runExperiment(b, "E21") }
 // benchSizeCap bounds the DAG size each algorithm is benchmarked at in
 // BenchmarkAlgorithms (it mirrors scaleSizeCap in cmd/schedbench, whose
 // larger caps lie beyond this sweep). ETF and DLS scan every (ready
-// task, processor) pair per pick, and C-HEFT and C-ILS query one-port
-// reservations for every transfer: they stop at 1k. Algorithms not
+// task, processor) pair per pick: they stop at 1k. Algorithms not
 // listed default to 10000.
 var benchSizeCap = map[string]int{
-	"ETF":    1000,
-	"DLS":    1000,
-	"C-HEFT": 1000,
-	"C-ILS":  1000,
+	"ETF": 1000,
+	"DLS": 1000,
 }
 
 // BenchmarkAlgorithms times every registry algorithm on layered random

@@ -16,32 +16,29 @@ import (
 
 // scaleSizeCap bounds the DAG size each algorithm is timed at, mirroring
 // benchSizeCap in the repository's bench_test.go. ETF and DLS scan every
-// (ready task, processor) pair per pick, and C-HEFT and C-ILS query
-// one-port reservations for every transfer: they stop at 1k. The
+// (ready task, processor) pair per pick: they stop at 1k. The
 // duplicating schedulers (ILS-D, DSH, BTDH) and DSC's clustering reach
 // the 10k tier; the paper's ILS and the insertion list schedulers reach
 // 100k, and HEFT, the suite's reference algorithm, the million-task
 // tier. Unlisted algorithms stop at scaleDefaultCap.
 var scaleSizeCap = map[string]int{
-	"ETF":    1000,
-	"DLS":    1000,
-	"ILS":    100000,
-	"ILS-L":  10000,
-	"ILS-D":  10000,
-	"ILS-R":  10000,
-	"DSH":    10000,
-	"BTDH":   10000,
-	"DSC":    10000,
-	"C-HEFT": 1000,
-	"C-ILS":  1000,
-	"HEFT":   1000000,
-	"CPOP":   100000,
-	"HLFET":  100000,
-	"MCP":    100000,
-	"ISH":    100000,
-	"HCPT":   100000,
-	"LMT":    100000,
-	"PETS":   100000,
+	"ETF":   1000,
+	"DLS":   1000,
+	"ILS":   100000,
+	"ILS-L": 10000,
+	"ILS-D": 10000,
+	"ILS-R": 10000,
+	"DSH":   10000,
+	"BTDH":  10000,
+	"DSC":   10000,
+	"HEFT":  1000000,
+	"CPOP":  100000,
+	"HLFET": 100000,
+	"MCP":   100000,
+	"ISH":   100000,
+	"HCPT":  100000,
+	"LMT":   100000,
+	"PETS":  100000,
 }
 
 // scaleDefaultCap bounds algorithms without an explicit entry above.

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"context"
+	"fmt"
 
 	"dagsched/internal/platform"
 	"dagsched/internal/sched"
@@ -13,44 +14,31 @@ import (
 // trials all flow through the shared reservation layer
 // in internal/platform — no scheduler needs bespoke contention code.
 //
-// Model resolution, most specific first: an instance already carrying a
-// contended model is scheduled as-is (the service selects models this
-// way); otherwise Model is used when set; otherwise Kind is built over
-// the instance's system (empty Kind defaults to one-port).
+// Model resolution: an instance already carrying a contended model is
+// scheduled as-is (the service selects models this way); otherwise Kind
+// is built over the instance's system (empty Kind defaults to one-port).
 type CommAware struct {
 	// Inner is the wrapped algorithm (required).
 	Inner Algorithm
 	// Kind names the platform model built over the instance's system when
-	// neither the instance nor Model specifies one; empty means one-port.
+	// the instance specifies none; empty means one-port.
 	Kind string
-	// Model, when non-nil, overrides Kind with a prebuilt model.
-	Model platform.CommModel
-	// DisplayName overrides the default "C-" + Inner.Name().
-	DisplayName string
 }
 
-// Name implements Algorithm.
-func (c CommAware) Name() string {
-	if c.DisplayName != "" {
-		return c.DisplayName
-	}
-	return "C-" + c.Inner.Name()
-}
+// Name implements Algorithm: "C-" + Inner.Name().
+func (c CommAware) Name() string { return "C-" + c.Inner.Name() }
 
 func (c CommAware) rebind(in *sched.Instance) (*sched.Instance, error) {
 	if in.CommModel() != nil && in.CommKind() != platform.KindContentionFree {
 		return in, nil
 	}
-	m := c.Model
-	if m == nil {
-		kind := c.Kind
-		if kind == "" {
-			kind = platform.KindOnePort
-		}
-		var err error
-		if m, err = platform.ModelByKind(kind, in.Sys); err != nil {
-			return nil, err
-		}
+	kind := c.Kind
+	if kind == "" {
+		kind = platform.KindOnePort
+	}
+	m, err := platform.ModelByKind(kind, in.Sys)
+	if err != nil {
+		return nil, err
 	}
 	return in.WithComm(m), nil
 }
@@ -61,15 +49,16 @@ func (c CommAware) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 }
 
 // ScheduleContext implements CtxScheduler, delegating cancellation to the
-// inner algorithm when it supports it.
+// inner algorithm when it supports it. Errors carry the wrapper's name
+// and wrap the cause, so errors.Is still sees a context error.
 func (c CommAware) ScheduleContext(ctx context.Context, in *sched.Instance) (*sched.Schedule, error) {
 	bound, err := c.rebind(in)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", c.Name(), err)
 	}
 	s, err := ScheduleContext(ctx, c.Inner, bound)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", c.Name(), err)
 	}
 	return s.Renamed(c.Name()), nil
 }

@@ -3,6 +3,7 @@ package algo_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,8 +85,9 @@ func TestScheduleContextAbortsMidRun(t *testing.T) {
 
 // TestRegistryScheduleContextPreCanceled calls every registry
 // algorithm's own ScheduleContext, not the dispatcher, with a context
-// canceled before the run: each must implement algo.CtxScheduler and
-// check its context before its first placement.
+// canceled before the run: each must implement algo.CtxScheduler, check
+// its context before its first placement, and name itself first in the
+// error.
 func TestRegistryScheduleContextPreCanceled(t *testing.T) {
 	in := testfix.Topcuoglu()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -96,8 +98,11 @@ func TestRegistryScheduleContextPreCanceled(t *testing.T) {
 			t.Errorf("%s does not implement algo.CtxScheduler", a.Name())
 			continue
 		}
-		if _, err := ca.ScheduleContext(ctx, in); !errors.Is(err, context.Canceled) {
+		_, err := ca.ScheduleContext(ctx, in)
+		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", a.Name(), err)
+		} else if !strings.HasPrefix(err.Error(), a.Name()+": ") {
+			t.Errorf("%s: err = %q, want it to start with %q", a.Name(), err, a.Name()+": ")
 		}
 	}
 }

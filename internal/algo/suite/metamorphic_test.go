@@ -83,12 +83,11 @@ func runBoth(t *testing.T, a algo.Algorithm, in, scaled *sched.Instance, k float
 	}
 }
 
-// TestProcessorPermutationOnHomogeneous: on a fully homogeneous instance
-// the makespan is label-independent for deterministic algorithms, because
-// ties resolve by processor index identically after relabeling the
-// identical columns. This guards against hidden dependence on absolute
-// processor ids.
-func TestProcessorPermutationOnHomogeneous(t *testing.T) {
+// TestScheduleIsPureFunctionOfInstance schedules one homogeneous
+// instance twice with every registry algorithm and requires the same
+// makespan: an algorithm's output depends on its instance alone, not on
+// state left from an earlier run.
+func TestScheduleIsPureFunctionOfInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	g, err := workload.Random(workload.RandomConfig{N: 30}, rng)
 	if err != nil {
@@ -98,9 +97,6 @@ func TestProcessorPermutationOnHomogeneous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All columns identical: any column permutation is the same matrix,
-	// so scheduling twice must agree — a smoke check that algorithms are
-	// pure functions of the instance.
 	for _, a := range All() {
 		s1, err1 := a.Schedule(in)
 		s2, err2 := a.Schedule(in)

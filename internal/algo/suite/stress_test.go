@@ -27,7 +27,10 @@ const (
 // the 1.15 ratio bar, genomes decode to the pinned instances —
 // DESIGN.md invariant 11), then pins every algorithm's makespan and
 // placement digest against golden_stress.json, and checks the exact
-// lower bound where branch-and-bound is feasible.
+// lower bound where branch-and-bound is feasible. Every registry name,
+// the unpinned search schedulers included, must also meet the oracles:
+// the critical-path and work bounds, and the sum of costs on one
+// processor.
 func TestAdversarialStressSuite(t *testing.T) {
 	m, err := adversary.ReadManifest(stressDir)
 	if err != nil {
@@ -142,6 +145,8 @@ func TestAdversarialStressSuite(t *testing.T) {
 				if s.NumDuplicates() == 0 && s.Makespan() < opt-1e-6 {
 					t.Errorf("%s: makespan %g beats proven optimum %g", a.Name(), s.Makespan(), opt)
 				}
+				checkBounds(t, a.Name(), fx.Name, in, s)
+				checkOneProcessor(t, a, fx.Name, in)
 				if update {
 					golden[fx.Name][a.Name()] = testfix.GoldenRecord{
 						Makespan: s.Makespan(),
@@ -160,6 +165,17 @@ func TestAdversarialStressSuite(t *testing.T) {
 				if got := testfix.ScheduleDigest(s); got != rec.Digest {
 					t.Errorf("%s: placement digest drifted from stress golden", a.Name())
 				}
+			}
+			for _, a := range suite.Search() {
+				s, err := a.Schedule(in)
+				if err != nil {
+					t.Fatalf("%s: %v", a.Name(), err)
+				}
+				if err := s.Validate(); err != nil {
+					t.Errorf("%s: invalid schedule on stress fixture: %v", a.Name(), err)
+				}
+				checkBounds(t, a.Name(), fx.Name, in, s)
+				checkOneProcessor(t, a, fx.Name, in)
 			}
 		})
 	}

@@ -40,8 +40,8 @@ func All() []algo.Algorithm {
 		// (Sinnen and Sousa's contention model): for ILS the whole
 		// duplication/lookahead machinery runs against the reservations,
 		// journaled and rolled back per speculative trial.
-		algo.CommAware{Inner: listsched.HEFT{}, Kind: platform.KindOnePort, DisplayName: "C-HEFT"},
-		algo.CommAware{Inner: core.New(), DisplayName: "C-ILS"},
+		algo.CommAware{Inner: listsched.HEFT{}, Kind: platform.KindOnePort},
+		algo.CommAware{Inner: core.New()},
 	}
 }
 

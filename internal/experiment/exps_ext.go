@@ -164,9 +164,9 @@ func E20() Experiment {
 	return Experiment{ID: "E20", Title: "Communication-model sweep: replayed makespan", Run: func(cfg Config) ([]*Table, error) {
 		algs := []algo.Algorithm{
 			listsched.HEFT{},
-			algo.CommAware{Inner: listsched.HEFT{}, DisplayName: "C-HEFT"},
+			algo.CommAware{Inner: listsched.HEFT{}},
 			core.New(),
-			algo.CommAware{Inner: core.New(), DisplayName: "C-ILS"},
+			algo.CommAware{Inner: core.New()},
 		}
 		reps := cfg.reps(20)
 		kinds := platform.ModelKinds()

@@ -3,7 +3,8 @@ package platform
 import (
 	"fmt"
 	"math"
-	"sort"
+
+	"dagsched/internal/sched/timeline"
 )
 
 // Model kinds accepted by ModelByKind and reported by CommModel.Kind.
@@ -114,10 +115,7 @@ func (m onePort) MeanCost(data float64) float64           { return m.sys.MeanCom
 
 func (m onePort) NewState() CommState {
 	p := m.sys.Len()
-	return &linkState{
-		spans: make([]spanList, 2*p),
-		route: func(from, to int) (int, int) { return from, p + to },
-	}
+	return newLinkState(2*p, func(from, to int) (int, int) { return from, p + to })
 }
 
 // SharedLinkConfig describes a bus topology for NewSharedLink.
@@ -203,96 +201,51 @@ func (m *sharedLink) MeanCost(data float64) float64 {
 
 func (m *sharedLink) NewState() CommState {
 	link := m.link
-	return &linkState{
-		spans: make([]spanList, len(m.bw)),
-		route: func(from, to int) (int, int) {
-			a, b := link[from], link[to]
-			if a == b {
-				return a, -1
-			}
-			return a, b
-		},
-	}
-}
-
-// spanList is a sorted list of disjoint busy intervals on one resource.
-type spanList []span
-
-type span struct{ s, e float64 }
-
-const spanEps = 1e-9
-
-// earliestFrom returns the earliest start >= t at which an interval of
-// length dur fits between the busy spans.
-func (sp spanList) earliestFrom(t, dur float64) float64 {
-	for _, iv := range sp {
-		if t+dur <= iv.s+spanEps {
-			return t
+	return newLinkState(len(m.bw), func(from, to int) (int, int) {
+		a, b := link[from], link[to]
+		if a == b {
+			return a, -1
 		}
-		if iv.e > t {
-			t = iv.e
-		}
-	}
-	return t
+		return a, b
+	})
 }
 
-// insert adds [s, e) keeping the list sorted. Overlaps indicate a caller
-// bug and panic.
-func (sp *spanList) insert(s, e float64) {
-	list := *sp
-	k := len(list)
-	for k > 0 && list[k-1].s > s {
-		k--
-	}
-	if k > 0 && list[k-1].e > s+spanEps {
-		panic("platform: overlapping link reservation")
-	}
-	if k < len(list) && e > list[k].s+spanEps {
-		panic("platform: overlapping link reservation")
-	}
-	list = append(list, span{})
-	copy(list[k+1:], list[k:])
-	list[k] = span{s, e}
-	*sp = list
-}
-
-// remove deletes the exact span [s, e); it panics when absent, which only
-// an out-of-order Undo could cause.
-func (sp *spanList) remove(s, e float64) {
-	list := *sp
-	k := sort.Search(len(list), func(i int) bool { return list[i].s >= s })
-	if k == len(list) || list[k].s != s || list[k].e != e {
-		panic("platform: undo of unknown link reservation")
-	}
-	*sp = append(list[:k], list[k+1:]...)
-}
-
-// linkState is the shared reservation engine behind every contended
-// model: a busy-span list per resource and a route function mapping a
-// processor pair to the (at most two) resources its transfers occupy.
+// linkState is the reservation engine behind every contended model: a
+// gap index per resource, holding every idle gap (m = 0), and a route
+// function mapping a processor pair to the (at most two) resources its
+// transfers occupy.
 type linkState struct {
-	spans []spanList
+	res   []*timeline.GapIndex
 	route func(from, to int) (int, int) // second resource -1 when absent
-	log   []resSpan                     // journal for Mark/Undo
+	log   []reservation                 // journal for Mark/Undo
 }
 
-type resSpan struct {
-	res  int
-	s, e float64
+// reservation journals one occupy of one resource's index.
+type reservation struct {
+	res int
+	occ timeline.OccupyLog
+}
+
+func newLinkState(resources int, route func(from, to int) (int, int)) *linkState {
+	st := &linkState{res: make([]*timeline.GapIndex, resources), route: route}
+	for i := range st.res {
+		st.res[i] = timeline.New(0)
+	}
+	return st
 }
 
 // TransferStart alternates between the route's resources until a start
-// fits both; each iteration advances t past a busy span, so it converges
-// to the earliest feasible start.
+// fits both; each iteration advances t past a busy interval, so it
+// converges to the earliest feasible start.
 func (st *linkState) TransferStart(from, to int, ready, dur float64) float64 {
 	a, b := st.route(from, to)
 	t := ready
 	for {
-		t1 := st.spans[a].earliestFrom(t, dur)
+		t1, _ := st.res[a].EarliestFit(t, dur)
 		if b < 0 {
 			return t1
 		}
-		t2 := st.spans[b].earliestFrom(t1, dur)
+		t2, _ := st.res[b].EarliestFit(t1, dur)
 		if t2 == t1 {
 			return t1
 		}
@@ -305,12 +258,21 @@ func (st *linkState) Reserve(from, to int, start, dur float64) {
 		return
 	}
 	a, b := st.route(from, to)
-	st.spans[a].insert(start, start+dur)
-	st.log = append(st.log, resSpan{a, start, start + dur})
+	st.occupy(a, start, start+dur)
 	if b >= 0 {
-		st.spans[b].insert(start, start+dur)
-		st.log = append(st.log, resSpan{b, start, start + dur})
+		st.occupy(b, start, start+dur)
 	}
+}
+
+// occupy reserves [start, finish) on resource r. An index never degrades
+// on a start TransferStart answered unless the transfer is shorter than
+// timeline.Eps, so an occupy it cannot hold is an overlap.
+func (st *linkState) occupy(r int, start, finish float64) {
+	occ := st.res[r].OccupyLogged(start, finish)
+	if !st.res[r].OK() {
+		panic("platform: overlapping link reservation")
+	}
+	st.log = append(st.log, reservation{r, occ})
 }
 
 func (st *linkState) Mark() int { return len(st.log) }
@@ -319,25 +281,25 @@ func (st *linkState) Undo(mark int) {
 	for len(st.log) > mark {
 		r := st.log[len(st.log)-1]
 		st.log = st.log[:len(st.log)-1]
-		st.spans[r.res].remove(r.s, r.e)
+		st.res[r.res].Revert(r.occ)
 	}
 }
 
 func (st *linkState) Clone() CommState {
-	cp := &linkState{spans: make([]spanList, len(st.spans)), route: st.route}
-	for i := range st.spans {
-		if len(st.spans[i]) > 0 {
-			cp.spans[i] = append(spanList(nil), st.spans[i]...)
-		}
+	cp := &linkState{res: make([]*timeline.GapIndex, len(st.res)), route: st.route}
+	for i, gi := range st.res {
+		cp.res[i] = gi.Clone()
 	}
 	return cp
 }
 
+// Busy sums, per resource, the busy stretches between consecutive gaps.
 func (st *linkState) Busy() []float64 {
-	out := make([]float64, len(st.spans))
-	for i, sp := range st.spans {
-		for _, iv := range sp {
-			out[i] += iv.e - iv.s
+	out := make([]float64, len(st.res))
+	for i, gi := range st.res {
+		gaps := gi.Gaps()
+		for k := 1; k < len(gaps); k++ {
+			out[i] += gaps[k].Start - gaps[k-1].End
 		}
 	}
 	return out

@@ -6,49 +6,70 @@ import (
 	"testing"
 )
 
-func TestSpanListEarliestFrom(t *testing.T) {
-	sp := spanList{{2, 4}, {6, 9}}
+// busState returns the reservation state of one bus shared by two
+// processors: every transfer occupies that one resource, so
+// TransferStart answers its earliest fit.
+func busState(t *testing.T) CommState {
+	t.Helper()
+	m, err := NewSharedLink(Homogeneous(2, 0, 1), SharedLinkConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.NewState()
+}
+
+func TestLinkStateEarliestFit(t *testing.T) {
+	st := busState(t)
+	st.Reserve(0, 1, 2, 2) // busy [2,4)
+	st.Reserve(0, 1, 6, 3) // busy [6,9)
 	cases := []struct {
 		t, dur, want float64
 	}{
-		{0, 1, 0},   // fits before the first span
-		{0, 2, 0},   // exact fit before the first span
-		{0, 3, 9},   // too long for any gap: after the last span
-		{3, 1, 4},   // inside a busy span: bumped to its end
+		{0, 1, 0},   // fits before the first reservation
+		{0, 2, 0},   // exact fit before the first reservation
+		{0, 3, 9},   // too long for any gap: after the last reservation
+		{3, 1, 4},   // inside a busy interval: bumped to its end
 		{4, 2, 4},   // gap [4,6) exact fit
 		{5, 2, 9},   // gap too small from 5
 		{10, 5, 10}, // after everything
 	}
 	for _, c := range cases {
-		if got := sp.earliestFrom(c.t, c.dur); got != c.want {
-			t.Errorf("earliestFrom(%g,%g) = %g, want %g", c.t, c.dur, got, c.want)
+		if got := st.TransferStart(0, 1, c.t, c.dur); got != c.want {
+			t.Errorf("TransferStart(%g,%g) = %g, want %g", c.t, c.dur, got, c.want)
 		}
 	}
 }
 
-func TestSpanListInsertOrderAndOverlapPanic(t *testing.T) {
-	var sp spanList
-	sp.insert(5, 7)
-	sp.insert(0, 2)
-	sp.insert(9, 10)
-	if sp[0].s != 0 || sp[1].s != 5 || sp[2].s != 9 {
-		t.Fatalf("not sorted: %v", sp)
+func TestLinkStateReserveOrderAndOverlapPanic(t *testing.T) {
+	st := busState(t)
+	st.Reserve(0, 1, 5, 2)
+	st.Reserve(0, 1, 0, 2)
+	st.Reserve(0, 1, 9, 1)
+	// Reserved out of order, the bus is busy [0,2), [5,7) and [9,10).
+	if got := st.Busy()[0]; got != 5 {
+		t.Fatalf("Busy = %g, want 5", got)
+	}
+	for _, c := range []struct{ t, dur, want float64 }{
+		{0, 3, 2}, {0, 4, 10}, {7, 2, 7}, {7, 3, 10},
+	} {
+		if got := st.TransferStart(0, 1, c.t, c.dur); got != c.want {
+			t.Errorf("TransferStart(%g,%g) = %g, want %g", c.t, c.dur, got, c.want)
+		}
 	}
 	defer func() {
-		if recover() == nil {
-			t.Fatal("overlapping insert did not panic")
+		if r := recover(); r != "platform: overlapping link reservation" {
+			t.Fatalf("overlapping reserve: recovered %v", r)
 		}
 	}()
-	sp.insert(6, 8)
+	st.Reserve(0, 1, 6, 2)
 }
 
 func TestOnePortTransferStartAlternation(t *testing.T) {
-	st := OnePort(Homogeneous(2, 0, 1)).NewState()
-	// Sender busy [0,5), receiver busy [5,8).
-	st.Reserve(0, 1, 0, 5)
-	ls := st.(*linkState)
-	ls.spans[2+1].remove(0, 5) // keep only the send-port half
-	ls.spans[2+1].insert(5, 8) // receiver 1 busy [5,8) on its recv port
+	st := OnePort(Homogeneous(3, 0, 1)).NewState()
+	// Sender 0 busy [0,5) on its send port, receiver 1 busy [5,8) on its
+	// receive port.
+	st.Reserve(0, 2, 0, 5)
+	st.Reserve(2, 1, 5, 3)
 	// A 2-unit transfer ready at 0 must wait for 8 (send free at 5, but
 	// recv blocks [5,8)).
 	if got := st.TransferStart(0, 1, 0, 2); got != 8 {

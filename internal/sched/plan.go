@@ -88,7 +88,7 @@ func NewPlan(in *Instance) *Plan {
 	for p := range pl.blockedFrom {
 		pl.procs[p] = make([]Assignment, 0, est)
 		pl.blockedFrom[p] = math.Inf(1)
-		pl.gaps[p] = timeline.New(slotEps, in.minW)
+		pl.gaps[p] = timeline.New(in.minW)
 	}
 	if in.comm != nil {
 		pl.comm = in.comm.NewState()
@@ -382,7 +382,7 @@ func (pl *Plan) commReady(i dag.TaskID, p int, reserve bool) float64 {
 // would extend past the block, it returns +Inf.
 func (pl *Plan) FindSlot(p int, ready, dur float64, insertion bool) float64 {
 	start := pl.findSlotUnbounded(p, ready, dur, insertion)
-	if start+dur > pl.blockedFrom[p]+slotEps {
+	if start+dur > pl.blockedFrom[p]+timeline.Eps {
 		return math.Inf(1)
 	}
 	return start
@@ -392,30 +392,15 @@ func (pl *Plan) findSlotUnbounded(p int, ready, dur float64, insertion bool) flo
 	if !insertion {
 		return math.Max(ready, pl.ProcReady(p))
 	}
-	if gi := pl.gaps[p]; gi.OK() {
-		// Tail fast path: while the index is intact every placement landed
-		// in a single idle gap, so assignments never overlap and the last
-		// in (start, finish) order has the maximum finish — the start of the
-		// unbounded tail gap. A query at or past it lands in that gap and
-		// no fit can start earlier than ready, so the answer is exactly
-		// ready (identical to what the index returns) without a tree walk.
-		if t := pl.procs[p]; len(t) == 0 {
-			if ready >= 0 {
-				return ready
-			}
-		} else if ready >= t[len(t)-1].Finish {
-			return ready
-		}
-		if start, ok := gi.EarliestFit(ready, dur); ok {
-			return start
-		}
+	if start, ok := pl.gaps[p].EarliestFit(ready, dur); ok {
+		return start
 	}
-	// Degraded gap index, or a query shorter than any task: answer with
-	// the linear reference scan.
+	// Degraded gap index, or a query shorter than any task before the
+	// tail: answer with the linear reference scan.
 	prevFinish := 0.0
 	for _, a := range pl.procs[p] {
 		start := math.Max(ready, prevFinish)
-		if start+dur <= a.Start+slotEps {
+		if start+dur <= a.Start+timeline.Eps {
 			return start
 		}
 		if a.Finish > prevFinish {
@@ -424,10 +409,6 @@ func (pl *Plan) findSlotUnbounded(p int, ready, dur float64, insertion bool) flo
 	}
 	return math.Max(ready, prevFinish)
 }
-
-// slotEps absorbs floating-point dust when deciding whether an interval
-// fits a gap exactly.
-const slotEps = 1e-9
 
 // EFTOn returns the insertion-policy earliest start and finish of task i
 // on processor p given the current partial schedule.
@@ -508,7 +489,7 @@ func (pl *Plan) insert(i dag.TaskID, p int, start float64, dup bool) Assignment 
 	a := Assignment{Task: i, Proc: p, Start: start, Finish: start + pl.in.Cost(i, p), Dup: dup}
 	// Order by start, then finish: a zero-length copy sorts before the
 	// copy that starts with it, so the last copy has the latest finish
-	// (ProcReady and FindSlot's tail fast path read it).
+	// (ProcReady reads it).
 	t := pl.procs[p]
 	k := sort.Search(len(t), func(j int) bool { return t[j].Start > a.Start || t[j].Start == a.Start && t[j].Finish > a.Finish })
 	t = append(t, Assignment{})

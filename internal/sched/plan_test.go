@@ -517,8 +517,7 @@ func integerInstance(t testing.TB, rng *rand.Rand, n, procs int) *Instance {
 // TestZeroCostBesideLongerCopy places a zero-cost task at the start of a
 // longer one on the same processor. The zero-length copy sorts first, so
 // the processor's last copy still has its latest finish: ProcReady and
-// the slot search's tail fast path must both read 15, not the zero
-// task's 10.
+// the gap index's tail must both read 15, not the zero task's 10.
 func TestZeroCostBesideLongerCopy(t *testing.T) {
 	b := dag.NewBuilder("zero-cost")
 	x, z := b.AddTask("X", 5), b.AddTask("Z", 0)

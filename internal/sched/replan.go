@@ -75,7 +75,7 @@ func (pl *Plan) Grow(in *Instance) error {
 			prevFinish = math.Max(prevFinish, a.Finish)
 		}
 		gaps = append(gaps, timeline.Gap{Start: prevFinish, End: math.Inf(1)})
-		pl.gaps[p] = timeline.Build(slotEps, in.minW, gaps)
+		pl.gaps[p] = timeline.Build(in.minW, gaps)
 	}
 	pl.in = in
 	return nil

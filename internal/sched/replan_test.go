@@ -7,6 +7,7 @@ import (
 
 	"dagsched/internal/dag"
 	"dagsched/internal/platform"
+	"dagsched/internal/sched/timeline"
 )
 
 // replanInstance builds a random layered instance for the suffix
@@ -115,7 +116,7 @@ func scanSlot(t []Assignment, ready, dur float64) float64 {
 	prevFinish := 0.0
 	for _, a := range t {
 		start := math.Max(ready, prevFinish)
-		if start+dur <= a.Start+slotEps {
+		if start+dur <= a.Start+timeline.Eps {
 			return start
 		}
 		prevFinish = math.Max(prevFinish, a.Finish)

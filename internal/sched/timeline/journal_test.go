@@ -27,7 +27,7 @@ func TestOccupyLoggedRevertExact(t *testing.T) {
 			m, off := fc.m, fc.off
 			for seed := int64(0); seed < 30; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				gi := New(eps, m)
+				gi := New(m)
 				// A committed baseline of real assignments.
 				for i := 0; i < 20; i++ {
 					ready := off + rng.Float64()*40
@@ -67,7 +67,7 @@ func TestOccupyLoggedRevertExact(t *testing.T) {
 // resurrects a degraded index, and reverting a record that itself caused
 // degradation is a no-op.
 func TestRevertOnDegradedIndex(t *testing.T) {
-	gi := New(eps, 0)
+	gi := New(0)
 	occupy(gi, 10, 20)
 	// Straddle the assignment: degrades.
 	l := gi.OccupyLogged(15, 25)
@@ -83,7 +83,7 @@ func TestRevertOnDegradedIndex(t *testing.T) {
 	}
 	// A log captured before degradation also reverts to nothing once the
 	// index is down.
-	gi2 := New(eps, 0)
+	gi2 := New(0)
 	good := gi2.OccupyLogged(0, 1)
 	occupy(gi2, 5, 6)
 	gi2.OccupyLogged(5.5, 10) // degrade

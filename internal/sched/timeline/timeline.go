@@ -1,33 +1,43 @@
-// Package timeline implements the gap index behind the fast scheduling
-// kernel: a per-processor balanced-tree index over the idle gaps of a
-// partial schedule that answers insertion-policy earliest-fit queries in
-// O(log k) for k placed assignments, replacing the O(k) slot scan of the
-// naive implementation.
+// Package timeline implements the gap index behind the scheduling kernel
+// and the contended communication models: a balanced-tree index over the
+// idle gaps of one resource's timeline (a processor or a link) that
+// answers insertion-policy earliest-fit queries in O(log k) for k
+// occupied intervals, replacing the O(k) scan of the naive
+// implementation.
 //
 // The index reproduces the reference linear-scan semantics bit for bit
-// for every query at least m long, m being the instance's shortest
-// execution cost. A gap is the idle interval [start, end) between the
-// running maximum finish time of all earlier assignments and the start
-// of the next one (plus a leading gap from 0 and an unbounded tail gap);
-// an interval of length dur fits a gap when
-// max(ready, gap.start) + dur <= gap.end + eps, exactly the acceptance
-// test of the reference scan, evaluated with the same floating-point
-// expression. A gap an interval of length m does not fit is left out:
-// float addition is monotone, so no longer interval fits it either. On
-// a saturated processor nearly every placement at the tail leaves such
-// an empty gap behind. With m = 0 every gap is kept, empty and
-// epsilon-dust ones included. A query shorter than m gets no answer.
+// for every query at least m long, m being the shortest interval the
+// owner places (a processor's cheapest task; 0 for a link). A gap is the
+// idle interval [start, end) between the running maximum finish time of
+// all earlier intervals and the start of the next one (plus a leading
+// gap from 0 and an unbounded tail gap); an interval of length dur fits
+// a gap when max(ready, gap.start) + dur <= gap.end + Eps, exactly the
+// acceptance test of the reference scan, evaluated with the same
+// floating-point expression. A gap an interval of length m does not fit
+// is left out: float addition is monotone, so no longer interval fits it
+// either. On a saturated processor nearly every placement at the tail
+// leaves such an empty gap behind. With m = 0 every gap is kept, empty
+// and epsilon-dust ones included. A query shorter than m gets no answer,
+// unless it starts at or past the tail gap: the index keeps that gap's
+// start, the latest finish, outside the tree, answers such a query with
+// ready without a tree walk, and moves the start in place when an
+// interval occupies the tail.
 //
-// The index only supports placements that land inside a single idle gap —
-// the invariant every FindSlot-driven scheduler maintains. A placement
-// that straddles occupied intervals permanently degrades the index
-// (OK reports false) and the caller must fall back to the linear scan;
-// so does a placement that would leave the index's gaps unlike the
-// scan's, which takes an interval shorter than eps. Schedule correctness
-// never depends on the index.
+// The index only supports occupies that land inside a single idle gap —
+// the invariant every earliest-fit-driven caller maintains. An occupy
+// that straddles occupied intervals permanently degrades the index (OK
+// reports false) and the caller must fall back to a linear scan; so does
+// an occupy that would leave the index's gaps unlike the scan's, which
+// takes an interval shorter than Eps. Schedule correctness never depends
+// on the index.
 package timeline
 
 import "math"
+
+// Eps is the slot-fit tolerance of every earliest-fit query, on
+// processors and on links alike: it absorbs floating-point dust when
+// deciding whether an interval fits a gap.
+const Eps = 1e-9
 
 // node is one idle gap, a treap node keyed by (start, end) and augmented
 // with the maximum gap length in its subtree.
@@ -55,11 +65,13 @@ func keyLess(s1, e1, s2, e2 float64) bool {
 	return e1 < e2
 }
 
-// GapIndex indexes the idle gaps of one processor's timeline.
+// GapIndex indexes the idle gaps of one resource's timeline.
 type GapIndex struct {
+	// root holds every indexed gap but the tail gap [tail, +Inf), whose
+	// start is the latest finish of any occupied interval.
 	root *node
+	tail float64
 	ctr  uint64 // deterministic priority stream
-	eps  float64
 	// m is the shortest query the index answers; it holds only the gaps
 	// an interval of length m fits.
 	m  float64
@@ -70,19 +82,20 @@ type GapIndex struct {
 	free *node
 }
 
-// New returns an index over an empty timeline: one gap [0, +Inf). eps is
-// the slot-fit tolerance of the reference scan (sched.slotEps) and m the
-// shortest query the index answers (the instance's smallest execution
-// cost).
-func New(eps, m float64) *GapIndex {
-	return Build(eps, m, []Gap{{Start: 0, End: math.Inf(1)}})
+// New returns an index over an empty timeline: one gap [0, +Inf). m is
+// the shortest query the index answers (a processor's smallest execution
+// cost; 0 answers every query).
+func New(m float64) *GapIndex {
+	return Build(m, []Gap{{Start: 0, End: math.Inf(1)}})
 }
 
-// Build returns an index over the given idle gaps, leaving out every gap
-// an interval of length m does not fit.
-func Build(eps, m float64, gaps []Gap) *GapIndex {
-	gi := &GapIndex{eps: eps, m: m, ok: true}
-	for _, g := range gaps {
+// Build returns an index over the given idle gaps, in order and the last
+// the unbounded tail, leaving out every gap an interval of length m does
+// not fit.
+func Build(m float64, gaps []Gap) *GapIndex {
+	last := len(gaps) - 1
+	gi := &GapIndex{tail: gaps[last].Start, m: m, ok: true}
+	for _, g := range gaps[:last] {
 		gi.add(g.Start, g.End)
 	}
 	return gi
@@ -109,10 +122,18 @@ func (gi *GapIndex) MinDur() float64 { return gi.m }
 
 // EarliestFit returns the reference-scan earliest start >= ready at which
 // an interval of length dur fits, and whether the index could answer
-// (false once degraded, or when dur is shorter than m: the gaps such an
-// interval might fit are not indexed).
+// (false once degraded, or when dur is shorter than m and ready precedes
+// the tail gap: the gaps such an interval might fit are not indexed).
 func (gi *GapIndex) EarliestFit(ready, dur float64) (float64, bool) {
-	if !gi.ok || dur < gi.m {
+	if !gi.ok {
+		return 0, false
+	}
+	// A query at or past the tail gap lands in it, and no fit starts
+	// before ready.
+	if ready >= gi.tail {
+		return ready, true
+	}
+	if dur < gi.m {
 		return 0, false
 	}
 	// The gap holding (or last preceding) ready: the rightmost indexed gap
@@ -121,16 +142,16 @@ func (gi *GapIndex) EarliestFit(ready, dur float64) (float64, bool) {
 	// alone preserves the first-fit answer. A gap left out fits no
 	// interval of length dur, so skipping it changes no answer.
 	if g := pred(gi.root, ready); g != nil {
-		if s := math.Max(ready, g.start); s+dur <= g.end+gi.eps {
+		if s := math.Max(ready, g.start); s+dur <= g.end+Eps {
 			return s, true
 		}
 	}
 	// Otherwise the leftmost gap strictly after ready that is long enough.
-	if g := firstFit(gi.root, ready, dur, gi.eps); g != nil {
+	if g := firstFit(gi.root, ready, dur); g != nil {
 		return g.start, true
 	}
-	// Unreachable: the unbounded tail gap accepts everything.
-	return math.Inf(1), true
+	// The tail gap, which starts after ready, accepts everything.
+	return gi.tail, true
 }
 
 // pred returns the rightmost gap with start <= ready.
@@ -147,22 +168,22 @@ func pred(n *node, ready float64) *node {
 }
 
 // firstFit returns the leftmost gap with start > ready satisfying the
-// exact fit test start + dur <= end + eps. Subtrees are pruned with a
-// 2*eps length margin so the approximate max-length bound can never
+// exact fit test start + dur <= end + Eps. Subtrees are pruned with a
+// 2*Eps length margin so the approximate max-length bound can never
 // exclude a gap the exact test would accept.
-func firstFit(n *node, ready, dur, eps float64) *node {
-	if n == nil || n.maxLen < dur-2*eps {
+func firstFit(n *node, ready, dur float64) *node {
+	if n == nil || n.maxLen < dur-2*Eps {
 		return nil
 	}
 	if n.start > ready {
-		if g := firstFit(n.left, ready, dur, eps); g != nil {
+		if g := firstFit(n.left, ready, dur); g != nil {
 			return g
 		}
-		if n.start+dur <= n.end+eps {
+		if n.start+dur <= n.end+Eps {
 			return n
 		}
 	}
-	return firstFit(n.right, ready, dur, eps)
+	return firstFit(n.right, ready, dur)
 }
 
 // OccupyLog records everything needed to reverse one OccupyLogged call:
@@ -188,13 +209,22 @@ type OccupyLog struct {
 // be reverted in LIFO order. When the interval does not lie within a
 // single idle gap, or the occupy would not be exact, the index degrades
 // permanently.
+//
+// An occupy of the tail gap moves the tail's start to finish in place
+// and indexes only the left remainder.
 func (gi *GapIndex) OccupyLogged(start, finish float64) OccupyLog {
 	l := OccupyLog{Start: start, Finish: finish, Ctr: gi.ctr}
 	if !gi.ok {
 		return l
 	}
+	if start >= gi.tail {
+		l.GapStart, l.GapEnd = gi.tail, math.Inf(1)
+		gi.add(gi.tail, start)
+		gi.tail = finish
+		return l
+	}
 	g := pred(gi.root, start)
-	if g == nil || finish > g.end+gi.eps || !gi.exact(g, start, finish) {
+	if g == nil || finish > g.end+Eps || !gi.exact(g, start, finish) {
 		gi.ok = false
 		gi.root = nil
 		return l
@@ -207,12 +237,12 @@ func (gi *GapIndex) OccupyLogged(start, finish float64) OccupyLog {
 	return l
 }
 
-// exact reports whether occupying [start, finish] inside gap g leaves
-// the index answering as the reference scan does. Only an interval
-// shorter than eps breaks that: one starting past g's end sorts after
-// the assignment ending g, and an epsilon-dust fit past g's end delays
-// the next gap, which then starts before finish, when such an interval
-// follows.
+// exact reports whether occupying [start, finish] inside the finite gap
+// g leaves the index answering as the reference scan does. Only an
+// interval shorter than Eps breaks that: one starting past g's end sorts
+// after the interval ending g, and an epsilon-dust fit past g's end
+// delays the next gap (the tail when g is the last indexed one), which
+// then starts before finish, when such an interval follows.
 func (gi *GapIndex) exact(g *node, start, finish float64) bool {
 	if start > g.end {
 		return false
@@ -220,8 +250,11 @@ func (gi *GapIndex) exact(g *node, start, finish float64) bool {
 	if finish <= g.end {
 		return true
 	}
-	next := succ(gi.root, g.start, g.end)
-	return next == nil || next.start >= finish
+	next := gi.tail
+	if n := succ(gi.root, g.start, g.end); n != nil {
+		next = n.start
+	}
+	return next >= finish
 }
 
 // succ returns the leftmost gap whose key follows (s, e).
@@ -237,24 +270,29 @@ func succ(n *node, s, e float64) *node {
 	return best
 }
 
-// Revert undoes the most recent un-reverted OccupyLogged call: the two
-// remainder gaps are deleted (those the index holds), the original gap
-// reinstated, and the priority counter restored. A degraded index
-// reverts nothing — degradation is permanent by design, so an occupy
-// that found or left the index degraded has nothing to undo.
+// Revert undoes the most recent un-reverted OccupyLogged call: the
+// remainder gaps the index holds give way to the original gap (for the
+// tail, the left remainder is deleted and the tail's start moved back),
+// and the priority counter is restored. A degraded index reverts
+// nothing — degradation is permanent by design, so an occupy that found
+// or left the index degraded has nothing to undo.
 func (gi *GapIndex) Revert(l OccupyLog) {
 	if !gi.ok {
 		return
 	}
 	gi.remove(l.GapStart, l.Start)
-	gi.remove(l.Finish, l.GapEnd)
-	gi.add(l.GapStart, l.GapEnd)
+	if math.IsInf(l.GapEnd, 1) {
+		gi.tail = l.GapStart
+	} else {
+		gi.remove(l.Finish, l.GapEnd)
+		gi.add(l.GapStart, l.GapEnd)
+	}
 	gi.ctr = l.Ctr
 }
 
 // holds reports whether the index keeps the gap [s, e): whether an
 // interval of length m fits it, by the reference scan's fit test.
-func (gi *GapIndex) holds(s, e float64) bool { return s+gi.m <= e+gi.eps }
+func (gi *GapIndex) holds(s, e float64) bool { return s+gi.m <= e+Eps }
 
 // add indexes the gap [s, e) if the index holds it.
 func (gi *GapIndex) add(s, e float64) {
@@ -364,7 +402,7 @@ func (gi *GapIndex) del(n *node, s, e float64) *node {
 
 // Clone returns an independent deep copy of the index.
 func (gi *GapIndex) Clone() *GapIndex {
-	return &GapIndex{root: cloneNode(gi.root), ctr: gi.ctr, eps: gi.eps, m: gi.m, ok: gi.ok}
+	return &GapIndex{root: cloneNode(gi.root), tail: gi.tail, ctr: gi.ctr, m: gi.m, ok: gi.ok}
 }
 
 func cloneNode(n *node) *node {
@@ -380,7 +418,8 @@ func cloneNode(n *node) *node {
 // Gap is one idle interval [Start, End).
 type Gap struct{ Start, End float64 }
 
-// Gaps returns the idle gaps in key order (nil once degraded).
+// Gaps returns the indexed idle gaps in key order, the tail last (nil
+// once degraded).
 func (gi *GapIndex) Gaps() []Gap {
 	if !gi.ok {
 		return nil
@@ -396,5 +435,5 @@ func (gi *GapIndex) Gaps() []Gap {
 		walk(n.right)
 	}
 	walk(gi.root)
-	return out
+	return append(out, Gap{Start: gi.tail, End: math.Inf(1)})
 }

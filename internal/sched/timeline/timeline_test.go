@@ -7,8 +7,6 @@ import (
 	"testing"
 )
 
-const eps = 1e-9
-
 // interval mirrors one placed assignment for the reference model.
 type interval struct{ start, finish float64 }
 
@@ -19,7 +17,7 @@ func referenceFit(items []interval, ready, dur float64) float64 {
 	prevFinish := 0.0
 	for _, a := range items {
 		start := math.Max(ready, prevFinish)
-		if start+dur <= a.start+eps {
+		if start+dur <= a.start+Eps {
 			return start
 		}
 		if a.finish > prevFinish {
@@ -27,6 +25,30 @@ func referenceFit(items []interval, ready, dur float64) float64 {
 		}
 	}
 	return math.Max(ready, prevFinish)
+}
+
+// referenceTail is the start of the scan's unbounded tail gap: the
+// running maximum finish of every item, 0 with none.
+func referenceTail(items []interval) float64 {
+	tail := 0.0
+	for _, a := range items {
+		tail = math.Max(tail, a.finish)
+	}
+	return tail
+}
+
+// checkShortQuery asserts the answer to a query shorter than m: none,
+// unless it starts at or past the tail gap, where the answer is ready.
+func checkShortQuery(t *testing.T, gi *GapIndex, items []interval, ready, m float64) {
+	t.Helper()
+	got, ok := gi.EarliestFit(ready, m/2)
+	if ready >= referenceTail(items) {
+		if !ok || got != ready {
+			t.Fatalf("EarliestFit(%v, %v) at or past the tail = %v, %v; want %v", ready, m/2, got, ok, ready)
+		}
+	} else if ok {
+		t.Fatalf("EarliestFit(%v, %v) answered a query shorter than m = %v before the tail", ready, m/2, m)
+	}
 }
 
 // occupy is OccupyLogged reporting whether the index stayed intact.
@@ -48,7 +70,7 @@ func insertItem(items []interval, iv interval) []interval {
 // m = 0 every gap is indexed and queries of length zero are drawn; with a
 // positive m every query and placement is at least m long, and the far
 // case adds 1e12 to every time, where float spacing (~1.2e-4) exceeds
-// eps.
+// Eps.
 var fitCases = []struct {
 	name   string
 	m, off float64
@@ -62,14 +84,15 @@ var fitCases = []struct {
 // index and the linear reference simultaneously and requires identical
 // earliest-fit answers at every step, including exact-fit gaps, queries
 // of length m (zero at m = 0) and queries at gap boundaries. A query
-// shorter than m must get no answer.
+// shorter than m must get no answer, unless it starts at or past the
+// tail gap, where the answer is ready.
 func TestEarliestFitMatchesReference(t *testing.T) {
 	for _, fc := range fitCases {
 		t.Run(fc.name, func(t *testing.T) {
 			m, off := fc.m, fc.off
 			for seed := int64(0); seed < 50; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				gi := New(eps, m)
+				gi := New(m)
 				var items []interval
 				for step := 0; step < 400; step++ {
 					ready := off
@@ -110,8 +133,8 @@ func TestEarliestFitMatchesReference(t *testing.T) {
 						t.Fatalf("seed %d step %d: EarliestFit(ready=%v, dur=%v) = %v, reference %v (items %v)",
 							seed, step, ready, dur, got, want, items)
 					}
-					if _, ok := gi.EarliestFit(ready, m/2); m > 0 && ok {
-						t.Fatalf("seed %d step %d: answered a query shorter than m", seed, step)
+					if m > 0 {
+						checkShortQuery(t, gi, items, ready, m)
 					}
 
 					// Occasionally commit the placement, as a scheduler would.
@@ -131,7 +154,7 @@ func TestEarliestFitMatchesReference(t *testing.T) {
 // slot straddling an existing assignment turns the index off rather than
 // corrupting answers.
 func TestOccupyOutsideGapDegrades(t *testing.T) {
-	gi := New(eps, 0)
+	gi := New(0)
 	if !occupy(gi, 10, 20) {
 		t.Fatal("occupying the tail gap must succeed")
 	}
@@ -149,7 +172,7 @@ func TestOccupyOutsideGapDegrades(t *testing.T) {
 // TestCloneIndependence asserts a clone evolves independently of its
 // parent.
 func TestCloneIndependence(t *testing.T) {
-	gi := New(eps, 0)
+	gi := New(0)
 	occupy(gi, 5, 10)
 	cp := gi.Clone()
 	occupy(cp, 0, 5)
@@ -167,7 +190,7 @@ func TestCloneIndependence(t *testing.T) {
 // TestGapCount sanity-checks the gap bookkeeping: k assignments inside
 // the timeline produce exactly k+1 gaps (degenerate remainders included).
 func TestGapCount(t *testing.T) {
-	gi := New(eps, 0)
+	gi := New(0)
 	rng := rand.New(rand.NewSource(7))
 	var items []interval
 	for i := 0; i < 200; i++ {
@@ -198,7 +221,7 @@ func TestGapCount(t *testing.T) {
 }
 
 func BenchmarkEarliestFit(b *testing.B) {
-	gi := New(eps, 0)
+	gi := New(0)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
 		s, _ := gi.EarliestFit(rng.Float64()*1e6, rng.Float64()*10)

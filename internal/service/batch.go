@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strings"
-	"sync"
 )
 
 // handleBatch serves POST /v1/schedule/batch: many scheduling queries
@@ -51,23 +50,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.ObserveBatch(n)
 	reqID, _ := r.Context().Value(reqIDKey{}).(string)
+	results := s.fanOut(r, reqID, breq.Items)
 	if wantsNDJSON(r) {
-		s.streamBatch(w, r, reqID, breq.Items)
+		streamBatch(w, n, results)
 		return
 	}
-	results := make([]BatchItemResult, n)
-	var wg sync.WaitGroup
-	for i := range breq.Items {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = s.runBatchItem(r, reqID, i, breq.Items[i])
-		}(i)
-	}
-	wg.Wait()
-	out := BatchResponse{Items: results}
-	for i := range results {
-		if results[i].Status == http.StatusOK {
+	out := BatchResponse{Items: make([]BatchItemResult, n)}
+	for range n {
+		res := <-results
+		out.Items[res.Index] = res
+		if res.Status == http.StatusOK {
 			out.Succeeded++
 		} else {
 			out.Failed++
@@ -76,30 +68,37 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// fanOut runs every item on its own goroutine and returns the channel
+// their results arrive on, in completion order: exactly one per item.
+// The channel holds them all, so no item waits on a reader.
+func (s *Server) fanOut(r *http.Request, reqID string, items []json.RawMessage) <-chan BatchItemResult {
+	results := make(chan BatchItemResult, len(items))
+	for i := range items {
+		go func(i int) {
+			results <- s.runBatchItem(r, reqID, i, items[i])
+		}(i)
+	}
+	return results
+}
+
 // wantsNDJSON reports whether the request opted into streamed NDJSON
 // results.
 func wantsNDJSON(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
 }
 
-// streamBatch fans the items out like the buffered path but writes
-// each result as soon as it completes: one JSON line per item, flushed
-// per line, then a summary trailer. The 200 status commits before the
-// first item finishes, so per-item failures are in-band (Status/Error
-// on the item line), exactly as in the buffered response body.
-func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, reqID string, items []json.RawMessage) {
+// streamBatch writes the n results of a fan-out as each arrives: one
+// JSON line per item, flushed per line, then a summary trailer. The 200
+// status commits before the first item finishes, so per-item failures
+// are in-band (Status/Error on the item line), exactly as in the
+// buffered response body.
+func streamBatch(w http.ResponseWriter, n int, results <-chan BatchItemResult) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
-	results := make(chan BatchItemResult)
-	for i := range items {
-		go func(i int) {
-			results <- s.runBatchItem(r, reqID, i, items[i])
-		}(i)
-	}
 	enc := json.NewEncoder(w)
 	var succeeded, failed int
-	for range items {
+	for range n {
 		res := <-results
 		if res.Status == http.StatusOK {
 			succeeded++
@@ -107,7 +106,7 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, reqID strin
 			failed++
 		}
 		if err := enc.Encode(res); err != nil {
-			// The client went away; drain the remaining goroutines and
+			// The client went away: count the remaining results and
 			// stop writing.
 			continue
 		}

@@ -31,9 +31,6 @@ type Config struct {
 	Sys *platform.System
 	// BatchSize is the auto-flush threshold (DefaultBatchSize when 0).
 	BatchSize int
-	// DirtyFraction bounds the incremental rank repair before it falls
-	// back to a full sweep (algo.DefaultDirtyFraction when 0).
-	DirtyFraction float64
 	// FullRecompute disables the incremental path: every flush runs the
 	// full exact re-plan from the frozen prefix. The benchmark baseline.
 	FullRecompute bool
@@ -331,7 +328,7 @@ func (e *Engine) flush(seal bool) (*Delta, error) {
 	rankRepaired, fullRanks := 0, false
 	if e.pm.Priority == listsched.PrioUpward {
 		pos, order := e.ap.Order()
-		e.rt.Update(e.in, e.oldN, e.newEdges, pos, order, e.cfg.DirtyFraction)
+		e.rt.Update(e.in, e.oldN, e.newEdges, pos, order, 0)
 		prio = e.rt.Ranks()[:n]
 		rankRepaired, fullRanks = e.rt.Repaired, e.rt.Full
 	} else {
