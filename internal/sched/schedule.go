@@ -249,12 +249,14 @@ func buildSchedule(in *Instance, algorithm string, procs [][]Assignment) *Schedu
 	}
 	for i := range s.byTask {
 		copies := s.byTask[i]
-		sort.Slice(copies, func(a, b int) bool {
-			if copies[a].Dup != copies[b].Dup {
-				return !copies[a].Dup // primary first
-			}
-			return copies[a].Start < copies[b].Start
-		})
+		if len(copies) > 1 { // only a duplicated task has an order to fix
+			sort.Slice(copies, func(a, b int) bool {
+				if copies[a].Dup != copies[b].Dup {
+					return !copies[a].Dup // primary first
+				}
+				return copies[a].Start < copies[b].Start
+			})
+		}
 		for _, c := range copies {
 			if !c.Dup && c.Finish > s.makespan {
 				s.makespan = c.Finish

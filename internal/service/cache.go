@@ -124,16 +124,24 @@ func (k *keyHasher) flush() {
 	k.buf = k.buf[:0]
 }
 
+// bodyDigest is the SHA-256 of one /v1/schedule request body.
+type bodyDigest = [sha256.Size]byte
+
 // lruCache is a mutex-guarded LRU of schedule responses with hit/miss
 // accounting. Stored responses are treated as immutable: Get returns a
 // shallow copy with Cached set, never the stored value itself.
 type lruCache struct {
-	mu     sync.Mutex
-	cap    int
-	ll     *list.List               // front = most recent
-	byKey  map[string]*list.Element // value: *cacheEntry
-	hits   int64
-	misses int64
+	mu    sync.Mutex
+	cap   int
+	ll    *list.List               // front = most recent
+	byKey map[string]*list.Element // value: *cacheEntry
+	// byBody indexes the entries by the digest of the request body
+	// last answered from each; an entry holds one digest, which leaves
+	// the index with it, so byBody never outgrows byKey.
+	byBody   map[bodyDigest]*list.Element
+	hits     int64
+	misses   int64
+	bodyHits int64
 }
 
 type cacheEntry struct {
@@ -143,10 +151,13 @@ type cacheEntry struct {
 	// push or cache probe rather than local computation — so a hit on
 	// it is attributable to replication in the tier metrics.
 	replica bool
+	// body is the digest byBody maps to this entry, when hasBody.
+	body    bodyDigest
+	hasBody bool
 }
 
 func newLRUCache(capacity int) *lruCache {
-	return &lruCache{cap: capacity, ll: list.New(), byKey: make(map[string]*list.Element)}
+	return &lruCache{cap: capacity, ll: list.New(), byKey: make(map[string]*list.Element), byBody: make(map[bodyDigest]*list.Element)}
 }
 
 // Get returns a copy of the cached response marked Cached (or nil),
@@ -162,12 +173,65 @@ func (c *lruCache) Get(key string) (*ScheduleResponse, bool) {
 		c.misses++
 		return nil, false
 	}
+	resp, e := c.hit(el)
+	return resp, e.replica
+}
+
+// GetBody answers a request body by its digest: once a 200 for the same
+// bytes was attached to an entry that is still cached, it returns what
+// Get would return for that entry's key, and the key. An unknown digest
+// counts nothing; the request's own lookup by key counts its hit or
+// miss.
+func (c *lruCache) GetBody(d bodyDigest) (resp *ScheduleResponse, key string, replica bool) {
+	if c.cap <= 0 {
+		return nil, "", false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byBody[d]
+	if !ok {
+		return nil, "", false
+	}
+	c.bodyHits++
+	resp, e := c.hit(el)
+	return resp, e.key, e.replica
+}
+
+// hit counts one hit on el, marks it most recent and returns a copy of
+// its response marked Cached. c.mu must be held.
+func (c *lruCache) hit(el *list.Element) (*ScheduleResponse, *cacheEntry) {
 	c.hits++
 	c.ll.MoveToFront(el)
 	e := el.Value.(*cacheEntry)
 	cp := *e.resp
 	cp.Cached = true
-	return &cp, e.replica
+	return &cp, e
+}
+
+// AttachBody records that the body with digest d was answered 200 from
+// key's entry, so the same bytes are next answered by GetBody; the
+// entry's previous digest, if any, is dropped. It never creates an
+// entry and never refreshes one: when key is not cached it does
+// nothing.
+func (c *lruCache) AttachBody(key string, d bodyDigest) {
+	if c.cap <= 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byKey[key]
+	if !ok {
+		return
+	}
+	if _, ok := c.byBody[d]; ok {
+		return
+	}
+	e := el.Value.(*cacheEntry)
+	if e.hasBody {
+		delete(c.byBody, e.body)
+	}
+	e.body, e.hasBody = d, true
+	c.byBody[d] = el
 }
 
 // Put stores a locally computed response, evicting the least recently
@@ -210,7 +274,11 @@ func (c *lruCache) put(key string, resp *ScheduleResponse, replica bool) {
 	if c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		c.ll.Remove(last)
-		delete(c.byKey, last.Value.(*cacheEntry).key)
+		e := last.Value.(*cacheEntry)
+		delete(c.byKey, e.key)
+		if e.hasBody {
+			delete(c.byBody, e.body)
+		}
 	}
 }
 
@@ -237,9 +305,16 @@ func (c *lruCache) Snapshot(max int) []cacheSnap {
 	return out
 }
 
-// Stats returns hits, misses and current size.
-func (c *lruCache) Stats() (hits, misses int64, size int) {
+// cacheStats is one reading of an lruCache's counters.
+type cacheStats struct {
+	hits, misses, bodyHits int64
+	size, bodyDigests      int
+}
+
+// Stats returns the hit and miss counts (bodyHits of the hits were
+// answered by body digest), the entry count and the digests held.
+func (c *lruCache) Stats() cacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.ll.Len()
+	return cacheStats{hits: c.hits, misses: c.misses, bodyHits: c.bodyHits, size: c.ll.Len(), bodyDigests: len(c.byBody)}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -175,6 +176,77 @@ func TestUniformPlatformRequestsStaySmall(t *testing.T) {
 		s.handleSchedule(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(tc.body)))
 		if rec.Code != http.StatusOK {
 			t.Errorf("%s: status %d: %s", tc.name, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestBodyLimitWithoutLength: a body sent without a Content-Length is
+// held to the limit as a whole, even when its first JSON value fits.
+func TestBodyLimitWithoutLength(t *testing.T) {
+	const limit = 4096
+	s := New(Options{Addr: "127.0.0.1:0", Workers: 1, MaxBodyBytes: limit})
+	if _, err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	}()
+	body := `{"algorithm":"HEFT","graph":{"tasks":[{"id":0,"weight":2}],"edges":[]}}`
+	for _, tc := range []struct {
+		pad  int
+		want int
+	}{{limit - len(body), http.StatusOK}, {limit, http.StatusBadRequest}} {
+		// A MultiReader has no length httptest could set.
+		rd := io.MultiReader(strings.NewReader(body), strings.NewReader(strings.Repeat(" ", tc.pad)))
+		req := httptest.NewRequest(http.MethodPost, "/v1/schedule", rd)
+		if req.ContentLength != -1 {
+			t.Fatalf("ContentLength = %d, want unknown", req.ContentLength)
+		}
+		rec := httptest.NewRecorder()
+		s.handleSchedule(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("%d bytes: status %d (%s), want %d", len(body)+tc.pad, rec.Code, rec.Body, tc.want)
+		}
+		if tc.want == http.StatusBadRequest && !strings.Contains(rec.Body.String(), "decoding request: http: request body too large") {
+			t.Errorf("%d bytes: %s, want request body too large", len(body)+tc.pad, rec.Body)
+		}
+	}
+}
+
+// TestReadBodyHeldToWhatArrives: a declared Content-Length reserves at
+// most maxPresize, so a request that declares the whole limit and sends
+// a few bytes costs about what it sent, while a body of the usual size
+// is read into one buffer of its length. The bounds allow each buffer
+// twice: under -race the compiler keeps the temporary that bytes.Buffer
+// grows through.
+func TestReadBodyHeldToWhatArrives(t *testing.T) {
+	const limit = 32 << 20
+	const usual = 192 << 10
+	for _, tc := range []struct {
+		name     string
+		declared int64
+		body     string
+		maxAlloc uint64
+	}{
+		{"declares the limit, sends 20 bytes", limit, `{"algorithm":"HEFT"}`, 4 * maxPresize},
+		{"192 KiB with its length", usual, strings.Repeat(" ", usual), 5 * usual / 2},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(tc.body))
+		req.ContentLength = tc.declared
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := readBody(httptest.NewRecorder(), req, limit)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if string(got) != tc.body {
+			t.Errorf("%s: read %d bytes, want %d", tc.name, len(got), len(tc.body))
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > tc.maxAlloc {
+			t.Errorf("%s: reading allocated %d bytes, want at most %d", tc.name, alloc, tc.maxAlloc)
 		}
 	}
 }

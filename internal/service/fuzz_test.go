@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"dagsched/internal/platform"
@@ -98,6 +99,33 @@ func FuzzScheduleRequest(f *testing.F) {
 		}
 		if k, err := cacheKey(back, a.Name(), req.Analyze, req.LinkBandwidth, req.Faults); err != nil || k != key {
 			t.Fatalf("re-encoded problem keys %s (err %v), want %s", k, err, key)
+		}
+	})
+}
+
+// FuzzDecodeFirst holds the miss path's decode to a json.Decoder's
+// first-value semantics: for any body, decodeFirst returns the request
+// and the error a Decoder returns, whether or not bytes follow the
+// first value.
+func FuzzDecodeFirst(f *testing.F) {
+	graph := `{"tasks":[{"id":0,"weight":1}],"edges":[]}`
+	f.Add([]byte(`{"algorithm":"HEFT","graph":` + graph + `}`))
+	f.Add([]byte(` {"algorithm":"HEFT","graph":` + graph + `,"analyze":true}` + "\n"))
+	f.Add([]byte(`{"algorithm":"HEFT"}{"algorithm":"CPOP"}`))
+	f.Add([]byte(`{"algorithm":"HEFT"} trailing`))
+	f.Add([]byte(`{"algorithm":"HEFT","processors":"8"}`))
+	f.Add([]byte(`{"algorithm":"HEFT","instance":{"graph":` + graph + `,"system":{"speeds":[1]}}}`))
+	f.Add([]byte(`7`))
+	f.Add([]byte(``))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, gotErr := decodeFirst(body)
+		var want scheduleWire
+		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("decodeFirst error %v, Decoder error %v", gotErr, wantErr)
+		}
+		if gotErr == nil && !reflect.DeepEqual(*got, want) {
+			t.Fatalf("decodeFirst decoded %+v, Decoder %+v", *got, want)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 )
@@ -41,11 +42,12 @@ const (
 	sweepMaxEntries = 256
 )
 
-// handoffEntry is one undelivered replica write hinted to a peer.
+// handoffEntry is one undelivered replica write hinted to a peer, with
+// the entry's response already encoded.
 type handoffEntry struct {
 	peer     string
 	key      string
-	resp     *ScheduleResponse
+	body     []byte
 	attempts int
 }
 
@@ -99,8 +101,8 @@ func replicaHolders(sh *shardState, key string, r int) []string {
 }
 
 // replicate pushes a freshly computed entry to the other holders of
-// its key. Fire-and-forget: the computing request never waits on
-// replication.
+// its key, encoded once for all of them. Fire-and-forget: the computing
+// request waits on neither the encoding nor the pushes.
 func (s *Server) replicate(key string, resp *ScheduleResponse) {
 	if s.opts.Replication <= 0 {
 		return
@@ -109,37 +111,39 @@ func (s *Server) replicate(key string, resp *ScheduleResponse) {
 	if sh == nil {
 		return
 	}
-	for _, peer := range replicaHolders(sh, key, s.opts.Replication) {
-		if peer == sh.self {
-			continue
+	go func() {
+		body, err := json.Marshal(resp)
+		if err != nil {
+			return // no holder could store what does not encode
 		}
-		go s.repl.pushOne(peer, key, resp)
-	}
+		for _, peer := range replicaHolders(sh, key, s.opts.Replication) {
+			if peer != sh.self {
+				go s.repl.pushOne(peer, key, body)
+			}
+		}
+	}()
 }
 
 // pushOne PUTs one entry to one peer, falling back to the hinted-
 // handoff queue on failure. A peer with an open circuit is not even
 // dialed — the hint waits for the detector's verdict instead.
-func (r *replicator) pushOne(peer, key string, resp *ScheduleResponse) {
+func (r *replicator) pushOne(peer, key string, body []byte) {
 	if _, open := r.s.peerBrk.allow(peer, peerBreakerThreshold); open {
 		r.s.met.ObserveReplicaPush(false)
-		r.enqueue(peer, key, resp)
+		r.enqueue(peer, key, body)
 		return
 	}
-	err := r.put(peer, key, resp)
+	err := r.put(peer, key, body)
 	r.s.peerBrk.observe(peer, peerBreakerThreshold, peerBreakerCooldown, err)
 	r.s.met.ObserveReplicaPush(err == nil)
 	if err != nil {
-		r.enqueue(peer, key, resp)
+		r.enqueue(peer, key, body)
 	}
 }
 
-// put performs one replica PUT bounded by the probe timeout.
-func (r *replicator) put(peer, key string, resp *ScheduleResponse) error {
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return err
-	}
+// put performs one replica PUT of an encoded response, bounded by the
+// probe timeout.
+func (r *replicator) put(peer, key string, body []byte) error {
 	ctx, cancel := context.WithTimeout(context.Background(), r.s.opts.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, peer+"/v1/cache/"+key, bytes.NewReader(body))
@@ -161,13 +165,13 @@ func (r *replicator) put(peer, key string, resp *ScheduleResponse) error {
 
 // enqueue parks one undelivered write on the handoff queue, dropping
 // the oldest hint when full.
-func (r *replicator) enqueue(peer, key string, resp *ScheduleResponse) {
+func (r *replicator) enqueue(peer, key string, body []byte) {
 	r.mu.Lock()
 	if len(r.queue) >= handoffMaxQueue {
 		r.queue = r.queue[1:]
 		r.s.met.ObserveHandoff(handoffDropped)
 	}
-	r.queue = append(r.queue, handoffEntry{peer: peer, key: key, resp: resp})
+	r.queue = append(r.queue, handoffEntry{peer: peer, key: key, body: body})
 	r.mu.Unlock()
 	r.s.met.ObserveHandoff(handoffQueued)
 }
@@ -191,7 +195,7 @@ func (r *replicator) retryHandoffs() {
 			keep = append(keep, h) // wait for the detector, free of charge
 			continue
 		}
-		err := r.put(h.peer, h.key, h.resp)
+		err := r.put(h.peer, h.key, h.body)
 		r.s.met.ObserveReplicaPush(err == nil)
 		if err == nil {
 			r.s.met.ObserveHandoff(handoffDelivered)
@@ -226,13 +230,15 @@ func (r *replicator) sweepFor(peer string) {
 	entries := r.s.cache.Snapshot(sweepMaxEntries)
 	queued := 0
 	for _, e := range entries {
-		for _, holder := range replicaHolders(sh, e.key, r.s.opts.Replication) {
-			if holder == peer {
-				r.enqueue(peer, e.key, e.resp)
-				queued++
-				break
-			}
+		if !slices.Contains(replicaHolders(sh, e.key, r.s.opts.Replication), peer) {
+			continue
 		}
+		body, err := json.Marshal(e.resp)
+		if err != nil {
+			continue
+		}
+		r.enqueue(peer, e.key, body)
+		queued++
 	}
 	if queued > 0 {
 		r.s.met.ObserveSweep(queued)
@@ -255,7 +261,10 @@ func (r *replicator) handoffOnLeave(ctx context.Context, sh *shardState) {
 		if owner == "" || owner == sh.self {
 			continue
 		}
-		err := r.put(owner, e.key, e.resp)
+		body, err := json.Marshal(e.resp)
+		if err == nil {
+			err = r.put(owner, e.key, body)
+		}
 		r.s.met.ObserveReplicaPush(err == nil)
 	}
 }

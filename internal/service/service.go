@@ -14,7 +14,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -570,7 +572,6 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses, size := s.cache.Stats()
 	var self string
 	var peers []string
 	if sh := s.shard.Load(); sh != nil {
@@ -586,7 +587,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.repl.mu.Lock()
 	cl.Handoff.Pending = len(s.repl.queue)
 	s.repl.mu.Unlock()
-	snap := s.met.Snapshot(len(s.jobs), cap(s.jobs), s.opts.Workers, hits, misses, size, s.opts.CacheSize, self, peers, cl)
+	cs := s.cache.Stats()
+	snap := s.met.Snapshot(len(s.jobs), cap(s.jobs), s.opts.Workers, cs.hits, cs.misses, cs.size, s.opts.CacheSize, self, peers, cl)
+	snap.Cache.BodyHits, snap.Cache.BodyDigests = cs.bodyHits, cs.bodyDigests
 	writeJSON(w, http.StatusOK, snap)
 }
 
@@ -834,11 +837,7 @@ func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem,
 	probe := true
 	for {
 		if resp, replica := s.cache.Get(it.key); resp != nil {
-			if replica {
-				s.met.ObserveTier(tierReplica)
-			} else {
-				s.met.ObserveTier(tierLocal)
-			}
+			s.met.ObserveTier(hitTier(replica))
 			return resp, nil
 		}
 		leader, f := s.flights.join(it.key)
@@ -958,19 +957,84 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req scheduleWire
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)).Decode(&req); err != nil {
+	body, err := readBody(w, r, s.opts.MaxBodyBytes)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return
+	}
+	// Equal bytes decode to the same request, and the cache key is a pure
+	// function of the request, so a body answered before names its entry
+	// by digest: a repeat skips the decode, the instance build and the key.
+	digest := sha256.Sum256(body)
+	if resp, key, replica := s.cache.GetBody(digest); resp != nil {
+		s.met.ObserveTier(hitTier(replica))
+		s.setShardOwner(w, key)
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	req, err := decodeFirst(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	reqID, _ := r.Context().Value(reqIDKey{}).(string)
-	res, key := s.serveItem(r.Context(), reqID, &req, false)
-	if sh := s.shard.Load(); sh != nil && key != "" {
-		w.Header().Set(hdrShardOwner, sh.ring.owner(key))
-	}
+	res, key := s.serveItem(r.Context(), reqID, req, false)
+	s.setShardOwner(w, key)
 	if res.Status != http.StatusOK {
 		writeError(w, res.Status, "%s", res.Error)
 		return
 	}
+	s.cache.AttachBody(key, digest)
 	writeJSON(w, http.StatusOK, res.Response)
+}
+
+// maxPresize bounds the buffer a declared Content-Length reserves
+// before any of the body has arrived. Request bodies run to tens of
+// kilobytes, so they are read into one buffer; a client that declares
+// more is held to what it sends, the buffer growing as bytes arrive.
+const maxPresize = 256 << 10
+
+// readBody reads a request body whole under limit. A Content-Length
+// past the limit is refused before anything is read.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	if r.ContentLength > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	var buf bytes.Buffer
+	if r.ContentLength > 0 {
+		// ReadFrom wants MinRead bytes free before every read, the one
+		// that meets the end of the body included.
+		buf.Grow(int(min(r.ContentLength, maxPresize)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
+}
+
+// decodeFirst decodes the first JSON value of body; bytes after it are
+// ignored. A body that is one value decodes in place, and only a body
+// that is not goes through a Decoder, which copies what it reads.
+func decodeFirst(body []byte) (*scheduleWire, error) {
+	var req scheduleWire
+	if json.Unmarshal(body, &req) == nil {
+		return &req, nil
+	}
+	req = scheduleWire{}
+	err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+	return &req, err
+}
+
+// hitTier is the cache tier of a local LRU hit.
+func hitTier(replica bool) int {
+	if replica {
+		return tierReplica
+	}
+	return tierLocal
+}
+
+// setShardOwner names key's ring owner in the response, when this node
+// is on a ring and the request got as far as a key.
+func (s *Server) setShardOwner(w http.ResponseWriter, key string) {
+	if sh := s.shard.Load(); sh != nil && key != "" {
+		w.Header().Set(hdrShardOwner, sh.ring.owner(key))
+	}
 }

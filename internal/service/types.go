@@ -279,6 +279,11 @@ type MetricsSnapshot struct {
 		HitRate  float64 `json:"hitRate"`
 		Size     int     `json:"size"`
 		Capacity int     `json:"capacity"`
+		// BodyHits counts the hits answered by the digest of a request
+		// body seen before, without decoding it; BodyDigests is the
+		// number of such digests held.
+		BodyHits    int64 `json:"bodyHits"`
+		BodyDigests int   `json:"bodyDigests"`
 		// Tier breaks scheduling items down by where they were served
 		// from: this node's LRU, a replication-delivered copy in that
 		// LRU, the owning peer's LRU (via the cache probe), or a miss
