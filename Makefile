@@ -84,8 +84,8 @@ perfbench-check:
 # the streaming graph's live growth against a fresh seal, the gap index
 # against the linear slot scan, the link reservation state against a
 # span-list scan, a plan's data-ready row against DataReady on every
-# processor, and the uniform links' mean cost against the pair-by-pair
-# sum.
+# processor, the uniform links' mean cost against the pair-by-pair
+# sum, and the incremental upward rank against a full sweep.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 5s ./internal/dag
 	$(GO) test -run '^$$' -fuzz FuzzAppendableGrow -fuzztime 5s ./internal/dag
@@ -93,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadyRow -fuzztime 5s ./internal/sched
 	$(GO) test -run '^$$' -fuzz FuzzLinkState -fuzztime 5s ./internal/platform
 	$(GO) test -run '^$$' -fuzz FuzzMeanCommCost -fuzztime 5s ./internal/platform
+	$(GO) test -run '^$$' -fuzz FuzzRankTracker -fuzztime 5s ./internal/algo
 	$(GO) test -run '^$$' -fuzz FuzzReadDAX -fuzztime 5s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzReadGraphJSON -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz FuzzScheduleRequest -fuzztime 5s ./internal/service

@@ -1,15 +1,11 @@
 package algo
 
 import (
+	"math/bits"
+
 	"dagsched/internal/dag"
 	"dagsched/internal/sched"
 )
-
-// DefaultDirtyFraction is the share of the graph a rank repair may
-// recompute before abandoning the dirty-set walk for a full sweep. Past
-// this point the repair's heap bookkeeping costs more than the flat
-// sweep it avoids.
-const DefaultDirtyFraction = 0.25
 
 // RankTracker maintains HEFT upward ranks (sched.RankUpward) across
 // graph growth. After a batch of appends it repairs only the dirty set —
@@ -25,17 +21,17 @@ const DefaultDirtyFraction = 0.25
 // are too.
 type RankTracker struct {
 	ranks []float64
+	// dirty marks the tasks awaiting evaluation by topological position,
+	// one bit each. Update leaves it all zero.
+	dirty []uint64
 
-	// Last-update statistics, for deltas and benchmarks.
-	Repaired int  // tasks recomputed by the dirty-set walk
-	Full     bool // whether the update fell back to the full sweep
-
-	heap rankHeap
-	inQ  []bool
+	// Repaired counts the tasks the last Update recomputed; it equals
+	// the task count when every rank was recomputed.
+	Repaired int
 }
 
 // NewRankTracker returns an empty tracker; the first Update initializes
-// it (and necessarily runs the full sweep — everything is new).
+// it, recomputing every rank — everything is new.
 func NewRankTracker() *RankTracker { return &RankTracker{} }
 
 // Ranks returns the maintained rank slice, indexed by task id. The
@@ -48,45 +44,52 @@ func (rt *RankTracker) Ranks() []float64 { return rt.ranks }
 // valid topological order of exactly the grown graph's tasks: pos[v] is
 // v's position and order its inverse (dag.Appendable.Order, for a
 // streaming caller). The tracker reads them as views during the call
-// and keeps neither. dirtyFrac bounds the dirty-set walk as a fraction
-// of n; <= 0 selects DefaultDirtyFraction, >= 1 disables the fallback.
-func (rt *RankTracker) Update(in *sched.Instance, oldN int, newEdges []dag.Edge, pos []int, order []dag.TaskID, dirtyFrac float64) {
+// and keeps neither.
+//
+// The dirty set is a bitmap over positions, swept from the highest set
+// bit down. A task's predecessors all sit below it, so every mark the
+// sweep adds lands below the cursor: the sweep takes each task at the
+// highest dirty position, after all its successors are final, and never
+// marks a task twice. Marks stay counted, and the sweep stops when the
+// count reaches zero, so it scans only the words from the highest dirty
+// position's down to the lowest's: about (highest − lowest)/64.
+func (rt *RankTracker) Update(in *sched.Instance, oldN int, newEdges []dag.Edge, pos []int, order []dag.TaskID) {
 	n := in.N()
-	if dirtyFrac <= 0 {
-		dirtyFrac = DefaultDirtyFraction
-	}
-	budget := n
-	if dirtyFrac < 1 {
-		budget = int(dirtyFrac * float64(n))
-	}
-
 	for len(rt.ranks) < n {
 		rt.ranks = append(rt.ranks, 0)
-		rt.inQ = append(rt.inQ, false)
 	}
-	rt.heap.reset(pos)
+	for len(rt.dirty) < (n+63)/64 {
+		rt.dirty = append(rt.dirty, 0)
+	}
 	// Seed the dirty set: new tasks need a first value; the tail of a new
 	// arc gained a successor term. The head's own rank is unaffected.
+	marked, top := 0, 0
+	mark := func(p int) {
+		w, b := p>>6, uint64(1)<<(p&63)
+		if rt.dirty[w]&b == 0 {
+			rt.dirty[w] |= b
+			marked++
+			top = max(top, w)
+		}
+	}
 	for v := oldN; v < n; v++ {
-		rt.push(dag.TaskID(v))
+		mark(pos[v])
 	}
 	for _, e := range newEdges {
-		rt.push(e.From)
+		mark(pos[e.From])
 	}
 
-	if rt.heap.len() > budget {
-		rt.fallback(in, order)
-		return
-	}
-
-	rt.Repaired, rt.Full = 0, false
-	for rt.heap.len() > 0 {
-		if rt.Repaired >= budget {
-			rt.fallback(in, order)
-			return
+	rt.Repaired = 0
+	for w := top; marked > 0; {
+		word := rt.dirty[w]
+		if word == 0 {
+			w--
+			continue
 		}
-		v := rt.heap.pop()
-		rt.inQ[v] = false
+		b := 63 - bits.LeadingZeros64(word)
+		rt.dirty[w] = word &^ (1 << b)
+		marked--
+		v := order[w<<6|b]
 		old := rt.ranks[v]
 		nv := rt.rank(in, v)
 		rt.Repaired++
@@ -95,7 +98,7 @@ func (rt *RankTracker) Update(in *sched.Instance, oldN int, newEdges []dag.Edge,
 		}
 		rt.ranks[v] = nv
 		for _, p := range in.G.Pred(v) {
-			rt.push(p.To)
+			mark(pos[p.To])
 		}
 	}
 }
@@ -111,76 +114,4 @@ func (rt *RankTracker) rank(in *sched.Instance, v dag.TaskID) float64 {
 		}
 	}
 	return in.MeanCost(v) + best
-}
-
-// fallback abandons the dirty walk for a full sweep of the maintained
-// order, last position first: every successor is final before its
-// predecessors read it, so the sweep is bit-identical to
-// sched.RankUpward and needs no level sets.
-func (rt *RankTracker) fallback(in *sched.Instance, order []dag.TaskID) {
-	for rt.heap.len() > 0 {
-		rt.inQ[rt.heap.pop()] = false
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		rt.ranks[order[i]] = rt.rank(in, order[i])
-	}
-	rt.Repaired, rt.Full = in.N(), true
-}
-
-func (rt *RankTracker) push(v dag.TaskID) {
-	if !rt.inQ[v] {
-		rt.inQ[v] = true
-		rt.heap.push(v)
-	}
-}
-
-// rankHeap is a max-heap of task ids keyed by topological position:
-// popping yields the task latest in the order, so all its (possibly
-// dirty) successors were already finalized.
-type rankHeap struct {
-	pos   []int
-	items []dag.TaskID
-}
-
-func (h *rankHeap) reset(pos []int) {
-	h.pos = pos
-	h.items = h.items[:0]
-}
-
-func (h *rankHeap) len() int { return len(h.items) }
-
-func (h *rankHeap) push(v dag.TaskID) {
-	h.items = append(h.items, v)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.pos[h.items[parent]] >= h.pos[h.items[i]] {
-			break
-		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
-		i = parent
-	}
-}
-
-func (h *rankHeap) pop() dag.TaskID {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h.items) && h.pos[h.items[l]] > h.pos[h.items[big]] {
-			big = l
-		}
-		if r < len(h.items) && h.pos[h.items[r]] > h.pos[h.items[big]] {
-			big = r
-		}
-		if big == i {
-			return top
-		}
-		h.items[i], h.items[big] = h.items[big], h.items[i]
-		i = big
-	}
 }

@@ -30,12 +30,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	// Items stay raw until their own goroutine decodes them, so an item
-	// that is valid JSON but not a valid request answers its own 400.
-	var breq struct {
-		Items []json.RawMessage `json:"items"`
+	// The body takes /v1/schedule's path: read whole under the limit,
+	// then its first JSON value decoded. Items stay raw until their own
+	// goroutine decodes them, so an item that is valid JSON but not a
+	// valid request answers its own 400.
+	body, err := readBody(w, r, s.opts.MaxBodyBytes, s.opts.DefaultTimeout)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "decoding batch: %v", err)
+		return
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)).Decode(&breq); err != nil {
+	breq, err := decodeFirst[batchWire](body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding batch: %v", err)
 		return
 	}
@@ -66,6 +71,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// batchWire is a batch request body as it arrives.
+type batchWire struct {
+	Items []json.RawMessage `json:"items"`
 }
 
 // fanOut runs every item on its own goroutine and returns the channel

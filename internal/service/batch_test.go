@@ -3,7 +3,9 @@ package service_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -114,6 +116,42 @@ func TestBatchValidation(t *testing.T) {
 	if _, err := c.ScheduleBatch(context.Background(), service.BatchRequest{Items: items}); err == nil ||
 		!strings.Contains(err.Error(), "limit") {
 		t.Errorf("oversized batch: want 400 limit error, got %v", err)
+	}
+}
+
+// TestBatchBodyLimitCoversTrailingBytes: the body limit bounds a batch
+// body as a whole, as it bounds a /v1/schedule body, whether or not the
+// client declares its length; under the limit, bytes after the first
+// JSON value are ignored.
+func TestBatchBodyLimitCoversTrailingBytes(t *testing.T) {
+	const limit = 4096
+	_, c := startServer(t, service.Options{Workers: 1, MaxBodyBytes: limit})
+	envelope := `{"items":[{"algorithm":"HEFT","graph":{"tasks":[{"id":0,"weight":2}],"edges":[]}}]}`
+	post := func(size int, sized bool) (int, string) {
+		body := envelope + strings.Repeat(" ", size-len(envelope))
+		var rd io.Reader = strings.NewReader(body)
+		if !sized {
+			rd = io.MultiReader(rd) // no length to declare: sent chunked
+		}
+		resp, err := http.Post(c.BaseURL+"/v1/schedule/batch", "application/json", rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(got)
+	}
+	for _, sized := range []bool{true, false} {
+		if status, got := post(limit, sized); status != http.StatusOK {
+			t.Errorf("sized=%v: a batch of exactly the limit answered %d: %s", sized, status, got)
+		}
+		status, got := post(8275, sized)
+		if status != http.StatusBadRequest || !strings.Contains(got, "decoding batch: http: request body too large") {
+			t.Errorf("sized=%v: an 8275-byte batch under a %d-byte limit answered %d: %s, want 400 request body too large", sized, limit, status, got)
+		}
 	}
 }
 

@@ -161,19 +161,36 @@ func newLRUCache(capacity int) *lruCache {
 }
 
 // Get returns a copy of the cached response marked Cached (or nil),
-// plus whether the entry was a replication-delivered copy.
-func (c *lruCache) Get(key string) (*ScheduleResponse, bool) {
+// plus whether the entry was a replication-delivered copy. It counts
+// one hit or one miss.
+func (c *lruCache) Get(key string) (*ScheduleResponse, bool) { return c.lookup(key, true) }
+
+// Probe is Get for a peer's cache probe: it marks the entry most recent
+// as Get does, so probes keep their place in the eviction order, but it
+// counts neither a hit nor a miss. The request behind a probe counted
+// its lookup on the node it entered, and the hit rate counts lookups.
+func (c *lruCache) Probe(key string) *ScheduleResponse {
+	resp, _ := c.lookup(key, false)
+	return resp
+}
+
+func (c *lruCache) lookup(key string, count bool) (*ScheduleResponse, bool) {
 	if c.cap <= 0 {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
-	if !ok {
+	if count && ok {
+		c.hits++
+	}
+	if count && !ok {
 		c.misses++
+	}
+	if !ok {
 		return nil, false
 	}
-	resp, e := c.hit(el)
+	resp, e := c.recent(el)
 	return resp, e.replica
 }
 
@@ -192,15 +209,15 @@ func (c *lruCache) GetBody(d bodyDigest) (resp *ScheduleResponse, key string, re
 	if !ok {
 		return nil, "", false
 	}
+	c.hits++
 	c.bodyHits++
-	resp, e := c.hit(el)
+	resp, e := c.recent(el)
 	return resp, e.key, e.replica
 }
 
-// hit counts one hit on el, marks it most recent and returns a copy of
-// its response marked Cached. c.mu must be held.
-func (c *lruCache) hit(el *list.Element) (*ScheduleResponse, *cacheEntry) {
-	c.hits++
+// recent marks el most recent and returns a copy of its response marked
+// Cached. c.mu must be held.
+func (c *lruCache) recent(el *list.Element) (*ScheduleResponse, *cacheEntry) {
 	c.ll.MoveToFront(el)
 	e := el.Value.(*cacheEntry)
 	cp := *e.resp

@@ -237,7 +237,7 @@ func TestReadBodyHeldToWhatArrives(t *testing.T) {
 		req.ContentLength = tc.declared
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		got, err := readBody(httptest.NewRecorder(), req, limit)
+		got, err := readBody(httptest.NewRecorder(), req, limit, time.Second)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

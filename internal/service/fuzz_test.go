@@ -118,7 +118,7 @@ func FuzzDecodeFirst(f *testing.F) {
 	f.Add([]byte(`7`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		got, gotErr := decodeFirst(body)
+		got, gotErr := decodeFirst[scheduleWire](body)
 		var want scheduleWire
 		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
 		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {

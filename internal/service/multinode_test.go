@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"dagsched/internal/algo"
 	"dagsched/internal/service"
 	"dagsched/internal/testfix"
+	"dagsched/internal/workload"
 )
 
 // startCluster launches n in-process nodes on ephemeral ports and joins
@@ -199,6 +201,51 @@ func TestMultiNodePeerCacheHit(t *testing.T) {
 				t.Errorf("shard snapshot = %+v, want enabled with self %q", snap.Shard, probe)
 			}
 		})
+	}
+}
+
+// TestPeerProbeCountsOneLookup: a request answered from a peer's cache
+// counts one cache lookup over the whole ring, the miss on the node it
+// entered. The probe it sends counts neither a hit nor a miss on the
+// holder, so the ring's hit rate counts requests, not probes.
+func TestPeerProbeCountsOneLookup(t *testing.T) {
+	_, urls := startCluster(t, 2, service.Options{Workers: 1, Replication: -1})
+	lookups := func() int64 {
+		var n int64
+		for _, u := range urls {
+			snap := snapshot(t, u)
+			n += snap.Cache.Hits + snap.Cache.Misses
+		}
+		return n
+	}
+	// Find a request node 0 owns, computing it there; node 1 has never
+	// seen it. Each seed is a different instance, so a different key.
+	var req service.ScheduleRequest
+	for seed := int64(0); ; seed++ {
+		if seed == 64 {
+			t.Fatal("node 0 owns none of 64 keys")
+		}
+		rng := rand.New(rand.NewSource(seed))
+		g, err := workload.Random(workload.RandomConfig{N: 12}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := workload.MakeInstance(g, workload.HetConfig{Procs: 2, CCR: 1, Beta: 1}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req = service.ScheduleRequest{Algorithm: "HEFT", Instance: instanceJSON(t, in)}
+		if _, hdr := postSchedule(t, urls[0], req); hdr.Get("X-Shard-Owner") == urls[0] {
+			break
+		}
+	}
+	before := lookups()
+	resp, _ := postSchedule(t, urls[1], req)
+	if !resp.Cached || snapshot(t, urls[1]).Cache.Tier.Peer != 1 {
+		t.Fatalf("node 1 did not answer from node 0's cache (cached=%v)", resp.Cached)
+	}
+	if got := lookups() - before; got != 1 {
+		t.Errorf("one peer-cache answer counted %d lookups over the ring, want 1", got)
 	}
 }
 

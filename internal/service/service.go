@@ -54,8 +54,10 @@ type Options struct {
 	// CacheSize is the LRU result-cache capacity in entries; negative
 	// disables caching (default 256).
 	CacheSize int
-	// DefaultTimeout applies to requests without timeoutMs (default 30s);
-	// MaxTimeout clamps requested deadlines (default 5m).
+	// DefaultTimeout applies to requests without timeoutMs (default 30s),
+	// and bounds the reading of a request's headers and, on the
+	// schedule endpoints, of its body; MaxTimeout clamps requested
+	// deadlines (default 5m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
 	// MaxBodyBytes bounds the request body (default 32 MiB).
@@ -239,7 +241,10 @@ func New(opts Options) *Server {
 	mux.HandleFunc("/v1/algorithms", s.handleAlgorithms)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	s.httpSrv = &http.Server{Handler: s.instrument(mux)}
+	// A client gets DefaultTimeout to send its headers, and readBody
+	// gives it as long again for the body, so a slow sender cannot hold
+	// a connection and its handler.
+	s.httpSrv = &http.Server{Handler: s.instrument(mux), ReadHeaderTimeout: opts.DefaultTimeout}
 	return s
 }
 
@@ -957,7 +962,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := readBody(w, r, s.opts.MaxBodyBytes)
+	body, err := readBody(w, r, s.opts.MaxBodyBytes, s.opts.DefaultTimeout)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
@@ -972,7 +977,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	req, err := decodeFirst(body)
+	req, err := decodeFirst[scheduleWire](body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
@@ -994,9 +999,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 // more is held to what it sends, the buffer growing as bytes arrive.
 const maxPresize = 256 << 10
 
-// readBody reads a request body whole under limit. A Content-Length
-// past the limit is refused before anything is read.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+// readBody reads a request body whole under limit, within timeout. A
+// Content-Length past the limit is refused before anything is read. The
+// read deadline ends with the read: left set, a deadline that passed
+// would fail the server's background read of the connection, and that
+// cancels the request's context while it is still scheduling. (net/http
+// also clears it when the body reaches EOF and that read starts.)
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, timeout time.Duration) ([]byte, error) {
 	if r.ContentLength > limit {
 		return nil, &http.MaxBytesError{Limit: limit}
 	}
@@ -1006,21 +1015,27 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 		// that meets the end of the body included.
 		buf.Grow(int(min(r.ContentLength, maxPresize)) + bytes.MinRead)
 	}
+	// A writer without a connection (a test recorder) has no deadline
+	// to set, and its body reads as fast as it can.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(timeout))
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	_ = rc.SetReadDeadline(time.Time{})
 	return buf.Bytes(), err
 }
 
-// decodeFirst decodes the first JSON value of body; bytes after it are
-// ignored. A body that is one value decodes in place, and only a body
-// that is not goes through a Decoder, which copies what it reads.
-func decodeFirst(body []byte) (*scheduleWire, error) {
-	var req scheduleWire
-	if json.Unmarshal(body, &req) == nil {
-		return &req, nil
+// decodeFirst decodes the first JSON value of body into a new T; bytes
+// after it are ignored. A body that is one value decodes in place, and
+// only a body that is not goes through a Decoder, which copies what it
+// reads.
+func decodeFirst[T any](body []byte) (*T, error) {
+	v := new(T)
+	if json.Unmarshal(body, v) == nil {
+		return v, nil
 	}
-	req = scheduleWire{}
-	err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
-	return &req, err
+	v = new(T)
+	err := json.NewDecoder(bytes.NewReader(body)).Decode(v)
+	return v, err
 }
 
 // hitTier is the cache tier of a local LRU hit.

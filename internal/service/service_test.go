@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"runtime"
 	"strings"
@@ -242,6 +244,60 @@ func TestDeadlineAbortsPromptly(t *testing.T) {
 	}
 	if n := slow.completions.Load(); n != 0 {
 		t.Errorf("algorithm ran to completion %d times despite expired deadline", n)
+	}
+}
+
+// TestSlowSenderReleased: a client that declares a 30 MB body and sends
+// one byte of it, or never finishes its headers, is answered or dropped
+// once DefaultTimeout passes; it holds neither its connection nor a
+// handler.
+func TestSlowSenderReleased(t *testing.T) {
+	s, _ := startServer(t, service.Options{Workers: 1, DefaultTimeout: 200 * time.Millisecond})
+	for _, tc := range []struct{ name, send string }{
+		{"body", "POST /v1/schedule HTTP/1.1\r\nHost: schedd\r\nContent-Type: application/json\r\nContent-Length: 30000000\r\n\r\n{"},
+		{"headers", "POST /v1/schedule HTTP/1.1\r\nHost: schedd\r\n"},
+	} {
+		conn, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.WriteString(conn, tc.send); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_ = conn.SetReadDeadline(start.Add(2 * time.Second))
+		got, err := io.ReadAll(conn) // until the server closes
+		conn.Close()
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Errorf("%s: connection still open after %v", tc.name, time.Since(start))
+		}
+		if len(got) > 0 && !bytes.HasPrefix(got, []byte("HTTP/1.1 4")) {
+			t.Errorf("%s: answered %q, want a 4xx", tc.name, got)
+		}
+	}
+}
+
+// TestBodyDeadlineEndsWithBody: DefaultTimeout bounds the reading of a
+// body, not the request: one whose timeoutMs runs past DefaultTimeout
+// keeps its context until its own deadline.
+func TestBodyDeadlineEndsWithBody(t *testing.T) {
+	slow := &slowAlg{name: "slow", delay: 600 * time.Millisecond}
+	_, c := startServer(t, service.Options{
+		Workers:        1,
+		DefaultTimeout: 200 * time.Millisecond,
+		Resolver: func(name string) (algo.Algorithm, error) {
+			return slow, nil
+		},
+	})
+	if _, err := c.Schedule(context.Background(), service.ScheduleRequest{
+		Algorithm: "slow",
+		Instance:  instanceJSON(t, testfix.Topcuoglu()),
+		TimeoutMs: 5000,
+	}); err != nil {
+		t.Fatalf("a request with timeoutMs past DefaultTimeout failed: %v", err)
+	}
+	if n := slow.completions.Load(); n != 1 {
+		t.Errorf("algorithm completed %d times, want 1", n)
 	}
 }
 

@@ -124,7 +124,8 @@ func (s *Server) probeReplicas(ctx context.Context, sh *shardState, key string) 
 //
 //	GET /v1/cache/{hash} — the probe. Only ever reads this node's LRU;
 //	a probe can never trigger a computation, which is what keeps the
-//	tiered lookup cheap.
+//	tiered lookup cheap. It counts no cache hit or miss here: the
+//	probing node counted the lookup.
 //	PUT /v1/cache/{hash} — a replication push or handoff: the body (a
 //	ScheduleResponse) is stored as a replica copy.
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
@@ -135,7 +136,7 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		if resp, _ := s.cache.Get(key); resp != nil {
+		if resp := s.cache.Probe(key); resp != nil {
 			writeJSON(w, http.StatusOK, resp)
 			return
 		}

@@ -328,9 +328,9 @@ func (e *Engine) flush(seal bool) (*Delta, error) {
 	rankRepaired, fullRanks := 0, false
 	if e.pm.Priority == listsched.PrioUpward {
 		pos, order := e.ap.Order()
-		e.rt.Update(e.in, e.oldN, e.newEdges, pos, order, 0)
+		e.rt.Update(e.in, e.oldN, e.newEdges, pos, order)
 		prio = e.rt.Ranks()[:n]
-		rankRepaired, fullRanks = e.rt.Repaired, e.rt.Full
+		rankRepaired, fullRanks = e.rt.Repaired, e.rt.Repaired == n
 	} else {
 		prio = e.pm.PriorityVector(e.in)
 		rankRepaired, fullRanks = n, true

@@ -167,7 +167,9 @@ type Delta struct {
 	Replanned int `json:"replanned"`
 	Frozen    int `json:"frozen"`
 	// RankRepaired counts tasks whose upward rank was recomputed;
-	// FullRanks marks a fall-back to a full rank computation.
+	// FullRanks marks a flush that recomputed every rank (the first
+	// flush, a batch that dirtied every task, or a priority other than
+	// the upward rank, which is always computed whole).
 	RankRepaired int  `json:"rankRepaired"`
 	FullRanks    bool `json:"fullRanks,omitempty"`
 	// FullReplan marks a flush that rebuilt the plan from the frozen

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -85,15 +86,24 @@ func goldenLogs(t *testing.T, in *sched.Instance) []namedLog {
 
 // deltaGolden is the sha256 of every JSON-encoded delta and every sealed
 // schedule digest of TestStreamDeltaGolden's 144 replays.
-const deltaGolden = "2df65c18d4488b6a571e5623db627e065ce28b71f204962db03998913ed288db"
+const deltaGolden = "4565f294d8aafbf12c677eea56e0e742e55bdcaf012e1eacc79efed21511a92d"
+
+// deltaGoldenMasked is deltaGolden with every delta's rank-repair
+// counters (RankRepaired, FullRanks) zeroed before encoding: the
+// placements, makespans and sealed schedules alone. It was recorded
+// while the rank repair still ran a heap with a full-sweep fallback, so
+// it pins that the bitmap sweep changed only what the counters report.
+const deltaGoldenMasked = "dafb193e4765e4b1893949f76fa7d9047539fd57dbb1fd70fa1ff0d423c9b0e8"
 
 // TestStreamDeltaGolden pins the engine's observable output: 6
 // algorithms × 4 arrival logs × batch 1/8/32 × incremental and full
 // recompute. Any change to a delta (placements, counters, makespan) or
-// to a sealed schedule moves the hash.
+// to a sealed schedule moves the hash. Every delta flags FullRanks
+// exactly when it recomputed every rank.
 func TestStreamDeltaGolden(t *testing.T) {
 	in := hetInstance(t, 2718, 300, 6)
-	h := sha256.New()
+	h, masked := sha256.New(), sha256.New()
+	both := io.MultiWriter(h, masked)
 	replays := 0
 	for _, alg := range nonDupFamilies {
 		for _, log := range goldenLogs(t, in) {
@@ -104,16 +114,27 @@ func TestStreamDeltaGolden(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%s batch=%d full=%v: %v", alg, log.name, batch, full, err)
 					}
-					fmt.Fprintf(h, "%s/%s/%d/%v\n", alg, log.name, batch, full)
+					fmt.Fprintf(both, "%s/%s/%d/%v\n", alg, log.name, batch, full)
 					for _, d := range ds {
+						if d.FullRanks != (d.RankRepaired == d.Tasks) {
+							t.Fatalf("%s/%s batch=%d full=%v seq %d: fullRanks=%v with %d of %d ranks recomputed",
+								alg, log.name, batch, full, d.Seq, d.FullRanks, d.RankRepaired, d.Tasks)
+						}
 						b, err := json.Marshal(d)
 						if err != nil {
 							t.Fatal(err)
 						}
 						h.Write(b)
 						h.Write([]byte{'\n'})
+						m := d
+						m.RankRepaired, m.FullRanks = 0, false
+						if b, err = json.Marshal(m); err != nil {
+							t.Fatal(err)
+						}
+						masked.Write(b)
+						masked.Write([]byte{'\n'})
 					}
-					fmt.Fprintf(h, "sealed %s\n", testfix.ScheduleDigest(eng.Schedule()))
+					fmt.Fprintf(both, "sealed %s\n", testfix.ScheduleDigest(eng.Schedule()))
 					replays++
 				}
 			}
@@ -121,6 +142,9 @@ func TestStreamDeltaGolden(t *testing.T) {
 	}
 	if replays != 144 {
 		t.Fatalf("%d replays, want 144", replays)
+	}
+	if got := hex.EncodeToString(masked.Sum(nil)); got != deltaGoldenMasked {
+		t.Fatalf("masked delta golden %s, want %s", got, deltaGoldenMasked)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != deltaGolden {
 		t.Fatalf("delta golden %s, want %s", got, deltaGolden)
