@@ -85,7 +85,8 @@ perfbench-check:
 # against the linear slot scan, the link reservation state against a
 # span-list scan, a plan's data-ready row against DataReady on every
 # processor, the uniform links' mean cost against the pair-by-pair
-# sum, and the incremental upward rank against a full sweep.
+# sum, the incremental upward rank against a full sweep, and the greedy
+# list orders against their ready-list scans.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 5s ./internal/dag
 	$(GO) test -run '^$$' -fuzz FuzzAppendableGrow -fuzztime 5s ./internal/dag
@@ -94,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLinkState -fuzztime 5s ./internal/platform
 	$(GO) test -run '^$$' -fuzz FuzzMeanCommCost -fuzztime 5s ./internal/platform
 	$(GO) test -run '^$$' -fuzz FuzzRankTracker -fuzztime 5s ./internal/algo
+	$(GO) test -run '^$$' -fuzz FuzzGreedyOrder -fuzztime 5s ./internal/algo
 	$(GO) test -run '^$$' -fuzz FuzzReadDAX -fuzztime 5s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzReadGraphJSON -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz FuzzScheduleRequest -fuzztime 5s ./internal/service

@@ -1,6 +1,8 @@
 package algo
 
 import (
+	"math"
+
 	"dagsched/internal/dag"
 	"dagsched/internal/sched"
 )
@@ -13,14 +15,9 @@ import (
 // tasks sorted by decreasing priority with topological tie-breaks; for
 // others, like CPOP's rank_u + rank_d, that sort would break precedence.
 func OrderDescPrecedence(g *dag.Graph, prio []float64) []dag.TaskID {
-	// The caller owns TopoOrder's copy: it yields the positions, then
-	// backs the output.
-	order := g.TopoOrder()
-	pos := make([]int32, g.Len())
-	for i, v := range order {
-		pos[v] = int32(i)
-	}
-	return greedyOrder(g, readyHeap{prio: prio, pos: pos}, order[:0])
+	// The caller owns TopoOrder's copy: it lists the ties, then backs
+	// the output.
+	return greedyOrder(g, prio, g.TopoOrder(), false)
 }
 
 // ReadyOrder is OrderDescPrecedence with ties toward the lower task id:
@@ -29,12 +26,38 @@ func OrderDescPrecedence(g *dag.Graph, prio []float64) []dag.TaskID {
 // That pick never depends on where earlier tasks were placed, so a
 // ready-list scheduler can take its whole order up front.
 func ReadyOrder(g *dag.Graph, prio []float64) []dag.TaskID {
-	return greedyOrder(g, readyHeap{prio: prio}, make([]dag.TaskID, 0, g.Len()))
+	ids := make([]dag.TaskID, g.Len())
+	for i := range ids {
+		ids[i] = dag.TaskID(i)
+	}
+	return greedyOrder(g, prio, ids, true)
 }
 
-// greedyOrder drains h from g's entry tasks, releasing each successor
-// once its last predecessor is taken, and appends the pops to order.
-func greedyOrder(g *dag.Graph, h readyHeap, order []dag.TaskID) []dag.TaskID {
+// greedyOrder returns g's tasks in the order the greedy pick takes them:
+// each time the ready task first under (priority descending, tie key
+// ascending), where ties lists every task in ascending tie key (task id
+// when idTies, else topological position). The result reuses ties.
+//
+// When every arc u→v puts u first under that key (descends), the tasks
+// sorted by it are the greedy order: the sort lists every arc's tail
+// before its head, so each task is ready when its turn comes, and as the
+// first of all remaining tasks it is the first ready one too. The sort
+// is a stable radix sort of ties, which takes O(n+e) in all. A priority
+// that rises along an arc (CPOP's rank_u + rank_d, MCP's zero-cost
+// corner) or is NaN leaves the greedy pick to a ready heap,
+// O((n+e) log n).
+func greedyOrder(g *dag.Graph, prio []float64, ties []dag.TaskID, idTies bool) []dag.TaskID {
+	if descends(g, prio, idTies) {
+		return sortDesc(prio, ties)
+	}
+	h := readyHeap{prio: prio}
+	if !idTies {
+		h.pos = make([]int32, len(ties))
+		for i, v := range ties {
+			h.pos[v] = int32(i)
+		}
+	}
+	order := ties[:0]
 	pending := make([]int32, g.Len())
 	for i := range pending {
 		pending[i] = int32(g.InDegree(dag.TaskID(i)))
@@ -53,6 +76,79 @@ func greedyOrder(g *dag.Graph, h readyHeap, order []dag.TaskID) []dag.TaskID {
 		}
 	}
 	return order
+}
+
+// descends reports whether no priority is NaN and every arc u→v puts u
+// first under greedyOrder's key: prio[u] >= prio[v] on topological ties
+// (u precedes v in any topological order), and prio[u] > prio[v], or
+// equal priorities and u < v, on id ties. One pass over the successor
+// lists, stopping at the first arc that fails.
+func descends(g *dag.Graph, prio []float64, idTies bool) bool {
+	for u := range g.Len() {
+		pu := prio[u]
+		if math.IsNaN(pu) {
+			return false // an isolated task has no arc to fail
+		}
+		for _, a := range g.Succ(dag.TaskID(u)) {
+			pv := prio[a.To]
+			if !(pu > pv || pu == pv && (!idTies || dag.TaskID(u) < a.To)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sortDesc sorts ts by decreasing priority, stably, with an LSD radix sort
+// over descKey's 8-bit digits, skipping each digit every task shares. Each
+// pass recomputes the keys from prio rather than carrying them, so the
+// sort needs one scratch slice; the result is ts or the scratch.
+func sortDesc(prio []float64, ts []dag.TaskID) []dag.TaskID {
+	n := len(ts)
+	if n < 2 {
+		return ts
+	}
+	var count [8][256]int32
+	for _, t := range ts {
+		k := descKey(prio[t])
+		for d := range count {
+			count[d][byte(k>>(8*d))]++
+		}
+	}
+	first, buf := descKey(prio[ts[0]]), make([]dag.TaskID, n)
+	for d := range count {
+		c, shift := &count[d], 8*d
+		if c[byte(first>>shift)] == int32(n) {
+			continue
+		}
+		sum := int32(0)
+		for i, k := range c {
+			c[i], sum = sum, sum+k
+		}
+		for _, t := range ts {
+			b := byte(descKey(prio[t]) >> shift)
+			buf[c[b]] = t
+			c[b]++
+		}
+		ts, buf = buf, ts
+	}
+	return ts
+}
+
+// descKey maps a priority that is not NaN to a key whose ascending order
+// is the priorities' descending order, −0 and +0 one key as they tie in
+// the heap's comparison.
+func descKey(x float64) uint64 {
+	if x == 0 {
+		x = 0 // −0 to +0
+	}
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		b = ^b // a negative priority: the larger its magnitude, the lower
+	} else {
+		b |= 1 << 63
+	}
+	return ^b
 }
 
 // readyHeap is a binary max-heap of ready tasks keyed by (priority,

@@ -77,16 +77,36 @@ func TestOrderDescPrecedence(t *testing.T) {
 		t.Fatalf("rank_u+rank_d %v never rises along an edge: the case tests nothing", prio)
 	}
 	requirePrecedence(t, in.G, OrderDescPrecedence(in.G, prio))
+	// A NaN priority takes the heap even on a task with no arc to fail.
+	b := dag.NewBuilder("nan")
+	x, y := b.AddTask("x", 1), b.AddTask("y", 1)
+	b.AddTask("isolated", 1)
+	b.AddEdge(x, y, 1)
+	g := b.MustBuild()
+	prio = []float64{2, 1, math.NaN()}
+	for _, idTies := range []bool{false, true} {
+		if descends(g, prio, idTies) {
+			t.Fatalf("id ties %v: an isolated NaN priority passed the arc check", idTies)
+		}
+	}
+	requirePrecedence(t, g, OrderDescPrecedence(g, prio))
+	requirePrecedence(t, g, ReadyOrder(g, prio))
 }
 
-// TestReadyOrderMatchesReadyList: ReadyOrder is the pick sequence of an
-// argmax scan over a ReadyList, which keeps the first ready task in id
-// order on a tie. Priorities are rounded to four values so that most
-// picks tie, both for static levels and for CPOP's rank_u + rank_d,
-// which can rise along an edge.
+// TestReadyOrderMatchesReadyList: ReadyOrder and OrderDescPrecedence are
+// the pick sequences of an argmax scan over a ReadyList, which on a tie
+// keeps the first ready task in id order and in topological order
+// respectively. Priorities are rounded to four values so that most picks
+// tie, across arcs too. Static level and upward rank never rise along an
+// arc, so with topological ties they take the radix sort; CPOP's rank_u +
+// rank_d can rise, which leaves the pick to the heap. The upward rank's
+// levels recoded as +Inf, 7, ±0 (the sign drawn per task, so −0 sits
+// beside +0) and −1.5 descend just as the levels do. Each tie rule must
+// meet both paths.
 func TestReadyOrderMatchesReadyList(t *testing.T) {
 	rng := rand.New(rand.NewSource(2007))
 	topoDiffers := false
+	var paths [2][2]int // [idTies][descends]
 	for trial := 0; trial < 40; trial++ {
 		g, err := workload.Random(workload.RandomConfig{
 			N:         2 + rng.Intn(80),
@@ -102,28 +122,114 @@ func TestReadyOrderMatchesReadyList(t *testing.T) {
 		for i := range updown {
 			updown[i] = up[i] + down[i]
 		}
-		for _, prio := range [][]float64{sched.StaticLevel(in), updown} {
-			prio = roundTo(prio, 4)
-			var want []dag.TaskID
-			for rl := NewReadyList(g); !rl.Empty(); {
-				pick := rl.Ready()[0]
-				for _, r := range rl.Ready() {
-					if prio[r] > prio[pick] {
-						pick = r
-					}
+		special := roundTo(up, 4)
+		for i, level := range special {
+			special[i] = []float64{-1.5, 0, 7, math.Inf(1)}[int(level)]
+			if level == 1 && rng.Intn(2) == 0 {
+				special[i] = math.Copysign(0, -1)
+			}
+		}
+		for _, prio := range [][]float64{roundTo(sched.StaticLevel(in), 4), roundTo(up, 4), roundTo(updown, 4), special} {
+			for _, idTies := range []bool{false, true} {
+				want := scanOrder(g, prio, idTies)
+				got := OrderDescPrecedence(g, prio)
+				if idTies {
+					got = ReadyOrder(g, prio)
 				}
-				want = append(want, pick)
-				rl.Complete(pick)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d, id ties %v: greedy order %v, ready-list scan %v (priorities %v)", trial, idTies, got, want, prio)
+				}
+				paths[b2i(idTies)][b2i(descends(g, prio, idTies))]++
 			}
-			if got := ReadyOrder(g, prio); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: ReadyOrder %v, ready-list scan %v", trial, got, want)
-			}
-			topoDiffers = topoDiffers || !reflect.DeepEqual(OrderDescPrecedence(g, prio), want)
+			topoDiffers = topoDiffers || !reflect.DeepEqual(scanOrder(g, prio, false), scanOrder(g, prio, true))
 		}
 	}
 	if !topoDiffers {
 		t.Fatal("a topological tie-break gives the same orders: the battery tests no tie rule")
 	}
+	for idTies, n := range paths {
+		if n[0] == 0 || n[1] == 0 {
+			t.Fatalf("id ties %v: %d vectors took the heap, %d the sort; the battery must take both", idTies == 1, n[0], n[1])
+		}
+	}
+}
+
+// FuzzGreedyOrder checks both greedy orders against their ready-list
+// scans on a random DAG whose arcs follow a random permutation, so ids
+// and topological positions disagree, with priorities drawn from +Inf,
+// 2, 1, +0, −0, −1 and −Inf by vals (one byte per task, at most 48). An
+// odd mode lowers each priority to its predecessors' smallest in
+// topological order, so it never rises along an arc and the radix sort
+// runs; an even mode leaves it as drawn, which mostly rises somewhere.
+func FuzzGreedyOrder(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(60), []byte{3, 4, 3, 4, 0, 6, 5, 2, 1, 4})
+	f.Add(int64(2), uint8(0), uint8(30), []byte{0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5, 6})
+	f.Add(int64(3), uint8(3), uint8(120), []byte{4, 3, 4, 3, 4, 3, 6, 6, 0, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, seed int64, mode, density uint8, vals []byte) {
+		if len(vals) == 0 {
+			return
+		}
+		vals = vals[:min(len(vals), 48)]
+		set := []float64{math.Inf(1), 2, 1, 0, math.Copysign(0, -1), -1, math.Inf(-1)}
+		rng := rand.New(rand.NewSource(seed))
+		perm := rng.Perm(len(vals))
+		b := dag.NewBuilder("fuzz")
+		for range vals {
+			b.AddTask("", 1)
+		}
+		prio := make([]float64, len(vals))
+		for i, u := range perm {
+			prio[u] = set[int(vals[u])%len(set)]
+			for _, v := range perm[:i] {
+				if rng.Intn(256) >= int(density) {
+					continue
+				}
+				b.AddEdge(dag.TaskID(v), dag.TaskID(u), 1)
+				if mode%2 == 1 && prio[v] < prio[u] {
+					prio[u] = prio[v]
+				}
+			}
+		}
+		g := b.MustBuild()
+		if got, want := ReadyOrder(g, prio), scanOrder(g, prio, true); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ReadyOrder %v, ready-list scan %v (priorities %v)", got, want, prio)
+		}
+		if got, want := OrderDescPrecedence(g, prio), scanOrder(g, prio, false); !reflect.DeepEqual(got, want) {
+			t.Fatalf("OrderDescPrecedence %v, ready-list scan %v (priorities %v)", got, want, prio)
+		}
+	})
+}
+
+// scanOrder is the greedy pick by an argmax scan over a ReadyList: the
+// ready task of highest priority, on a tie the first in id order, or with
+// idTies false the first in topological order.
+func scanOrder(g *dag.Graph, prio []float64, idTies bool) []dag.TaskID {
+	rank := make([]int, g.Len())
+	for i, v := range g.TopoOrder() {
+		rank[v] = i
+		if idTies {
+			rank[v] = int(v)
+		}
+	}
+	var order []dag.TaskID
+	for rl := NewReadyList(g); !rl.Empty(); {
+		pick := rl.Ready()[0]
+		for _, r := range rl.Ready() {
+			if prio[r] > prio[pick] || prio[r] == prio[pick] && rank[r] < rank[pick] {
+				pick = r
+			}
+		}
+		order = append(order, pick)
+		rl.Complete(pick)
+	}
+	return order
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // roundTo maps prio onto k evenly spaced values spanning its range.

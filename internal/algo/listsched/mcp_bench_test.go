@@ -20,9 +20,11 @@ func BenchmarkMCPScaling(b *testing.B) {
 }
 
 // BenchmarkReadyOrderScaling guards the ready-order grid points the same
-// way: HLFET and CPOP take their whole order from one ready heap, where
-// an argmax scan over the ready list per pick made the per-task cost grow
-// with the ready width. Compare ns/op divided by n across n.
+// way: HLFET takes its whole order from a radix sort of its static
+// levels, and CPOP, whose rank_u + rank_d rises along arcs, from one
+// ready heap; an argmax scan over the ready list per pick made the
+// per-task cost grow with the ready width. Compare ns/op divided by n
+// across n.
 func BenchmarkReadyOrderScaling(b *testing.B) {
 	for _, a := range []algo.Algorithm{HLFET{}, CPOP{}} {
 		b.Run(a.Name(), func(b *testing.B) { benchScaling(b, a) })

@@ -246,6 +246,14 @@ func (s *System) UniformLinks() (latency, invRate float64, ok bool) {
 	return s.startup[0][1], s.invRate[0][1], true
 }
 
+// LinksFrom returns the startup and inverse-rate rows of the links out of
+// processor p: entry q is Startup(p, q) and InvRate(p, q) for q != p.
+// Entry p is no link, and CommCost charges nothing there. The rows are
+// the system's own and must not be modified.
+func (s *System) LinksFrom(p int) (startup, invRate []float64) {
+	return s.startup[p], s.invRate[p]
+}
+
 // CommCost returns the time to transfer data units from processor p to q:
 // zero when p == q, otherwise startup + data * invRate.
 func (s *System) CommCost(p, q int, data float64) float64 {

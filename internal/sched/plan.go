@@ -192,7 +192,9 @@ func (pl *Plan) DataReady(i dag.TaskID, p int) float64 {
 // finishes at F on q delivers at F + cost everywhere but q, where its
 // data is ready at F; so the single copies' part of the row is their
 // largest remote arrival M on every processor but M's own, which takes
-// the largest arrival there — O(in-degree + P) work.
+// the largest arrival there — O(in-degree + P) work. On per-pair links
+// under the System's own costs (sysLinks) a single copy on q reads q's
+// link rows once (System.LinksFrom).
 func (pl *Plan) ReadyRow(i dag.TaskID) []float64 {
 	row := pl.row
 	if pl.comm != nil {
@@ -243,11 +245,27 @@ func (pl *Plan) ReadyRow(i dag.TaskID) []float64 {
 	} else {
 		clear(row)
 	}
+	sysLinks := !uniform && pl.sysLinks()
 	for k, pe := range preds {
 		switch c := firsts[k]; {
 		case len(pl.byTask[pe.To]) > 1:
 			pl.RaiseArrivals(row, pe)
-		case !uniform:
+		case uniform:
+			// Folded in above.
+		case sysLinks:
+			// System.CommCost's expression on the links out of c.Proc,
+			// each row read once.
+			startup, invRate := pl.in.Sys.LinksFrom(c.Proc)
+			for p, ready := range row {
+				t := c.Finish
+				if p != c.Proc {
+					t += startup[p] + pe.Data*invRate[p]
+				}
+				if t > ready {
+					row[p] = t
+				}
+			}
+		default:
 			for p, ready := range row {
 				if t := c.Finish + pl.in.CommCost(c.Proc, p, pe.Data); t > ready {
 					row[p] = t
@@ -304,14 +322,19 @@ func (pl *Plan) RaiseArrivals(row []float64, pe dag.Adj) {
 
 // uniformLinks returns the one link every two distinct processors share
 // when the instance's transfers cost lat + data·inv between any two: on
-// uniform links under the System's own contention-free costs, the
-// default model or its explicit object (Instance.CommCost).
+// uniform links under sysLinks.
 func (pl *Plan) uniformLinks() (lat, inv float64, ok bool) {
-	in := pl.in
-	if in.comm != nil && in.comm != platform.ContentionFree(in.Sys) {
+	if !pl.sysLinks() {
 		return 0, 0, false
 	}
-	return in.Sys.UniformLinks()
+	return pl.in.Sys.UniformLinks()
+}
+
+// sysLinks reports whether Instance.CommCost is the System's own
+// contention-free cost: under the default model or its explicit object.
+func (pl *Plan) sysLinks() bool {
+	in := pl.in
+	return in.comm == nil || in.comm == platform.ContentionFree(in.Sys)
 }
 
 // sizeScratch allocates the row scratch on a plan's first ReadyRow or
@@ -380,18 +403,33 @@ func (pl *Plan) commReady(i dag.TaskID, p int, reserve bool) float64 {
 // gaps between existing assignments; otherwise it appends after the last
 // assignment. When the processor is blocked (BlockProc) and the interval
 // would extend past the block, it returns +Inf.
+//
+// A processor whose gap index holds no finite gap answers an insertion
+// query at least the index's m long without searching: at ready when
+// ready is at or past the tail, else at the tail (timeline.TailOnly).
 func (pl *Plan) FindSlot(p int, ready, dur float64, insertion bool) float64 {
-	start := pl.findSlotUnbounded(p, ready, dur, insertion)
+	var start float64
+	gi := pl.gaps[p]
+	tail, tailOnly := gi.TailOnly()
+	switch {
+	case !insertion:
+		start = math.Max(ready, pl.ProcReady(p))
+	case tailOnly && ready >= tail:
+		start = ready // as EarliestFit answers: a max would turn −0 into +0
+	case tailOnly && dur >= gi.MinDur():
+		start = tail
+	default:
+		start = pl.insertionSlot(p, ready, dur)
+	}
 	if start+dur > pl.blockedFrom[p]+timeline.Eps {
 		return math.Inf(1)
 	}
 	return start
 }
 
-func (pl *Plan) findSlotUnbounded(p int, ready, dur float64, insertion bool) float64 {
-	if !insertion {
-		return math.Max(ready, pl.ProcReady(p))
-	}
+// insertionSlot answers an insertion query from the gap index, or with
+// the linear reference scan where the index cannot.
+func (pl *Plan) insertionSlot(p int, ready, dur float64) float64 {
 	if start, ok := pl.gaps[p].EarliestFit(ready, dur); ok {
 		return start
 	}
@@ -489,9 +527,14 @@ func (pl *Plan) insert(i dag.TaskID, p int, start float64, dup bool) Assignment 
 	a := Assignment{Task: i, Proc: p, Start: start, Finish: start + pl.in.Cost(i, p), Dup: dup}
 	// Order by start, then finish: a zero-length copy sorts before the
 	// copy that starts with it, so the last copy has the latest finish
-	// (ProcReady reads it).
+	// (ProcReady reads it). The predicate is monotone over the sorted
+	// list, so a copy the last one does not follow goes last.
 	t := pl.procs[p]
-	k := sort.Search(len(t), func(j int) bool { return t[j].Start > a.Start || t[j].Start == a.Start && t[j].Finish > a.Finish })
+	follows := func(j int) bool { return t[j].Start > a.Start || t[j].Start == a.Start && t[j].Finish > a.Finish }
+	k := len(t)
+	if k > 0 && follows(k-1) {
+		k = sort.Search(k, follows)
+	}
 	t = append(t, Assignment{})
 	copy(t[k+1:], t[k:])
 	t[k] = a

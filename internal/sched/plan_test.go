@@ -3,10 +3,12 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dagsched/internal/dag"
 	"dagsched/internal/platform"
+	"dagsched/internal/sched/timeline"
 )
 
 func TestPlanBasics(t *testing.T) {
@@ -402,27 +404,57 @@ func TestDuplicationNeverHurtsReadiness(t *testing.T) {
 	}
 }
 
-// linearBestEFT is the plain EFTOn loop over every processor, the
-// canonical semantics BestEFT's scan must reproduce.
+// linearBestEFT is the plain loop over every processor, the canonical
+// semantics BestEFT's scan must reproduce: DataReady, then the linear
+// reference slot scan (linearSlot), keeping the first smallest finish.
 func linearBestEFT(pl *Plan, i dag.TaskID, insertion bool) (proc int, start, finish float64) {
 	start, finish = math.Inf(1), math.Inf(1)
 	for p := 0; p < pl.in.P(); p++ {
-		s, f := pl.EFTOn(i, p, insertion)
-		if f < finish {
+		dur := pl.in.Cost(i, p)
+		s := linearSlot(pl, p, pl.DataReady(i, p), dur, insertion)
+		if f := s + dur; f < finish {
 			proc, start, finish = p, s, f
 		}
 	}
 	return proc, start, finish
 }
 
+// linearSlot is FindSlot by the linear reference scan over p's
+// assignments, with no gap index: the first gap at or after ready that
+// dur fits with insertion, else the end of the last assignment; +Inf
+// where the interval would cross p's block.
+func linearSlot(pl *Plan, p int, ready, dur float64, insertion bool) float64 {
+	start, prevFinish := math.NaN(), 0.0
+	for _, a := range pl.OnProc(p) {
+		if s := math.Max(ready, prevFinish); insertion && math.IsNaN(start) && s+dur <= a.Start+timeline.Eps {
+			start = s
+		}
+		prevFinish = math.Max(prevFinish, a.Finish)
+	}
+	if math.IsNaN(start) {
+		start = math.Max(ready, prevFinish)
+	}
+	if start+dur > pl.Blocked(p)+timeline.Eps {
+		return math.Inf(1)
+	}
+	return start
+}
+
 // TestBestEFTTreeMatchesLinear grows random schedules task by task; at
 // every step BestEFT's scan (predecessors gathered on the stack, the
-// finish-floor skip, the gap-tree slot search) must return the same
-// (proc, start, finish) as the plain EFTOn loop, bit for bit — including
-// ties engineered by integer costs on a homogeneous system, partially
-// blocked processors, duplicated copies and one 64-processor system.
+// finish-floor skip, the gap-tree slot search and the tail-only answer)
+// must return the same (proc, start, finish) as the linear loop, bit for
+// bit — including ties engineered by integer costs on a homogeneous
+// system, partially blocked processors, duplicated copies and one
+// 64-processor system. Before every placement checkSlots holds FindSlot
+// to the linear scan on every processor, and every fifth task is first
+// placed in a trial and undone, which can leave an index with no finite
+// gap again. A trial placement at a tail starts half a unit late, so the
+// gap it leaves, shorter than any task, is not indexed: a shorter query
+// must still find it through the scan.
 func TestBestEFTTreeMatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var c slotCounts
 	for trial := 0; trial < 31; trial++ {
 		procs := 2 + rng.Intn(12)
 		if trial == 30 {
@@ -434,7 +466,24 @@ func TestBestEFTTreeMatchesLinear(t *testing.T) {
 			pl.BlockProc(rng.Intn(procs), float64(rng.Intn(20)))
 		}
 		insertion := trial%2 == 0
-		for _, v := range in.G.TopoOrder() {
+		for k, v := range in.G.TopoOrder() {
+			checkSlots(t, pl, rng, &c)
+			if p, s, f := pl.BestEFT(v, insertion); k%5 == 4 && !math.IsInf(f, 1) {
+				_, before := pl.gaps[p].TailOnly()
+				if s >= pl.ProcReady(p) {
+					s += 0.5 // a gap shorter than any task, left out of the index
+				}
+				m := pl.Mark()
+				pl.Place(v, p, s)
+				_, during := pl.gaps[p].TailOnly()
+				checkSlots(t, pl, rng, &c)
+				pl.Undo(m)
+				pl.Commit()
+				if _, after := pl.gaps[p].TailOnly(); before && !during && after {
+					c.emptied++
+				}
+				checkSlots(t, pl, rng, &c)
+			}
 			lp, ls, lf := linearBestEFT(pl, v, insertion)
 			tp, ts, tf := pl.BestEFT(v, insertion)
 			if lp != tp || ls != ts || lf != tf {
@@ -455,6 +504,57 @@ func TestBestEFTTreeMatchesLinear(t *testing.T) {
 				s := pl.FindSlot(q, ready, in.Cost(v, q), true)
 				if !math.IsInf(s, 1) {
 					pl.PlaceDup(v, q, s)
+				}
+			}
+		}
+	}
+	if c.below == 0 || c.at == 0 || c.above == 0 || c.short == 0 || c.shortTailOnly == 0 || c.blocked == 0 || c.emptied == 0 {
+		t.Fatalf("the battery missed a slot case: %+v", c)
+	}
+	t.Logf("slot cases: %+v", c)
+}
+
+// slotCounts tallies the FindSlot cases checkSlots met: a tail-only index
+// (no finite gap) queried below, at and above its tail, a query shorter
+// than m that the scan fits before the tail (shortTailOnly: on a
+// tail-only index), an answer a block turned to +Inf, and an index a
+// trial's Undo left tail-only again.
+type slotCounts struct{ below, at, above, short, shortTailOnly, blocked, emptied int }
+
+// checkSlots holds FindSlot, with and without insertion, to the linear
+// scan on every processor of pl, for readies around the processor's tail
+// and durations of m/2, m and m plus up to 4.
+func checkSlots(t *testing.T, pl *Plan, rng *rand.Rand, c *slotCounts) {
+	t.Helper()
+	m := pl.in.minW
+	for p := range pl.procs {
+		tail, tailOnly := pl.gaps[p].TailOnly()
+		for _, ready := range []float64{0, tail / 2, tail - 1, tail, tail + 1, float64(rng.Intn(int(tail) + 2))} {
+			if ready < 0 {
+				continue
+			}
+			for _, dur := range []float64{m / 2, m, m + float64(rng.Intn(5))} {
+				for _, insertion := range []bool{true, false} {
+					got, want := pl.FindSlot(p, ready, dur, insertion), linearSlot(pl, p, ready, dur, insertion)
+					if got != want {
+						t.Fatalf("FindSlot(%d, %v, %v, %v) = %v, linear scan %v (tail %v, tail-only %v)", p, ready, dur, insertion, got, want, tail, tailOnly)
+					}
+					switch {
+					case !insertion:
+					case math.IsInf(got, 1):
+						c.blocked++
+					case tailOnly && ready < tail && dur >= m:
+						c.below++
+					case tailOnly && ready == tail:
+						c.at++
+					case tailOnly && ready > tail:
+						c.above++
+					case dur < m && ready < tail && got < tail:
+						c.short++
+						if tailOnly {
+							c.shortTailOnly++
+						}
+					}
 				}
 			}
 		}
@@ -517,10 +617,13 @@ func integerInstance(t testing.TB, rng *rand.Rand, n, procs int) *Instance {
 // TestZeroCostBesideLongerCopy places a zero-cost task at the start of a
 // longer one on the same processor. The zero-length copy sorts first, so
 // the processor's last copy still has its latest finish: ProcReady and
-// the gap index's tail must both read 15, not the zero task's 10.
+// the gap index's tail must both read 15, not the zero task's 10. Two
+// zero-cost copies then land at the tail, equal in start and finish,
+// and the later goes last.
 func TestZeroCostBesideLongerCopy(t *testing.T) {
 	b := dag.NewBuilder("zero-cost")
 	x, z := b.AddTask("X", 5), b.AddTask("Z", 0)
+	z2, z3 := b.AddTask("Z2", 0), b.AddTask("Z3", 0)
 	in := Consistent(b.MustBuild(), platform.Homogeneous(1, 0, 1))
 	pl := NewPlan(in)
 	pl.Place(x, 0, 10)
@@ -534,6 +637,15 @@ func TestZeroCostBesideLongerCopy(t *testing.T) {
 	}
 	if got := pl.FindSlot(0, 12, 1, true); got != 15 {
 		t.Errorf("FindSlot(ready 12, dur 1) = %g, want 15", got)
+	}
+	pl.Place(z2, 0, 15)
+	pl.Place(z3, 0, 15)
+	var got []dag.TaskID
+	for _, a := range pl.OnProc(0) {
+		got = append(got, a.Task)
+	}
+	if want := []dag.TaskID{z, x, z2, z3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("processor order %v, want %v", got, want)
 	}
 }
 

@@ -18,7 +18,10 @@ import (
 // Every answer must equal referenceFit, a query shorter than m must get
 // none unless it starts at or past the tail gap, where the answer is
 // ready, and every Revert must restore the gap set the index had before
-// the occupy it reverts. Occupying a reported fit may degrade the index
+// the occupy it reverts. TailOnly must report the reference tail, and an
+// index with no finite gap exactly when Gaps holds the tail alone; such
+// an index's rule (ready at or past the tail, else the tail) must answer
+// as the reference does. Occupying a reported fit may degrade the index
 // only once an interval shorter than Eps is placed; the run ends there,
 // since a degraded index answers nothing.
 func FuzzGapIndex(f *testing.F) {
@@ -107,6 +110,17 @@ func FuzzGapIndex(f *testing.F) {
 			got, ok := gi.EarliestFit(ready, dur)
 			if !ok || got != want {
 				t.Fatalf("step %d: EarliestFit(%v, %v) = %v, %v; reference %v", k/4, ready, dur, got, ok, want)
+			}
+			if tail, only := gi.TailOnly(); only != (len(gi.Gaps()) == 1) || tail != referenceTail(items) {
+				t.Fatalf("step %d: TailOnly() = %v, %v with gaps %v; reference tail %v", k/4, tail, only, gi.Gaps(), referenceTail(items))
+			} else if only {
+				answer := tail
+				if ready >= tail {
+					answer = ready
+				}
+				if answer != want {
+					t.Fatalf("step %d: tail-only answer to (%v, %v) = %v; reference %v", k/4, ready, dur, answer, want)
+				}
 			}
 			if m > 0 {
 				checkShortQuery(t, gi, items, ready, m)

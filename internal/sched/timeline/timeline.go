@@ -21,7 +21,10 @@
 // unless it starts at or past the tail gap: the index keeps that gap's
 // start, the latest finish, outside the tree, answers such a query with
 // ready without a tree walk, and moves the start in place when an
-// interval occupies the tail.
+// interval occupies the tail. An index that holds no finite gap, which
+// is most of them while a list scheduler appends at every tail, answers
+// every query without a walk: ready at or past the tail, else the tail
+// for a query at least m long (TailOnly).
 //
 // The index only supports occupies that land inside a single idle gap —
 // the invariant every earliest-fit-driven caller maintains. An occupy
@@ -119,6 +122,14 @@ func (gi *GapIndex) OK() bool { return gi.ok }
 
 // MinDur returns m, the shortest query the index answers.
 func (gi *GapIndex) MinDur() float64 { return gi.m }
+
+// TailOnly returns the tail gap's start and whether the index is intact
+// and holds no finite gap. Such an index answers EarliestFit(ready, dur)
+// without a tree walk: ready when ready >= tail, else tail when dur is
+// at least m.
+func (gi *GapIndex) TailOnly() (tail float64, ok bool) {
+	return gi.tail, gi.ok && gi.root == nil
+}
 
 // EarliestFit returns the reference-scan earliest start >= ready at which
 // an interval of length dur fits, and whether the index could answer

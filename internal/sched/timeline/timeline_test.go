@@ -11,8 +11,8 @@ import (
 type interval struct{ start, finish float64 }
 
 // referenceFit is the linear slot scan the index must reproduce bit for
-// bit: the acceptance test and arithmetic are copied from the original
-// sched.Plan.findSlotUnbounded.
+// bit: the acceptance test and arithmetic are copied from the linear
+// scan in sched.Plan.insertionSlot.
 func referenceFit(items []interval, ready, dur float64) float64 {
 	prevFinish := 0.0
 	for _, a := range items {

@@ -11,8 +11,9 @@
 // they check BestEFT's scan too, and DLS's and MCP's EFTOn loops check
 // the data-ready row Param's scans read. The static-order oracles
 // (RefHEFT, RefILS) order tasks with refOrderDescPrecedence, the global
-// sort that algo.OrderDescPrecedence's ready heap replaced, so they
-// check the heap too.
+// comparison sort that algo.OrderDescPrecedence replaced (a radix sort
+// where the priority never rises along an arc, else a ready heap), so
+// they check it too.
 package testfix
 
 import (
@@ -484,11 +485,13 @@ func RefMCP(in *sched.Instance) *sched.Schedule {
 		}
 		return topoPos[a] < topoPos[b]
 	})
-	// ALAP ascends along edges when costs are positive, so the order is
-	// precedence-safe; the ready heap guards the zero-cost corner case.
-	// Keyed by minus the order position, it picks the ready task earliest
-	// in the order, in O(log w) for ready width w. The keys are distinct,
-	// so no tie rule applies.
+	// ALAP ascends along edges when costs are positive, so keyed by minus
+	// the order position the keys fall along every arc, and ReadyOrder
+	// returns the order itself by its radix sort. In the zero-cost corner
+	// case an arc's keys can rise; ReadyOrder's ready heap then keeps the
+	// order precedence-safe, picking the ready task earliest in the order
+	// in O(log w) for ready width w. The keys are distinct, so no tie
+	// rule applies.
 	key := make([]float64, in.N())
 	for k, v := range order {
 		key[v] = -float64(k)
