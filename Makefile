@@ -80,7 +80,8 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # A few seconds of coverage-guided fuzzing per parser entry point (the
-# /v1/schedule decode also against a plain json.Decoder), plus
+# /v1/schedule decode also against a plain json.Decoder), the client's
+# request encoder against json.Marshal, plus
 # the streaming graph's live growth against a fresh seal, the gap index
 # against the linear slot scan, the link reservation state against a
 # span-list scan, a plan's data-ready row against DataReady on every
@@ -100,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadGraphJSON -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz FuzzScheduleRequest -fuzztime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFirst -fuzztime 5s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzRequestBody -fuzztime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzStreamEvents -fuzztime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzRingMessages -fuzztime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzFaultPlan -fuzztime 5s ./internal/sim

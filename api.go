@@ -393,7 +393,7 @@ func AssessFailure(s *Schedule, f RepairEvent) (*Schedule, RepairOutcome, error)
 // EvalRobustness measures expected degradation of a schedule under
 // sampled fail-stop fault plans with reactive repair.
 func EvalRobustness(s *Schedule, cfg RobustnessConfig) (RobustnessReport, error) {
-	return resched.EvalRobustness(s, cfg)
+	return resched.EvalRobustness(context.Background(), s, cfg)
 }
 
 // ScheduleFromAssignments rebuilds a validated Schedule from explicit

@@ -1,6 +1,7 @@
 package resched
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -57,8 +58,9 @@ type Robustness struct {
 
 // EvalRobustness measures expected degradation of the schedule under
 // sampled fail-stop fault plans, with reactive repair applied whenever a
-// sample strands work. Deterministic per cfg.Seed.
-func EvalRobustness(s *sched.Schedule, cfg RobustnessConfig) (Robustness, error) {
+// sample strands work. Deterministic per cfg.Seed. It checks ctx before
+// every sample and returns its error once it is done.
+func EvalRobustness(ctx context.Context, s *sched.Schedule, cfg RobustnessConfig) (Robustness, error) {
 	if cfg.Rate < 0 || cfg.Rate > 1 || math.IsNaN(cfg.Rate) {
 		return Robustness{}, fmt.Errorf("resched: crash rate %g out of [0,1]", cfg.Rate)
 	}
@@ -76,6 +78,9 @@ func EvalRobustness(s *sched.Schedule, cfg RobustnessConfig) (Robustness, error)
 	completed := 0
 	sum := 0.0
 	for k := 0; k < n; k++ {
+		if err := ctx.Err(); err != nil {
+			return Robustness{}, fmt.Errorf("resched: robustness sample %d of %d: %w", k, n, err)
+		}
 		fp := sim.SampleCrashes(in.P(), cfg.Rate, nominal, cfg.Seed+int64(k)*0x9E3779B9+1)
 		rep, err := sim.Run(s, sim.Config{Faults: &fp})
 		if err != nil {

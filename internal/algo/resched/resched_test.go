@@ -1,6 +1,7 @@
 package resched_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -250,11 +251,11 @@ func TestMakespanSlack(t *testing.T) {
 func TestEvalRobustness(t *testing.T) {
 	s := heftTopcuoglu(t)
 	cfg := resched.RobustnessConfig{Samples: 12, Rate: 0.5, Seed: 3}
-	a, err := resched.EvalRobustness(s, cfg)
+	a, err := resched.EvalRobustness(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := resched.EvalRobustness(s, cfg)
+	b, err := resched.EvalRobustness(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestEvalRobustness(t *testing.T) {
 	if a.MaxDegradation < 1 {
 		t.Fatalf("max degradation %g < 1", a.MaxDegradation)
 	}
-	if _, err := resched.EvalRobustness(s, resched.RobustnessConfig{Rate: 1.5}); err == nil {
+	if _, err := resched.EvalRobustness(context.Background(), s, resched.RobustnessConfig{Rate: 1.5}); err == nil {
 		t.Fatal("rate out of range accepted")
 	}
 }

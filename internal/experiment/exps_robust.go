@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -71,7 +72,7 @@ func E21() Experiment {
 						return nil, err
 					}
 					for pi, pol := range pols {
-						rb, err := resched.EvalRobustness(s, resched.RobustnessConfig{
+						rb, err := resched.EvalRobustness(context.Background(), s, resched.RobustnessConfig{
 							Samples: samples, Rate: rate, Seed: faultSeed, Policy: pol,
 						})
 						if err != nil {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
@@ -127,9 +128,40 @@ func (k *keyHasher) flush() {
 // bodyDigest is the SHA-256 of one /v1/schedule request body.
 type bodyDigest = [sha256.Size]byte
 
+// storedAnswer is one response as the cache holds it, with the bytes a
+// hit on it writes: what writeJSON writes for the response marked
+// Cached, trailing newline included. They are encoded at most once, by
+// the first caller of hitBytes (a hit, or the replica push of the
+// compute that stored the response), outside the cache's lock. A put
+// that replaces an entry's response stores a new storedAnswer, so a hit
+// after it never writes the old bytes.
+type storedAnswer struct {
+	resp *ScheduleResponse
+	once sync.Once
+	hit  []byte
+	err  error
+}
+
+// hitResponse returns a copy of the response marked Cached.
+func (a *storedAnswer) hitResponse() *ScheduleResponse {
+	cp := *a.resp
+	cp.Cached = true
+	return &cp
+}
+
+// hitBytes returns the encoded hit answer, encoding it on first use.
+func (a *storedAnswer) hitBytes() ([]byte, error) {
+	a.once.Do(func() {
+		var b bytes.Buffer
+		a.err = json.NewEncoder(&b).Encode(a.hitResponse())
+		a.hit = b.Bytes()
+	})
+	return a.hit, a.err
+}
+
 // lruCache is a mutex-guarded LRU of schedule responses with hit/miss
-// accounting. Stored responses are treated as immutable: Get returns a
-// shallow copy with Cached set, never the stored value itself.
+// accounting. Stored responses are treated as immutable: lookups hand
+// out the storedAnswer, never a response to modify.
 type lruCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -145,8 +177,8 @@ type lruCache struct {
 }
 
 type cacheEntry struct {
-	key  string
-	resp *ScheduleResponse
+	key string
+	ans *storedAnswer
 	// replica marks an entry that arrived via a peer's replication
 	// push or cache probe rather than local computation — so a hit on
 	// it is attributable to replication in the tier metrics.
@@ -163,18 +195,25 @@ func newLRUCache(capacity int) *lruCache {
 // Get returns a copy of the cached response marked Cached (or nil),
 // plus whether the entry was a replication-delivered copy. It counts
 // one hit or one miss.
-func (c *lruCache) Get(key string) (*ScheduleResponse, bool) { return c.lookup(key, true) }
+func (c *lruCache) Get(key string) (*ScheduleResponse, bool) {
+	a, replica := c.lookup(key, true)
+	if a == nil {
+		return nil, false
+	}
+	return a.hitResponse(), replica
+}
 
 // Probe is Get for a peer's cache probe: it marks the entry most recent
 // as Get does, so probes keep their place in the eviction order, but it
 // counts neither a hit nor a miss. The request behind a probe counted
 // its lookup on the node it entered, and the hit rate counts lookups.
-func (c *lruCache) Probe(key string) *ScheduleResponse {
-	resp, _ := c.lookup(key, false)
-	return resp
+// It returns the stored answer, whose hit bytes the probe writes.
+func (c *lruCache) Probe(key string) *storedAnswer {
+	a, _ := c.lookup(key, false)
+	return a
 }
 
-func (c *lruCache) lookup(key string, count bool) (*ScheduleResponse, bool) {
+func (c *lruCache) lookup(key string, count bool) (*storedAnswer, bool) {
 	if c.cap <= 0 {
 		return nil, false
 	}
@@ -190,16 +229,15 @@ func (c *lruCache) lookup(key string, count bool) (*ScheduleResponse, bool) {
 	if !ok {
 		return nil, false
 	}
-	resp, e := c.recent(el)
-	return resp, e.replica
+	e := c.recent(el)
+	return e.ans, e.replica
 }
 
 // GetBody answers a request body by its digest: once a 200 for the same
-// bytes was attached to an entry that is still cached, it returns what
-// Get would return for that entry's key, and the key. An unknown digest
-// counts nothing; the request's own lookup by key counts its hit or
-// miss.
-func (c *lruCache) GetBody(d bodyDigest) (resp *ScheduleResponse, key string, replica bool) {
+// bytes was attached to an entry that is still cached, it returns that
+// entry's stored answer and key. An unknown digest counts nothing; the
+// request's own lookup by key counts its hit or miss.
+func (c *lruCache) GetBody(d bodyDigest) (ans *storedAnswer, key string, replica bool) {
 	if c.cap <= 0 {
 		return nil, "", false
 	}
@@ -211,18 +249,14 @@ func (c *lruCache) GetBody(d bodyDigest) (resp *ScheduleResponse, key string, re
 	}
 	c.hits++
 	c.bodyHits++
-	resp, e := c.recent(el)
-	return resp, e.key, e.replica
+	e := c.recent(el)
+	return e.ans, e.key, e.replica
 }
 
-// recent marks el most recent and returns a copy of its response marked
-// Cached. c.mu must be held.
-func (c *lruCache) recent(el *list.Element) (*ScheduleResponse, *cacheEntry) {
+// recent marks el most recent and returns its entry. c.mu must be held.
+func (c *lruCache) recent(el *list.Element) *cacheEntry {
 	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	cp := *e.resp
-	cp.Cached = true
-	return &cp, e
+	return el.Value.(*cacheEntry)
 }
 
 // AttachBody records that the body with digest d was answered 200 from
@@ -251,10 +285,11 @@ func (c *lruCache) AttachBody(key string, d bodyDigest) {
 	c.byBody[d] = el
 }
 
-// Put stores a locally computed response, evicting the least recently
-// used entry when full. The caller must not mutate resp afterwards.
-func (c *lruCache) Put(key string, resp *ScheduleResponse) {
-	c.put(key, resp, false)
+// Put stores a locally computed answer, evicting the least recently
+// used entry when full. The caller must not mutate its response
+// afterwards.
+func (c *lruCache) Put(key string, ans *storedAnswer) {
+	c.put(key, ans, false)
 }
 
 // PutReplica stores a replication-delivered copy. An entry this node
@@ -271,10 +306,10 @@ func (c *lruCache) PutReplica(key string, resp *ScheduleResponse) {
 		return
 	}
 	c.mu.Unlock()
-	c.put(key, resp, true)
+	c.put(key, &storedAnswer{resp: resp}, true)
 }
 
-func (c *lruCache) put(key string, resp *ScheduleResponse, replica bool) {
+func (c *lruCache) put(key string, ans *storedAnswer, replica bool) {
 	if c.cap <= 0 {
 		return
 	}
@@ -283,10 +318,10 @@ func (c *lruCache) put(key string, resp *ScheduleResponse, replica bool) {
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
-		e.resp, e.replica = resp, replica
+		e.ans, e.replica = ans, replica
 		return
 	}
-	el := c.ll.PushFront(&cacheEntry{key: key, resp: resp, replica: replica})
+	el := c.ll.PushFront(&cacheEntry{key: key, ans: ans, replica: replica})
 	c.byKey[key] = el
 	if c.ll.Len() > c.cap {
 		last := c.ll.Back()
@@ -301,8 +336,8 @@ func (c *lruCache) put(key string, resp *ScheduleResponse, replica bool) {
 
 // cacheSnap is one entry of a cache snapshot.
 type cacheSnap struct {
-	key  string
-	resp *ScheduleResponse
+	key string
+	ans *storedAnswer
 }
 
 // Snapshot returns up to max entries, most recently used first — the
@@ -317,7 +352,7 @@ func (c *lruCache) Snapshot(max int) []cacheSnap {
 	out := make([]cacheSnap, 0, min(max, c.ll.Len()))
 	for el := c.ll.Front(); el != nil && len(out) < max; el = el.Next() {
 		e := el.Value.(*cacheEntry)
-		out = append(out, cacheSnap{key: e.key, resp: e.resp})
+		out = append(out, cacheSnap{key: e.key, ans: e.ans})
 	}
 	return out
 }

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -314,5 +315,226 @@ func BenchmarkScheduleHandler(b *testing.B) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		_ = s.Shutdown(ctx)
 		cancel()
+	}
+}
+
+// graphBody is a HLFET request for a random n-task graph on 32
+// processors: perfbench's homo shape. At n=100 its answer is about 9 KB,
+// more than net/http buffers before it falls back to chunking.
+func graphBody(t *testing.T, n int) []byte {
+	t.Helper()
+	g, err := workload.Random(workload.RandomConfig{N: n, Shape: 3}, rand.New(rand.NewSource(int64(n))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := g.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	return []byte(`{"algorithm":"HLFET","graph":` + compact.String() + `,"processors":32}`)
+}
+
+// roundTrip sends one request to s and returns the whole answer.
+func roundTrip(t *testing.T, method, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	got, err := io.ReadAll(hr.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s: HTTP %d: %s", method, url, hr.StatusCode, got)
+	}
+	return hr, got
+}
+
+// startInternal starts s on an ephemeral port and returns its base URL;
+// s shuts down when the test ends.
+func startInternal(t *testing.T, s *Server) string {
+	t.Helper()
+	addr, err := s.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	return "http://" + addr
+}
+
+// TestHitWritesStoredBytes: a digest hit and a peer probe write the
+// bytes writeJSON writes for the same hit, which the key hit still
+// writes, in one body with its Content-Length.
+func TestHitWritesStoredBytes(t *testing.T) {
+	s := New(Options{Addr: "127.0.0.1:0", Workers: 1})
+	base := startInternal(t, s)
+	body := graphBody(t, 100)
+	roundTrip(t, http.MethodPost, base+"/v1/schedule", body) // computes
+	digestHit, digestBytes := roundTrip(t, http.MethodPost, base+"/v1/schedule", body)
+	if st := s.cache.Stats(); st.bodyHits != 1 {
+		t.Fatalf("cache.bodyHits = %d after a repeat, want 1", st.bodyHits)
+	}
+	_, keyBytes := roundTrip(t, http.MethodPost, base+"/v1/schedule", append([]byte(" "), body...))
+	key := keyOf(t, s, body)
+	probe, probeBytes := roundTrip(t, http.MethodGet, base+"/v1/cache/"+key, nil)
+
+	resp, _ := s.cache.Get(key)
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, resp)
+	want := rec.Body.Bytes()
+	if len(want) < 4096 {
+		t.Fatalf("the answer is %d bytes; the test needs one that writeJSON chunks", len(want))
+	}
+	for _, a := range []struct {
+		name string
+		hr   *http.Response
+		got  []byte
+	}{{"digest hit", digestHit, digestBytes}, {"probe", probe, probeBytes}, {"key hit", nil, keyBytes}} {
+		if !bytes.Equal(a.got, want) {
+			t.Errorf("%s wrote\n%s\nwriteJSON writes\n%s", a.name, a.got, want)
+		}
+		if a.hr == nil {
+			continue
+		}
+		if a.hr.ContentLength != int64(len(want)) || len(a.hr.TransferEncoding) > 0 {
+			t.Errorf("%s: Content-Length %d, transfer encoding %v; want length %d, not chunked",
+				a.name, a.hr.ContentLength, a.hr.TransferEncoding, len(want))
+		}
+		if ct := a.hr.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", a.name, ct)
+		}
+	}
+}
+
+// TestHitWritesReplacedResponse: after a put replaces an entry's
+// response (here a replica push over a replica copy), the next digest
+// hit and probe write the new response, not the bytes of the old one.
+func TestHitWritesReplacedResponse(t *testing.T) {
+	s := New(Options{Addr: "127.0.0.1:0", Workers: 1})
+	base := startInternal(t, s)
+	body := graphBody(t, 20)
+	key := keyOf(t, s, body)
+	// A hit serves what the entry holds; it need not be this body's
+	// schedule.
+	resp := ScheduleResponse{Algorithm: "HLFET", Makespan: 5, Assignments: []AssignmentJSON{{Task: 0, Proc: 0, Start: 0, Finish: 5}}}
+	push := func(runtimeMs float64) {
+		resp.RuntimeMs = runtimeMs
+		b, err := json.Marshal(&resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roundTrip(t, http.MethodPut, base+"/v1/cache/"+key, b)
+	}
+	answered := func(b []byte) float64 {
+		var r ScheduleResponse
+		if err := json.Unmarshal(b, &r); err != nil {
+			t.Fatalf("decoding %s: %v", b, err)
+		}
+		if !r.Cached {
+			t.Errorf("a hit answered %s, not marked cached", b)
+		}
+		return r.RuntimeMs
+	}
+	push(1)
+	roundTrip(t, http.MethodPost, base+"/v1/schedule", body) // a key hit attaches the digest
+	for _, runtimeMs := range []float64{1, 2, 3} {
+		if runtimeMs > 1 {
+			push(runtimeMs)
+		}
+		before := s.cache.Stats().bodyHits
+		_, hit := roundTrip(t, http.MethodPost, base+"/v1/schedule", body)
+		if s.cache.Stats().bodyHits != before+1 {
+			t.Fatal("the repeat was not answered by digest")
+		}
+		if got := answered(hit); got != runtimeMs {
+			t.Errorf("digest hit after the put of runtimeMs %g answered runtimeMs %g", runtimeMs, got)
+		}
+		if _, probe := roundTrip(t, http.MethodGet, base+"/v1/cache/"+key, nil); answered(probe) != runtimeMs {
+			t.Errorf("probe after the put of runtimeMs %g answered %s", runtimeMs, probe)
+		}
+	}
+}
+
+// TestStoredAnswerConcurrentReput hits one entry by digest and by probe
+// from several goroutines while another re-puts it. Every hit writes
+// the encoding of a response that was stored, no goroutine sees an
+// older put after a newer one, and the hit after the last put writes
+// the last.
+func TestStoredAnswerConcurrentReput(t *testing.T) {
+	const key, puts, readers = "k", 200, 4
+	answer := func(i int) *storedAnswer {
+		return &storedAnswer{resp: &ScheduleResponse{Algorithm: "HEFT", Makespan: 10, RuntimeMs: float64(i),
+			Assignments: []AssignmentJSON{{Task: 0, Proc: 1, Start: 0, Finish: 10}}}}
+	}
+	c := newLRUCache(4)
+	d := bodyDigest{1}
+	c.Put(key, answer(0))
+	c.AttachBody(key, d)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(byProbe bool) {
+			defer wg.Done()
+			last := -1.0
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ans := c.Probe(key)
+				if !byProbe {
+					ans, _, _ = c.GetBody(d)
+				}
+				b, err := ans.hitBytes()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want, _ := json.Marshal(ans.hitResponse())
+				if !bytes.Equal(b, append(want, '\n')) {
+					t.Errorf("a hit wrote %s for the stored response %s", b, want)
+					return
+				}
+				var r ScheduleResponse
+				if err := json.Unmarshal(b, &r); err != nil {
+					t.Error(err)
+					return
+				}
+				if r.RuntimeMs < last {
+					t.Errorf("a hit wrote put %g after put %g", r.RuntimeMs, last)
+					return
+				}
+				last = r.RuntimeMs
+			}
+		}(g%2 == 0)
+	}
+	for i := 1; i <= puts; i++ {
+		c.Put(key, answer(i))
+	}
+	close(stop)
+	wg.Wait()
+	ans, _, _ := c.GetBody(d)
+	b, err := ans.hitBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(`"runtimeMs":%d,`, puts); !bytes.Contains(b, []byte(want)) {
+		t.Errorf("the hit after the last put wrote %s, want %s", b, want)
 	}
 }

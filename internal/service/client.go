@@ -10,6 +10,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 )
@@ -214,7 +215,11 @@ func (c *Client) attempt(ctx context.Context, base, method, path string, body []
 	if out == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	data, err := readAll(resp.Body, resp.ContentLength)
+	if err != nil {
+		return err
+	}
+	return decodeInto(data, out)
 }
 
 // doJSONAt runs the retry loop against one base URL.
@@ -240,15 +245,9 @@ func (c *Client) doJSONAt(ctx context.Context, base, method, path string, data [
 	}
 }
 
-func (c *Client) doJSON(ctx context.Context, method, path string, body, out any) error {
-	var data []byte
-	if body != nil {
-		var err error
-		if data, err = json.Marshal(body); err != nil {
-			return fmt.Errorf("service: encoding request: %w", err)
-		}
-	}
-	return c.doJSONAt(ctx, c.anyBase(), method, path, data, out)
+// getJSON GETs path from anyBase into out, with retries.
+func (c *Client) getJSON(ctx context.Context, path string, out any) error {
+	return c.doJSONAt(ctx, c.anyBase(), http.MethodGet, path, nil, out)
 }
 
 // anyBase returns BaseURL, or the first peer when only Peers is set —
@@ -335,6 +334,37 @@ func (c *Client) fetchRing(ctx context.Context, peer string) (RingView, error) {
 	return decodeRingView(body)
 }
 
+// appendRequest appends the JSON body of req to dst. The request
+// without its raw problem is encoded by encoding/json, so each scalar
+// keeps its formatting and its errors; the raw Instance and Graph are
+// then spliced in as given, once json.Valid accepts them, not
+// re-compacted and HTML-escaped as json.Marshal would. The body decodes
+// to the request json.Marshal's would.
+func appendRequest(dst []byte, req *ScheduleRequest) ([]byte, error) {
+	scalars := *req
+	scalars.Instance, scalars.Graph = nil, nil
+	head, err := json.Marshal(&scalars)
+	if err != nil {
+		return nil, err
+	}
+	dst = slices.Grow(dst, len(head)+len(req.Instance)+len(req.Graph)+len(`,"instance":,"graph":`))
+	dst = append(dst, head[:len(head)-1]...) // every field but the closing brace
+	for _, f := range [...]struct {
+		name string
+		raw  json.RawMessage
+	}{{"instance", req.Instance}, {"graph", req.Graph}} {
+		if len(f.raw) == 0 {
+			continue
+		}
+		if !json.Valid(f.raw) {
+			return nil, fmt.Errorf("%s is not valid JSON: %w", f.name, json.Unmarshal(f.raw, new(json.RawMessage)))
+		}
+		dst = append(dst, `,"`+f.name+`":`...)
+		dst = append(dst, f.raw...)
+	}
+	return append(dst, '}'), nil
+}
+
 // requestKey digests the scheduling-relevant fields of a request for
 // client-side ring placement. It is a cheap byte-level digest, not the
 // server's canonical instance hash (which needs a full parse): two
@@ -367,7 +397,7 @@ func requestKey(req *ScheduleRequest) string {
 // (or ErrCircuitOpen, if every circuit was open) is returned.
 func (c *Client) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleResponse, error) {
 	pol := c.policy()
-	data, err := json.Marshal(req)
+	data, err := appendRequest(nil, &req)
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding request: %w", err)
 	}
@@ -433,10 +463,17 @@ func (c *Client) scheduleRing(ctx context.Context, pol RetryPolicy, req *Schedul
 // failing over on transient errors.
 func (c *Client) ScheduleBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	pol := c.policy()
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("service: encoding batch: %w", err)
+	data := []byte(`{"items":[`)
+	for i := range req.Items {
+		if i > 0 {
+			data = append(data, ',')
+		}
+		var err error
+		if data, err = appendRequest(data, &req.Items[i]); err != nil {
+			return nil, fmt.Errorf("service: encoding batch: item %d: %w", i, err)
+		}
 	}
+	data = append(data, "]}"...)
 	if c.numPeers() < 2 {
 		var out BatchResponse
 		if err := c.doJSONAt(ctx, c.anyBase(), http.MethodPost, "/v1/schedule/batch", data, &out); err != nil {
@@ -481,13 +518,13 @@ func (c *Client) ScheduleBatch(ctx context.Context, req BatchRequest) (*BatchRes
 
 // Health probes /healthz.
 func (c *Client) Health(ctx context.Context) error {
-	return c.doJSON(ctx, http.MethodGet, "/healthz", nil, nil)
+	return c.getJSON(ctx, "/healthz", nil)
 }
 
 // Metrics fetches the server's metrics snapshot.
 func (c *Client) Metrics(ctx context.Context) (*MetricsSnapshot, error) {
 	var out MetricsSnapshot
-	if err := c.doJSON(ctx, http.MethodGet, "/metrics", nil, &out); err != nil {
+	if err := c.getJSON(ctx, "/metrics", &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -496,7 +533,7 @@ func (c *Client) Metrics(ctx context.Context) (*MetricsSnapshot, error) {
 // Algorithms lists the server's algorithm registry.
 func (c *Client) Algorithms(ctx context.Context) ([]string, error) {
 	var out map[string][]string
-	if err := c.doJSON(ctx, http.MethodGet, "/v1/algorithms", nil, &out); err != nil {
+	if err := c.getJSON(ctx, "/v1/algorithms", &out); err != nil {
 		return nil, err
 	}
 	return out["algorithms"], nil
@@ -506,7 +543,7 @@ func (c *Client) Algorithms(ctx context.Context) ([]string, error) {
 // ScheduleRequest.CommModel.
 func (c *Client) CommModels(ctx context.Context) ([]string, error) {
 	var out map[string][]string
-	if err := c.doJSON(ctx, http.MethodGet, "/v1/algorithms", nil, &out); err != nil {
+	if err := c.getJSON(ctx, "/v1/algorithms", &out); err != nil {
 		return nil, err
 	}
 	return out["commModels"], nil

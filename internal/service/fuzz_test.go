@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"dagsched/internal/platform"
 	"dagsched/internal/sched"
+	"dagsched/internal/workload"
 )
 
 // FuzzScheduleRequest asserts the /v1/schedule request decoder never
@@ -128,4 +130,114 @@ func FuzzDecodeFirst(f *testing.F) {
 			t.Fatalf("decodeFirst decoded %+v, Decoder %+v", *got, want)
 		}
 	})
+}
+
+// FuzzRequestBody holds the client's request encoder to json.Marshal:
+// appendRequest fails exactly when json.Marshal fails; otherwise its
+// body is valid JSON, the server's decode (decodeFirst into
+// scheduleWire) gives the request or the error it gives on
+// json.Marshal's body, and decoded as a ScheduleRequest it has equal
+// scalars and raw fields equal as JSON values.
+func FuzzRequestBody(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	g, err := workload.Random(workload.RandomConfig{N: 12, Shape: 1}, rng)
+	if err != nil {
+		f.Fatal(err)
+	}
+	in, err := workload.MakeInstance(g, workload.HetConfig{Procs: 8, CCR: 1, Beta: 1, LinkSpread: 0.5}, rng)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var inst, graph bytes.Buffer
+	if err := in.WriteJSON(&inst); err != nil {
+		f.Fatal(err)
+	}
+	if g, err = workload.Random(workload.RandomConfig{N: 12, Shape: 3}, rng); err != nil {
+		f.Fatal(err)
+	}
+	if err := g.WriteJSON(&graph); err != nil {
+		f.Fatal(err)
+	}
+	compact := func(b []byte) []byte {
+		var out bytes.Buffer
+		if err := json.Compact(&out, b); err != nil {
+			f.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	small := `{"tasks":[{"id":0,"weight":1}],"edges":[]}`
+	// The pool's two shapes, compact as perfbench sends them.
+	f.Add(compact(inst.Bytes()), []byte{}, "HEFT", 0, 0.0, 0.0, "", 0.0, false, 0.0, 0, int64(0), "")
+	f.Add([]byte{}, compact(graph.Bytes()), "HLFET", 32, 0.0, 0.0, "", 0.0, false, 0.0, 0, int64(0), "")
+	// Whitespace as WriteJSON leaves it, and around a value.
+	f.Add(inst.Bytes(), []byte{}, "HEFT", 0, 0.0, 0.0, "one-port", 0.0, true, 0.2, 20, int64(500), "low")
+	f.Add([]byte(" \n"+small+"\t "), []byte{}, "HEFT", 0, 0.0, 0.0, "", 0.0, false, 0.0, 0, int64(0), "")
+	// "<", "&" and U+2028 inside strings, raw and scalar.
+	f.Add([]byte{}, []byte(`{"name":"a<b>&c`+"\u2028d\u2028\u2029"+`","tasks":[{"id":0,"name":"<&>","weight":1}],"edges":[]}`),
+		"HE<&>FT\u2028", 4, 0.5, 2.0, "shared-link", 3.0, false, 0.0, 0, int64(0), "")
+	// A raw value followed by trailing bytes, and other invalid raws.
+	f.Add([]byte(small+` trailing`), []byte{}, "HEFT", 0, 0.0, 0.0, "", 0.0, false, 0.0, 0, int64(0), "")
+	f.Add([]byte{}, []byte(small+`}`), "HEFT", 0, 0.0, 0.0, "", 0.0, false, 0.0, 0, int64(0), "")
+	f.Add([]byte(` `), []byte(`null`), "HEFT", 0, 0.0, 0.0, "", 0.0, false, 0.0, 0, int64(0), "")
+	// Both raws, a type error in each, and a number past float64.
+	f.Add([]byte(`{"graph":7}`), []byte(`{"tasks":"x"}`), "HEFT", -3, 1e308, 0.0, "", 0.0, false, 0.0, 0, int64(0), "")
+	f.Add([]byte(`"x"`), []byte(`{"tasks":[{"id":0,"weight":1e999}],"edges":[]}`), "", 0, 0.0, 0.0, "", 0.0, false, 0.0, 0, int64(0), "")
+	f.Fuzz(func(t *testing.T, inst, graph []byte, alg string, procs int, lat, tpu float64, comm string, bw float64,
+		analyze bool, rate float64, samples int, timeoutMs int64, prio string) {
+		req := ScheduleRequest{Algorithm: alg, Instance: inst, Graph: graph, Processors: procs, Latency: lat,
+			TimePerUnit: tpu, CommModel: comm, LinkBandwidth: bw, Analyze: analyze, TimeoutMs: timeoutMs, Priority: prio}
+		if rate != 0 || samples != 0 {
+			req.Faults = &FaultsRequest{Rate: rate, Samples: samples}
+		}
+		got, gotErr := appendRequest(nil, &req)
+		want, wantErr := json.Marshal(&req)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("appendRequest error %v, json.Marshal error %v", gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		if !json.Valid(got) {
+			t.Fatalf("appendRequest wrote invalid JSON: %s", got)
+		}
+		gw, gErr := decodeFirst[scheduleWire](got)
+		ww, wErr := decodeFirst[scheduleWire](want)
+		if (gErr == nil) != (wErr == nil) || gErr != nil && gErr.Error() != wErr.Error() {
+			t.Fatalf("the server decodes the body with error %v, json.Marshal's with %v", gErr, wErr)
+		}
+		if gErr == nil && !reflect.DeepEqual(gw, ww) {
+			t.Fatalf("the server decodes the body to %+v, json.Marshal's to %+v", gw, ww)
+		}
+		var gr, wr ScheduleRequest
+		if err := json.Unmarshal(got, &gr); err != nil {
+			t.Fatalf("decoding the body: %v", err)
+		}
+		if err := json.Unmarshal(want, &wr); err != nil {
+			t.Fatalf("decoding json.Marshal's body: %v", err)
+		}
+		for _, raw := range [][2]json.RawMessage{{gr.Instance, wr.Instance}, {gr.Graph, wr.Graph}} {
+			if gv, wv := jsonValue(t, raw[0]), jsonValue(t, raw[1]); !reflect.DeepEqual(gv, wv) {
+				t.Fatalf("raw field %s decodes to %v, json.Marshal's %s to %v", raw[0], gv, raw[1], wv)
+			}
+		}
+		gr.Instance, gr.Graph, wr.Instance, wr.Graph = nil, nil, nil, nil
+		if !reflect.DeepEqual(gr, wr) {
+			t.Fatalf("the body's scalars decode to %+v, json.Marshal's to %+v", gr, wr)
+		}
+	})
+}
+
+// jsonValue decodes one raw JSON value, numbers as written; an absent
+// field is nil.
+func jsonValue(t *testing.T, raw json.RawMessage) any {
+	if len(raw) == 0 {
+		return nil
+	}
+	d := json.NewDecoder(bytes.NewReader(raw))
+	d.UseNumber()
+	var v any
+	if err := d.Decode(&v); err != nil {
+		t.Fatalf("decoding raw field %s: %v", raw, err)
+	}
+	return v
 }

@@ -726,7 +726,7 @@ func (s *Server) handleRingChange(w http.ResponseWriter, r *http.Request, path s
 		writeError(w, http.StatusConflict, "node has no ring identity (start with -self)")
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRingBodyBytes))
+	data, err := readBody(w, r, maxRingBodyBytes, s.opts.DefaultTimeout)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading ring message: %v", err)
 		return

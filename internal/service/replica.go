@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"slices"
@@ -101,9 +100,11 @@ func replicaHolders(sh *shardState, key string, r int) []string {
 }
 
 // replicate pushes a freshly computed entry to the other holders of
-// its key, encoded once for all of them. Fire-and-forget: the computing
-// request waits on neither the encoding nor the pushes.
-func (s *Server) replicate(key string, resp *ScheduleResponse) {
+// its key. The body is the entry's hit answer, so one encoding serves
+// every holder and the hits on this node; a holder stores it unmarked
+// (see handleCache). Fire-and-forget: the computing request waits on
+// neither the encoding nor the pushes.
+func (s *Server) replicate(key string, ans *storedAnswer) {
 	if s.opts.Replication <= 0 {
 		return
 	}
@@ -112,7 +113,7 @@ func (s *Server) replicate(key string, resp *ScheduleResponse) {
 		return
 	}
 	go func() {
-		body, err := json.Marshal(resp)
+		body, err := ans.hitBytes()
 		if err != nil {
 			return // no holder could store what does not encode
 		}
@@ -233,7 +234,7 @@ func (r *replicator) sweepFor(peer string) {
 		if !slices.Contains(replicaHolders(sh, e.key, r.s.opts.Replication), peer) {
 			continue
 		}
-		body, err := json.Marshal(e.resp)
+		body, err := e.ans.hitBytes()
 		if err != nil {
 			continue
 		}
@@ -261,7 +262,7 @@ func (r *replicator) handoffOnLeave(ctx context.Context, sh *shardState) {
 		if owner == "" || owner == sh.self {
 			continue
 		}
-		body, err := json.Marshal(e.resp)
+		body, err := e.ans.hitBytes()
 		if err == nil {
 			err = r.put(owner, e.key, body)
 		}

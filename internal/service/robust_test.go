@@ -3,13 +3,16 @@ package service_test
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"net/http"
 	"reflect"
 	"testing"
+	"time"
 
 	"dagsched/internal/service"
 	"dagsched/internal/sim"
 	"dagsched/internal/testfix"
+	"dagsched/internal/workload"
 )
 
 // TestScheduleWithSampledFaults drives the sampled-robustness path end
@@ -113,5 +116,40 @@ func TestFaultsValidation(t *testing.T) {
 		if !errors.As(err, &se) || se.Status != http.StatusBadRequest {
 			t.Errorf("faults case %d: got %v, want HTTP 400", i, err)
 		}
+	}
+}
+
+// TestFaultsStopAtDeadline: a sampled faults evaluation that outruns
+// its request's deadline stops there, so the one worker is free for the
+// next request instead of sampling on for a request already answered
+// 504.
+func TestFaultsStopAtDeadline(t *testing.T) {
+	_, c := startServer(t, service.Options{Workers: 1})
+	rng := rand.New(rand.NewSource(7))
+	g, err := workload.Random(workload.RandomConfig{N: 2000, Shape: 1}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := workload.MakeInstance(g, workload.HetConfig{Procs: 16, CCR: 1, Beta: 1}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	_, err = c.Schedule(ctx, service.ScheduleRequest{
+		Algorithm: "HEFT",
+		Instance:  instanceJSON(t, in),
+		TimeoutMs: 500,
+		Faults:    &service.FaultsRequest{Rate: 0.2, Samples: 500},
+	})
+	var se *service.StatusError
+	if !errors.As(err, &se) || se.Status != http.StatusGatewayTimeout {
+		t.Fatalf("500 samples on 2000 tasks under a 500 ms deadline answered %v, want a 504", err)
+	}
+	start := time.Now()
+	if _, err := c.Schedule(ctx, service.ScheduleRequest{Algorithm: "HEFT", Instance: instanceJSON(t, testfix.Topcuoglu())}); err != nil {
+		t.Fatal(err)
+	}
+	if wait := time.Since(start); wait > 2*time.Second {
+		t.Errorf("the next request waited %v for the worker", wait)
 	}
 }

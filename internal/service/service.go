@@ -20,12 +20,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net"
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,9 +57,9 @@ type Options struct {
 	// disables caching (default 256).
 	CacheSize int
 	// DefaultTimeout applies to requests without timeoutMs (default 30s),
-	// and bounds the reading of a request's headers and, on the
-	// schedule endpoints, of its body; MaxTimeout clamps requested
-	// deadlines (default 5m).
+	// and bounds the reading of a request's headers and of every body
+	// the server reads whole (all but a stream session's); MaxTimeout
+	// clamps requested deadlines (default 5m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
 	// MaxBodyBytes bounds the request body (default 32 MiB).
@@ -426,22 +428,24 @@ func (s *Server) run(j *job) (res jobResult) {
 		resp.Analysis = aj
 	}
 	if j.faults != nil {
-		rj, err := robustness(sch, j.faults)
+		rj, err := robustness(j.ctx, sch, j.faults)
 		if err != nil {
 			return jobResult{err: fmt.Errorf("robustness evaluation: %w", err)}
 		}
 		resp.Robustness = rj
 	}
 	s.met.ObserveRun(resp.Algorithm, resp.Makespan, resp.RuntimeMs)
-	s.cache.Put(j.key, resp)
-	s.replicate(j.key, resp)
+	ans := &storedAnswer{resp: resp}
+	s.cache.Put(j.key, ans)
+	s.replicate(j.key, ans)
 	return jobResult{resp: resp}
 }
 
 // robustness evaluates the Faults block of a request against a computed
 // schedule. The request was validated by resolveRequest, so policy names
-// and plan shapes resolve here without re-checking.
-func robustness(sch *sched.Schedule, fr *FaultsRequest) (*RobustnessJSON, error) {
+// and plan shapes resolve here without re-checking. The sampled
+// evaluation stops at ctx's deadline.
+func robustness(ctx context.Context, sch *sched.Schedule, fr *FaultsRequest) (*RobustnessJSON, error) {
 	pol := resched.Default()
 	if fr.Policy != "" {
 		var err error
@@ -485,7 +489,7 @@ func robustness(sch *sched.Schedule, fr *FaultsRequest) (*RobustnessJSON, error)
 		}
 	}
 	if fr.Rate > 0 || fr.Samples > 0 {
-		rb, err := resched.EvalRobustness(sch, resched.RobustnessConfig{
+		rb, err := resched.EvalRobustness(ctx, sch, resched.RobustnessConfig{
 			Samples: fr.Samples, Rate: fr.Rate, Seed: fr.Seed, Policy: pol,
 		})
 		if err != nil {
@@ -559,6 +563,23 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeHit answers a cache hit with its stored bytes, in one write with
+// a Content-Length. An answer that does not encode (a finish time that
+// overflowed to +Inf) is left to writeJSON, which answers it as it
+// answers the miss.
+func writeHit(w http.ResponseWriter, ans *storedAnswer) {
+	b, err := ans.hitBytes()
+	if err != nil {
+		writeJSON(w, http.StatusOK, ans.hitResponse())
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -971,10 +992,10 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// function of the request, so a body answered before names its entry
 	// by digest: a repeat skips the decode, the instance build and the key.
 	digest := sha256.Sum256(body)
-	if resp, key, replica := s.cache.GetBody(digest); resp != nil {
+	if ans, key, replica := s.cache.GetBody(digest); ans != nil {
 		s.met.ObserveTier(hitTier(replica))
 		s.setShardOwner(w, key)
-		writeJSON(w, http.StatusOK, resp)
+		writeHit(w, ans)
 		return
 	}
 	req, err := decodeFirst[scheduleWire](body)
@@ -1009,33 +1030,46 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64, timeout time.
 	if r.ContentLength > limit {
 		return nil, &http.MaxBytesError{Limit: limit}
 	}
-	var buf bytes.Buffer
-	if r.ContentLength > 0 {
-		// ReadFrom wants MinRead bytes free before every read, the one
-		// that meets the end of the body included.
-		buf.Grow(int(min(r.ContentLength, maxPresize)) + bytes.MinRead)
-	}
 	// A writer without a connection (a test recorder) has no deadline
 	// to set, and its body reads as fast as it can.
 	rc := http.NewResponseController(w)
 	_ = rc.SetReadDeadline(time.Now().Add(timeout))
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	body, err := readAll(http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
 	_ = rc.SetReadDeadline(time.Time{})
+	return body, err
+}
+
+// readAll reads rd to its end into one buffer presized from size, the
+// length its sender declared (-1 when unknown), up to maxPresize.
+func readAll(rd io.Reader, size int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if size > 0 {
+		// ReadFrom wants MinRead bytes free before every read, the one
+		// that meets the end of the body included.
+		buf.Grow(int(min(size, maxPresize)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(rd)
 	return buf.Bytes(), err
 }
 
 // decodeFirst decodes the first JSON value of body into a new T; bytes
-// after it are ignored. A body that is one value decodes in place, and
-// only a body that is not goes through a Decoder, which copies what it
-// reads.
+// after it are ignored.
 func decodeFirst[T any](body []byte) (*T, error) {
 	v := new(T)
+	return v, decodeInto(body, v)
+}
+
+// decodeInto is decodeFirst into v. A body that is one value decodes in
+// place, and only a body that is not goes through a Decoder, which
+// copies what it reads. Unmarshal checks the whole body before it
+// stores anything, so a body it refuses for what follows the first
+// value reaches the Decoder with v untouched; one it refuses for that
+// value's content, the Decoder refuses as well.
+func decodeInto(body []byte, v any) error {
 	if json.Unmarshal(body, v) == nil {
-		return v, nil
+		return nil
 	}
-	v = new(T)
-	err := json.NewDecoder(bytes.NewReader(body)).Decode(v)
-	return v, err
+	return json.NewDecoder(bytes.NewReader(body)).Decode(v)
 }
 
 // hitTier is the cache tier of a local LRU hit.

@@ -247,14 +247,23 @@ func TestDeadlineAbortsPromptly(t *testing.T) {
 	}
 }
 
-// TestSlowSenderReleased: a client that declares a 30 MB body and sends
-// one byte of it, or never finishes its headers, is answered or dropped
-// once DefaultTimeout passes; it holds neither its connection nor a
-// handler.
+// TestSlowSenderReleased: a client that declares a large body and sends
+// one byte of it, to any endpoint that reads a body, or never finishes
+// its headers, is answered or dropped once DefaultTimeout passes; it
+// holds neither its connection nor a handler. The node has a ring
+// identity, without which the ring endpoints refuse before reading.
 func TestSlowSenderReleased(t *testing.T) {
 	s, _ := startServer(t, service.Options{Workers: 1, DefaultTimeout: 200 * time.Millisecond})
+	self := "http://" + s.Addr()
+	if err := s.ConfigurePeers(self, []string{self}); err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("0f", 32)
 	for _, tc := range []struct{ name, send string }{
 		{"body", "POST /v1/schedule HTTP/1.1\r\nHost: schedd\r\nContent-Type: application/json\r\nContent-Length: 30000000\r\n\r\n{"},
+		{"batch", "POST /v1/schedule/batch HTTP/1.1\r\nHost: schedd\r\nContent-Type: application/json\r\nContent-Length: 30000000\r\n\r\n{"},
+		{"cache put", "PUT /v1/cache/" + key + " HTTP/1.1\r\nHost: schedd\r\nContent-Type: application/json\r\nContent-Length: 30000000\r\n\r\n{"},
+		{"ring join", "POST /v1/ring/join HTTP/1.1\r\nHost: schedd\r\nContent-Type: application/json\r\nContent-Length: 500000\r\n\r\n{"},
 		{"headers", "POST /v1/schedule HTTP/1.1\r\nHost: schedd\r\n"},
 	} {
 		conn, err := net.Dial("tcp", s.Addr())

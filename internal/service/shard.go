@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -91,13 +90,17 @@ func (s *Server) probePeerCache(ctx context.Context, peer, key string) *Schedule
 		return nil
 	}
 	s.peerBrk.observe(peer, peerBreakerThreshold, peerBreakerCooldown, nil)
-	var out ScheduleResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, s.opts.MaxBodyBytes)).Decode(&out); err != nil {
+	var out *ScheduleResponse
+	body, err := readAll(io.LimitReader(resp.Body, s.opts.MaxBodyBytes), resp.ContentLength)
+	if err == nil {
+		out, err = decodeFirst[ScheduleResponse](body)
+	}
+	if err != nil {
 		s.met.ObserveProbe(probeError)
 		return nil
 	}
 	s.met.ObserveProbe(probeHit)
-	return &out
+	return out
 }
 
 // probeReplicas walks key's holder set — owner first, then its
@@ -125,9 +128,12 @@ func (s *Server) probeReplicas(ctx context.Context, sh *shardState, key string) 
 //	GET /v1/cache/{hash} — the probe. Only ever reads this node's LRU;
 //	a probe can never trigger a computation, which is what keeps the
 //	tiered lookup cheap. It counts no cache hit or miss here: the
-//	probing node counted the lookup.
+//	probing node counted the lookup. A hit writes the entry's stored
+//	answer, the bytes a digest hit writes.
 //	PUT /v1/cache/{hash} — a replication push or handoff: the body (a
-//	ScheduleResponse) is stored as a replica copy.
+//	ScheduleResponse) is stored as a replica copy, its cached and
+//	coalesced marks cleared. The body is read whole under MaxBodyBytes
+//	and within DefaultTimeout, like a /v1/schedule body.
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	key := strings.TrimPrefix(r.URL.Path, "/v1/cache/")
 	if !validCacheKey(key) {
@@ -136,14 +142,18 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		if resp := s.cache.Probe(key); resp != nil {
-			writeJSON(w, http.StatusOK, resp)
+		if ans := s.cache.Probe(key); ans != nil {
+			writeHit(w, ans)
 			return
 		}
 		writeError(w, http.StatusNotFound, "not cached")
 	case http.MethodPut:
-		var resp ScheduleResponse
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)).Decode(&resp); err != nil {
+		var resp *ScheduleResponse
+		body, err := readBody(w, r, s.opts.MaxBodyBytes, s.opts.DefaultTimeout)
+		if err == nil {
+			resp, err = decodeFirst[ScheduleResponse](body)
+		}
+		if err != nil {
 			writeError(w, http.StatusBadRequest, "decoding replica entry: %v", err)
 			return
 		}
@@ -152,7 +162,7 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.Cached, resp.Coalesced = false, false
-		s.cache.PutReplica(key, &resp)
+		s.cache.PutReplica(key, resp)
 		s.met.ObserveReplicaStore()
 		writeJSON(w, http.StatusOK, map[string]string{"status": "stored"})
 	default:
