@@ -258,29 +258,10 @@ func TestReadBodyHeldToWhatArrives(t *testing.T) {
 // HLFET. "hit" repeats one request against a warm cache; "miss" runs
 // with the cache off, so every request schedules on the worker pool.
 func BenchmarkScheduleHandler(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g, err := workload.Random(workload.RandomConfig{N: 100, Shape: 1}, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in, err := workload.MakeInstance(g, workload.HetConfig{Procs: 8, CCR: 1, Beta: 1, LinkSpread: 0.5}, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var inst bytes.Buffer
-	if err := in.WriteJSON(&inst); err != nil {
-		b.Fatal(err)
-	}
-	if g, err = workload.Random(workload.RandomConfig{N: 100, Shape: 3}, rng); err != nil {
-		b.Fatal(err)
-	}
-	var graph bytes.Buffer
-	if err := g.WriteJSON(&graph); err != nil {
-		b.Fatal(err)
-	}
+	inst, graph := poolShapes(b)
 	bodies := []struct{ name, body string }{
-		{"het-instance", `{"algorithm":"HEFT","instance":` + inst.String() + `}`},
-		{"homo-graph", `{"algorithm":"HLFET","graph":` + graph.String() + `,"processors":32}`},
+		{"het-instance", `{"algorithm":"HEFT","instance":` + string(inst) + `}`},
+		{"homo-graph", `{"algorithm":"HLFET","graph":` + string(graph) + `,"processors":32}`},
 	}
 	for _, mode := range []struct {
 		name  string
@@ -291,11 +272,7 @@ func BenchmarkScheduleHandler(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, bd := range bodies {
-			var compact bytes.Buffer
-			if err := json.Compact(&compact, []byte(bd.body)); err != nil {
-				b.Fatal(err)
-			}
-			body := compact.Bytes()
+			body := []byte(bd.body)
 			serve := func() {
 				rec := httptest.NewRecorder()
 				s.handleSchedule(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body)))
@@ -321,7 +298,7 @@ func BenchmarkScheduleHandler(b *testing.B) {
 // graphBody is a HLFET request for a random n-task graph on 32
 // processors: perfbench's homo shape. At n=100 its answer is about 9 KB,
 // more than net/http buffers before it falls back to chunking.
-func graphBody(t *testing.T, n int) []byte {
+func graphBody(t testing.TB, n int) []byte {
 	t.Helper()
 	g, err := workload.Random(workload.RandomConfig{N: n, Shape: 3}, rand.New(rand.NewSource(int64(n))))
 	if err != nil {
@@ -339,7 +316,7 @@ func graphBody(t *testing.T, n int) []byte {
 }
 
 // roundTrip sends one request to s and returns the whole answer.
-func roundTrip(t *testing.T, method, url string, body []byte) (*http.Response, []byte) {
+func roundTrip(t testing.TB, method, url string, body []byte) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
@@ -362,7 +339,7 @@ func roundTrip(t *testing.T, method, url string, body []byte) (*http.Response, [
 
 // startInternal starts s on an ephemeral port and returns its base URL;
 // s shuts down when the test ends.
-func startInternal(t *testing.T, s *Server) string {
+func startInternal(t testing.TB, s *Server) string {
 	t.Helper()
 	addr, err := s.Start()
 	if err != nil {

@@ -337,9 +337,9 @@ func (c *Client) fetchRing(ctx context.Context, peer string) (RingView, error) {
 // appendRequest appends the JSON body of req to dst. The request
 // without its raw problem is encoded by encoding/json, so each scalar
 // keeps its formatting and its errors; the raw Instance and Graph are
-// then spliced in as given, once json.Valid accepts them, not
-// re-compacted and HTML-escaped as json.Marshal would. The body decodes
-// to the request json.Marshal's would.
+// then spliced in as given, once validJSON accepts them (as json.Valid
+// would), not re-compacted and HTML-escaped as json.Marshal would. The
+// body decodes to the request json.Marshal's would.
 func appendRequest(dst []byte, req *ScheduleRequest) ([]byte, error) {
 	scalars := *req
 	scalars.Instance, scalars.Graph = nil, nil
@@ -356,7 +356,7 @@ func appendRequest(dst []byte, req *ScheduleRequest) ([]byte, error) {
 		if len(f.raw) == 0 {
 			continue
 		}
-		if !json.Valid(f.raw) {
+		if !validJSON(f.raw) {
 			return nil, fmt.Errorf("%s is not valid JSON: %w", f.name, json.Unmarshal(f.raw, new(json.RawMessage)))
 		}
 		dst = append(dst, `,"`+f.name+`":`...)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -115,5 +116,38 @@ func TestClientAnswerTrailingBytes(t *testing.T) {
 	}
 	if resp.Makespan != 7 || !resp.Cached || len(resp.Assignments) != 1 || resp.Assignments[0].Proc != 1 {
 		t.Errorf("decoded %+v, want the first value", resp)
+	}
+}
+
+// TestAnswerThatDoesNotEncode: a schedule whose finish times overflow to
+// +Inf has no JSON form. schedd answers it 500 with an error body and
+// its Content-Length, on the miss and on the digest hit that repeats
+// it, and the Go client returns that message as a *StatusError, not a
+// decode error.
+func TestAnswerThatDoesNotEncode(t *testing.T) {
+	_, c := startServer(t, service.Options{Workers: 1})
+	graph := `{"tasks":[{"id":0,"weight":1.7e308},{"id":1,"weight":1.7e308}],"edges":[{"from":0,"to":1,"data":0}]}`
+	body := `{"algorithm":"HEFT","graph":` + graph + `,"processors":1}`
+	const want = "encoding response: json: unsupported value: +Inf"
+	for _, what := range []string{"miss", "repeat"} {
+		hr, err := http.Post(c.BaseURL+"/v1/schedule", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(hr.Body)
+		hr.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		if hr.StatusCode != http.StatusInternalServerError || hr.ContentLength != int64(len(got)) ||
+			json.Unmarshal(got, &e) != nil || e.Error != want {
+			t.Errorf("%s: HTTP %d, Content-Length %d, body %q; want 500 with error %q", what, hr.StatusCode, hr.ContentLength, got, want)
+		}
+	}
+	_, err := c.Schedule(context.Background(), service.ScheduleRequest{Algorithm: "HEFT", Graph: json.RawMessage(graph), Processors: 1})
+	var se *service.StatusError
+	if !errors.As(err, &se) || se.Status != http.StatusInternalServerError || se.Message != want {
+		t.Errorf("Schedule returned %v, want a *StatusError 500 with %q", err, want)
 	}
 }

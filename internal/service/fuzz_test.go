@@ -2,10 +2,13 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"dagsched/internal/platform"
@@ -133,11 +136,13 @@ func FuzzDecodeFirst(f *testing.F) {
 }
 
 // FuzzRequestBody holds the client's request encoder to json.Marshal:
-// appendRequest fails exactly when json.Marshal fails; otherwise its
-// body is valid JSON, the server's decode (decodeFirst into
+// appendRequest fails exactly when json.Marshal fails, so its validator
+// accepts exactly what json.Valid accepts; otherwise its body is valid
+// JSON when json.Marshal's is, the server's decode (decodeFirst into
 // scheduleWire) gives the request or the error it gives on
 // json.Marshal's body, and decoded as a ScheduleRequest it has equal
-// scalars and raw fields equal as JSON values.
+// scalars and raw fields equal as JSON values, or fails as
+// json.Marshal's body fails.
 func FuzzRequestBody(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	g, err := workload.Random(workload.RandomConfig{N: 12, Shape: 1}, rng)
@@ -182,6 +187,15 @@ func FuzzRequestBody(f *testing.F) {
 	// Both raws, a type error in each, and a number past float64.
 	f.Add([]byte(`{"graph":7}`), []byte(`{"tasks":"x"}`), "HEFT", -3, 1e308, 0.0, "", 0.0, false, 0.0, 0, int64(0), "")
 	f.Add([]byte(`"x"`), []byte(`{"tasks":[{"id":0,"weight":1e999}],"edges":[]}`), "", 0, 0.0, 0.0, "", 0.0, false, 0.0, 0, int64(0), "")
+	// The validator's edges: the nesting limit, escapes, raw bytes json.Valid
+	// refuses or accepts, and numbers and literals cut short.
+	for _, depth := range []int{maxNesting, maxNesting + 1} {
+		nest := []byte(strings.Repeat("[", depth) + strings.Repeat("]", depth))
+		f.Add(nest, []byte{}, "HEFT", 0, 0.0, 0.0, "", 0.0, false, 0.0, 0, int64(0), "")
+	}
+	for _, raw := range []string{`"\u12G4"`, "\"a\x01b\"", "{\"name\":\"\xff\xfe\"}", `-`, `01`, `1.`, `1e+`, `tru`} {
+		f.Add([]byte{}, []byte(raw), "HEFT", 0, 0.0, 0.0, "", 0.0, false, 0.0, 0, int64(0), "")
+	}
 	f.Fuzz(func(t *testing.T, inst, graph []byte, alg string, procs int, lat, tpu float64, comm string, bw float64,
 		analyze bool, rate float64, samples int, timeoutMs int64, prio string) {
 		req := ScheduleRequest{Algorithm: alg, Instance: inst, Graph: graph, Processors: procs, Latency: lat,
@@ -197,8 +211,10 @@ func FuzzRequestBody(f *testing.F) {
 		if gotErr != nil {
 			return
 		}
-		if !json.Valid(got) {
-			t.Fatalf("appendRequest wrote invalid JSON: %s", got)
+		// A raw field nested to the limit nests the body one level past
+		// it, so neither body is valid JSON, and neither decodes.
+		if json.Valid(got) != json.Valid(want) {
+			t.Fatalf("appendRequest wrote %.300s, valid %v; json.Marshal's body valid %v", got, json.Valid(got), json.Valid(want))
 		}
 		gw, gErr := decodeFirst[scheduleWire](got)
 		ww, wErr := decodeFirst[scheduleWire](want)
@@ -209,11 +225,12 @@ func FuzzRequestBody(f *testing.F) {
 			t.Fatalf("the server decodes the body to %+v, json.Marshal's to %+v", gw, ww)
 		}
 		var gr, wr ScheduleRequest
-		if err := json.Unmarshal(got, &gr); err != nil {
-			t.Fatalf("decoding the body: %v", err)
+		gErr, wErr = json.Unmarshal(got, &gr), json.Unmarshal(want, &wr)
+		if (gErr == nil) != (wErr == nil) || gErr != nil && gErr.Error() != wErr.Error() {
+			t.Fatalf("decoding the body: %v; json.Marshal's: %v", gErr, wErr)
 		}
-		if err := json.Unmarshal(want, &wr); err != nil {
-			t.Fatalf("decoding json.Marshal's body: %v", err)
+		if wErr != nil {
+			return
 		}
 		for _, raw := range [][2]json.RawMessage{{gr.Instance, wr.Instance}, {gr.Graph, wr.Graph}} {
 			if gv, wv := jsonValue(t, raw[0]), jsonValue(t, raw[1]); !reflect.DeepEqual(gv, wv) {
@@ -240,4 +257,86 @@ func jsonValue(t *testing.T, raw json.RawMessage) any {
 		t.Fatalf("decoding raw field %s: %v", raw, err)
 	}
 	return v
+}
+
+// FuzzDecodeAnswer holds decodeInto on a *ScheduleResponse to the
+// encoding/json path it replaced: for any body it returns the error and
+// the value that json.Unmarshal, then a Decoder when Unmarshal refuses
+// the body, return. It decodes into a zero response and into one that
+// already holds fields, which a decode keeps unless the body sets them.
+// Values compare as json.Marshal writes them, which tells -0 from 0.
+// The same bodies hold validJSON to json.Valid.
+func FuzzDecodeAnswer(f *testing.F) {
+	s := New(Options{Addr: "127.0.0.1:0", Workers: 1})
+	base := startInternal(f, s)
+	chain := `{"tasks":[{"id":0,"weight":2},{"id":1,"weight":3}],"edges":[{"from":0,"to":1,"data":1}]}`
+	miss, hit := answerBytes(f, base, []byte(`{"algorithm":"HEFT","graph":`+chain+`,"processors":2}`))
+	f.Add(miss)
+	f.Add(hit)
+	// A fork whose transfers cost more than its root: ILS duplicates the
+	// root. The answer also carries analysis and robustness, and is marked
+	// coalesced as a follower's would be.
+	fork := `{"tasks":[{"id":0,"weight":1},{"id":1,"weight":4},{"id":2,"weight":4}],"edges":[{"from":0,"to":1,"data":20},{"from":0,"to":2,"data":20}]}`
+	_, full := answerBytes(f, base, []byte(`{"algorithm":"ILS","graph":`+fork+`,"processors":2,"analyze":true,"faults":{"rate":0.5,"samples":2}}`))
+	var r ScheduleResponse
+	if err := json.Unmarshal(full, &r); err != nil {
+		f.Fatal(err)
+	}
+	if r.Analysis == nil || r.Robustness == nil || !slices.ContainsFunc(r.Assignments, func(a AssignmentJSON) bool { return a.Dup }) {
+		f.Fatalf("the fork's answer lacks a duplicate, analysis or robustness: %s", full)
+	}
+	r.Coalesced = true
+	var coalesced bytes.Buffer
+	if err := json.NewEncoder(&coalesced).Encode(&r); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(coalesced.Bytes())
+	// Near misses, each a change to the hit.
+	h := string(hit)
+	for _, c := range [][2]string{
+		{`"name":"t0"`, `"name":"t\u003c1"`}, // "<" as encoding/json writes it
+		{`"name":"t0"`, `"name":"tä"`},
+		{`"makespan"`, `"Makespan"`},
+		{`{"algorithm"`, `{"slr":9,"algorithm"`},
+		{`"assignments":[`, `"assignments":null,"x":[`},
+		{`"algorithm":"HEFT"`, `"algorithm":null`},
+		{`"makespan":5`, `"makespan":1e999`},
+		{`"task":1`, `"task":1.0`},
+		{`"start":0`, `"start":-0`},
+		{`"duplicates":0`, `"duplicates":-0`},
+		{"}\n", `} {"makespan":9} trailing`},
+	} {
+		if !strings.Contains(h, c[0]) {
+			f.Fatalf("the hit %s lacks %s", h, c[0])
+		}
+		f.Add([]byte(strings.Replace(h, c[0], c[1], 1)))
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		f.Fatal(err)
+	}
+	prefilled := func() ScheduleResponse {
+		return ScheduleResponse{Algorithm: "X", Makespan: 1, Cached: true, Assignments: []AssignmentJSON{},
+			Analysis: &AnalysisJSON{Critical: []int{1}}}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if got, want := validJSON(body), json.Valid(body); got != want {
+			t.Fatalf("validJSON %v, json.Valid %v", got, want)
+		}
+		for _, dst := range []func() ScheduleResponse{func() ScheduleResponse { return ScheduleResponse{} }, prefilled} {
+			got, want := dst(), dst()
+			gotErr := decodeInto(body, &got)
+			wantErr := json.Unmarshal(body, &want)
+			if wantErr != nil {
+				wantErr = json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+			}
+			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+				t.Fatalf("decodeInto error %v, encoding/json error %v", gotErr, wantErr)
+			}
+			gj, gErr := json.Marshal(&got)
+			wj, wErr := json.Marshal(&want)
+			if gErr != nil || wErr != nil || !bytes.Equal(gj, wj) {
+				t.Fatalf("decodeInto gave %s (%v), encoding/json %s (%v)", gj, gErr, wj, wErr)
+			}
+		}
+	})
 }

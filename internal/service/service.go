@@ -559,27 +559,40 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 	})
 }
 
+// writeJSON answers v with status. v is encoded whole before the status
+// is written, so a value with no JSON form (a finish time that
+// overflowed to +Inf) is answered 500 with an error body, not with an
+// empty body under status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = json.NewEncoder(&buf).Encode(errorJSON{Error: "encoding response: " + err.Error()}) // a string always encodes
+	}
+	writeBody(w, status, buf.Bytes())
 }
 
-// writeHit answers a cache hit with its stored bytes, in one write with
-// a Content-Length. An answer that does not encode (a finish time that
-// overflowed to +Inf) is left to writeJSON, which answers it as it
-// answers the miss.
+// writeBody writes an encoded answer in one write, with its
+// Content-Length.
+func writeBody(w http.ResponseWriter, status int, b []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(status)
+	_, _ = w.Write(b)
+}
+
+// writeHit answers a cache hit with its stored bytes. An answer that
+// does not encode is left to writeJSON, which answers it as it answers
+// the miss.
 func writeHit(w http.ResponseWriter, ans *storedAnswer) {
 	b, err := ans.hitBytes()
 	if err != nil {
 		writeJSON(w, http.StatusOK, ans.hitResponse())
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(b)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b)
+	writeBody(w, http.StatusOK, b)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -1059,13 +1072,18 @@ func decodeFirst[T any](body []byte) (*T, error) {
 	return v, decodeInto(body, v)
 }
 
-// decodeInto is decodeFirst into v. A body that is one value decodes in
-// place, and only a body that is not goes through a Decoder, which
-// copies what it reads. Unmarshal checks the whole body before it
-// stores anything, so a body it refuses for what follows the first
-// value reaches the Decoder with v untouched; one it refuses for that
-// value's content, the Decoder refuses as well.
+// decodeInto is decodeFirst into v. An answer in the shape schedd
+// writes is decoded by decodeAnswer; any other body goes to
+// encoding/json. A body that is one value decodes in place, and only a
+// body that is not goes through a Decoder, which copies what it reads.
+// Unmarshal checks the whole body before it stores anything, so a body
+// it refuses for what follows the first value reaches the Decoder with
+// v untouched; one it refuses for that value's content, the Decoder
+// refuses as well.
 func decodeInto(body []byte, v any) error {
+	if r, ok := v.(*ScheduleResponse); ok && decodeAnswer(body, r) {
+		return nil
+	}
 	if json.Unmarshal(body, v) == nil {
 		return nil
 	}
