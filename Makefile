@@ -70,7 +70,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMCPScaling|BenchmarkReadyOrderScaling' -benchtime 1x ./internal/algo/listsched
 	$(GO) test -run '^$$' -bench 'BenchmarkILSEndToEnd' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkPopulationEval' -benchtime 1x ./internal/adversary
-	$(GO) test -run '^$$' -bench 'BenchmarkBatchEndpoint|BenchmarkScheduleHandler|BenchmarkClientCodec' -benchtime 1x -benchmem ./internal/service
+	$(GO) test -run '^$$' -bench 'BenchmarkBatchEndpoint|BenchmarkScheduleHandler|BenchmarkClientCodec|BenchmarkRequestDecode' -benchtime 1x -benchmem ./internal/service
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamAppend' -benchtime 1x ./internal/stream
 
 # The benchmark under perfbench/ is a nested module, so `go build ./...`
@@ -82,9 +82,9 @@ perfbench-check:
 # A few seconds of coverage-guided fuzzing per parser entry point (the
 # /v1/schedule decode also against a plain json.Decoder), the client's
 # request encoder against json.Marshal, the client's answer decode and
-# raw-field validator against encoding/json, plus
-# the streaming graph's live growth against a fresh seal, the gap index
-# against the linear slot scan, the link reservation state against a
+# raw-field validator and schedd's request decode against encoding/json,
+# plus the streaming graph's live growth against a fresh seal, the gap
+# index against the linear slot scan, the link reservation state against a
 # span-list scan, a plan's data-ready row against DataReady on every
 # processor, the uniform links' mean cost against the pair-by-pair
 # sum, the incremental upward rank against a full sweep, and the greedy
@@ -104,6 +104,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFirst -fuzztime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzRequestBody -fuzztime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzDecodeAnswer -fuzztime 5s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzStreamEvents -fuzztime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzRingMessages -fuzztime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzFaultPlan -fuzztime 5s ./internal/sim

@@ -144,7 +144,7 @@ func (s *Server) runBatchItem(r *http.Request, reqID string, i int, item json.Ra
 		}
 	}()
 	var req scheduleWire
-	if err := json.Unmarshal(item, &req); err != nil {
+	if err := decodeInto(item, &req); err != nil {
 		return BatchItemResult{Index: i, Status: http.StatusBadRequest, Error: fmt.Sprintf("decoding item: %v", err)}
 	}
 	res, _ = s.serveItem(r.Context(), itemID, &req, true)

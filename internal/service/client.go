@@ -219,8 +219,20 @@ func (c *Client) attempt(ctx context.Context, base, method, path string, body []
 	if err != nil {
 		return err
 	}
-	return decodeInto(data, out)
+	if err := decodeInto(data, out); err != nil {
+		return decodeError{err}
+	}
+	return nil
 }
+
+// decodeError is an answer that arrived whole and did not decode.
+// Asking the same server again is no cure, and a second decode into the
+// same value would keep what the first one stored, so doJSONAt returns
+// it at once. Ring failover still moves on to the next peer, decoding
+// into a fresh value.
+type decodeError struct{ error }
+
+func (e decodeError) Unwrap() error { return e.error }
 
 // doJSONAt runs the retry loop against one base URL.
 func (c *Client) doJSONAt(ctx context.Context, base, method, path string, data []byte, out any) error {
@@ -229,7 +241,7 @@ func (c *Client) doJSONAt(ctx context.Context, base, method, path string, data [
 	var err error
 	for att := 1; ; att++ {
 		err = c.attempt(ctx, base, method, path, data, out)
-		if err == nil || att >= pol.MaxAttempts || !retryable(ctx, err) {
+		if err == nil || att >= pol.MaxAttempts || !retryable(ctx, err) || errors.As(err, new(decodeError)) {
 			return err
 		}
 		t := time.NewTimer(c.jitter(backoff))

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -70,6 +71,59 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	}
 	if n := hits.Load(); n != 1 {
 		t.Fatalf("400 retried: server hit %d times", n)
+	}
+}
+
+// decodeFlip answers its first request with an answer that does not
+// decode (a string makespan) but carries an analysis, and every later
+// one with a plain HEFT answer. It counts the requests in hits.
+func decodeFlip(hits *atomic.Int64) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if hits.Add(1) == 1 {
+			_, _ = w.Write([]byte(`{"algorithm":"OLD","makespan":"x","analysis":{"critical":[1]}}`))
+			return
+		}
+		_, _ = w.Write([]byte(`{"algorithm":"HEFT","makespan":7,"assignments":[]}`))
+	}
+}
+
+// TestClientDecodeErrorIsFinal: an answer that arrives whole but does
+// not decode is returned at once. A retry would decode the next answer
+// into the value the failed decode wrote to, and return a merge of the
+// two answers.
+func TestClientDecodeErrorIsFinal(t *testing.T) {
+	var hits atomic.Int64
+	ts := httptest.NewServer(decodeFlip(&hits))
+	defer ts.Close()
+	pol := fastRetry()
+	pol.MaxAttempts = 2
+	c := &service.Client{BaseURL: ts.URL, Retry: pol}
+	resp, err := c.Schedule(context.Background(), service.ScheduleRequest{Algorithm: "HEFT"})
+	var te *json.UnmarshalTypeError
+	if !errors.As(err, &te) {
+		t.Fatalf("got %+v, %v; want the decode error", resp, err)
+	}
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("server hit %d times, want 1", n)
+	}
+}
+
+// TestRingFailsOverOnDecodeError: in ring mode an answer that does not
+// decode still fails over to the next peer, whose answer decodes into a
+// fresh value.
+func TestRingFailsOverOnDecodeError(t *testing.T) {
+	var hits atomic.Int64
+	a, b := httptest.NewServer(decodeFlip(&hits)), httptest.NewServer(decodeFlip(&hits))
+	defer a.Close()
+	defer b.Close()
+	c := &service.Client{Peers: []string{a.URL, b.URL}, Retry: fastRetry()}
+	resp, err := c.Schedule(context.Background(), service.ScheduleRequest{Algorithm: "HEFT"})
+	if err != nil || resp.Algorithm != "HEFT" || resp.Makespan != 7 || resp.Analysis != nil {
+		t.Fatalf("got %+v, %v; want the second peer's answer alone", resp, err)
+	}
+	if n := hits.Load(); n != 2 {
+		t.Fatalf("peers hit %d times, want 2", n)
 	}
 }
 

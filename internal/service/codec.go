@@ -1,17 +1,25 @@
 package service
 
-import "strconv"
+import (
+	"strconv"
 
-// The wire codec's own scanner. It takes the two per-request costs of a
-// cache hit at the client off encoding/json: validJSON checks a raw
-// problem before appendRequest splices it into a body, and decodeAnswer
-// decodes a ScheduleResponse in the shape schedd's encoder writes. Both
-// follow one grammar (whitespace, strings, numbers, literals), each
-// function taking the slice and a position and returning the position
-// past what it scanned, -1 when the bytes are not what it scans.
-// decodeAnswer declines whatever it cannot decode to the value
-// encoding/json gives, and decodeInto then decodes with encoding/json,
-// so every error and every edge case stays encoding/json's.
+	"dagsched/internal/dag"
+	"dagsched/internal/sched"
+)
+
+// The wire codec's own scanner. It takes the per-request costs of
+// encoding/json off both ends of /v1/schedule. At the client, validJSON
+// checks a raw problem before appendRequest splices it into a body, and
+// decodeAnswer decodes a ScheduleResponse in the shape schedd's encoder
+// writes. At schedd, decodeRequest decodes a request in the shape
+// appendRequest writes into scheduleWire, the problem straight into its
+// typed wire form, on a miss and for each batch item. All three follow
+// one grammar (whitespace, strings, numbers, literals), each function
+// taking the slice and a position and returning the position past what
+// it scanned, -1 when the bytes are not what it scans. The decoders
+// decline whatever they cannot decode to the value encoding/json gives,
+// and decodeInto then decodes with encoding/json, so every error and
+// every edge case stays encoding/json's.
 
 // maxNesting is encoding/json's bound on nested arrays and objects.
 const maxNesting = 10000
@@ -215,65 +223,48 @@ func validJSON(b []byte) bool {
 }
 
 // The decoder. Each parse function takes the index of a value and
-// returns the index past it, -1 when the value is not one decodeAnswer
+// returns the index past it, -1 when the value is not one the decoder
 // takes. Strings must be plain; numbers are parsed as encoding/json
-// parses them, and one it would refuse is not taken.
+// parses them, and one it would refuse is not taken; null is never
+// taken. Objects take their known keys only, each matched exactly and
+// at most once.
 
 // decodeAnswer decodes the first JSON value of b into r, as decodeInto
 // would, when b is an answer in the shape schedd writes, and reports
 // whether it did. Otherwise r is untouched. It takes each field of
-// ScheduleResponse but Analysis and Robustness, keys matched exactly and
-// at most once. Into an r whose Assignments has capacity it takes
-// nothing: encoding/json would decode into those elements.
+// ScheduleResponse but Analysis and Robustness. Into an r whose
+// Assignments has capacity it takes nothing: encoding/json would decode
+// into those elements.
 func decodeAnswer(b []byte, r *ScheduleResponse) bool {
 	if cap(r.Assignments) > 0 {
 		return false
 	}
 	v := *r
-	var seen uint
-	end := parseObject(b, skipSpace(b, 0), func(key []byte, i int) int {
-		var bit uint
-		switch string(key) {
+	end := parseObject(b, skipSpace(b, 0), answerKeys, func(key string, i int) int {
+		switch key {
 		case "algorithm":
-			bit = 1 << 0
 			v.Algorithm, i = parseString(b, i)
 		case "makespan":
-			bit = 1 << 1
 			v.Makespan, i = parseFloat(b, i)
 		case "slr":
-			bit = 1 << 2
 			v.SLR, i = parseFloat(b, i)
 		case "speedup":
-			bit = 1 << 3
 			v.Speedup, i = parseFloat(b, i)
 		case "efficiency":
-			bit = 1 << 4
 			v.Efficiency, i = parseFloat(b, i)
 		case "duplicates":
-			bit = 1 << 5
 			v.Duplicates, i = parseInt(b, i)
 		case "commModel":
-			bit = 1 << 6
 			v.CommModel, i = parseString(b, i)
 		case "runtimeMs":
-			bit = 1 << 7
 			v.RuntimeMs, i = parseFloat(b, i)
 		case "cached":
-			bit = 1 << 8
 			v.Cached, i = parseBool(b, i)
 		case "coalesced":
-			bit = 1 << 9
 			v.Coalesced, i = parseBool(b, i)
 		case "assignments":
-			bit = 1 << 10
-			v.Assignments, i = parseAssignments(b, i)
-		default:
-			return -1
+			v.Assignments, i = parseArray(b, i, 0, parseAssignment)
 		}
-		if seen&bit != 0 {
-			return -1
-		}
-		seen |= bit
 		return i
 	})
 	if end < 0 {
@@ -283,21 +274,189 @@ func decodeAnswer(b []byte, r *ScheduleResponse) bool {
 	return true
 }
 
-// parseObject walks the object at b[i:], handing member each plain key
-// and the index of its value.
-func parseObject(b []byte, i int, member func(key []byte, value int) int) int {
+var (
+	answerKeys = []string{"algorithm", "makespan", "slr", "speedup", "efficiency", "duplicates",
+		"commModel", "runtimeMs", "cached", "coalesced", "assignments"}
+	assignmentKeys = []string{"task", "name", "proc", "start", "finish", "dup"}
+)
+
+func parseAssignment(b []byte, i int) (a AssignmentJSON, end int) {
+	end = parseObject(b, i, assignmentKeys, func(key string, i int) int {
+		switch key {
+		case "task":
+			a.Task, i = parseInt(b, i)
+		case "name":
+			a.Name, i = parseString(b, i)
+		case "proc":
+			a.Proc, i = parseInt(b, i)
+		case "start":
+			a.Start, i = parseFloat(b, i)
+		case "finish":
+			a.Finish, i = parseFloat(b, i)
+		case "dup":
+			a.Dup, i = parseBool(b, i)
+		}
+		return i
+	})
+	return a, end
+}
+
+// decodeRequest decodes the first JSON value of b into w, as decodeInto
+// would, when b is a request in the shape the Go client's appendRequest
+// writes, and reports whether it did. Otherwise w is untouched. It takes
+// each field of scheduleWire but Faults, the problem decoded into its
+// typed form. Into a w whose Instance or Graph is set it takes nothing:
+// encoding/json would decode into those.
+func decodeRequest(b []byte, w *scheduleWire) bool {
+	if w.Instance != nil || w.Graph != nil {
+		return false
+	}
+	v := *w
+	end := parseObject(b, skipSpace(b, 0), requestKeys, func(key string, i int) int {
+		switch key {
+		case "algorithm":
+			v.Algorithm, i = parseString(b, i)
+		case "instance":
+			v.Instance, i = parseInstance(b, i)
+		case "graph":
+			v.Graph, i = parseGraph(b, i)
+		case "processors":
+			v.Processors, i = parseInt(b, i)
+		case "latency":
+			v.Latency, i = parseFloat(b, i)
+		case "timePerUnit":
+			v.TimePerUnit, i = parseFloat(b, i)
+		case "commModel":
+			v.CommModel, i = parseString(b, i)
+		case "linkBandwidth":
+			v.LinkBandwidth, i = parseFloat(b, i)
+		case "analyze":
+			v.Analyze, i = parseBool(b, i)
+		case "timeoutMs":
+			var ms int
+			ms, i = parseInt(b, i)
+			v.TimeoutMs = int64(ms)
+		case "priority":
+			v.Priority, i = parseString(b, i)
+		}
+		return i
+	})
+	if end < 0 {
+		return false
+	}
+	*w = v
+	return true
+}
+
+var (
+	requestKeys = []string{"algorithm", "processors", "latency", "timePerUnit", "commModel",
+		"linkBandwidth", "analyze", "timeoutMs", "priority", "instance", "graph"}
+	instanceKeys = []string{"graph", "system", "costs", "version"}
+	systemKeys   = []string{"speeds", "startup", "invRate"}
+	graphKeys    = []string{"name", "tasks", "edges"}
+	taskKeys     = []string{"id", "name", "weight"}
+	edgeKeys     = []string{"from", "to", "data"}
+)
+
+func parseInstance(b []byte, i int) (*sched.InstanceJSON, int) {
+	in := new(sched.InstanceJSON)
+	end := parseObject(b, i, instanceKeys, func(key string, i int) int {
+		switch key {
+		case "graph":
+			in.Graph, i = parseGraph(b, i)
+		case "system":
+			i = parseObject(b, i, systemKeys, func(key string, i int) int {
+				switch key {
+				case "speeds":
+					in.System.Speeds, i = parseArray(b, i, 0, parseFloat)
+				case "startup":
+					in.System.Startup, i = parseMatrix(b, i)
+				case "invRate":
+					in.System.InvRate, i = parseMatrix(b, i)
+				}
+				return i
+			})
+		case "costs":
+			in.Costs, i = parseMatrix(b, i)
+		case "version":
+			in.Version, i = parseInt(b, i)
+		}
+		return i
+	})
+	return in, end
+}
+
+func parseGraph(b []byte, i int) (*dag.GraphJSON, int) {
+	g := new(dag.GraphJSON)
+	end := parseObject(b, i, graphKeys, func(key string, i int) int {
+		switch key {
+		case "name":
+			g.Name, i = parseString(b, i)
+		case "tasks":
+			g.Tasks, i = parseArray(b, i, 0, parseTask)
+		case "edges":
+			g.Edges, i = parseArray(b, i, 0, parseEdge)
+		}
+		return i
+	})
+	return g, end
+}
+
+func parseTask(b []byte, i int) (t dag.TaskJSON, end int) {
+	end = parseObject(b, i, taskKeys, func(key string, i int) int {
+		switch key {
+		case "id":
+			t.ID, i = parseTaskID(b, i)
+		case "name":
+			t.Name, i = parseString(b, i)
+		case "weight":
+			t.Weight, i = parseFloat(b, i)
+		}
+		return i
+	})
+	return t, end
+}
+
+func parseEdge(b []byte, i int) (e dag.EdgeJSON, end int) {
+	end = parseObject(b, i, edgeKeys, func(key string, i int) int {
+		switch key {
+		case "from":
+			e.From, i = parseTaskID(b, i)
+		case "to":
+			e.To, i = parseTaskID(b, i)
+		case "data":
+			e.Data, i = parseFloat(b, i)
+		}
+		return i
+	})
+	return e, end
+}
+
+// parseObject walks the object at b[i:], handing member each key and
+// the index of its value. Every key must be plain, one of keys and not
+// seen before in the object.
+func parseObject(b []byte, i int, keys []string, member func(key string, value int) int) int {
 	if i == len(b) || b[i] != '{' {
 		return -1
 	}
 	if i = skipSpace(b, i+1); i < len(b) && b[i] == '}' {
 		return i + 1
 	}
+	var seen uint
 	for {
 		keyEnd, value, plain := scanKey(b, i)
 		if value < 0 || !plain {
 			return -1
 		}
-		if i = member(b[i+1:keyEnd-1], value); i < 0 {
+		k := 0
+		for k < len(keys) && string(b[i+1:keyEnd-1]) != keys[k] {
+			k++
+		}
+		if k == len(keys) || seen&(1<<k) != 0 {
+			return -1
+		}
+		seen |= 1 << k
+		if i = member(keys[k], value); i < 0 {
 			return -1
 		}
 		if i = skipSpace(b, i); i == len(b) {
@@ -314,55 +473,23 @@ func parseObject(b []byte, i int, member func(key []byte, value int) int) int {
 	}
 }
 
-// parseAssignments parses a non-null array of assignments; [] is an
-// empty, non-nil slice, as encoding/json decodes it.
-func parseAssignments(b []byte, i int) ([]AssignmentJSON, int) {
+// parseArray parses a non-null array, each element with elem, into a
+// slice made with capacity size; [] is an empty, non-nil slice, as
+// encoding/json decodes it.
+func parseArray[T any](b []byte, i, size int, elem func(b []byte, i int) (T, int)) ([]T, int) {
 	if i == len(b) || b[i] != '[' {
 		return nil, -1
 	}
-	out := []AssignmentJSON{}
+	out := make([]T, 0, size)
 	if i = skipSpace(b, i+1); i < len(b) && b[i] == ']' {
 		return out, i + 1
 	}
-	var a AssignmentJSON
-	var seen uint
-	member := func(key []byte, i int) int {
-		var bit uint
-		switch string(key) {
-		case "task":
-			bit = 1 << 0
-			a.Task, i = parseInt(b, i)
-		case "name":
-			bit = 1 << 1
-			a.Name, i = parseString(b, i)
-		case "proc":
-			bit = 1 << 2
-			a.Proc, i = parseInt(b, i)
-		case "start":
-			bit = 1 << 3
-			a.Start, i = parseFloat(b, i)
-		case "finish":
-			bit = 1 << 4
-			a.Finish, i = parseFloat(b, i)
-		case "dup":
-			bit = 1 << 5
-			a.Dup, i = parseBool(b, i)
-		default:
-			return -1
-		}
-		if seen&bit != 0 {
-			return -1
-		}
-		seen |= bit
-		return i
-	}
 	for {
-		a, seen = AssignmentJSON{}, 0
-		i = parseObject(b, i, member)
-		if i < 0 {
+		var v T
+		if v, i = elem(b, i); i < 0 {
 			return nil, -1
 		}
-		out = append(out, a)
+		out = append(out, v)
 		if i = skipSpace(b, i); i == len(b) {
 			return nil, -1
 		}
@@ -375,6 +502,17 @@ func parseAssignments(b []byte, i int) ([]AssignmentJSON, int) {
 			return nil, -1
 		}
 	}
+}
+
+// parseMatrix parses an array of number arrays, each row made at the
+// length of the row before it.
+func parseMatrix(b []byte, i int) ([][]float64, int) {
+	width := 0
+	return parseArray(b, i, 0, func(b []byte, i int) (row []float64, end int) {
+		row, end = parseArray(b, i, width, parseFloat)
+		width = len(row)
+		return row, end
+	})
 }
 
 // parseString parses a plain string.
@@ -415,6 +553,11 @@ func parseInt(b []byte, i int) (int, int) {
 		return 0, -1
 	}
 	return int(n), end
+}
+
+func parseTaskID(b []byte, i int) (dag.TaskID, int) {
+	n, end := parseInt(b, i)
+	return dag.TaskID(n), end
 }
 
 // parseBool parses true or false.

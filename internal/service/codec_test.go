@@ -20,8 +20,14 @@ import (
 // and a bare n=100 graph (HLFET on 32 processors).
 func poolShapes(tb testing.TB) (inst, graph []byte) {
 	tb.Helper()
+	return shapesOf(tb, 100)
+}
+
+// shapesOf returns the pool's two raw problems at n tasks.
+func shapesOf(tb testing.TB, n int) (inst, graph []byte) {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(1))
-	g, err := workload.Random(workload.RandomConfig{N: 100, Shape: 1}, rng)
+	g, err := workload.Random(workload.RandomConfig{N: n, Shape: 1}, rng)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -33,7 +39,7 @@ func poolShapes(tb testing.TB) (inst, graph []byte) {
 	if err := in.WriteJSON(&ib); err != nil {
 		tb.Fatal(err)
 	}
-	if g, err = workload.Random(workload.RandomConfig{N: 100, Shape: 3}, rng); err != nil {
+	if g, err = workload.Random(workload.RandomConfig{N: n, Shape: 3}, rng); err != nil {
 		tb.Fatal(err)
 	}
 	if err := g.WriteJSON(&gb); err != nil {
@@ -99,18 +105,9 @@ func TestAnswersTakeTheScanner(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inst, graph := poolShapes(t)
-	var ils bytes.Buffer
-	if err := testfix.Topcuoglu().WriteJSON(&ils); err != nil {
-		t.Fatal(err)
-	}
 	var answers [][]byte
-	for _, body := range []string{
-		`{"algorithm":"HEFT","instance":` + string(inst) + `}`,
-		`{"algorithm":"HLFET","graph":` + string(graph) + `,"processors":32}`,
-		`{"algorithm":"ILS","instance":` + ils.String() + `}`,
-	} {
-		miss, hit := answerBytes(t, urls[0], []byte(body))
+	for _, req := range requestShapes(t) {
+		miss, hit := answerBytes(t, urls[0], clientBody(t, req))
 		answers = append(answers, miss, hit)
 	}
 	// Each compute pushes its entry to the other node.
@@ -148,6 +145,145 @@ func TestAnswersTakeTheScanner(t *testing.T) {
 	}
 	if dups == 0 {
 		t.Error("no answer held a duplicated task")
+	}
+}
+
+// requestShapes returns the three request shapes the server's decoder
+// is held to: HEFT on the pool's heterogeneous instance, HLFET on its
+// bare graph over 32 processors, and ILS on Topcuoglu's instance as
+// Instance.WriteJSON indents it.
+func requestShapes(tb testing.TB) []ScheduleRequest {
+	tb.Helper()
+	inst, graph := poolShapes(tb)
+	var top bytes.Buffer
+	if err := testfix.Topcuoglu().WriteJSON(&top); err != nil {
+		tb.Fatal(err)
+	}
+	return []ScheduleRequest{
+		{Algorithm: "HEFT", Instance: inst},
+		{Algorithm: "HLFET", Graph: graph, Processors: 32},
+		{Algorithm: "ILS", Instance: top.Bytes()},
+	}
+}
+
+// clientBody is the body the Go client sends for req.
+func clientBody(tb testing.TB, req ScheduleRequest) []byte {
+	tb.Helper()
+	body, err := appendRequest(nil, &req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// TestRequestsTakeTheScanner: the client's bodies for the three request
+// shapes decode on decodeRequest's own path, with no fallback to
+// encoding/json, to the value json.Unmarshal gives, bit for bit, and
+// resolve to the cache key of encoding/json's decode. A change to the
+// client's encoding that sends its requests to encoding/json fails here.
+func TestRequestsTakeTheScanner(t *testing.T) {
+	s := New(Options{CacheSize: -1})
+	key := func(w *scheduleWire) string {
+		_, in, err := s.resolveRequest(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := cacheKey(in, w.Algorithm, w.Analyze, w.LinkBandwidth, w.Faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	for _, req := range requestShapes(t) {
+		body := clientBody(t, req)
+		var got, want scheduleWire
+		if !decodeRequest(body, &got) {
+			t.Errorf("%s's request went to encoding/json:\n%.300s", req.Algorithm, body)
+			continue
+		}
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("%s: %v", req.Algorithm, err)
+		}
+		if !sameBits(reflect.ValueOf(got), reflect.ValueOf(want)) {
+			t.Errorf("%s's request decodes to\n%+v\njson.Unmarshal gives\n%+v", req.Algorithm, got, want)
+		}
+		if gk, wk := key(&got), key(&want); gk != wk {
+			t.Errorf("%s's request keys %s, encoding/json's decode %s", req.Algorithm, gk, wk)
+		}
+	}
+}
+
+// TestBatchItemsDecodeAsRequests: a batch of the three request shapes
+// answers each item as /v1/schedule answers it alone, and so does a
+// fourth item whose case-folded key the scanner declines, which
+// encoding/json decodes.
+func TestBatchItemsDecodeAsRequests(t *testing.T) {
+	base := startInternal(t, New(Options{Addr: "127.0.0.1:0", Workers: 1, CacheSize: -1}))
+	var items [][]byte
+	for _, req := range requestShapes(t) {
+		items = append(items, clientBody(t, req))
+	}
+	folded := bytes.Replace(items[1], []byte(`"algorithm"`), []byte(`"Algorithm"`), 1)
+	if decodeRequest(folded, new(scheduleWire)) {
+		t.Fatal("the scanner took a case-folded key")
+	}
+	items = append(items, folded)
+	_, raw := roundTrip(t, http.MethodPost, base+"/v1/schedule/batch",
+		[]byte(`{"items":[`+string(bytes.Join(items, []byte(",")))+`]}`))
+	var batch BatchResponse
+	if err := json.Unmarshal(raw, &batch); err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Items) != len(items) || batch.Failed != 0 {
+		t.Fatalf("batch of %d answered %d items, %d failed: %s", len(items), len(batch.Items), batch.Failed, raw)
+	}
+	for i, item := range items {
+		_, one := roundTrip(t, http.MethodPost, base+"/v1/schedule", item)
+		var want ScheduleResponse
+		if err := json.Unmarshal(one, &want); err != nil {
+			t.Fatal(err)
+		}
+		got := batch.Items[i].Response
+		if got == nil {
+			t.Fatalf("item %d: %+v", i, batch.Items[i])
+		}
+		// The folded item is the graph's problem, so one of the two may
+		// join the other's computation.
+		got.RuntimeMs, want.RuntimeMs, got.Coalesced = 0, 0, false
+		if !reflect.DeepEqual(*got, want) {
+			t.Errorf("item %d answers\n%+v\nalone it answers\n%+v", i, *got, want)
+		}
+	}
+}
+
+// BenchmarkRequestDecode times the server's decode of the client's body
+// for the pool's two request shapes, the scanner beside the
+// encoding/json call it replaces.
+func BenchmarkRequestDecode(b *testing.B) {
+	shapes := requestShapes(b)
+	for i, name := range []string{"het-instance", "homo-graph"} {
+		body := clientBody(b, shapes[i])
+		if !decodeRequest(body, new(scheduleWire)) {
+			b.Fatalf("the %s request does not take the scanner", name)
+		}
+		for _, d := range []struct {
+			name   string
+			decode func([]byte, *scheduleWire) error
+		}{
+			{"scanner", func(b []byte, w *scheduleWire) error { return decodeInto(b, w) }},
+			{"json.Unmarshal", func(b []byte, w *scheduleWire) error { return json.Unmarshal(b, w) }},
+		} {
+			b.Run(name+"/"+d.name, func(b *testing.B) {
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var w scheduleWire
+					if err := d.decode(body, &w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

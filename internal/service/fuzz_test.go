@@ -340,3 +340,120 @@ func FuzzDecodeAnswer(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeRequest holds decodeInto on a *scheduleWire to the
+// encoding/json path it replaced: for any body it returns the error text
+// and the value that json.Unmarshal, then a Decoder when Unmarshal
+// refuses the body, return. Values compare bit for bit (-0 is not 0, a
+// nil slice is not an empty one). It decodes into a zero request, whose
+// embedded raw fields must stay nil, into one whose scalars are already
+// set, which a decode keeps unless the body sets them, and into one whose
+// problem is set, which the scanner leaves to encoding/json.
+func FuzzDecodeRequest(f *testing.F) {
+	// The client's bodies for the pool's two shapes, cut to 2–3 KB: the
+	// fuzzer minimises each new input for up to a minute, and a 30 KB one
+	// keeps it there. TestRequestsTakeTheScanner runs the full size. Below
+	// 24 tasks the homo graph has no edges, and its "edges":null goes to
+	// encoding/json.
+	inst, _ := shapesOf(f, 6)
+	_, graph := shapesOf(f, 24)
+	f.Add(clientBody(f, ScheduleRequest{Algorithm: "HEFT", Instance: inst}))
+	f.Add(clientBody(f, ScheduleRequest{Algorithm: "HLFET", Graph: graph, Processors: 32}))
+	small := `{"name":"g","tasks":[{"id":0,"name":"t0","weight":2.5},{"id":1,"name":"t1","weight":3}],"edges":[{"from":0,"to":1,"data":1.25}]}`
+	f.Add(clientBody(f, ScheduleRequest{Algorithm: "HEFT", Graph: []byte(small), Faults: &FaultsRequest{Rate: 0.5, Samples: 2}}))
+	het := string(clientBody(f, ScheduleRequest{Algorithm: "HEFT", Processors: 2, Latency: 0.5, TimePerUnit: 2,
+		CommModel: "shared-link", LinkBandwidth: 3, Analyze: true, TimeoutMs: 500, Priority: "low",
+		Instance: []byte(`{"graph":` + small + `,"system":{"speeds":[1,2],"startup":[[0,0.5],[0.5,0]],` +
+			`"invRate":[[0,1],[1,0]]},"costs":[[2.5,1.25],[3,1.5]],"version":1}`)}))
+	f.Add([]byte(het))
+	// Near misses, each a change to the small instance's body.
+	for _, c := range [][2]string{
+		{`"algorithm"`, `"Algorithm"`},
+		{`"costs":`, `"costs":[[1,2]],"costs":`},
+		{`{"graph":{`, `{"graph":null,"x":{`},
+		{`"id":1`, `"id":1.0`},
+		{`"weight":2.5`, `"weight":1e999`},
+		{`"t0"`, `"t\u003c0"`},
+		{`"t0"`, `"tä"`},
+		{`"weight":3`, `"weight":-0`},
+		{`"latency":0.5`, `"latency":-0`},
+		{`"id":0`, `"id":-0`},
+		{`"tasks":[{"id":0,"name":"t0","weight":2.5},{"id":1,"name":"t1","weight":3}]`, `"tasks":[]`},
+		{`"costs":[[2.5,1.25],[3,1.5]]`, `"costs":[[]]`},
+		{`"version":1`, `"version":1,"extra":{}`},
+		{`"version":1}}`, `"version":1}} {"algorithm":"X"} trailing`},
+	} {
+		if !strings.Contains(het, c[0]) {
+			f.Fatalf("the body %s lacks %s", het, c[0])
+		}
+		f.Add([]byte(strings.Replace(het, c[0], c[1], 1)))
+	}
+	dsts := []func() scheduleWire{
+		func() scheduleWire { return scheduleWire{} },
+		func() scheduleWire {
+			return scheduleWire{ScheduleRequest: ScheduleRequest{Algorithm: "X", Processors: 3, Latency: math.Copysign(0, -1),
+				Analyze: true, Faults: &FaultsRequest{Rate: 0.5}, Instance: json.RawMessage(`{}`)}}
+		},
+		func() scheduleWire { return scheduleWire{Instance: &sched.InstanceJSON{Version: 7}} },
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for d, dst := range dsts {
+			got, want := dst(), dst()
+			gotErr := decodeInto(body, &got)
+			wantErr := json.Unmarshal(body, &want)
+			if wantErr != nil {
+				wantErr = json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+			}
+			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+				t.Fatalf("destination %d: decodeInto error %v, encoding/json error %v", d, gotErr, wantErr)
+			}
+			if !sameBits(reflect.ValueOf(got), reflect.ValueOf(want)) {
+				t.Fatalf("destination %d: decodeInto gave %+v, encoding/json %+v", d, got, want)
+			}
+			if d == 0 && (got.ScheduleRequest.Instance != nil || got.ScheduleRequest.Graph != nil) {
+				t.Fatalf("decodeInto set a raw field: %+v", got.ScheduleRequest)
+			}
+		}
+	})
+}
+
+// sameBits reports whether a and b hold the same value bit for bit:
+// floats compare by their bits, so -0 is not 0, and a nil pointer or
+// slice is not a zero or empty one.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameBits(a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := range a.Len() {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.String:
+		return a.String() == b.String()
+	case reflect.Bool:
+		return a.Bool() == b.Bool()
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return a.Int() == b.Int()
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return a.Uint() == b.Uint()
+	}
+	panic("sameBits: no comparison for " + a.Type().String())
+}

@@ -564,14 +564,25 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 // overflowed to +Inf) is answered 500 with an error body, not with an
 // empty body under status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+	buf := answerBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		buf.Reset()
 		status = http.StatusInternalServerError
-		_ = json.NewEncoder(&buf).Encode(errorJSON{Error: "encoding response: " + err.Error()}) // a string always encodes
+		_ = json.NewEncoder(buf).Encode(errorJSON{Error: "encoding response: " + err.Error()}) // a string always encodes
 	}
 	writeBody(w, status, buf.Bytes())
+	if buf.Cap() <= maxPooledAnswer {
+		answerBufs.Put(buf)
+	}
 }
+
+// answerBufs holds the buffers writeJSON encodes into. A buffer grown
+// past maxPooledAnswer by a large answer (a big batch) is left to the
+// collector rather than kept for answers a fraction its size.
+var answerBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledAnswer = 64 << 10
 
 // writeBody writes an encoded answer in one write, with its
 // Content-Length.
@@ -1073,7 +1084,8 @@ func decodeFirst[T any](body []byte) (*T, error) {
 }
 
 // decodeInto is decodeFirst into v. An answer in the shape schedd
-// writes is decoded by decodeAnswer; any other body goes to
+// writes is decoded by decodeAnswer, and a request in the shape the Go
+// client writes by decodeRequest; any other body goes to
 // encoding/json. A body that is one value decodes in place, and only a
 // body that is not goes through a Decoder, which copies what it reads.
 // Unmarshal checks the whole body before it stores anything, so a body
@@ -1081,8 +1093,15 @@ func decodeFirst[T any](body []byte) (*T, error) {
 // v untouched; one it refuses for that value's content, the Decoder
 // refuses as well.
 func decodeInto(body []byte, v any) error {
-	if r, ok := v.(*ScheduleResponse); ok && decodeAnswer(body, r) {
-		return nil
+	switch v := v.(type) {
+	case *ScheduleResponse:
+		if decodeAnswer(body, v) {
+			return nil
+		}
+	case *scheduleWire:
+		if decodeRequest(body, v) {
+			return nil
+		}
 	}
 	if json.Unmarshal(body, v) == nil {
 		return nil
