@@ -87,28 +87,32 @@ perfbench-check:
 # index against the linear slot scan, the link reservation state against a
 # span-list scan, a plan's data-ready row against DataReady on every
 # processor, the uniform links' mean cost against the pair-by-pair
-# sum, the incremental upward rank against a full sweep, and the greedy
-# list orders against their ready-list scans.
+# sum, each stream flush's upward ranks against a full sweep of the
+# grown graph, and the greedy list orders against their ready-list
+# scans. Minimizing a new input may take 100 runs, not the default 60 s:
+# at the default a target can spend its whole 5 s minimizing.
+FUZZ = $(GO) test -run '^$$' -fuzztime 5s -fuzzminimizetime 100x -fuzz
+
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 5s ./internal/dag
-	$(GO) test -run '^$$' -fuzz FuzzAppendableGrow -fuzztime 5s ./internal/dag
-	$(GO) test -run '^$$' -fuzz FuzzGapIndex -fuzztime 5s ./internal/sched/timeline
-	$(GO) test -run '^$$' -fuzz FuzzReadyRow -fuzztime 5s ./internal/sched
-	$(GO) test -run '^$$' -fuzz FuzzLinkState -fuzztime 5s ./internal/platform
-	$(GO) test -run '^$$' -fuzz FuzzMeanCommCost -fuzztime 5s ./internal/platform
-	$(GO) test -run '^$$' -fuzz FuzzRankTracker -fuzztime 5s ./internal/algo
-	$(GO) test -run '^$$' -fuzz FuzzGreedyOrder -fuzztime 5s ./internal/algo
-	$(GO) test -run '^$$' -fuzz FuzzReadDAX -fuzztime 5s ./internal/workload
-	$(GO) test -run '^$$' -fuzz FuzzReadGraphJSON -fuzztime 5s .
-	$(GO) test -run '^$$' -fuzz FuzzScheduleRequest -fuzztime 5s ./internal/service
-	$(GO) test -run '^$$' -fuzz FuzzDecodeFirst -fuzztime 5s ./internal/service
-	$(GO) test -run '^$$' -fuzz FuzzRequestBody -fuzztime 5s ./internal/service
-	$(GO) test -run '^$$' -fuzz FuzzDecodeAnswer -fuzztime 5s ./internal/service
-	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 5s ./internal/service
-	$(GO) test -run '^$$' -fuzz FuzzStreamEvents -fuzztime 5s ./internal/service
-	$(GO) test -run '^$$' -fuzz FuzzRingMessages -fuzztime 5s ./internal/service
-	$(GO) test -run '^$$' -fuzz FuzzFaultPlan -fuzztime 5s ./internal/sim
-	$(GO) test -run '^$$' -fuzz FuzzSpec -fuzztime 5s ./internal/adversary
+	$(FUZZ) FuzzReadJSON ./internal/dag
+	$(FUZZ) FuzzAppendableGrow ./internal/dag
+	$(FUZZ) FuzzGapIndex ./internal/sched/timeline
+	$(FUZZ) FuzzReadyRow ./internal/sched
+	$(FUZZ) FuzzLinkState ./internal/platform
+	$(FUZZ) FuzzMeanCommCost ./internal/platform
+	$(FUZZ) FuzzStreamRanks ./internal/stream
+	$(FUZZ) FuzzGreedyOrder ./internal/algo
+	$(FUZZ) FuzzReadDAX ./internal/workload
+	$(FUZZ) FuzzReadGraphJSON .
+	$(FUZZ) FuzzScheduleRequest ./internal/service
+	$(FUZZ) FuzzDecodeFirst ./internal/service
+	$(FUZZ) FuzzRequestBody ./internal/service
+	$(FUZZ) FuzzDecodeAnswer ./internal/service
+	$(FUZZ) FuzzDecodeRequest ./internal/service
+	$(FUZZ) FuzzStreamEvents ./internal/service
+	$(FUZZ) FuzzRingMessages ./internal/service
+	$(FUZZ) FuzzFaultPlan ./internal/sim
+	$(FUZZ) FuzzSpec ./internal/adversary
 
 # Regenerate BENCH_sched.json (real measurement; takes a minute).
 scale:

@@ -262,9 +262,11 @@ func (ap *Appendable) Position(v TaskID) int { return ap.ord[v] }
 
 // Order returns the maintained topological order as views: pos[v] is
 // v's position and order[i] the task at position i. Any
-// dependency-respecting processing order may use it; the incremental
-// rank repair does. The slices are the Appendable's own: they change
-// with the next AddTask or AddEdge, and callers must not modify them.
+// dependency-respecting processing order may use it; the streaming
+// engine's flush ranks its affected set in decreasing position and
+// breaks priority ties by it. The slices are the Appendable's own: they
+// change with the next AddTask or AddEdge, and callers must not modify
+// them.
 func (ap *Appendable) Order() (pos []int, order []TaskID) { return ap.ord, ap.byPos }
 
 // Seal batches the accumulated structure into an immutable Graph: a

@@ -47,9 +47,10 @@ func (jg *GraphJSON) Build() (*Graph, error) {
 }
 
 // JSON returns the graph's wire form, tasks in id order and edges in
-// (From, To) order.
+// (From, To) order. Both lists are non-nil, so a graph with no edges
+// writes "edges":[], not null.
 func (g *Graph) JSON() *GraphJSON {
-	jg := &GraphJSON{Name: g.name}
+	jg := &GraphJSON{Name: g.name, Tasks: make([]TaskJSON, 0, len(g.tasks)), Edges: make([]EdgeJSON, 0, g.edges)}
 	for _, t := range g.tasks {
 		jg.Tasks = append(jg.Tasks, TaskJSON{ID: t.ID, Name: t.Name, Weight: t.Weight})
 	}

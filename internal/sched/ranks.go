@@ -28,12 +28,30 @@ func RankUpwardSigma(in *Instance) []float64 {
 	return rankUpwardWith(in, comp)
 }
 
+// RankUpwardInto evaluates RankUpward's recurrence for each task of
+// tasks, in list order, into ranks (indexed by task id). A listed task
+// reads its successors' ranks from ranks, so each successor must be
+// listed before it or hold its final rank already. A successor-closed
+// set in decreasing topological position qualifies, and its ranks then
+// equal RankUpward's bit for bit; the streaming engine ranks each
+// flush's affected set this way.
+func RankUpwardInto(in *Instance, ranks []float64, tasks []dag.TaskID) {
+	rankSweep(in, in.meanW, ranks, tasks)
+}
+
 // rankUpwardWith runs the upward-rank recurrence over the exit-anchored
 // height levels: every successor of a task lives in a strictly earlier
 // level, so a sweep in level order finds each successor's rank final.
 func rankUpwardWith(in *Instance, comp []float64) []float64 {
 	ranks := make([]float64, in.N())
 	_, tasks := in.G.HeightLevels()
+	rankSweep(in, comp, ranks, tasks)
+	return ranks
+}
+
+// rankSweep is the upward-rank recurrence over tasks in list order,
+// with comp as the per-task cost term.
+func rankSweep(in *Instance, comp, ranks []float64, tasks []dag.TaskID) {
 	for _, v := range tasks {
 		best := 0.0
 		comm := in.meanCommSuccRow(v)
@@ -44,7 +62,6 @@ func rankUpwardWith(in *Instance, comp []float64) []float64 {
 		}
 		ranks[v] = comp[v] + best
 	}
-	return ranks
 }
 
 // RankDownward returns rank_d(i) = max over predecessors m of

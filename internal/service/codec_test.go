@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dagsched/internal/dag"
 	"dagsched/internal/testfix"
 	"dagsched/internal/workload"
 )
@@ -177,10 +178,11 @@ func clientBody(tb testing.TB, req ScheduleRequest) []byte {
 }
 
 // TestRequestsTakeTheScanner: the client's bodies for the three request
-// shapes decode on decodeRequest's own path, with no fallback to
-// encoding/json, to the value json.Unmarshal gives, bit for bit, and
-// resolve to the cache key of encoding/json's decode. A change to the
-// client's encoding that sends its requests to encoding/json fails here.
+// shapes, and for the pool's homo graph at 6 tasks, which has no edges,
+// decode on decodeRequest's own path, with no fallback to encoding/json,
+// to the value json.Unmarshal gives, bit for bit, and resolve to the
+// cache key of encoding/json's decode. A change to the client's encoding
+// that sends its requests to encoding/json fails here.
 func TestRequestsTakeTheScanner(t *testing.T) {
 	s := New(Options{CacheSize: -1})
 	key := func(w *scheduleWire) string {
@@ -194,7 +196,12 @@ func TestRequestsTakeTheScanner(t *testing.T) {
 		}
 		return k
 	}
-	for _, req := range requestShapes(t) {
+	_, edgeless := shapesOf(t, 6)
+	var jg dag.GraphJSON
+	if err := json.Unmarshal(edgeless, &jg); err != nil || len(jg.Edges) != 0 {
+		t.Fatalf("the homo graph at 6 tasks has %d edges (%v)", len(jg.Edges), err)
+	}
+	for _, req := range append(requestShapes(t), ScheduleRequest{Algorithm: "HLFET", Graph: edgeless, Processors: 32}) {
 		body := clientBody(t, req)
 		var got, want scheduleWire
 		if !decodeRequest(body, &got) {

@@ -351,10 +351,9 @@ func FuzzDecodeAnswer(f *testing.F) {
 // problem is set, which the scanner leaves to encoding/json.
 func FuzzDecodeRequest(f *testing.F) {
 	// The client's bodies for the pool's two shapes, cut to 2–3 KB: the
-	// fuzzer minimises each new input for up to a minute, and a 30 KB one
-	// keeps it there. TestRequestsTakeTheScanner runs the full size. Below
-	// 24 tasks the homo graph has no edges, and its "edges":null goes to
-	// encoding/json.
+	// fuzzer minimises each new input, and a 30 KB one keeps it there.
+	// TestRequestsTakeTheScanner runs the full size. Below 24 tasks the
+	// homo graph has no edges.
 	inst, _ := shapesOf(f, 6)
 	_, graph := shapesOf(f, 24)
 	f.Add(clientBody(f, ScheduleRequest{Algorithm: "HEFT", Instance: inst}))

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 
-	"dagsched/internal/algo"
 	"dagsched/internal/algo/listsched"
 	"dagsched/internal/dag"
 	"dagsched/internal/platform"
@@ -31,8 +30,9 @@ type Config struct {
 	Sys *platform.System
 	// BatchSize is the auto-flush threshold (DefaultBatchSize when 0).
 	BatchSize int
-	// FullRecompute disables the incremental path: every flush runs the
-	// full exact re-plan from the frozen prefix. The benchmark baseline.
+	// FullRecompute disables the incremental path: every flush computes
+	// the whole priority vector and runs the full exact re-plan from the
+	// frozen prefix. The benchmark baseline.
 	FullRecompute bool
 	// FinalAssignments asks the sealed delta to carry every placement,
 	// not only the changed ones.
@@ -44,13 +44,13 @@ type Config struct {
 // Engine consumes an event log and maintains a continuously-updated
 // schedule. Tasks and edges buffer until a flush (explicit, batch-size
 // or seal), which publishes them into the live graph and grows the
-// instance in place, repairs the upward ranks over the dirty set, and
-// re-places only the affected suffix — tasks whose readiness a new arc
-// or task can change — while the frozen horizon (placements started
-// before the virtual clock) is pinned. An incremental flush costs its
-// batch, not the graph. Sealing runs the configured scheduler's exact
-// placement semantics over everything unfrozen, so a sealed stream at
-// horizon zero reproduces the static scheduler bit for bit.
+// instance in place, then ranks and re-places only the affected suffix
+// — tasks whose readiness a new arc or task can change — while the
+// frozen horizon (placements started before the virtual clock) is
+// pinned. An incremental flush costs its batch, not the graph. Sealing
+// runs the configured scheduler's exact placement semantics over
+// everything unfrozen, so a sealed stream at horizon zero reproduces the
+// static scheduler bit for bit.
 //
 // The engine is deterministic: the same event sequence yields the same
 // deltas and the same final schedule. It is not safe for concurrent use;
@@ -70,7 +70,6 @@ type Engine struct {
 	newEdges []dag.Edge
 	oldN     int
 
-	rt *algo.RankTracker
 	in *sched.Instance // live instance over ap's live graph, grown by each flush
 	pl *sched.Plan     // live plan (every current task placed after a flush)
 
@@ -90,6 +89,11 @@ type Engine struct {
 	preds    []int32
 	ready    []dag.TaskID
 	order    []dag.TaskID
+	// Upward ranks by task id, written by incremental flushes for their
+	// affected sets only; ranked is the last such set in decreasing
+	// topological position, the order it was ranked in.
+	ranks  []float64
+	ranked []dag.TaskID
 
 	seq    int
 	events int
@@ -138,7 +142,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg: cfg,
 		pm:  pm,
 		ap:  dag.NewAppendable(cfg.Name),
-		rt:  algo.NewRankTracker(),
 	}, nil
 }
 
@@ -267,6 +270,15 @@ func (e *Engine) Apply(ev Event) (*Delta, error) {
 		if math.IsNaN(ev.Clock) || math.IsInf(ev.Clock, 0) || ev.Clock < e.clock {
 			return nil, fmt.Errorf("stream: clock %g invalid (must be finite and >= %g)", ev.Clock, e.clock)
 		}
+		// A buffered edge's head is re-placed after its tail at the next
+		// flush, so it must not freeze first: the frozen set then never
+		// holds a successor of a task a flush re-places.
+		for _, ed := range e.newEdges {
+			if v := ed.To; e.placed[v] && e.assign[v].Start < ev.Clock {
+				return nil, fmt.Errorf("stream: clock %g freezes task %d (starts %g), the head of buffered edge (%d,%d); flush first",
+					ev.Clock, v, e.assign[v].Start, ed.From, v)
+			}
+		}
 		e.clock = ev.Clock
 		e.events++
 		return nil, nil
@@ -288,9 +300,8 @@ func (e *Engine) Apply(ev Event) (*Delta, error) {
 }
 
 // flush re-plans the buffered batch. On seal (and in FullRecompute mode)
-// it runs the exact re-plan from the frozen prefix; otherwise it repairs
-// incrementally: rank repair over the dirty set, then re-placement of
-// the affected suffix only.
+// it runs the exact re-plan from the frozen prefix; otherwise it
+// re-places the affected suffix only.
 func (e *Engine) flush(seal bool) (*Delta, error) {
 	n := e.ap.Len()
 	if n == 0 {
@@ -320,34 +331,26 @@ func (e *Engine) flush(seal bool) (*Delta, error) {
 		return nil, err
 	}
 
-	// Priorities: the upward rank repairs incrementally; the other
-	// metrics (static level, CPOP's up+down) re-run their full kernels —
-	// they are cheap level sweeps, and exactness at seal requires the
-	// full expression anyway.
-	var prio []float64
-	rankRepaired, fullRanks := 0, false
-	if e.pm.Priority == listsched.PrioUpward {
-		pos, order := e.ap.Order()
-		e.rt.Update(e.in, e.oldN, e.newEdges, pos, order)
-		prio = e.rt.Ranks()[:n]
-		rankRepaired, fullRanks = e.rt.Repaired, e.rt.Repaired == n
-	} else {
-		prio = e.pm.PriorityVector(e.in)
-		rankRepaired, fullRanks = n, true
-	}
-
 	d := &Delta{
-		Seq:          e.seq,
-		Clock:        e.clock,
-		Events:       batchEvents,
-		Tasks:        n,
-		Edges:        g.NumEdges(),
-		RankRepaired: rankRepaired,
-		FullRanks:    fullRanks,
-		Sealed:       seal,
+		Seq:    e.seq,
+		Clock:  e.clock,
+		Events: batchEvents,
+		Tasks:  n,
+		Edges:  g.NumEdges(),
+		Sealed: seal,
 	}
 
+	// Priorities: an incremental flush reads the upward rank of its
+	// affected tasks only, so incrementalReplan ranks that set once it
+	// is known. Every other flush and priority (static level, CPOP's
+	// up+down) computes the whole vector: those are cheap level sweeps,
+	// and the seal's exactness needs the static scheduler's own vector.
 	full := seal || e.cfg.FullRecompute
+	var prio []float64
+	if full || e.pm.Priority != listsched.PrioUpward {
+		prio = e.pm.PriorityVector(e.in)
+		d.RankRepaired, d.FullRanks = n, true
+	}
 	if full {
 		err = e.fullReplan(e.in, prio, d)
 	} else {
@@ -456,14 +459,15 @@ func (e *Engine) fullReplan(in *sched.Instance, prio []float64, d *Delta) error 
 
 // incrementalReplan re-places only the affected suffix: the new tasks,
 // the heads of new arcs, and their unfrozen descendants, collected in
-// e.affList in ascending id order. Placements outside the affected set
-// are kept exactly; when none of them is disturbed the live plan just
-// grows in place.
+// e.affList in ascending id order. A nil prio asks it to rank that set
+// (rankAffected). Placements outside the affected set are kept exactly;
+// when none of them is disturbed the live plan just grows in place.
 func (e *Engine) incrementalReplan(in *sched.Instance, prio []float64, d *Delta) error {
 	n := in.N()
 	for len(e.affected) < n {
 		e.affected = append(e.affected, false)
 		e.preds = append(e.preds, 0)
+		e.ranks = append(e.ranks, 0)
 	}
 	mark := func(v dag.TaskID) {
 		if !e.affected[v] && !e.isFrozen(v) {
@@ -483,6 +487,10 @@ func (e *Engine) incrementalReplan(in *sched.Instance, prio []float64, d *Delta)
 		}
 	}
 	slices.Sort(e.affList)
+	if prio == nil {
+		prio = e.rankAffected(in)
+		d.RankRepaired, d.FullRanks = len(e.affList), len(e.affList) == n
+	}
 
 	anyPlacedAffected := false
 	for _, v := range e.affList {
@@ -517,6 +525,23 @@ func (e *Engine) incrementalReplan(in *sched.Instance, prio []float64, d *Delta)
 	}
 	d.Replanned = len(e.affList)
 	return nil
+}
+
+// rankAffected computes the upward rank of every affected task, and of
+// no other, into e.ranks: one sweep over the set in decreasing
+// topological position by sched.RankUpward's own recurrence. Every
+// successor of an affected task is affected too, because no frozen task
+// has an unfrozen predecessor: over the arcs a plan respects the frozen
+// set is ancestor-closed (isFrozen), addEdge refuses an arc into a
+// frozen task, and advance refuses to freeze a buffered arc's head. So
+// each rank reads only ranks the sweep has already computed, and equals
+// sched.RankUpward of the whole graph bit for bit.
+func (e *Engine) rankAffected(in *sched.Instance) []float64 {
+	pos, _ := e.ap.Order()
+	e.ranked = append(e.ranked[:0], e.affList...)
+	slices.SortFunc(e.ranked, func(a, b dag.TaskID) int { return pos[b] - pos[a] })
+	sched.RankUpwardInto(in, e.ranks, e.ranked)
+	return e.ranks
 }
 
 // orderAffected returns the affected tasks in a precedence-safe greedy

@@ -279,11 +279,28 @@ func TestStreamEventValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "frozen") {
 		t.Fatalf("edge into frozen head: got %v", err)
 	}
+
+	// So is an advance that would freeze a buffered edge's head before a
+	// flush re-places it after the tail; after the flush it may.
+	eng3, _ := NewEngine(Config{Algorithm: "HEFT", Sys: sys, BatchSize: 64})
+	for _, ev := range []Event{{Op: OpAddTask, ID: 0, Weight: 3}, {Op: OpFlush}, {Op: OpAddTask, ID: 1, Weight: 2}, {Op: OpAddEdge, From: 1, To: 0, Data: 1}} {
+		if _, err := eng3.Apply(ev); err != nil {
+			t.Fatalf("valid event %+v rejected: %v", ev, err)
+		}
+	}
+	if _, err := eng3.Apply(Event{Op: OpAdvance, Clock: 1}); err == nil || !strings.Contains(err.Error(), "freezes task 0") {
+		t.Fatalf("advance freezing a buffered edge's head: got %v", err)
+	}
+	for _, ev := range []Event{{Op: OpFlush}, {Op: OpAdvance, Clock: 1}, {Op: OpSeal}} {
+		if _, err := eng3.Apply(ev); err != nil {
+			t.Fatalf("event %+v after the refused advance: %v", ev, err)
+		}
+	}
 }
 
 // TestStreamIncrementalPathDominates: under topological arrival the
 // engine should almost always take the grow-in-place fast path (no
-// full re-plans besides the seal) and repair ranks incrementally.
+// full re-plans besides the seal).
 func TestStreamIncrementalPathDominates(t *testing.T) {
 	in := streamInstance(t, 33, 200, 4)
 	evs, err := InstanceEvents(in, arrivalOrders(in, 0)["topo"])

@@ -1,8 +1,8 @@
 // Package stream implements the streaming scheduling engine: a DAG that
 // arrives as an append-only event log (tasks, edges, clock advances) is
-// scheduled continuously, each flush repairing ranks over the dirty set
-// and re-placing only the affected suffix of the schedule while work
-// that has virtually started stays frozen. Sealing the stream runs the
+// scheduled continuously, each flush ranking and re-placing only the
+// affected suffix of the schedule while work that has virtually started
+// stays frozen. Sealing the stream runs the
 // configured list scheduler's exact placement semantics over the
 // unfrozen remainder, so a sealed stream with a zero frozen horizon is
 // bit-identical to static scheduling of the final graph (DESIGN.md
@@ -166,10 +166,12 @@ type Delta struct {
 	// affected suffix); Frozen counts placements pinned by the clock.
 	Replanned int `json:"replanned"`
 	Frozen    int `json:"frozen"`
-	// RankRepaired counts tasks whose upward rank was recomputed;
-	// FullRanks marks a flush that recomputed every rank (the first
-	// flush, a batch that dirtied every task, or a priority other than
-	// the upward rank, which is always computed whole).
+	// RankRepaired counts the task priorities the flush computed: on an
+	// incremental flush under the upward rank, the affected set, so it
+	// equals Replanned; on a seal, a full-recompute flush or under any
+	// other priority, all of them. FullRanks marks a flush that computed
+	// every priority (those, or an incremental flush that affected every
+	// task, such as the first).
 	RankRepaired int  `json:"rankRepaired"`
 	FullRanks    bool `json:"fullRanks,omitempty"`
 	// FullReplan marks a flush that rebuilt the plan from the frozen

@@ -86,26 +86,32 @@ func goldenLogs(t *testing.T, in *sched.Instance) []namedLog {
 
 // deltaGolden is the sha256 of every JSON-encoded delta and every sealed
 // schedule digest of TestStreamDeltaGolden's 144 replays.
-const deltaGolden = "4565f294d8aafbf12c677eea56e0e742e55bdcaf012e1eacc79efed21511a92d"
+const deltaGolden = "cf5c7812c641c0b927a34c5da02879be3a07e70958571b6b7b7849f31ad1bb45"
 
-// deltaGoldenMasked is deltaGolden with every delta's rank-repair
-// counters (RankRepaired, FullRanks) zeroed before encoding: the
-// placements, makespans and sealed schedules alone. It was recorded
-// while the rank repair still ran a heap with a full-sweep fallback, so
-// it pins that the bitmap sweep changed only what the counters report.
+// deltaGoldenMasked is deltaGolden with every delta's rank counters
+// (RankRepaired, FullRanks) zeroed before encoding: the placements,
+// makespans and sealed schedules alone. It was recorded while the
+// upward ranks were still repaired over every ancestor of a change, by
+// a heap with a full-sweep fallback, so it pins that ranking only the
+// affected set changed only what the counters report.
 const deltaGoldenMasked = "dafb193e4765e4b1893949f76fa7d9047539fd57dbb1fd70fa1ff0d423c9b0e8"
 
 // TestStreamDeltaGolden pins the engine's observable output: 6
 // algorithms × 4 arrival logs × batch 1/8/32 × incremental and full
 // recompute. Any change to a delta (placements, counters, makespan) or
 // to a sealed schedule moves the hash. Every delta flags FullRanks
-// exactly when it recomputed every rank.
+// exactly when it computed every rank, and an incremental delta of an
+// upward-rank algorithm ranks exactly the tasks it re-places.
 func TestStreamDeltaGolden(t *testing.T) {
 	in := hetInstance(t, 2718, 300, 6)
 	h, masked := sha256.New(), sha256.New()
 	both := io.MultiWriter(h, masked)
 	replays := 0
 	for _, alg := range nonDupFamilies {
+		pm, err := ParamFor(alg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, log := range goldenLogs(t, in) {
 			for _, batch := range []int{1, 8, 32} {
 				for _, full := range []bool{false, true} {
@@ -119,6 +125,10 @@ func TestStreamDeltaGolden(t *testing.T) {
 						if d.FullRanks != (d.RankRepaired == d.Tasks) {
 							t.Fatalf("%s/%s batch=%d full=%v seq %d: fullRanks=%v with %d of %d ranks recomputed",
 								alg, log.name, batch, full, d.Seq, d.FullRanks, d.RankRepaired, d.Tasks)
+						}
+						if pm.Priority == listsched.PrioUpward && !full && !d.Sealed && d.RankRepaired != d.Replanned {
+							t.Fatalf("%s/%s batch=%d seq %d: %d ranks computed for %d tasks re-placed",
+								alg, log.name, batch, d.Seq, d.RankRepaired, d.Replanned)
 						}
 						b, err := json.Marshal(d)
 						if err != nil {
