@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-concurrent cluster-chaos bench-smoke fuzz-smoke perfbench-check scale service-bench stream-bench ci
+.PHONY: all build fmt-check vet test race race-concurrent cluster-chaos bench-smoke fuzz-smoke perfbench-check scale service-bench stream-bench loc ci
 
 all: build
 
@@ -128,5 +128,16 @@ service-bench:
 # guarded by static-oracle schedule-digest equivalence.
 stream-bench:
 	$(GO) run ./cmd/schedbench -stream -out BENCH_stream.json
+
+# Non-test Go lines per package directory, the size figure a change
+# reports before and after. perfbench/ is its own module, listed apart
+# and left out of the total. Untracked files count unless ignored.
+loc:
+	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; if (sub("/[^/]*$$", "", d) == 0) d = "."; \
+		if (d ~ /^perfbench(\/|$$)/) pb[d] += $$1; else { n[d] += $$1; tot += $$1 } } \
+	END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+		printf "%6d  total\n", tot; \
+		for (d in pb) printf "%6d  %s (own module, not in the total)\n", pb[d], d }'
 
 ci: fmt-check vet race race-concurrent bench-smoke perfbench-check

@@ -111,7 +111,7 @@ func TestParseSpecRejectsMalformed(t *testing.T) {
 // TestSearchDeterministic is the seed-threading regression test of the
 // issue: same seed ⇒ same found instance digest, for every method.
 func TestSearchDeterministic(t *testing.T) {
-	for _, method := range Methods() {
+	for _, method := range []string{"hc", "sa", "ga"} {
 		cfg := Config{
 			Attacker: listsched.HEFT{},
 			Victim:   listsched.HLFET{},

@@ -381,6 +381,3 @@ func crossover(a, b *Spec, rng *rand.Rand) Spec {
 	}
 	return child
 }
-
-// Methods lists the supported search methods in display order.
-func Methods() []string { return []string{"hc", "sa", "ga"} }

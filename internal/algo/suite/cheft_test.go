@@ -27,29 +27,6 @@ func cheft(t *testing.T) algo.Algorithm {
 	return a
 }
 
-// portSchedule returns the total reserved send-port time per processor
-// after scheduling in with a hand-written HEFT loop under the one-port
-// model.
-func portSchedule(in *sched.Instance) ([]float64, error) {
-	model, err := platform.ModelByKind(platform.KindOnePort, in.Sys)
-	if err != nil {
-		return nil, err
-	}
-	bound := in.WithComm(model)
-	order := algo.OrderDescPrecedence(bound.G, sched.RankUpward(bound))
-	pl := sched.NewPlan(bound)
-	for _, t := range order {
-		p, s, _ := pl.BestEFT(t, true)
-		pl.Place(t, p, s)
-	}
-	out := make([]float64, bound.P())
-	if st := pl.CommState(); st != nil {
-		// One-port resource layout: send ports are 0..P-1.
-		copy(out, st.Busy()[:bound.P()])
-	}
-	return out, nil
-}
-
 func TestCHEFTValidOnBattery(t *testing.T) {
 	testfix.Battery(testfix.BatteryConfig{Trials: 30, Seed: 7001}, func(trial int, in *sched.Instance) {
 		s, err := cheft(t).Schedule(in)
@@ -175,16 +152,18 @@ func TestCHEFTOnLocalChainReservesNothing(t *testing.T) {
 		prev = id
 	}
 	in := sched.Consistent(b.MustBuild(), platform.Homogeneous(3, 0, 1))
-	send, err := portSchedule(in)
+	s, err := cheft(t).Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p, v := range send {
-		if v != 0 {
-			t.Fatalf("send port %d busy %g on a chain kept local", p, v)
+	// No placement reads a remote input, so no transfer is reserved.
+	for _, a := range s.All() {
+		for _, pr := range in.G.Pred(a.Task) {
+			if local := s.Primary(pr.To); local.Proc != a.Proc {
+				t.Fatalf("task %d on P%d reads task %d from P%d", a.Task, a.Proc, pr.To, local.Proc)
+			}
 		}
 	}
-	s, _ := cheft(t).Schedule(in)
 	if s.Makespan() != 10 {
 		t.Fatalf("chain makespan = %g, want 10", s.Makespan())
 	}

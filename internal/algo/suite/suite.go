@@ -84,17 +84,6 @@ func Homogeneous() []algo.Algorithm {
 	}
 }
 
-// Ablation returns the four ILS variants plus HEFT, the E11 lineup.
-func Ablation() []algo.Algorithm {
-	return []algo.Algorithm{
-		core.New(),
-		core.NoDuplication(),
-		core.NoLookahead(),
-		core.RankOnly(),
-		listsched.HEFT{},
-	}
-}
-
 // ByName looks an algorithm up by its display name (case-sensitive),
 // searching the heuristics and the search-based schedulers.
 func ByName(name string) (algo.Algorithm, error) {

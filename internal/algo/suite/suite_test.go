@@ -59,7 +59,7 @@ func TestLineupsAreSubsetsOfAll(t *testing.T) {
 	for _, a := range All() {
 		known[a.Name()] = true
 	}
-	for _, lineup := range [][]string{namesOf(Heterogeneous()), namesOf(Homogeneous()), namesOf(Ablation())} {
+	for _, lineup := range [][]string{namesOf(Heterogeneous()), namesOf(Homogeneous())} {
 		for _, n := range lineup {
 			if !known[n] {
 				t.Fatalf("lineup algorithm %q not in All()", n)

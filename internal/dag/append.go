@@ -255,11 +255,6 @@ func (ap *Appendable) reorder(from, to TaskID) error {
 	return nil
 }
 
-// Position returns v's position in the maintained topological order.
-// Positions change as violating edges arrive; they are a valid
-// topological order of the current graph at all times.
-func (ap *Appendable) Position(v TaskID) int { return ap.ord[v] }
-
 // Order returns the maintained topological order as views: pos[v] is
 // v's position and order[i] the task at position i. Any
 // dependency-respecting processing order may use it; the streaming

@@ -12,17 +12,18 @@ import (
 func checkOrderValid(t *testing.T, ap *Appendable) {
 	t.Helper()
 	n := ap.Len()
+	pos, order := ap.Order()
 	seen := make([]bool, n)
 	for v := 0; v < n; v++ {
-		p := ap.Position(TaskID(v))
-		if p < 0 || p >= n || seen[p] {
+		p := pos[v]
+		if p < 0 || p >= n || seen[p] || order[p] != TaskID(v) {
 			t.Fatalf("position %d of task %d invalid or duplicated", p, v)
 		}
 		seen[p] = true
 		for _, a := range ap.succ[v] {
-			if ap.Position(a.To) <= p {
+			if pos[a.To] <= p {
 				t.Fatalf("edge (%d,%d) violates maintained order: %d <= %d",
-					v, a.To, ap.Position(a.To), p)
+					v, a.To, pos[a.To], p)
 			}
 		}
 	}

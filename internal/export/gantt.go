@@ -1,11 +1,10 @@
-// Package export renders schedules and experiment data for humans: text
-// and SVG Gantt charts and CSV tables.
+// Package export renders schedules for humans and tools: text, SVG and
+// PNG Gantt charts, a JSON archive and a Chrome trace.
 package export
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"dagsched/internal/sched"
@@ -147,39 +146,4 @@ func niceStep(span float64) float64 {
 func xmlEscape(s string) string {
 	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 	return r.Replace(s)
-}
-
-// WriteCSV writes rows as comma-separated values with a header. Cells are
-// quoted when they contain commas or quotes.
-func WriteCSV(w io.Writer, header []string, rows [][]string) error {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(header)
-	for _, r := range rows {
-		writeRow(r)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// SortAssignmentsForDisplay orders assignments by (proc, start) — a
-// convenience for stable textual dumps.
-func SortAssignmentsForDisplay(as []sched.Assignment) {
-	sort.Slice(as, func(i, j int) bool {
-		if as[i].Proc != as[j].Proc {
-			return as[i].Proc < as[j].Proc
-		}
-		return as[i].Start < as[j].Start
-	})
 }

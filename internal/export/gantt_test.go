@@ -74,21 +74,6 @@ func TestGanttSVG(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteCSV(&buf,
-		[]string{"a", "b"},
-		[][]string{{"1", "x,y"}, {"2", `quo"te`}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\n1,\"x,y\"\n2,\"quo\"\"te\"\n"
-	if buf.String() != want {
-		t.Fatalf("CSV = %q, want %q", buf.String(), want)
-	}
-}
-
 func TestNiceStep(t *testing.T) {
 	cases := map[float64]float64{
 		8:    1,
@@ -100,18 +85,6 @@ func TestNiceStep(t *testing.T) {
 	for span, want := range cases {
 		if got := niceStep(span); got != want {
 			t.Fatalf("niceStep(%g) = %g, want %g", span, got, want)
-		}
-	}
-}
-
-func TestSortAssignmentsForDisplay(t *testing.T) {
-	s := heftSchedule(t)
-	as := s.All()
-	SortAssignmentsForDisplay(as)
-	for i := 1; i < len(as); i++ {
-		a, b := as[i-1], as[i]
-		if a.Proc > b.Proc || (a.Proc == b.Proc && a.Start > b.Start) {
-			t.Fatal("not sorted")
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"dagsched/internal/dag"
 	"dagsched/internal/sched"
@@ -132,25 +131,4 @@ func ReadScheduleJSON(in *sched.Instance, r io.Reader) (*sched.Schedule, error) 
 		})
 	}
 	return sched.FromAssignments(in, sj.Algorithm, as)
-}
-
-// ReadScheduleSummary decodes only the summary header fields of a
-// schedule written by WriteScheduleJSON — algorithm, makespan, processor
-// and copy counts — for tooling that lists archives without needing the
-// original instance.
-func ReadScheduleSummary(r io.Reader) (algorithm string, makespan float64, procs, copies int, err error) {
-	var sj scheduleJSON
-	if err = json.NewDecoder(r).Decode(&sj); err != nil {
-		return "", 0, 0, 0, fmt.Errorf("export: decoding schedule: %w", err)
-	}
-	if sj.Algorithm == "" || sj.Makespan < 0 || sj.Processors <= 0 {
-		return "", 0, 0, 0, fmt.Errorf("export: implausible schedule header %q/%g/%d", sj.Algorithm, sj.Makespan, sj.Processors)
-	}
-	return sj.Algorithm, sj.Makespan, sj.Processors, len(sj.Assignments), nil
-}
-
-// TraceContainsLane is a test helper: reports whether the serialized
-// trace mentions the given thread lane id.
-func TraceContainsLane(trace string, lane int) bool {
-	return strings.Contains(trace, fmt.Sprintf(`"tid": %d`, lane))
 }

@@ -32,38 +32,7 @@ type CommModel interface {
 	MeanCost(data float64) float64
 	// NewState returns a fresh reservation state for one scheduling or
 	// replay run, or nil when the model has no contended resources.
-	NewState() CommState
-}
-
-// CommState tracks the busy intervals of a model's contended resources
-// while a schedule is built or replayed. Reservations are journaled:
-// Mark/Undo rewind them exactly, which is what lets a plan's trial
-// journal (sched.Plan.Mark/Undo) trial contention-aware placements and
-// take them back bit-for-bit (DESIGN.md invariant 8).
-//
-// A CommState is not safe for concurrent mutation. TransferStart is a
-// pure query and may be called concurrently with other queries.
-type CommState interface {
-	// TransferStart returns the earliest time >= ready at which a transfer
-	// of the given duration can hold every resource on the from→to route
-	// simultaneously. It reserves nothing.
-	TransferStart(from, to int, ready, dur float64) float64
-	// Reserve commits a transfer on every resource of the from→to route.
-	// Reservations with dur <= 0 are ignored. Overlapping a prior
-	// reservation panics: callers must reserve only starts obtained from
-	// TransferStart against the current state.
-	Reserve(from, to int, start, dur float64)
-	// Mark returns the journal position; Undo(m) removes every reservation
-	// made after Mark returned m, in LIFO order.
-	Mark() int
-	Undo(mark int)
-	// Clone returns an independent deep copy whose journal baseline is the
-	// clone point: Undo(0) on the clone restores exactly this state.
-	Clone() CommState
-	// Busy returns the total reserved time per resource (resource indexing
-	// is model-specific; the one-port model uses send ports 0..P-1 then
-	// receive ports P..2P-1).
-	Busy() []float64
+	NewState() *CommState
 }
 
 // ModelKinds lists the registered model kinds in presentation order.
@@ -99,7 +68,7 @@ func (m contentionFree) Cost(from, to int, data float64) float64 {
 	return m.sys.CommCost(from, to, data)
 }
 func (m contentionFree) MeanCost(data float64) float64 { return m.sys.MeanCommCost(data) }
-func (m contentionFree) NewState() CommState           { return nil }
+func (m contentionFree) NewState() *CommState          { return nil }
 
 // OnePort returns the one-port contention model in the spirit of Sinnen
 // and Sousa: idle-network costs equal the contention-free matrices, but
@@ -113,9 +82,9 @@ func (m onePort) Kind() string                            { return KindOnePort }
 func (m onePort) Cost(from, to int, data float64) float64 { return m.sys.CommCost(from, to, data) }
 func (m onePort) MeanCost(data float64) float64           { return m.sys.MeanCommCost(data) }
 
-func (m onePort) NewState() CommState {
+func (m onePort) NewState() *CommState {
 	p := m.sys.Len()
-	return newLinkState(2*p, func(from, to int) (int, int) { return from, p + to })
+	return newCommState(2*p, func(from, to int) (int, int) { return from, p + to })
 }
 
 // SharedLinkConfig describes a bus topology for NewSharedLink.
@@ -199,9 +168,9 @@ func (m *sharedLink) MeanCost(data float64) float64 {
 	return sum / float64(p*(p-1))
 }
 
-func (m *sharedLink) NewState() CommState {
+func (m *sharedLink) NewState() *CommState {
 	link := m.link
-	return newLinkState(len(m.bw), func(from, to int) (int, int) {
+	return newCommState(len(m.bw), func(from, to int) (int, int) {
 		a, b := link[from], link[to]
 		if a == b {
 			return a, -1
@@ -210,11 +179,17 @@ func (m *sharedLink) NewState() CommState {
 	})
 }
 
-// linkState is the reservation engine behind every contended model: a
-// gap index per resource, holding every idle gap (m = 0), and a route
-// function mapping a processor pair to the (at most two) resources its
-// transfers occupy.
-type linkState struct {
+// CommState is the reservation state of a contended model while a
+// schedule is built or replayed: a gap index per resource, holding every
+// idle gap (m = 0), and a route mapping a processor pair to the (at most
+// two) resources its transfers occupy. Reservations are journaled:
+// Mark/Undo rewind them exactly, which is what lets a plan's trial
+// journal (sched.Plan.Mark/Undo) trial contention-aware placements and
+// take them back bit-for-bit (DESIGN.md invariant 8).
+//
+// A CommState is not safe for concurrent mutation. TransferStart is a
+// pure query and may be called concurrently with other queries.
+type CommState struct {
 	res   []*timeline.GapIndex
 	route func(from, to int) (int, int) // second resource -1 when absent
 	log   []reservation                 // journal for Mark/Undo
@@ -226,18 +201,20 @@ type reservation struct {
 	occ timeline.OccupyLog
 }
 
-func newLinkState(resources int, route func(from, to int) (int, int)) *linkState {
-	st := &linkState{res: make([]*timeline.GapIndex, resources), route: route}
+func newCommState(resources int, route func(from, to int) (int, int)) *CommState {
+	st := &CommState{res: make([]*timeline.GapIndex, resources), route: route}
 	for i := range st.res {
 		st.res[i] = timeline.New(0)
 	}
 	return st
 }
 
-// TransferStart alternates between the route's resources until a start
-// fits both; each iteration advances t past a busy interval, so it
-// converges to the earliest feasible start.
-func (st *linkState) TransferStart(from, to int, ready, dur float64) float64 {
+// TransferStart returns the earliest time >= ready at which a transfer
+// of the given duration can hold every resource on the from→to route
+// simultaneously. It reserves nothing. It alternates between the
+// route's resources until a start fits both; each iteration advances t
+// past a busy interval, so it converges to the earliest feasible start.
+func (st *CommState) TransferStart(from, to int, ready, dur float64) float64 {
 	a, b := st.route(from, to)
 	t := ready
 	for {
@@ -253,7 +230,11 @@ func (st *linkState) TransferStart(from, to int, ready, dur float64) float64 {
 	}
 }
 
-func (st *linkState) Reserve(from, to int, start, dur float64) {
+// Reserve commits a transfer on every resource of the from→to route.
+// Reservations with dur <= 0 are ignored. Overlapping a prior
+// reservation panics: callers must reserve only starts obtained from
+// TransferStart against the current state.
+func (st *CommState) Reserve(from, to int, start, dur float64) {
 	if dur <= 0 {
 		return
 	}
@@ -267,7 +248,7 @@ func (st *linkState) Reserve(from, to int, start, dur float64) {
 // occupy reserves [start, finish) on resource r. An index never degrades
 // on a start TransferStart answered unless the transfer is shorter than
 // timeline.Eps, so an occupy it cannot hold is an overlap.
-func (st *linkState) occupy(r int, start, finish float64) {
+func (st *CommState) occupy(r int, start, finish float64) {
 	occ := st.res[r].OccupyLogged(start, finish)
 	if !st.res[r].OK() {
 		panic("platform: overlapping link reservation")
@@ -275,9 +256,12 @@ func (st *linkState) occupy(r int, start, finish float64) {
 	st.log = append(st.log, reservation{r, occ})
 }
 
-func (st *linkState) Mark() int { return len(st.log) }
+// Mark returns the journal position for Undo.
+func (st *CommState) Mark() int { return len(st.log) }
 
-func (st *linkState) Undo(mark int) {
+// Undo removes, newest first, every reservation made after Mark returned
+// mark.
+func (st *CommState) Undo(mark int) {
 	for len(st.log) > mark {
 		r := st.log[len(st.log)-1]
 		st.log = st.log[:len(st.log)-1]
@@ -285,22 +269,12 @@ func (st *linkState) Undo(mark int) {
 	}
 }
 
-func (st *linkState) Clone() CommState {
-	cp := &linkState{res: make([]*timeline.GapIndex, len(st.res)), route: st.route}
+// Clone returns an independent deep copy whose journal baseline is the
+// clone point: Undo(0) on the clone restores exactly this state.
+func (st *CommState) Clone() *CommState {
+	cp := &CommState{res: make([]*timeline.GapIndex, len(st.res)), route: st.route}
 	for i, gi := range st.res {
 		cp.res[i] = gi.Clone()
 	}
 	return cp
-}
-
-// Busy sums, per resource, the busy stretches between consecutive gaps.
-func (st *linkState) Busy() []float64 {
-	out := make([]float64, len(st.res))
-	for i, gi := range st.res {
-		gaps := gi.Gaps()
-		for k := 1; k < len(gaps); k++ {
-			out[i] += gaps[k].Start - gaps[k-1].End
-		}
-	}
-	return out
 }

@@ -3,13 +3,26 @@ package platform
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"dagsched/internal/sched/timeline"
 )
+
+// allGaps returns every resource's idle gaps, the state's whole
+// reservation picture.
+func allGaps(st *CommState) [][]timeline.Gap {
+	out := make([][]timeline.Gap, len(st.res))
+	for i, gi := range st.res {
+		out[i] = gi.Gaps()
+	}
+	return out
+}
 
 // busState returns the reservation state of one bus shared by two
 // processors: every transfer occupies that one resource, so
 // TransferStart answers its earliest fit.
-func busState(t *testing.T) CommState {
+func busState(t *testing.T) *CommState {
 	t.Helper()
 	m, err := NewSharedLink(Homogeneous(2, 0, 1), SharedLinkConfig{})
 	if err != nil {
@@ -45,9 +58,10 @@ func TestLinkStateReserveOrderAndOverlapPanic(t *testing.T) {
 	st.Reserve(0, 1, 5, 2)
 	st.Reserve(0, 1, 0, 2)
 	st.Reserve(0, 1, 9, 1)
-	// Reserved out of order, the bus is busy [0,2), [5,7) and [9,10).
-	if got := st.Busy()[0]; got != 5 {
-		t.Fatalf("Busy = %g, want 5", got)
+	// Reserved out of order, the bus is busy [0,2), [5,7) and [9,10). The
+	// index keeps every gap, the empty one before [0,2) included.
+	if got, want := st.res[0].Gaps(), []timeline.Gap{{Start: 0, End: 0}, {Start: 2, End: 5}, {Start: 7, End: 9}, {Start: 10, End: math.Inf(1)}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("bus gaps %v, want %v", got, want)
 	}
 	for _, c := range []struct{ t, dur, want float64 }{
 		{0, 3, 2}, {0, 4, 10}, {7, 2, 7}, {7, 3, 10},
@@ -90,20 +104,17 @@ func TestLinkStateMarkUndoClone(t *testing.T) {
 	}
 	cl.Reserve(2, 0, 0, 1)
 	cl.Undo(0)
-	for i, b := range cl.Busy() {
-		if b != st.Busy()[i] {
-			t.Fatalf("clone Undo(0) diverged from clone point at resource %d", i)
-		}
+	if got, want := allGaps(cl), allGaps(st); !reflect.DeepEqual(got, want) {
+		t.Fatalf("clone Undo(0) left gaps %v, want the clone point's %v", got, want)
 	}
 
 	st.Undo(m)
-	busy := st.Busy()
-	want := make([]float64, 6)
-	want[0], want[3+1] = 4, 4 // send port of 0 and recv port of 1
-	for i := range busy {
-		if busy[i] != want[i] {
-			t.Fatalf("after Undo, Busy[%d] = %g, want %g", i, busy[i], want[i])
-		}
+	// Only [0,4) stays, on the send port of 0 and the recv port of 1.
+	idle := []timeline.Gap{{Start: 0, End: math.Inf(1)}}
+	held := []timeline.Gap{{Start: 0, End: 0}, {Start: 4, End: math.Inf(1)}}
+	want := [][]timeline.Gap{held, idle, idle, idle, held, idle}
+	if got := allGaps(st); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Undo, gaps %v, want %v", got, want)
 	}
 	// The freed span is reusable.
 	if got := st.TransferStart(0, 2, 4, 3); got != 4 {
@@ -183,8 +194,8 @@ func TestSharedLinkCostAndRouting(t *testing.T) {
 	st := m.NewState()
 	// A same-bus transfer occupies one resource once (no double booking).
 	st.Reserve(0, 1, 0, 5)
-	if got := st.Busy()[0]; got != 5 {
-		t.Fatalf("bus 0 busy %g, want 5", got)
+	if got, want := st.res[0].Gaps(), []timeline.Gap{{Start: 0, End: 0}, {Start: 5, End: math.Inf(1)}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("bus 0 gaps %v, want %v", got, want)
 	}
 	if st.Mark() != 1 {
 		t.Fatalf("same-bus reserve journaled %d entries, want 1", st.Mark())

@@ -1,8 +1,12 @@
 package platform
 
 import (
+	"math"
+	"reflect"
 	"sort"
 	"testing"
+
+	"dagsched/internal/sched/timeline"
 )
 
 // refSpans is the reference a link state must answer like: a sorted list
@@ -102,12 +106,19 @@ func (r *refLinks) clone() *refLinks {
 	return cp
 }
 
-func (r *refLinks) busy() []float64 {
-	out := make([]float64, len(r.spans))
+// gaps returns the idle gaps the busy intervals leave on each resource,
+// as a gap index keeping every gap (m = 0) holds them: from the running
+// maximum finish to the next start, from 0 first and the unbounded tail
+// last.
+func (r *refLinks) gaps() [][]timeline.Gap {
+	out := make([][]timeline.Gap, len(r.spans))
 	for i, sp := range r.spans {
+		prev := 0.0
 		for _, iv := range sp {
-			out[i] += iv.e - iv.s
+			out[i] = append(out[i], timeline.Gap{Start: prev, End: iv.s})
+			prev = max(prev, iv.e)
 		}
+		out[i] = append(out[i], timeline.Gap{Start: prev, End: math.Inf(1)})
 	}
 	return out
 }
@@ -125,7 +136,7 @@ func (r *refLinks) busy() []float64 {
 // exact range), and the time byte the ready time in 1/4 units, or,
 // with bit 7 set, the end of the route's first resource's busy interval
 // it indexes. After every step each pair's TransferStart at three
-// probes and Busy must equal the reference's.
+// probes and each resource's gaps must equal the reference's.
 func FuzzLinkState(f *testing.F) {
 	// Back-to-back transfers on one port and a rewind.
 	f.Add(false, uint8(2), uint8(0), []byte{
@@ -184,7 +195,7 @@ func FuzzLinkState(f *testing.F) {
 		}
 		ref.spans = make([]refSpans, nres)
 		st := model.NewState()
-		if got := len(st.Busy()); got != nres {
+		if got := len(st.res); got != nres {
 			t.Fatalf("%d resources, want %d", got, nres)
 		}
 		const maxSteps = 128
@@ -201,7 +212,7 @@ func FuzzLinkState(f *testing.F) {
 					ready = ref.spans[a][int(steps[k+3]&0x7f)%len(ref.spans[a])].e
 				}
 			}
-			reserve := func(st CommState, ref *refLinks) {
+			reserve := func(st *CommState, ref *refLinks) {
 				s := st.TransferStart(from, to, ready, dur)
 				if want := ref.transferStart(from, to, ready, dur); s != want {
 					t.Fatalf("step %d: TransferStart(%d, %d, %v, %v) = %v, reference %v", k/4, from, to, ready, dur, s, want)
@@ -240,8 +251,8 @@ func FuzzLinkState(f *testing.F) {
 }
 
 // checkLinks compares every pair's TransferStart at three probes, and
-// Busy, with the reference.
-func checkLinks(t *testing.T, step, p int, st CommState, ref *refLinks, ready, dur float64) {
+// every resource's gap index, with the reference.
+func checkLinks(t *testing.T, step, p int, st *CommState, ref *refLinks, ready, dur float64) {
 	t.Helper()
 	for from := 0; from < p; from++ {
 		for to := 0; to < p; to++ {
@@ -253,10 +264,7 @@ func checkLinks(t *testing.T, step, p int, st CommState, ref *refLinks, ready, d
 			}
 		}
 	}
-	busy, want := st.Busy(), ref.busy()
-	for i := range want {
-		if busy[i] != want[i] {
-			t.Fatalf("step %d: Busy = %v, reference %v", step, busy, want)
-		}
+	if got, want := allGaps(st), ref.gaps(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("step %d: gaps %v, reference %v", step, got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
 	"dagsched/internal/dag"
@@ -39,7 +40,7 @@ func TestWithCommDefaultsAndKinds(t *testing.T) {
 		t.Fatal("CommCost diverges")
 	}
 	// An explicit contention-free model is inert: no reservation state.
-	if pl := NewPlan(in.WithComm(platform.ContentionFree(in.Sys))); pl.CommState() != nil {
+	if pl := NewPlan(in.WithComm(platform.ContentionFree(in.Sys))); pl.comm != nil {
 		t.Fatal("contention-free model produced a comm state")
 	}
 }
@@ -48,7 +49,7 @@ func TestPlanContendedDataReadyAndPlace(t *testing.T) {
 	in := fanOutInstance(t)
 	op, _ := platform.ModelByKind(platform.KindOnePort, in.Sys)
 	pl := NewPlan(in.WithComm(op))
-	if pl.CommState() == nil {
+	if pl.comm == nil {
 		t.Fatal("no comm state under one-port")
 	}
 	pl.Place(0, 0, 0) // a on P0, [0,1)
@@ -57,17 +58,24 @@ func TestPlanContendedDataReadyAndPlace(t *testing.T) {
 	if got := pl.DataReady(1, 1); got != 5 {
 		t.Fatalf("DataReady(b,P1) = %g, want 5", got)
 	}
-	if m := pl.CommState().Mark(); m != 0 {
+	if m := pl.comm.Mark(); m != 0 {
 		t.Fatalf("estimate journaled %d reservations", m)
 	}
 
 	pl.Place(1, 1, 5) // b on P1: commits the transfer [1,5)
-	if pl.CommState().Mark() == 0 {
+	if pl.comm.Mark() == 0 {
 		t.Fatal("placement reserved no transfer")
 	}
-	busy := pl.CommState().Busy()
-	if busy[0] != 4 || busy[2+1] != 4 {
-		t.Fatalf("port busy = %v, want send0=4 recv1=4", busy)
+	// The transfer holds P0's send port and P1's receive port over [1,5):
+	// a transfer from P0 (route 0→0) or into P1 (route 1→1) ready at 1
+	// waits for 5, and the other two ports are idle.
+	for _, c := range []struct {
+		from, to int
+		want     float64
+	}{{0, 0, 5}, {1, 1, 5}, {1, 0, 1}} {
+		if got := pl.comm.TransferStart(c.from, c.to, 1, 1); got != c.want {
+			t.Fatalf("TransferStart(%d, %d) = %g, want %g", c.from, c.to, got, c.want)
+		}
 	}
 	// The second transfer now queues behind the first on both ports.
 	if got := pl.DataReady(2, 1); got != 9 {
@@ -77,9 +85,9 @@ func TestPlanContendedDataReadyAndPlace(t *testing.T) {
 		t.Fatalf("DataReady(c,P0) = %g, want 1 (local)", got)
 	}
 	// A local placement reserves nothing.
-	m1 := pl.CommState().Mark()
+	m1 := pl.comm.Mark()
 	pl.Place(2, 0, 1)
-	if pl.CommState().Mark() != m1 {
+	if pl.comm.Mark() != m1 {
 		t.Fatal("local placement reserved a transfer")
 	}
 }
@@ -122,8 +130,10 @@ func TestTxnContendedTrialUndoCommit(t *testing.T) {
 	if got := pl.DataReady(2, 1); got != 5 {
 		t.Fatalf("after Undo, DataReady = %g, want 5", got)
 	}
-	if busy := pl.CommState().Busy(); busy[0] != 0 || busy[2+1] != 0 {
-		t.Fatalf("after Undo, port busy = %v, want all idle", busy)
+	// Both ports of the route are idle from 0 on: even an unbounded
+	// transfer starts at once.
+	if got := pl.comm.TransferStart(0, 1, 0, math.Inf(1)); got != 0 {
+		t.Fatalf("after Undo, TransferStart = %g, want 0 (ports idle)", got)
 	}
 
 	// Re-place and commit: the reservations stay.
@@ -132,8 +142,8 @@ func TestTxnContendedTrialUndoCommit(t *testing.T) {
 	if got := pl.DataReady(2, 1); got != 9 {
 		t.Fatalf("after Commit, DataReady = %g, want 9", got)
 	}
-	if pl.CommState().Busy()[0] != 4 {
-		t.Fatalf("send port busy = %v", pl.CommState().Busy())
+	if got := pl.comm.TransferStart(0, 1, 0, math.Inf(1)); got != 5 {
+		t.Fatalf("after Commit, TransferStart = %g, want 5 (ports held [1,5))", got)
 	}
 }
 

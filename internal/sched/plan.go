@@ -42,7 +42,7 @@ type Plan struct {
 	// contention-free path, leaving every hot path untouched). DataReady
 	// then answers contention-aware earliest arrivals, and Place/PlaceDup
 	// commit the chosen transfers' reservations.
-	comm platform.CommState
+	comm *platform.CommState
 	// trial is set from the first Mark until Commit; while it is set
 	// every placement appends a record to journal so Undo can reverse it.
 	trial   bool
@@ -96,11 +96,6 @@ func NewPlan(in *Instance) *Plan {
 	return pl
 }
 
-// CommState exposes the plan's network reservation state (nil under the
-// contention-free model); tests and PortSchedule-style reporting read its
-// Busy totals.
-func (pl *Plan) CommState() platform.CommState { return pl.comm }
-
 // BlockProc marks processor p unavailable from the given time onward:
 // FindSlot (and therefore every EFT query) will never return a slot whose
 // interval extends past the block. Placements already on p are untouched.
@@ -112,10 +107,6 @@ func (pl *Plan) BlockProc(p int, from float64) {
 		pl.blockedFrom[p] = from
 	}
 }
-
-// Blocked returns the time from which processor p is unavailable
-// (+Inf when never blocked).
-func (pl *Plan) Blocked(p int) float64 { return pl.blockedFrom[p] }
 
 // Instance returns the problem being scheduled.
 func (pl *Plan) Instance() *Instance { return pl.in }

@@ -285,7 +285,7 @@ func TestBlockProc(t *testing.T) {
 	g := diamondGraph(t)
 	in := Consistent(g, twoProc())
 	pl := NewPlan(in)
-	if got := pl.Blocked(0); !math.IsInf(got, 1) {
+	if got := pl.blockedFrom[0]; !math.IsInf(got, 1) {
 		t.Fatalf("fresh plan blocked at %g", got)
 	}
 	pl.BlockProc(1, 5)
@@ -299,12 +299,12 @@ func TestBlockProc(t *testing.T) {
 	}
 	// Re-blocking keeps the earliest time.
 	pl.BlockProc(1, 8)
-	if pl.Blocked(1) != 5 {
-		t.Fatalf("Blocked = %g, want 5", pl.Blocked(1))
+	if pl.blockedFrom[1] != 5 {
+		t.Fatalf("blocked from %g, want 5", pl.blockedFrom[1])
 	}
 	pl.BlockProc(1, 2)
-	if pl.Blocked(1) != 2 {
-		t.Fatalf("Blocked = %g, want 2", pl.Blocked(1))
+	if pl.blockedFrom[1] != 2 {
+		t.Fatalf("blocked from %g, want 2", pl.blockedFrom[1])
 	}
 	// BestEFT routes around a fully blocked processor.
 	pl2 := NewPlan(in)
@@ -315,7 +315,7 @@ func TestBlockProc(t *testing.T) {
 	}
 	// Clone preserves blocks.
 	cp := pl2.Clone()
-	if cp.Blocked(0) != 0 {
+	if cp.blockedFrom[0] != 0 {
 		t.Fatal("clone lost block")
 	}
 }
@@ -434,7 +434,7 @@ func linearSlot(pl *Plan, p int, ready, dur float64, insertion bool) float64 {
 	if math.IsNaN(start) {
 		start = math.Max(ready, prevFinish)
 	}
-	if start+dur > pl.Blocked(p)+timeline.Eps {
+	if start+dur > pl.blockedFrom[p]+timeline.Eps {
 		return math.Inf(1)
 	}
 	return start

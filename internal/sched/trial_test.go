@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -24,8 +25,10 @@ func txnFixture(t *testing.T) (*Instance, *Plan) {
 
 // planState renders everything Undo must restore: every timeline, every
 // task's copies, the placed count, each gap index's gap set and treap
-// priority counter, and the comm reservations. Floats print in their
-// shortest exact form, so equal strings mean bit-identical state.
+// priority counter, and the comm reservations, as every processor pair's
+// earliest transfer start at every placement boundary for a short, a
+// unit and an unbounded transfer. Floats print in their shortest exact
+// form, so equal strings mean bit-identical state.
 func planState(pl *Plan) string {
 	var b strings.Builder
 	for p := range pl.procs {
@@ -36,8 +39,24 @@ func planState(pl *Plan) string {
 		fmt.Fprintf(&b, "t%d %v\n", i, c)
 	}
 	fmt.Fprintf(&b, "placed %d", pl.placed)
-	if pl.comm != nil {
-		fmt.Fprintf(&b, " busy %v", pl.comm.Busy())
+	if pl.comm == nil {
+		return b.String()
+	}
+	at := []float64{0}
+	for _, tl := range pl.procs {
+		for _, a := range tl {
+			at = append(at, a.Start, a.Finish)
+		}
+	}
+	b.WriteString("\ncomm")
+	for from := range pl.procs {
+		for to := range pl.procs {
+			for _, t := range at {
+				for _, dur := range []float64{1e-6, 1, math.Inf(1)} {
+					fmt.Fprintf(&b, " %v", pl.comm.TransferStart(from, to, t, dur))
+				}
+			}
+		}
 	}
 	return b.String()
 }

@@ -405,8 +405,8 @@ func requestKey(req *ScheduleRequest) string {
 // retried per the client's RetryPolicy. Single-node mode keeps PR 5's
 // per-algorithm circuit breaker; multi-node mode dispatches to the
 // ring owner of the request and fails over along the ring, skipping
-// peers whose circuit is open. When every peer is down the last error
-// (or ErrCircuitOpen, if every circuit was open) is returned.
+// peers whose circuit is open. When every peer fails, the error wraps
+// the last failure, or ErrCircuitOpen when every circuit was open.
 func (c *Client) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleResponse, error) {
 	pol := c.policy()
 	data, err := appendRequest(nil, &req)
@@ -414,7 +414,8 @@ func (c *Client) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleRe
 		return nil, fmt.Errorf("service: encoding request: %w", err)
 	}
 	if c.numPeers() >= 2 {
-		return c.scheduleRing(ctx, pol, &req, data)
+		key := requestKey(&req)
+		return failover[ScheduleResponse](ctx, c, "/v1/schedule", data, func(r *hashRing) []string { return r.successors(key) })
 	}
 	if wait, open := c.algBr.allow(req.Algorithm, pol.BreakerThreshold); open {
 		return nil, fmt.Errorf("%w for algorithm %q (retry after %s)", ErrCircuitOpen, req.Algorithm, wait.Round(time.Millisecond))
@@ -428,53 +429,12 @@ func (c *Client) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleRe
 	return &out, nil
 }
 
-// scheduleRing dispatches one request across the peer ring: owner
-// first, then the ring successors. Each peer gets a single attempt —
-// failover to the next node is the retry — and feeds its per-peer
-// circuit breaker. A pass that fails on every peer triggers one ring
-// refresh (the configured view may be stale — nodes died, others
-// joined) and one more pass over the refreshed membership.
-func (c *Client) scheduleRing(ctx context.Context, pol RetryPolicy, req *ScheduleRequest, data []byte) (*ScheduleResponse, error) {
-	key := requestKey(req)
-	for pass := 0; ; pass++ {
-		order := c.peerRing().successors(key)
-		var lastErr error
-		for _, peer := range order {
-			if wait, open := c.peerBr.allow(peer, pol.BreakerThreshold); open {
-				if lastErr == nil {
-					lastErr = fmt.Errorf("%w for peer %s (retry after %s)", ErrCircuitOpen, peer, wait.Round(time.Millisecond))
-				}
-				continue
-			}
-			var out ScheduleResponse
-			err := c.attempt(ctx, peer, http.MethodPost, "/v1/schedule", data, &out)
-			c.peerBr.observe(peer, pol.BreakerThreshold, pol.BreakerCooldown, err)
-			if err == nil {
-				return &out, nil
-			}
-			if !retryable(ctx, err) {
-				return nil, err
-			}
-			lastErr = err
-		}
-		if lastErr == nil {
-			lastErr = errors.New("service: no peers configured")
-		}
-		if pass == 0 && c.RefreshRing(ctx) == nil {
-			continue
-		}
-		return nil, fmt.Errorf("service: all %d peers failed: %w", len(order), lastErr)
-	}
-}
-
 // ScheduleBatch submits a batch of scheduling requests to
 // /v1/schedule/batch and returns the ordered per-item results. In
 // multi-node mode batches are round-robined across peers (a batch is
 // fanned out by whichever node receives it, consulting the owning
-// peers' caches per item), skipping peers with an open circuit and
-// failing over on transient errors.
+// peers' caches per item), failing over as Schedule does.
 func (c *Client) ScheduleBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
-	pol := c.policy()
 	data := []byte(`{"items":[`)
 	for i := range req.Items {
 		if i > 0 {
@@ -493,20 +453,37 @@ func (c *Client) ScheduleBatch(ctx context.Context, req BatchRequest) (*BatchRes
 		}
 		return &out, nil
 	}
-	for pass := 0; ; pass++ {
-		peers := c.peerRing().peers
+	return failover[BatchResponse](ctx, c, "/v1/schedule/batch", data, func(r *hashRing) []string {
 		c.mu.Lock()
-		start := int(c.batchSeq % uint64(len(peers)))
+		start := int(c.batchSeq % uint64(len(r.peers)))
 		c.batchSeq++
 		c.mu.Unlock()
+		return append(append([]string(nil), r.peers[start:]...), r.peers[:start]...)
+	})
+}
+
+// failover POSTs data to path on the peers order lists over the current
+// ring, one attempt each (the next node is the retry), skipping peers
+// whose circuit is open; every attempt feeds its peer's breaker and
+// decodes into a fresh T. A pass that fails on every peer triggers one
+// ring refresh (the configured view may be stale: nodes died, others
+// joined) and one more pass over the refreshed membership. After that
+// the error wraps the last failure, or ErrCircuitOpen when every
+// circuit was open.
+func failover[T any](ctx context.Context, c *Client, path string, data []byte, order func(*hashRing) []string) (*T, error) {
+	pol := c.policy()
+	for pass := 0; ; pass++ {
+		peers := order(c.peerRing())
 		var lastErr error
-		for i := 0; i < len(peers); i++ {
-			peer := peers[(start+i)%len(peers)]
-			if _, open := c.peerBr.allow(peer, pol.BreakerThreshold); open {
+		for _, peer := range peers {
+			if wait, open := c.peerBr.allow(peer, pol.BreakerThreshold); open {
+				if lastErr == nil {
+					lastErr = fmt.Errorf("%w for peer %s (retry after %s)", ErrCircuitOpen, peer, wait.Round(time.Millisecond))
+				}
 				continue
 			}
-			var out BatchResponse
-			err := c.attempt(ctx, peer, http.MethodPost, "/v1/schedule/batch", data, &out)
+			var out T
+			err := c.attempt(ctx, peer, http.MethodPost, path, data, &out)
 			c.peerBr.observe(peer, pol.BreakerThreshold, pol.BreakerCooldown, err)
 			if err == nil {
 				return &out, nil
@@ -517,14 +494,12 @@ func (c *Client) ScheduleBatch(ctx context.Context, req BatchRequest) (*BatchRes
 			lastErr = err
 		}
 		if lastErr == nil {
-			lastErr = fmt.Errorf("%w for every peer", ErrCircuitOpen)
+			lastErr = errors.New("service: no peers configured")
 		}
-		// Same stale-view escape hatch as scheduleRing: refresh once,
-		// then one more round-robin pass over the new membership.
 		if pass == 0 && c.RefreshRing(ctx) == nil {
 			continue
 		}
-		return nil, fmt.Errorf("service: batch failed on all peers: %w", lastErr)
+		return nil, fmt.Errorf("service: all %d peers failed: %w", len(peers), lastErr)
 	}
 }
 

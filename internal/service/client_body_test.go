@@ -119,16 +119,16 @@ func TestClientAnswerTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestAnswerThatDoesNotEncode: a schedule whose finish times overflow to
-// +Inf has no JSON form. schedd answers it 500 with an error body and
-// its Content-Length, on the miss and on the digest hit that repeats
-// it, and the Go client returns that message as a *StatusError, not a
-// decode error.
+// TestAnswerThatDoesNotEncode: a schedule whose finish times could
+// overflow to +Inf would have no JSON form, so schedd refuses its
+// instance at admission: a 400 with the reason and its Content-Length,
+// on the miss and on the repeat, with nothing cached, and the Go client
+// returns that message as a *StatusError.
 func TestAnswerThatDoesNotEncode(t *testing.T) {
 	_, c := startServer(t, service.Options{Workers: 1})
 	graph := `{"tasks":[{"id":0,"weight":1.7e308},{"id":1,"weight":1.7e308}],"edges":[{"from":0,"to":1,"data":0}]}`
 	body := `{"algorithm":"HEFT","graph":` + graph + `,"processors":1}`
-	const want = "encoding response: json: unsupported value: +Inf"
+	const want = "costs too large: a schedule could overflow float64 (with P = 1, P·(Σ largest task cost + Σ largest transfer cost) is +Inf)"
 	for _, what := range []string{"miss", "repeat"} {
 		hr, err := http.Post(c.BaseURL+"/v1/schedule", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -140,14 +140,21 @@ func TestAnswerThatDoesNotEncode(t *testing.T) {
 			t.Fatal(err)
 		}
 		var e struct{ Error string }
-		if hr.StatusCode != http.StatusInternalServerError || hr.ContentLength != int64(len(got)) ||
+		if hr.StatusCode != http.StatusBadRequest || hr.ContentLength != int64(len(got)) ||
 			json.Unmarshal(got, &e) != nil || e.Error != want {
-			t.Errorf("%s: HTTP %d, Content-Length %d, body %q; want 500 with error %q", what, hr.StatusCode, hr.ContentLength, got, want)
+			t.Errorf("%s: HTTP %d, Content-Length %d, body %q; want 400 with error %q", what, hr.StatusCode, hr.ContentLength, got, want)
 		}
 	}
 	_, err := c.Schedule(context.Background(), service.ScheduleRequest{Algorithm: "HEFT", Graph: json.RawMessage(graph), Processors: 1})
 	var se *service.StatusError
-	if !errors.As(err, &se) || se.Status != http.StatusInternalServerError || se.Message != want {
-		t.Errorf("Schedule returned %v, want a *StatusError 500 with %q", err, want)
+	if !errors.As(err, &se) || se.Status != http.StatusBadRequest || se.Message != want {
+		t.Errorf("Schedule returned %v, want a *StatusError 400 with %q", err, want)
+	}
+	m, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Cache.Size != 0 || m.Cache.BodyDigests != 0 || m.Cache.Tier.Miss != 0 {
+		t.Errorf("cache size %d, body digests %d, misses computed %d; want nothing cached or computed", m.Cache.Size, m.Cache.BodyDigests, m.Cache.Tier.Miss)
 	}
 }

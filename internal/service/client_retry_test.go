@@ -207,3 +207,39 @@ func TestClientCircuitBreaker(t *testing.T) {
 		t.Fatalf("closed circuit rejected traffic: %v", err)
 	}
 }
+
+// TestRingCircuitOpenOnEveryPeer: once every peer's circuit is open,
+// Schedule and ScheduleBatch both fail fast with ErrCircuitOpen and send
+// no scheduling traffic.
+func TestRingCircuitOpenOnEveryPeer(t *testing.T) {
+	var posts atomic.Int64
+	down := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+		}
+		w.WriteHeader(http.StatusServiceUnavailable)
+	})
+	a, b := httptest.NewServer(down), httptest.NewServer(down)
+	defer a.Close()
+	defer b.Close()
+	pol := fastRetry()
+	pol.BreakerCooldown = time.Minute
+	c := &service.Client{Peers: []string{a.URL, b.URL}, Retry: pol}
+	ctx := context.Background()
+	req := service.ScheduleRequest{Algorithm: "HEFT"}
+	for i := 0; i < pol.BreakerThreshold; i++ {
+		if _, err := c.Schedule(ctx, req); err == nil || errors.Is(err, service.ErrCircuitOpen) {
+			t.Fatalf("call %d: got %v, want a 503 from the last peer", i, err)
+		}
+	}
+	before := posts.Load()
+	if _, err := c.Schedule(ctx, req); !errors.Is(err, service.ErrCircuitOpen) {
+		t.Fatalf("Schedule: got %v, want ErrCircuitOpen", err)
+	}
+	if _, err := c.ScheduleBatch(ctx, service.BatchRequest{Items: []service.ScheduleRequest{req}}); !errors.Is(err, service.ErrCircuitOpen) {
+		t.Fatalf("ScheduleBatch: got %v, want ErrCircuitOpen", err)
+	}
+	if n := posts.Load() - before; n != 0 {
+		t.Fatalf("open circuits still sent %d requests", n)
+	}
+}

@@ -3,8 +3,10 @@ package service
 import (
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -64,5 +66,17 @@ func TestInstrumentPanicAfterWrite(t *testing.T) {
 	}
 	if snap := s.met.Snapshot(0, 0, 0, 0, 0, 0, 0, "", nil, ClusterJSON{}); snap.Requests.Panics != 1 {
 		t.Fatalf("panics = %d, want 1", snap.Requests.Panics)
+	}
+}
+
+// TestWriteJSONAnswerWithoutJSONForm: writeJSON encodes an answer before
+// it writes the status, so one holding +Inf is a 500 with an error body
+// and its Content-Length, not an empty body under the intended status.
+func TestWriteJSONAnswerWithoutJSONForm(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, ScheduleResponse{Algorithm: "HEFT", Makespan: math.Inf(1)})
+	const want = `{"error":"encoding response: json: unsupported value: +Inf"}` + "\n"
+	if rec.Code != http.StatusInternalServerError || rec.Body.String() != want || rec.Header().Get("Content-Length") != strconv.Itoa(len(want)) {
+		t.Fatalf("HTTP %d, Content-Length %s, body %q; want 500 with %q", rec.Code, rec.Header().Get("Content-Length"), rec.Body.String(), want)
 	}
 }

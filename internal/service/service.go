@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -690,24 +691,7 @@ func (s *Server) resolveRequest(req *scheduleWire) (algo.Algorithm, *sched.Insta
 		if err != nil {
 			return nil, nil, err
 		}
-		procs := req.Processors
-		if procs <= 0 {
-			procs = 8
-		}
-		tpu := req.TimePerUnit
-		if tpu == 0 {
-			tpu = 1
-		}
-		if req.Latency < 0 || tpu < 0 {
-			return nil, nil, fmt.Errorf("negative link parameters")
-		}
-		speeds := make([]float64, procs)
-		for i := range speeds {
-			speeds[i] = 1
-		}
-		// platform.New (not Homogeneous, which panics) so oversized link
-		// parameters from the wire come back as a 400, not a crash.
-		sys, err := platform.New(platform.Config{Speeds: speeds, Latency: req.Latency, TimePerUnit: tpu})
+		sys, err := unitPlatform(req.Processors, req.Latency, req.TimePerUnit)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -722,7 +706,67 @@ func (s *Server) resolveRequest(req *scheduleWire) (algo.Algorithm, *sched.Insta
 	if err := validateFaults(req.Faults, in.P()); err != nil {
 		return nil, nil, err
 	}
+	bw := 1.0 // the smallest bus bandwidth; only shared-link sets one
+	if req.LinkBandwidth != 0 {
+		bw = req.LinkBandwidth
+	}
+	if err := checkMagnitude(in, bw); err != nil {
+		return nil, nil, err
+	}
 	return a, in, nil
+}
+
+// checkMagnitude refuses an instance whose schedule can overflow to
+// +Inf, which no answer can carry. A schedule runs each task at most
+// once per processor and moves each arc's data at most once per copy of
+// its head. Every start waits on a finish, an arrival or a free link,
+// so every finish time is a sum of distinct executions and transfers,
+// at most P·(Σ_i max_p w(i,p) + Σ_arcs c_max(arc)), where c_max(arc)
+// is the largest startup plus data × the largest inverse rate over the
+// smallest bus bandwidth bw. A finite bound keeps every finish finite.
+// One O(n·P + e) pass, plus O(P²) for per-pair links, which the request
+// carried.
+func checkMagnitude(in *sched.Instance, bw float64) error {
+	su, ir, uniform := in.Sys.UniformLinks()
+	for p := 0; !uniform && p < in.P(); p++ {
+		for q := 0; q < in.P(); q++ {
+			su, ir = max(su, in.Sys.Startup(p, q)), max(ir, in.Sys.InvRate(p, q))
+		}
+	}
+	var sum float64
+	for i, row := range in.W {
+		sum += slices.Max(row)
+		for _, a := range in.G.Succ(dag.TaskID(i)) {
+			sum += su + a.Data*ir/bw
+		}
+	}
+	if bound := float64(in.P()) * sum; math.IsInf(bound, 1) {
+		return fmt.Errorf("costs too large: a schedule could overflow float64 (with P = %d, P·(Σ largest task cost + Σ largest transfer cost) is +Inf)", in.P())
+	}
+	return nil
+}
+
+// unitPlatform builds the platform of a bare-graph request or a stream
+// session: procs unit-speed processors (8 when procs <= 0; the caller
+// checks the upper bound) on uniform links with the given latency and
+// time per unit (1 when 0). platform.New, not Homogeneous, which
+// panics, so oversized link parameters from the wire come back as a
+// 400, not a crash.
+func unitPlatform(procs int, latency, tpu float64) (*platform.System, error) {
+	if procs <= 0 {
+		procs = 8
+	}
+	if tpu == 0 {
+		tpu = 1
+	}
+	if latency < 0 || tpu < 0 {
+		return nil, fmt.Errorf("negative link parameters")
+	}
+	speeds := make([]float64, procs)
+	for i := range speeds {
+		speeds[i] = 1
+	}
+	return platform.New(platform.Config{Speeds: speeds, Latency: latency, TimePerUnit: tpu})
 }
 
 // maxFaultSamples caps a robustness sampling request: each sample is a

@@ -13,7 +13,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"dagsched/internal/platform"
 	"dagsched/internal/stream"
 )
 
@@ -167,34 +166,16 @@ func readConfigEvent(br *bufio.Reader) (stream.Event, error) {
 
 // streamConfig validates a config event into an engine config, the
 // request's shedding class and its session timeout. The platform is
-// homogeneous (unit speeds) under the config's link parameters, exactly
-// the bare-graph request path.
+// the bare-graph request path's (unitPlatform).
 func (s *Server) streamConfig(ev stream.Event) (stream.Config, bool, time.Duration, error) {
 	if ev.Processors < 0 || ev.Processors > maxProcessors {
 		return stream.Config{}, false, 0, fmt.Errorf("processors %d out of [0,%d]", ev.Processors, maxProcessors)
 	}
-	procs := ev.Processors
-	if procs == 0 {
-		procs = 8
-	}
-	tpu := ev.TimePerUnit
-	if tpu == 0 {
-		tpu = 1
-	}
-	if ev.Latency < 0 || tpu < 0 {
-		return stream.Config{}, false, 0, fmt.Errorf("negative link parameters")
-	}
-	low, err := lowPriority(ev.Priority)
+	sys, err := unitPlatform(ev.Processors, ev.Latency, ev.TimePerUnit)
 	if err != nil {
 		return stream.Config{}, false, 0, err
 	}
-	speeds := make([]float64, procs)
-	for i := range speeds {
-		speeds[i] = 1
-	}
-	// platform.New (not Homogeneous, which panics) so oversized link
-	// parameters from the wire come back as a 400, not a crash.
-	sys, err := platform.New(platform.Config{Speeds: speeds, Latency: ev.Latency, TimePerUnit: tpu})
+	low, err := lowPriority(ev.Priority)
 	if err != nil {
 		return stream.Config{}, false, 0, err
 	}

@@ -184,7 +184,7 @@ func Run(s *sched.Schedule, cfg Config) (Report, error) {
 	if model == nil && cfg.Contention {
 		model, _ = platform.ModelByKind(platform.KindOnePort, in.Sys)
 	}
-	var network platform.CommState
+	var network *platform.CommState
 	if model != nil {
 		network = model.NewState()
 	}

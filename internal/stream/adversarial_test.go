@@ -56,7 +56,7 @@ func TestStreamAdversarialFixtures(t *testing.T) {
 				t.Fatalf("static schedule: %v", err)
 			}
 
-			eng, err := NewEngine(Config{Algorithm: "HEFT", Sys: in.Sys, BatchSize: 1, Name: fx.Name})
+			eng, err := NewEngine(Config{Algorithm: "HEFT", Sys: in.Sys, BatchSize: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,8 +37,6 @@ type Config struct {
 	// FinalAssignments asks the sealed delta to carry every placement,
 	// not only the changed ones.
 	FinalAssignments bool
-	// Name names the accumulated graph.
-	Name string
 }
 
 // Engine consumes an event log and maintains a continuously-updated
@@ -135,13 +133,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	if cfg.Name == "" {
-		cfg.Name = "stream"
-	}
 	return &Engine{
 		cfg: cfg,
 		pm:  pm,
-		ap:  dag.NewAppendable(cfg.Name),
+		ap:  dag.NewAppendable("stream"),
 	}, nil
 }
 
@@ -233,6 +228,11 @@ func (e *Engine) Apply(ev Event) (*Delta, error) {
 		row, err := costRow(ev, e.cfg.Sys)
 		if err != nil {
 			return nil, err
+		}
+		// The weight is checked here, before the auto-flush, so a
+		// rejected task leaves the stream untouched.
+		if w := ev.Weight; w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("stream: task %d has invalid weight %g", ev.ID, w)
 		}
 		// Auto-flush before ingesting a task, never after: a task's
 		// trailing edges then always share its batch, so well-ordered
@@ -592,7 +592,8 @@ func (e *Engine) orderAffected(g *dag.Graph, prio []float64) []dag.TaskID {
 }
 
 // Replay applies a whole event log to a fresh engine, returning every
-// delta. Convenience for tests, schedrun -stream and the benchmark.
+// delta. Only tests call it; schedrun -stream and the benchmarks drive
+// Apply event by event.
 func Replay(cfg Config, evs []Event) ([]Delta, *Engine, error) {
 	eng, err := NewEngine(cfg)
 	if err != nil {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -278,6 +279,21 @@ func TestStreamEventValidation(t *testing.T) {
 	if _, err := eng2.Apply(Event{Op: OpAddEdge, From: 2, To: 0}); err == nil ||
 		!strings.Contains(err.Error(), "frozen") {
 		t.Fatalf("edge into frozen head: got %v", err)
+	}
+
+	// A task rejected for its weight at a batch boundary flushes nothing:
+	// the next accepted task's flush is the first delta, over one task.
+	eng4, _ := NewEngine(Config{Algorithm: "HEFT", Sys: sys, BatchSize: 1})
+	if _, err := eng4.Apply(Event{Op: OpAddTask, ID: 0, Weight: 3}); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []float64{-1, math.NaN()} {
+		if d, err := eng4.Apply(Event{Op: OpAddTask, ID: 1, Weight: w}); err == nil || d != nil {
+			t.Fatalf("weight %g: got delta %+v, error %v; want a rejection and no delta", w, d, err)
+		}
+	}
+	if d, err := eng4.Apply(Event{Op: OpAddTask, ID: 1, Weight: 2}); err != nil || d == nil || d.Seq != 0 || d.Tasks != 1 {
+		t.Fatalf("first accepted task after the rejections: delta %+v, error %v; want seq 0 over 1 task", d, err)
 	}
 
 	// So is an advance that would freeze a buffered edge's head before a
