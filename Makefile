@@ -51,13 +51,15 @@ race:
 race-concurrent:
 	$(GO) test -race -count=1 ./internal/experiment/... ./internal/service/... ./internal/stream ./internal/sched ./internal/sched/timeline ./internal/dag ./internal/algo/suite ./internal/algo/listsched ./internal/core ./internal/sim ./internal/algo/resched ./internal/adversary
 
-# Chaos tier: the kill/restart/rejoin e2e repeated under the race
-# detector with fresh process state each run, so detector timings,
-# replication pushes and rejoin sweeps interleave differently every
-# time. CHAOS_RUNS overrides the repetition count.
+# Chaos tier: the ring tests whose outcome depends on timing — the
+# kill/restart/rejoin e2e, churn during batches, the peer probe's
+# outcomes (its own deadline among them) and hinted handoff — repeated
+# under the race detector with fresh process state each run, so
+# detector timings, replication pushes and rejoin sweeps interleave
+# differently every time. CHAOS_RUNS overrides the repetition count.
 CHAOS_RUNS ?= 5
 cluster-chaos:
-	$(GO) test -race -count=$(CHAOS_RUNS) -run 'TestClusterKillRestartRejoin|TestChurnDuringBatchProperty' ./internal/service
+	$(GO) test -race -count=$(CHAOS_RUNS) -run 'TestClusterKillRestartRejoin|TestChurnDuringBatchProperty|TestProbeOutcomes|TestHintedHandoff' ./internal/service
 
 # One iteration of the scheduler-throughput benchmark at every size,
 # plus the trial-journal micro-benchmarks (Mark/Undo trial,

@@ -29,19 +29,7 @@ func runStreamReplay(path string, fullRecompute, gantt bool) {
 		fatal(fmt.Errorf("%s: first event must be %q (algorithm, processors, batchSize)", path, stream.OpConfig))
 	}
 	cfgEv := evs[0]
-	procs := cfgEv.Processors
-	if procs <= 0 {
-		procs = 8
-	}
-	tpu := cfgEv.TimePerUnit
-	if tpu == 0 {
-		tpu = 1
-	}
-	speeds := make([]float64, procs)
-	for i := range speeds {
-		speeds[i] = 1
-	}
-	sys, err := platform.New(platform.Config{Speeds: speeds, Latency: cfgEv.Latency, TimePerUnit: tpu})
+	sys, err := platform.UnitSpeed(cfgEv.Processors, cfgEv.Latency, cfgEv.TimePerUnit)
 	if err != nil {
 		fatal(err)
 	}
@@ -85,7 +73,7 @@ func runStreamReplay(path string, fullRecompute, gantt bool) {
 		fatal(fmt.Errorf("%s: no flush ran; nothing scheduled", path))
 	}
 	fmt.Printf("\nstream: %s over %d events -> %d tasks on %d processors, makespan %.4g\n",
-		eng.Algorithm(), eng.Events(), eng.Len(), procs, s.Makespan())
+		eng.Algorithm(), eng.Events(), eng.Len(), sys.Len(), s.Makespan())
 	if gantt {
 		fmt.Println()
 		if err := dagsched.WriteGanttText(os.Stdout, s, 100); err != nil {

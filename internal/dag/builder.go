@@ -3,6 +3,7 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -18,7 +19,8 @@ type Builder struct {
 func NewBuilder(name string) *Builder { return &Builder{name: name} }
 
 // AddTask appends a task with the given name and nominal weight and returns
-// its id. Weights must be non-negative; Build reports violations.
+// its id. Weights must be non-negative and finite; Build reports
+// violations.
 func (b *Builder) AddTask(name string, weight float64) TaskID {
 	id := TaskID(len(b.tasks))
 	if name == "" {
@@ -39,7 +41,7 @@ func (b *Builder) Len() int { return len(b.tasks) }
 
 // Build validates the accumulated structure and returns the immutable
 // Graph. It fails on out-of-range endpoints, self-loops, duplicate edges,
-// negative weights and cycles.
+// weights and data that are negative, NaN or +Inf, and cycles.
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.tasks)
 	if n == 0 {
@@ -48,6 +50,9 @@ func (b *Builder) Build() (*Graph, error) {
 	for _, t := range b.tasks {
 		if t.Weight < 0 {
 			return nil, fmt.Errorf("dag: task %d (%s) has negative weight %g", t.ID, t.Name, t.Weight)
+		}
+		if math.IsNaN(t.Weight) || math.IsInf(t.Weight, 1) {
+			return nil, fmt.Errorf("dag: task %d (%s) has invalid weight %g", t.ID, t.Name, t.Weight)
 		}
 	}
 	for _, e := range b.edges {
@@ -59,6 +64,9 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 		if e.Data < 0 {
 			return nil, fmt.Errorf("dag: edge (%d,%d) has negative data %g", e.From, e.To, e.Data)
+		}
+		if math.IsNaN(e.Data) || math.IsInf(e.Data, 1) {
+			return nil, fmt.Errorf("dag: edge (%d,%d) has invalid data %g", e.From, e.To, e.Data)
 		}
 	}
 	g := &Graph{

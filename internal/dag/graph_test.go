@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -201,5 +202,33 @@ func TestTasksReturnsCopy(t *testing.T) {
 	tasks[0].Weight = 999
 	if g.Task(0).Weight == 999 {
 		t.Fatal("Tasks() leaked internal storage")
+	}
+}
+
+// TestBuildRefusesNonFinite: Build refuses every weight and data volume
+// that Appendable refuses, so no graph it returns carries a cost that
+// poisons the instance built over it.
+func TestBuildRefusesNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		weight, data float64
+		want         string
+	}{
+		{"NaN weight", math.NaN(), 1, "weight NaN"},
+		{"+Inf weight", math.Inf(1), 1, "weight +Inf"},
+		{"-Inf weight", math.Inf(-1), 1, "negative weight -Inf"},
+		{"NaN data", 1, math.NaN(), "data NaN"},
+		{"+Inf data", 1, math.Inf(1), "data +Inf"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBuilder("bad")
+			a := b.AddTask("", tc.weight)
+			c := b.AddTask("", 1)
+			b.AddEdge(a, c, tc.data)
+			_, err := b.Build()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Build error %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -195,11 +195,33 @@ func MustNew(cfg Config) *System {
 // Homogeneous returns a system of p identical unit-speed processors with
 // the given per-message latency and per-unit transfer time on every link.
 func Homogeneous(p int, latency, timePerUnit float64) *System {
+	return MustNew(Config{Speeds: unitSpeeds(p), Latency: latency, TimePerUnit: timePerUnit})
+}
+
+// UnitSpeed builds the platform of a bare graph read from input (a
+// schedd request or stream session, a replayed event log): procs
+// unit-speed processors (8 when procs <= 0) on uniform links with the
+// given latency and time per unit (1 when 0). Where Homogeneous panics,
+// it returns an error, negative link parameters among them.
+func UnitSpeed(procs int, latency, timePerUnit float64) (*System, error) {
+	if procs <= 0 {
+		procs = 8
+	}
+	if timePerUnit == 0 {
+		timePerUnit = 1
+	}
+	if latency < 0 || timePerUnit < 0 {
+		return nil, errors.New("negative link parameters")
+	}
+	return New(Config{Speeds: unitSpeeds(procs), Latency: latency, TimePerUnit: timePerUnit})
+}
+
+func unitSpeeds(p int) []float64 {
 	speeds := make([]float64, p)
 	for i := range speeds {
 		speeds[i] = 1
 	}
-	return MustNew(Config{Speeds: speeds, Latency: latency, TimePerUnit: timePerUnit})
+	return speeds
 }
 
 // Len returns the number of processors.

@@ -29,6 +29,37 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestUnitSpeed pins the defaults of the platform a bare graph runs on
+// (8 processors, time per unit 1), that it keeps what it is given, and
+// that it refuses negative link parameters with an error.
+func TestUnitSpeed(t *testing.T) {
+	for _, tc := range []struct {
+		procs        int
+		lat, tpu     float64
+		wantP        int
+		wantLat, inv float64
+	}{
+		{0, 0, 0, 8, 0, 1},
+		{-3, 0.5, 0, 8, 0.5, 1},
+		{3, 2, 0.25, 3, 2, 0.25},
+	} {
+		s, err := UnitSpeed(tc.procs, tc.lat, tc.tpu)
+		if err != nil {
+			t.Fatalf("UnitSpeed(%d, %g, %g): %v", tc.procs, tc.lat, tc.tpu, err)
+		}
+		lat, inv, uniform := s.UniformLinks()
+		if s.Len() != tc.wantP || !s.IsHomogeneous() || !uniform || lat != tc.wantLat || inv != tc.inv {
+			t.Errorf("UnitSpeed(%d, %g, %g): P = %d, homogeneous %v, links (%g, %g, uniform %v); want P = %d, links (%g, %g)",
+				tc.procs, tc.lat, tc.tpu, s.Len(), s.IsHomogeneous(), lat, inv, uniform, tc.wantP, tc.wantLat, tc.inv)
+		}
+	}
+	for _, bad := range [][2]float64{{-1, 1}, {0, -1}} {
+		if _, err := UnitSpeed(2, bad[0], bad[1]); err == nil || err.Error() != "negative link parameters" {
+			t.Errorf("UnitSpeed(2, %g, %g) error %v, want \"negative link parameters\"", bad[0], bad[1], err)
+		}
+	}
+}
+
 func TestHomogeneous(t *testing.T) {
 	s := Homogeneous(4, 0.5, 2)
 	if s.Len() != 4 {

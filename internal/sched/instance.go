@@ -15,12 +15,10 @@ import (
 )
 
 // ErrInvalidCost is the typed error wrapped by NewInstance when a task
-// execution cost or an edge data volume is NaN, infinite or negative.
-// Fuzz-hardened readers can emit graphs carrying such values (NaN compares
-// false against everything, so a "data < 0" gate passes it); validating
-// here keeps the rank kernels free of per-comparison NaN checks — a NaN
-// would otherwise silently lose every "cand > best" comparison and corrupt
-// priorities without a trace.
+// execution cost is NaN, infinite or negative. Validating here keeps the
+// rank kernels free of per-comparison NaN checks — a NaN would otherwise
+// silently lose every "cand > best" comparison and corrupt priorities
+// without a trace.
 var ErrInvalidCost = errors.New("sched: invalid cost")
 
 // Instance is one scheduling problem: a task graph, a target system and
@@ -56,12 +54,12 @@ type Instance struct {
 	meanCommPred []float64
 }
 
-// NewInstance validates the cost matrix and the graph's edge data volumes
-// and builds an Instance. W must have one row per task and one column per
-// processor; all execution costs and edge data must be non-negative and
-// finite (violations report ErrInvalidCost). The matrix values are copied
-// onto a flat instance-owned backing array; the caller's rows are not
-// retained.
+// NewInstance validates the cost matrix and builds an Instance. W must
+// have one row per task and one column per processor; all execution
+// costs must be non-negative and finite (violations report
+// ErrInvalidCost), as dag's builders already hold edge data to be. The
+// matrix values are copied onto a flat instance-owned backing array;
+// the caller's rows are not retained.
 func NewInstance(g *dag.Graph, sys *platform.System, w [][]float64) (*Instance, error) {
 	if g == nil || sys == nil {
 		return nil, fmt.Errorf("sched: nil graph or system")
@@ -73,14 +71,6 @@ func NewInstance(g *dag.Graph, sys *platform.System, w [][]float64) (*Instance, 
 	for i, row := range w {
 		if err := checkRow(i, row, p); err != nil {
 			return nil, err
-		}
-	}
-	for i := 0; i < n; i++ {
-		base := g.SuccStart(dag.TaskID(i))
-		for j, a := range g.Succ(dag.TaskID(i)) {
-			if a.Data < 0 || math.IsNaN(a.Data) || math.IsInf(a.Data, 0) {
-				return nil, fmt.Errorf("%w: edge (%d,%d) data = %g (arc %d)", ErrInvalidCost, i, a.To, a.Data, base+j)
-			}
 		}
 	}
 	inst := &Instance{G: g, Sys: sys, minW: math.Inf(1)}

@@ -83,34 +83,6 @@ func TestNewInstanceValidation(t *testing.T) {
 	}
 }
 
-// TestNewInstanceRejectsBadEdgeData pins the edge-data audit: the builder's
-// "data < 0" gate passes NaN (every comparison with NaN is false) and +Inf,
-// so NewInstance must catch both before they poison the mean-comm tables.
-func TestNewInstanceRejectsBadEdgeData(t *testing.T) {
-	sys := twoProc()
-	build := func(data float64) *dag.Graph {
-		b := dag.NewBuilder("bad-edge")
-		a := b.AddTask("", 1)
-		c := b.AddTask("", 1)
-		b.AddEdge(a, c, data)
-		return b.MustBuild()
-	}
-	w := [][]float64{{1, 1}, {1, 1}}
-	for _, data := range []float64{math.NaN(), math.Inf(1)} {
-		g := build(data)
-		_, err := NewInstance(g, sys, w)
-		if err == nil {
-			t.Fatalf("edge data %g accepted", data)
-		}
-		if !errors.Is(err, ErrInvalidCost) {
-			t.Fatalf("edge data %g error = %v, want ErrInvalidCost", data, err)
-		}
-	}
-	if _, err := NewInstance(build(3), sys, w); err != nil {
-		t.Fatalf("valid edge data rejected: %v", err)
-	}
-}
-
 // TestNewInstanceCopiesCostMatrix checks the SoA re-backing: the instance
 // must own its flat cost array, so mutating the caller's rows afterwards
 // cannot corrupt cached statistics or later Cost lookups.

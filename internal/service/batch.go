@@ -147,7 +147,10 @@ func (s *Server) runBatchItem(r *http.Request, reqID string, i int, item json.Ra
 	if err := decodeInto(item, &req); err != nil {
 		return BatchItemResult{Index: i, Status: http.StatusBadRequest, Error: fmt.Sprintf("decoding item: %v", err)}
 	}
-	res, _ = s.serveItem(r.Context(), itemID, &req, true)
+	res, _, hit := s.serveItem(r.Context(), itemID, &req, true)
+	if hit != nil {
+		res.Response = hit.hitResponse()
+	}
 	res.Index = i
 	return res
 }

@@ -192,27 +192,20 @@ func newLRUCache(capacity int) *lruCache {
 	return &lruCache{cap: capacity, ll: list.New(), byKey: make(map[string]*list.Element), byBody: make(map[bodyDigest]*list.Element)}
 }
 
-// Get returns a copy of the cached response marked Cached (or nil),
-// plus whether the entry was a replication-delivered copy. It counts
-// one hit or one miss.
-func (c *lruCache) Get(key string) (*ScheduleResponse, bool) {
-	a, replica := c.lookup(key, true)
-	if a == nil {
-		return nil, false
-	}
-	return a.hitResponse(), replica
-}
-
-// Probe is Get for a peer's cache probe: it marks the entry most recent
-// as Get does, so probes keep their place in the eviction order, but it
-// counts neither a hit nor a miss. The request behind a probe counted
-// its lookup on the node it entered, and the hit rate counts lookups.
-// It returns the stored answer, whose hit bytes the probe writes.
+// Probe looks key up for a peer's cache probe: it marks the entry most
+// recent as a request's lookup does, so probes keep their place in the
+// eviction order, but it counts neither a hit nor a miss. The request
+// behind a probe counted its lookup on the node it entered, and the hit
+// rate counts lookups. It returns the stored answer, whose hit bytes
+// the probe writes.
 func (c *lruCache) Probe(key string) *storedAnswer {
 	a, _ := c.lookup(key, false)
 	return a
 }
 
+// lookup returns key's stored answer (or nil), plus whether the entry
+// was a replication-delivered copy; with count, it counts one hit or
+// one miss.
 func (c *lruCache) lookup(key string, count bool) (*storedAnswer, bool) {
 	if c.cap <= 0 {
 		return nil, false
@@ -296,19 +289,12 @@ func (c *lruCache) Put(key string, ans *storedAnswer) {
 // already computed itself is left alone — local computation is
 // authoritative and its tier attribution must not be downgraded.
 func (c *lruCache) PutReplica(key string, resp *ScheduleResponse) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	el, ok := c.byKey[key]
-	if ok && !el.Value.(*cacheEntry).replica {
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
 	c.put(key, &storedAnswer{resp: resp}, true)
 }
 
+// put stores ans under key. A replica copy never replaces a local
+// entry, and that is decided under the lock that stores the copy, so no
+// local Put can land between the check and the store.
 func (c *lruCache) put(key string, ans *storedAnswer, replica bool) {
 	if c.cap <= 0 {
 		return
@@ -316,8 +302,11 @@ func (c *lruCache) put(key string, ans *storedAnswer, replica bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		c.ll.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
+		if replica && !e.replica {
+			return
+		}
+		c.ll.MoveToFront(el)
 		e.ans, e.replica = ans, replica
 		return
 	}

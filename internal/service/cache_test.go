@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -353,9 +354,9 @@ func startInternal(t testing.TB, s *Server) string {
 	return "http://" + addr
 }
 
-// TestHitWritesStoredBytes: a digest hit and a peer probe write the
-// bytes writeJSON writes for the same hit, which the key hit still
-// writes, in one body with its Content-Length.
+// TestHitWritesStoredBytes: a digest hit, a peer probe and a key hit
+// write the bytes writeJSON writes for the same hit, in one body with
+// its Content-Length.
 func TestHitWritesStoredBytes(t *testing.T) {
 	s := New(Options{Addr: "127.0.0.1:0", Workers: 1})
 	base := startInternal(t, s)
@@ -369,9 +370,8 @@ func TestHitWritesStoredBytes(t *testing.T) {
 	key := keyOf(t, s, body)
 	probe, probeBytes := roundTrip(t, http.MethodGet, base+"/v1/cache/"+key, nil)
 
-	resp, _ := s.cache.Get(key)
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, resp)
+	writeJSON(rec, http.StatusOK, s.cache.Probe(key).hitResponse())
 	want := rec.Body.Bytes()
 	if len(want) < 4096 {
 		t.Fatalf("the answer is %d bytes; the test needs one that writeJSON chunks", len(want))
@@ -513,5 +513,34 @@ func TestStoredAnswerConcurrentReput(t *testing.T) {
 	}
 	if want := fmt.Sprintf(`"runtimeMs":%d,`, puts); !bytes.Contains(b, []byte(want)) {
 		t.Errorf("the hit after the last put wrote %s, want %s", b, want)
+	}
+}
+
+// TestPutReplicaLeavesLocalEntry races replica pushes of one key
+// against a local Put of it. A local entry is never replaced by a
+// replica copy, so once the Put has returned, every later PutReplica
+// leaves it alone, and the entry ends local however the two interleave.
+func TestPutReplicaLeavesLocalEntry(t *testing.T) {
+	const key, rounds = "k", 2000
+	replica := &ScheduleResponse{Algorithm: "HEFT", Makespan: 2}
+	for round := 0; round < rounds; round++ {
+		c := newLRUCache(4)
+		var stop atomic.Bool
+		started, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			c.PutReplica(key, replica)
+			close(started)
+			for !stop.Load() {
+				c.PutReplica(key, replica)
+			}
+		}()
+		<-started
+		c.Put(key, &storedAnswer{resp: &ScheduleResponse{Algorithm: "HEFT", Makespan: 1}})
+		stop.Store(true)
+		<-done
+		if ans, isReplica := c.lookup(key, false); isReplica || ans.resp.Makespan != 1 {
+			t.Fatalf("round %d: after a local Put the entry is a replica copy (makespan %g)", round, ans.resp.Makespan)
+		}
 	}
 }

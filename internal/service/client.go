@@ -186,37 +186,55 @@ func retryable(ctx context.Context, err error) bool {
 	return true
 }
 
-// attempt performs one HTTP round trip against base.
-func (c *Client) attempt(ctx context.Context, base, method, path string, body []byte, out any) error {
+// exchange is the one HTTP round trip of the client and of every call
+// from a node to a peer. It sends method base+path through hc, with a
+// body as application/json and hdr as header name/value pairs, and
+// returns the whole body of a 200 answer, at most limit bytes when
+// limit > 0. Any other status comes back as a *StatusError carrying the
+// server's {"error"} message; the rest of its body is drained, so the
+// connection goes back to the pool.
+func exchange(ctx context.Context, hc *http.Client, method, base, path string, body []byte, limit int64, hdr ...string) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.http().Do(req)
+	for i := 0; i+1 < len(hdr); i += 2 {
+		req.Header.Set(hdr[i], hdr[i+1])
+	}
+	resp, err := hc.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
+	src := io.Reader(resp.Body)
+	if limit > 0 {
+		src = io.LimitReader(resp.Body, limit)
+	}
+	data, err := readAll(src, resp.ContentLength)
 	if resp.StatusCode != http.StatusOK {
+		_, _ = io.Copy(io.Discard, resp.Body)
 		se := &StatusError{Method: method, Path: path, Status: resp.StatusCode}
 		var e errorJSON
-		if json.NewDecoder(resp.Body).Decode(&e) == nil {
+		if decodeInto(data, &e) == nil {
 			se.Message = e.Error
 		}
-		return se
+		return nil, se
 	}
-	if out == nil {
-		return nil
-	}
-	data, err := readAll(resp.Body, resp.ContentLength)
-	if err != nil {
+	return data, err
+}
+
+// attempt performs one round trip against base, decoding a 200 answer
+// into out.
+func (c *Client) attempt(ctx context.Context, base, method, path string, body []byte, out any) error {
+	data, err := exchange(ctx, c.http(), method, base, path, body, 0)
+	if err != nil || out == nil {
 		return err
 	}
 	if err := decodeInto(data, out); err != nil {
@@ -300,7 +318,7 @@ func (c *Client) RefreshRing(ctx context.Context) error {
 	}
 	var lastErr error = errors.New("service: no peers configured")
 	for _, peer := range sources {
-		view, err := c.fetchRing(ctx, peer)
+		view, err := fetchRing(ctx, c.http(), peer)
 		if err != nil {
 			lastErr = err
 			continue
@@ -324,26 +342,14 @@ func (c *Client) RefreshRing(ctx context.Context) error {
 	return fmt.Errorf("service: ring refresh failed: %w", lastErr)
 }
 
-// fetchRing GETs and validates one peer's /v1/ring view.
-func (c *Client) fetchRing(ctx context.Context, peer string) (RingView, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/ring", nil)
+// fetchRing GETs and validates peer's /v1/ring view: the client's
+// refresh and a node's heartbeat.
+func fetchRing(ctx context.Context, hc *http.Client, peer string) (RingView, error) {
+	data, err := exchange(ctx, hc, http.MethodGet, peer, "/v1/ring", nil, maxRingBodyBytes)
 	if err != nil {
 		return RingView{}, err
 	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return RingView{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return RingView{}, &StatusError{Method: http.MethodGet, Path: "/v1/ring", Status: resp.StatusCode}
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRingBodyBytes))
-	if err != nil {
-		return RingView{}, err
-	}
-	return decodeRingView(body)
+	return decodeRingView(data)
 }
 
 // appendRequest appends the JSON body of req to dst. The request

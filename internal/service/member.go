@@ -1,11 +1,9 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"net/url"
@@ -339,7 +337,9 @@ func (m *membership) tick() {
 		wg.Add(1)
 		go func(peer string) {
 			defer wg.Done()
-			view, err := m.fetchView(peer)
+			ctx, cancel := context.WithTimeout(context.Background(), m.s.opts.ProbeTimeout)
+			defer cancel()
+			view, err := fetchRing(ctx, m.s.peerClient, peer)
 			if err != nil {
 				return // silence is what the detector measures
 			}
@@ -348,30 +348,6 @@ func (m *membership) tick() {
 	}
 	wg.Wait()
 	m.assess(m.nowFn())
-}
-
-// fetchView GETs peer's /v1/ring bounded by the probe timeout.
-func (m *membership) fetchView(peer string) (RingView, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), m.s.opts.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/ring", nil)
-	if err != nil {
-		return RingView{}, err
-	}
-	resp, err := m.s.peerClient.Do(req)
-	if err != nil {
-		return RingView{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return RingView{}, &StatusError{Method: http.MethodGet, Path: "/v1/ring", Status: resp.StatusCode}
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRingBodyBytes))
-	if err != nil {
-		return RingView{}, err
-	}
-	return decodeRingView(data)
 }
 
 // announceJoin POSTs this node's join to the seed and adopts the view
@@ -403,26 +379,13 @@ func (m *membership) postRing(peer, path, subject string, relayed bool) (RingVie
 	if err != nil {
 		return RingView{}, err
 	}
+	var hdr []string
+	if relayed {
+		hdr = []string{hdrRelayed, m.selfURL()}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), m.s.opts.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, bytes.NewReader(body))
-	if err != nil {
-		return RingView{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if relayed {
-		req.Header.Set(hdrRelayed, m.selfURL())
-	}
-	resp, err := m.s.peerClient.Do(req)
-	if err != nil {
-		return RingView{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return RingView{}, &StatusError{Method: http.MethodPost, Path: path, Status: resp.StatusCode}
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRingBodyBytes))
+	data, err := exchange(ctx, m.s.peerClient, http.MethodPost, peer, path, body, maxRingBodyBytes, hdr...)
 	if err != nil {
 		return RingView{}, err
 	}

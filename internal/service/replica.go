@@ -1,9 +1,7 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"io"
 	"net/http"
 	"slices"
 	"sync"
@@ -147,21 +145,8 @@ func (r *replicator) pushOne(peer, key string, body []byte) {
 func (r *replicator) put(peer, key string, body []byte) error {
 	ctx, cancel := context.WithTimeout(context.Background(), r.s.opts.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, peer+"/v1/cache/"+key, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	hr, err := r.s.peerClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer hr.Body.Close()
-	_, _ = io.Copy(io.Discard, hr.Body)
-	if hr.StatusCode != http.StatusOK && hr.StatusCode != http.StatusNoContent {
-		return &StatusError{Method: http.MethodPut, Path: "/v1/cache/", Status: hr.StatusCode}
-	}
-	return nil
+	_, err := exchange(ctx, r.s.peerClient, http.MethodPut, peer, "/v1/cache/"+key, body, r.s.opts.MaxBodyBytes)
+	return err
 }
 
 // enqueue parks one undelivered write on the handoff queue, dropping

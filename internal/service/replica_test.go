@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -122,4 +124,66 @@ func TestReplicaPushEncodedOnce(t *testing.T) {
 	if err := json.Unmarshal(puts[0], &pushed); err != nil || pushed.Makespan != answer.Makespan {
 		t.Errorf("pushed %s (decode error %v), answered makespan %v", puts[0], err, answer.Makespan)
 	}
+}
+
+// refusePuts refuses every replica PUT until released, and passes all
+// other peer traffic through.
+type refusePuts struct{ released atomic.Bool }
+
+func (rp *refusePuts) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPut && strings.HasPrefix(req.URL.Path, "/v1/cache/") && !rp.released.Load() {
+		return nil, errors.New("replica push refused")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestHintedHandoff: on a 2-node ring with one replica, a push that
+// node A's transport refuses is queued as a hint, and once the
+// transport lets pushes through, the retrier delivers it: B stores one
+// replica copy and answers the key's probe with 200.
+func TestHintedHandoff(t *testing.T) {
+	gate := &refusePuts{}
+	opts := Options{Addr: "127.0.0.1:0", Workers: 1, Replication: 1, HeartbeatInterval: 50 * time.Millisecond}
+	a, b := New(opts), New(opts)
+	a.peerClient = &http.Client{Transport: gate}
+	urls := []string{startInternal(t, a), startInternal(t, b)}
+	for i, s := range []*Server{a, b} {
+		if err := s.ConfigurePeers(urls[i], urls); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body := graphBody(t, 20)
+	roundTrip(t, http.MethodPost, urls[0]+"/v1/schedule", body)
+	key := keyOf(t, a, body)
+
+	handoffs := func() [numHandoffEvents]int64 {
+		a.met.mu.Lock()
+		defer a.met.mu.Unlock()
+		return a.met.handoffs
+	}
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !done(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s; handoffs (queued, delivered, dropped) %v", what, handoffs())
+			}
+		}
+	}
+	waitFor("the refused push to be queued", func() bool { return handoffs()[handoffQueued] == 1 })
+	if h := handoffs(); h[handoffDelivered] != 0 {
+		t.Fatalf("handoffs (queued, delivered, dropped) %v before the release, want nothing delivered", h)
+	}
+	gate.released.Store(true)
+	waitFor("the hint to be delivered", func() bool { return handoffs()[handoffDelivered] == 1 })
+
+	if h := handoffs(); h != [numHandoffEvents]int64{1, 1, 0} {
+		t.Errorf("handoffs (queued, delivered, dropped) %v, want [1 1 0]", h)
+	}
+	b.met.mu.Lock()
+	stores := b.met.replStores
+	b.met.mu.Unlock()
+	if stores != 1 {
+		t.Errorf("B stored %d replica copies, want 1", stores)
+	}
+	roundTrip(t, http.MethodGet, urls[1]+"/v1/cache/"+key, nil)
 }

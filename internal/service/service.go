@@ -691,7 +691,7 @@ func (s *Server) resolveRequest(req *scheduleWire) (algo.Algorithm, *sched.Insta
 		if err != nil {
 			return nil, nil, err
 		}
-		sys, err := unitPlatform(req.Processors, req.Latency, req.TimePerUnit)
+		sys, err := platform.UnitSpeed(req.Processors, req.Latency, req.TimePerUnit)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -740,33 +740,16 @@ func checkMagnitude(in *sched.Instance, bw float64) error {
 			sum += su + a.Data*ir/bw
 		}
 	}
-	if bound := float64(in.P()) * sum; math.IsInf(bound, 1) {
-		return fmt.Errorf("costs too large: a schedule could overflow float64 (with P = %d, P·(Σ largest task cost + Σ largest transfer cost) is +Inf)", in.P())
-	}
-	return nil
+	return checkBound(in.P(), sum)
 }
 
-// unitPlatform builds the platform of a bare-graph request or a stream
-// session: procs unit-speed processors (8 when procs <= 0; the caller
-// checks the upper bound) on uniform links with the given latency and
-// time per unit (1 when 0). platform.New, not Homogeneous, which
-// panics, so oversized link parameters from the wire come back as a
-// 400, not a crash.
-func unitPlatform(procs int, latency, tpu float64) (*platform.System, error) {
-	if procs <= 0 {
-		procs = 8
+// checkBound refuses a sum of largest task and transfer costs that
+// makes checkMagnitude's bound P·sum +Inf.
+func checkBound(p int, sum float64) error {
+	if math.IsInf(float64(p)*sum, 1) {
+		return fmt.Errorf("costs too large: a schedule could overflow float64 (with P = %d, P·(Σ largest task cost + Σ largest transfer cost) is +Inf)", p)
 	}
-	if tpu == 0 {
-		tpu = 1
-	}
-	if latency < 0 || tpu < 0 {
-		return nil, fmt.Errorf("negative link parameters")
-	}
-	speeds := make([]float64, procs)
-	for i := range speeds {
-		speeds[i] = 1
-	}
-	return platform.New(platform.Config{Speeds: speeds, Latency: latency, TimePerUnit: tpu})
+	return nil
 }
 
 // maxFaultSamples caps a robustness sampling request: each sample is a
@@ -926,13 +909,14 @@ func (s *Server) statusFor(err error, timeout time.Duration) (int, string) {
 // the rest park on its result, so a burst of identical requests costs
 // one probe pass and at most one schedule per node. block selects
 // blocking enqueue (batch items backpressure on the queue) versus the
-// single-request fail-fast 503.
-func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem, block bool) (*ScheduleResponse, error) {
+// single-request fail-fast 503. A local hit returns its stored answer
+// in place of a response.
+func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem, block bool) (*ScheduleResponse, *storedAnswer, error) {
 	probe := true
 	for {
-		if resp, replica := s.cache.Get(it.key); resp != nil {
+		if ans, replica := s.cache.lookup(it.key, true); ans != nil {
 			s.met.ObserveTier(hitTier(replica))
-			return resp, nil
+			return nil, ans, nil
 		}
 		leader, f := s.flights.join(it.key)
 		if !leader {
@@ -942,15 +926,15 @@ func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem,
 				if f.err == nil {
 					cp := *f.resp
 					cp.Coalesced = true
-					return &cp, nil
+					return &cp, nil, nil
 				}
 				retry, err := followerVerdict(f.err, ctx.Err())
 				if retry {
 					continue // the leader died of its own deadline, not ours
 				}
-				return nil, err
+				return nil, nil, err
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return nil, nil, ctx.Err()
 			}
 		}
 		if probe {
@@ -965,7 +949,7 @@ func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem,
 					cp := *resp
 					cp.Cached = true
 					s.flights.finish(it.key, f, &cp, nil)
-					return &cp, nil
+					return &cp, nil, nil
 				}
 			}
 		}
@@ -974,7 +958,7 @@ func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem,
 			// traffic (a hit costs nothing); only fresh compute is shed.
 			s.met.ObserveShed()
 			s.flights.finish(it.key, f, nil, errShed)
-			return nil, errShed
+			return nil, nil, errShed
 		}
 		s.met.ObserveTier(tierMiss)
 		j := &job{ctx: ctx, alg: it.alg, in: it.in, analyze: it.analyze, faults: it.faults, key: it.key, reqID: reqID, done: make(chan jobResult, 1)}
@@ -983,20 +967,20 @@ func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem,
 			case s.jobs <- j:
 			case <-ctx.Done():
 				s.flights.finish(it.key, f, nil, ctx.Err())
-				return nil, ctx.Err()
+				return nil, nil, ctx.Err()
 			}
 		} else {
 			select {
 			case s.jobs <- j:
 			default:
 				s.flights.finish(it.key, f, nil, errQueueFull)
-				return nil, errQueueFull
+				return nil, nil, errQueueFull
 			}
 		}
 		select {
 		case res := <-j.done:
 			s.flights.finish(it.key, f, res.resp, res.err)
-			return res.resp, res.err
+			return res.resp, nil, res.err
 		case <-ctx.Done():
 			// The worker owns the job now; publish its eventual result so
 			// coalesced followers unblock, but answer our own deadline
@@ -1005,7 +989,7 @@ func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem,
 				res := <-j.done
 				s.flights.finish(it.key, f, res.resp, res.err)
 			}()
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 	}
 }
@@ -1015,12 +999,13 @@ func (s *Server) scheduleLocal(ctx context.Context, reqID string, it parsedItem,
 // under its own deadline, and map the outcome to the HTTP status a
 // single request answers. block selects the enqueue (see
 // scheduleLocal). key is "" when the query was rejected before it had
-// a cache key.
-func (s *Server) serveItem(ctx context.Context, reqID string, req *scheduleWire, block bool) (res BatchItemResult, key string) {
+// a cache key. A local hit is answered 200 with hit, its stored answer,
+// in place of res.Response.
+func (s *Server) serveItem(ctx context.Context, reqID string, req *scheduleWire, block bool) (res BatchItemResult, key string, hit *storedAnswer) {
 	a, in, err := s.resolveRequest(req)
 	if err != nil {
 		res.Status, res.Error = http.StatusBadRequest, err.Error()
-		return res, ""
+		return res, "", nil
 	}
 	// Keyed on the requested name, not a.Name(): a custom Resolver may
 	// map distinct request names onto one implementation, and those are
@@ -1029,21 +1014,21 @@ func (s *Server) serveItem(ctx context.Context, reqID string, req *scheduleWire,
 	key, err = cacheKey(in, req.Algorithm, req.Analyze, req.LinkBandwidth, req.Faults)
 	if err != nil {
 		res.Status, res.Error = http.StatusInternalServerError, err.Error()
-		return res, ""
+		return res, "", nil
 	}
 	timeout := s.timeoutFor(req.TimeoutMs)
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	low, _ := lowPriority(req.Priority) // validated by resolveRequest
-	resp, err := s.scheduleLocal(ctx, reqID, parsedItem{
+	resp, hit, err := s.scheduleLocal(ctx, reqID, parsedItem{
 		alg: a, in: in, analyze: req.Analyze, faults: req.Faults, key: key, lowPrio: low,
 	}, block)
 	if err != nil {
 		res.Status, res.Error = s.statusFor(err, timeout)
-		return res, key
+		return res, key, nil
 	}
 	res.Status, res.Response = http.StatusOK, resp
-	return res, key
+	return res, key, hit
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
@@ -1072,13 +1057,17 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqID, _ := r.Context().Value(reqIDKey{}).(string)
-	res, key := s.serveItem(r.Context(), reqID, req, false)
+	res, key, hit := s.serveItem(r.Context(), reqID, req, false)
 	s.setShardOwner(w, key)
 	if res.Status != http.StatusOK {
 		writeError(w, res.Status, "%s", res.Error)
 		return
 	}
 	s.cache.AttachBody(key, digest)
+	if hit != nil {
+		writeHit(w, hit)
+		return
+	}
 	writeJSON(w, http.StatusOK, res.Response)
 }
 

@@ -2,7 +2,7 @@ package service
 
 import (
 	"context"
-	"io"
+	"errors"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -55,46 +55,30 @@ func (s *Server) ConfigureJoin(self, seed string) error {
 // cheap GET against its cache, never a computation. Any failure
 // (circuit open, timeout, malformed body) degrades to a miss; timeouts
 // are counted separately from true misses, since a fleet whose probes
-// time out needs a bigger -probe-timeout, not a warmer cache.
+// time out needs a bigger -probe-timeout, not a warmer cache. A 404
+// means healthy-but-cold, and a 200 that does not decode came from a
+// peer that answered: neither counts against the peer's circuit.
 func (s *Server) probePeerCache(ctx context.Context, peer, key string) *ScheduleResponse {
 	if _, open := s.peerBrk.allow(peer, peerBreakerThreshold); open {
 		return nil
 	}
 	pctx, cancel := context.WithTimeout(ctx, s.opts.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, peer+"/v1/cache/"+key, nil)
-	if err != nil {
+	body, err := exchange(pctx, s.peerClient, http.MethodGet, peer, "/v1/cache/"+key, nil, s.opts.MaxBodyBytes)
+	s.peerBrk.observe(peer, peerBreakerThreshold, peerBreakerCooldown, err)
+	var se *StatusError
+	switch {
+	case errors.As(err, &se) && se.Status == http.StatusNotFound:
+		s.met.ObserveProbe(probeMiss)
+		return nil
+	case se == nil && err != nil && pctx.Err() != nil && ctx.Err() == nil:
+		s.met.ObserveProbe(probeTimeout)
+		return nil
+	case err != nil:
+		s.met.ObserveProbe(probeError)
 		return nil
 	}
-	resp, err := s.peerClient.Do(req)
-	if err != nil {
-		if pctx.Err() != nil && ctx.Err() == nil {
-			s.met.ObserveProbe(probeTimeout)
-		} else {
-			s.met.ObserveProbe(probeError)
-		}
-		s.peerBrk.observe(peer, peerBreakerThreshold, peerBreakerCooldown, err)
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		var obs error // a 404 means healthy-but-cold, not broken
-		if resp.StatusCode != http.StatusNotFound {
-			obs = &StatusError{Method: http.MethodGet, Path: "/v1/cache/", Status: resp.StatusCode}
-			s.met.ObserveProbe(probeError)
-		} else {
-			s.met.ObserveProbe(probeMiss)
-		}
-		s.peerBrk.observe(peer, peerBreakerThreshold, peerBreakerCooldown, obs)
-		return nil
-	}
-	s.peerBrk.observe(peer, peerBreakerThreshold, peerBreakerCooldown, nil)
-	var out *ScheduleResponse
-	body, err := readAll(io.LimitReader(resp.Body, s.opts.MaxBodyBytes), resp.ContentLength)
-	if err == nil {
-		out, err = decodeFirst[ScheduleResponse](body)
-	}
+	out, err := decodeFirst[ScheduleResponse](body)
 	if err != nil {
 		s.met.ObserveProbe(probeError)
 		return nil

@@ -11,8 +11,10 @@ import (
 	"log"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"time"
 
+	"dagsched/internal/platform"
 	"dagsched/internal/stream"
 )
 
@@ -85,7 +87,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	_ = rc.SetWriteDeadline(deadline)
 
 	reqID, _ := r.Context().Value(reqIDKey{}).(string)
-	sess := &streamSession{w: w, rc: rc, eng: eng, br: br, ctx: ctx}
+	sess := &streamSession{w: w, rc: rc, eng: eng, sys: cfg.Sys, br: br, ctx: ctx}
 	j := &job{ctx: ctx, reqID: reqID, done: make(chan jobResult, 1)}
 	j.exec = func() (res jobResult) {
 		defer func() {
@@ -166,12 +168,12 @@ func readConfigEvent(br *bufio.Reader) (stream.Event, error) {
 
 // streamConfig validates a config event into an engine config, the
 // request's shedding class and its session timeout. The platform is
-// the bare-graph request path's (unitPlatform).
+// the bare-graph request path's (platform.UnitSpeed).
 func (s *Server) streamConfig(ev stream.Event) (stream.Config, bool, time.Duration, error) {
 	if ev.Processors < 0 || ev.Processors > maxProcessors {
 		return stream.Config{}, false, 0, fmt.Errorf("processors %d out of [0,%d]", ev.Processors, maxProcessors)
 	}
-	sys, err := unitPlatform(ev.Processors, ev.Latency, ev.TimePerUnit)
+	sys, err := platform.UnitSpeed(ev.Processors, ev.Latency, ev.TimePerUnit)
 	if err != nil {
 		return stream.Config{}, false, 0, err
 	}
@@ -195,11 +197,15 @@ type streamSession struct {
 	w   http.ResponseWriter
 	rc  *http.ResponseController
 	eng *stream.Engine
+	sys *platform.System
 	br  *bufio.Reader
 	ctx context.Context
 
 	wrote  bool
 	deltas int64
+	// cost is checkMagnitude's sum over the events accepted so far: each
+	// task's largest cost and each arc's transfer cost.
+	cost float64
 }
 
 // run drains the event log through the engine, emitting one delta line
@@ -225,10 +231,17 @@ func (ss *streamSession) run() error {
 		if err != nil {
 			return fmt.Errorf("event %d: %w", event, err)
 		}
+		// An event that would let a schedule overflow is refused before
+		// the engine applies it, as /v1/schedule refuses the instance.
+		cost := ss.cost + ss.eventCost(ev)
+		if err := checkBound(ss.sys.Len(), cost); err != nil {
+			return fmt.Errorf("event %d: %w", event, err)
+		}
 		d, err := ss.eng.Apply(ev)
 		if err != nil {
 			return fmt.Errorf("event %d: %w", event, err)
 		}
+		ss.cost = cost
 		if d != nil {
 			if err := ss.emit(d); err != nil {
 				return err
@@ -238,6 +251,23 @@ func (ss *streamSession) run() error {
 			return nil
 		}
 	}
+}
+
+// eventCost is what ev adds to the session's cost: a task's largest
+// cost, its weight when it lists none (the session's processors run at
+// speed 1), or an arc's transfer cost on the session's uniform links.
+func (ss *streamSession) eventCost(ev stream.Event) float64 {
+	switch ev.Op {
+	case stream.OpAddTask:
+		if len(ev.Costs) > 0 {
+			return slices.Max(ev.Costs)
+		}
+		return ev.Weight
+	case stream.OpAddEdge:
+		su, ir, _ := ss.sys.UniformLinks()
+		return su + ev.Data*ir
+	}
+	return 0
 }
 
 // emit writes one delta line and flushes it to the client.

@@ -428,3 +428,24 @@ func TestBatchNDJSONStreamsPerItem(t *testing.T) {
 		t.Errorf("unexpected extra line %q", sc.Text())
 	}
 }
+
+// TestStreamRefusesOverflow: a session refuses the event after which a
+// schedule could overflow float64, before it is applied, with the
+// reason /v1/schedule gives. Here the second task's auto-flush would
+// have sent a delta whose successor cannot be encoded; instead the
+// session answers 400 naming event 3, and sends no delta.
+func TestStreamRefusesOverflow(t *testing.T) {
+	_, c := startServer(t, service.Options{Workers: 1, QueueDepth: 4, CacheSize: -1})
+	body := `{"op":"config","algorithm":"HEFT","processors":1,"batchSize":1}` + "\n" +
+		`{"op":"addTask","id":0,"weight":1.7e308}` + "\n" +
+		`{"op":"addTask","id":1,"weight":1.7e308}` + "\n" +
+		`{"op":"addEdge","from":0,"to":1}` + "\n" +
+		`{"op":"seal"}` + "\n"
+	status, lines := postStream(t, c.BaseURL, body)
+	if status != http.StatusBadRequest || len(lines) != 1 {
+		t.Fatalf("status %d with %d lines %+v, want one 400 error body", status, len(lines), lines)
+	}
+	if e := lines[0].Error; !strings.Contains(e, "event 3") || !strings.Contains(e, "costs too large") {
+		t.Errorf("error %q does not name event 3 and \"costs too large\"", e)
+	}
+}
